@@ -1,24 +1,35 @@
-"""Small shared helpers: ordered parallel map, bulk-validated dataclass
-instances and Halton sequences."""
+"""Small shared helpers: batched bisection, the largest pairwise difference
+quotient, bulk-validated dataclass instances and Halton sequences."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 
-def map_ordered(fn, items, threads: int = 1):
-    """Apply fn over items, preserving order; threads > 1 uses a pool.
+def bisect(residual, lo, hi, r_lo, iters: int):
+    """Halve every bracket [lo, hi] ``iters`` times, keeping the sign change.
 
-    Results are merged in input order regardless of completion order, so
-    parallel runs are deterministic.
+    ``r_lo`` is ``residual(lo)``; the brackets are arrays narrowed at once,
+    one ``residual`` call per step.  Returns the final (lo, hi).
     """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        take_low = (r_mid > 0) == (r_lo > 0)
+        lo = np.where(take_low, mid, lo)
+        r_lo = np.where(take_low, r_mid, r_lo)
+        hi = np.where(take_low, hi, mid)
+    return lo, hi
+
+
+def max_quotient(dv: np.ndarray, dx: np.ndarray) -> float:
+    """Largest dv / dx over the pairs above the diagonal with dx > 1e-14.
+
+    ``dv`` and ``dx`` are pairwise value and chart distances; 0.0 when no
+    pair is left.
+    """
+    keep = np.triu(dx > 1e-14, k=1)
+    return float(np.max(dv[keep] / dx[keep])) if np.any(keep) else 0.0
 
 
 def unchecked(cls, **fields):

@@ -108,8 +108,7 @@ def cmd_shapes(args) -> int:
 
 def cmd_check(args) -> int:
     f = load_manifest(args.manifest)
-    report = check_r_lambda(f, args.r, args.lam, args.plane_rule,
-                            threads=args.threads)
+    report = check_r_lambda(f, args.r, args.lam, args.plane_rule)
     _dump_json(args.out, report.to_dict())
     status = "pass" if report.passed else "FAIL"
     print(f"(r, lambda) check {status}: worst slope {report.worst_lambda:.6f} "
@@ -368,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="JSON report path")
         p.add_argument("--csv", help="CSV output path")
         p.add_argument("--svg", help="SVG figure path")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-10)
         if need_rl:
             p.add_argument("--r", type=float, required=True)
             p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -415,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("karcher", help="Riemannian center of mass of atoms")
     p.add_argument("--atoms", required=True,
                    help="JSON with 'frames' and 'weights'")
+    p.add_argument("--tol", type=float, default=1e-10)
     common(p, need_rl=False)
     p.set_defaults(handler=cmd_karcher)
 
@@ -422,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--chart", type=int, default=0)
     p.add_argument("--probes", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=42)
     common(p)
     p.set_defaults(handler=cmd_tube)
 

@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     NonTransversalError,
 )
-from .grassmann import sphere_angle_matrix
+from ._util import bisect, max_quotient
 from .immersion import (
     GraphSystem,
     SampledImmersion,
@@ -34,6 +34,7 @@ from .nets import DeltaNet, build_net
 from .normals import (
     DirectionField,
     NormalMeasureField,
+    _hausdorff_unit,
     constants,
     direction_field,
     transfer_net,
@@ -97,13 +98,7 @@ def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
             d = max(float(np.max(np.min(ang, axis=1))),
                     float(np.max(np.min(ang, axis=0))))
         else:
-            ang_pos = sphere_angle_matrix(a, b)
-            d_pos = max(float(np.max(np.min(ang_pos, axis=1))),
-                        float(np.max(np.min(ang_pos, axis=0))))
-            ang_neg = sphere_angle_matrix(a, -b)
-            d_neg = max(float(np.max(np.min(ang_neg, axis=1))),
-                        float(np.max(np.min(ang_neg, axis=0))))
-            d = min(d_pos, d_neg)
+            d = min(_hausdorff_unit(a, b), _hausdorff_unit(a, -b))
         worst = max(worst, d)
     return worst
 
@@ -112,18 +107,27 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
                      net1: DeltaNet, net2: DeltaNet,
                      g1: GraphSystem, g2: GraphSystem) -> ClosenessReport:
     """Both closeness gauges: graph-system distance and normal-image
-    Hausdorff distance, against their formula thresholds."""
+    Hausdorff distance, against their formula thresholds.
+
+    ``g1`` and ``g2`` are the graph systems of ``net1`` and ``net2``.  An
+    immersion compared with itself on one net is at graph distance 0, and
+    in codimension one at normal-image distance 0 (identical unit vectors
+    are at chord distance exactly 0); those gauges are not computed then.
+    """
     lam, r = net1.lam, net1.r
     cb = constants(f1.m, lam, r)
     threshold = cb.sigma / (3.0 * (1.0 + lam) * (1.0 + r))
-    g_dist = graph_system_distance(g1, g2)
+    same = f1 is f2 and net1 is net2
+    g_dist = 0.0 if same else graph_system_distance(g1, g2)
     bound_h = math.pi / 4 - 0.5 * math.atan(lam)
     if f1.n == f1.m + 1:
-        worst_h = _chart_hausdorff(net1, net2, _sample_normals_codim1(f1),
-                                   _sample_normals_codim1(f2), lines=False)
+        worst_h = 0.0 if same else _chart_hausdorff(
+            net1, net2, _sample_normals_codim1(f1), _sample_normals_codim1(f2),
+            lines=False)
     else:
         # higher codimension: tangent-line images in the Grassmann metric
-        # stand in for the sphere images (complement map is an isometry)
+        # stand in for the sphere images (complement map is an isometry);
+        # arccos |<a, a>| reads about 1e-8, not 0, so a self-comparison runs too
         worst_h = _chart_hausdorff(net1, net2, _sample_tangents(f1),
                                    _sample_tangents(f2), lines=True)
     return ClosenessReport(g_dist, threshold, g_dist < threshold,
@@ -167,13 +171,7 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     r_lo = residual(lo)
     r_hi = residual(hi)
     ok = r_lo * r_hi <= 0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        take_low = (r_mid > 0) == (r_lo > 0)
-        lo = np.where(take_low, mid, lo)
-        r_lo = np.where(take_low, r_mid, r_lo)
-        hi = np.where(take_low, hi, mid)
+    lo, hi = bisect(residual, lo, hi, r_lo, 60)
     theta = 0.5 * (lo + hi)
     for _ in range(3):  # Newton polish on the analytic curve
         slope = np.einsum("ij,ij->i", ev.jacobian(theta), constraints)
@@ -225,7 +223,7 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
         raise InputError("the target immersion needs an analytic evaluator")
     net2 = net_target if net_target is not None else transfer_net(net, f2)
     g1 = graph_system(net)
-    g2 = graph_system(net2)
+    g2 = g1 if net2 is net else graph_system(net2)
     closeness = closeness_report(f1, f2, net, net2, g1, g2)
     if strict and not closeness.strict_ok:
         raise ClosenessError(
@@ -244,15 +242,18 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
             raise InputError("correspondences are built for curves here")
         t_vecs = proj_field.T
         constraints = np.column_stack([-t_vecs[:, 1], t_vecs[:, 0]])
-        second_chart = _second_charts(proj_field)
+        second_chart = _covering_chart(proj_field.net, 1)
     else:
-        chart = _owning_charts(net)
+        chart = _covering_chart(net, 0)
+        if np.any(chart < 0):
+            raise InputError(f"sample {int(np.argmax(chart < 0))} is not "
+                             f"covered at delta_3 scale")
         # higher codimension: the fiber is p + N(p); the constraint spans its
         # m-dimensional complement
         constraints = np.stack([
             proj_field.mean(p).complement().frame[:, 0]
             for p in range(n_samples)])
-        second_chart = _second_charts_from_cover(net)
+        second_chart = _covering_chart(net, 1)
 
     theta, ok = _project_to_curve(f2, net2, chart, anchors, constraints)
     if not np.all(ok):
@@ -282,34 +283,14 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
                           offsets, line_residual, consistency, closeness)
 
 
-def _second_charts(field_obj: DirectionField) -> np.ndarray:
-    net = field_obj.net
-    cover = net.cover_index(3)
-    out = np.full(len(field_obj.f), -1, dtype=int)
-    for p in range(len(field_obj.f)):
-        js = [j for j in cover[p] if j != field_obj.chart_of[p]]
-        if js:
-            out[p] = js[0]
-    return out
+def _covering_chart(net: DeltaNet, rank: int) -> np.ndarray:
+    """Per sample, the net index at ``rank`` of its delta_3 cover, or -1.
 
-
-def _owning_charts(net: DeltaNet) -> np.ndarray:
-    cover = net.cover_index(3)
-    out = np.full(len(net.f), -1, dtype=int)
-    for p in range(len(net.f)):
-        if len(cover[p]) == 0:
-            raise InputError(f"sample {p} is not covered at delta_3 scale")
-        out[p] = cover[p][0]
-    return out
-
-
-def _second_charts_from_cover(net: DeltaNet) -> np.ndarray:
-    cover = net.cover_index(3)
-    out = np.full(len(net.f), -1, dtype=int)
-    for p in range(len(net.f)):
-        if len(cover[p]) > 1:
-            out[p] = cover[p][1]
-    return out
+    Cover lists run in chart order, so rank 0 is the chart a direction field
+    takes a sample's T from, and rank 1 the chart that cross-checks it.
+    """
+    return np.array([js[rank] if len(js) > rank else -1
+                     for js in net.cover_index(3)], dtype=int)
 
 
 def _nearest_params(f2: SampledImmersion, theta: np.ndarray) -> np.ndarray:
@@ -383,12 +364,10 @@ def verify_bijectivity(c: Correspondence, *, target_ids=None) -> BijectivityRepo
         cands = [params_sorted[i % len(params_sorted)],
                  params_sorted[(i - 1) % len(params_sorted)]]
         d = min(min(abs(t - x), period - abs(t - x)) for x in cands)
-        pos_t = c.target.positions[p]
         speed = float(np.linalg.norm(c.target.evaluator.jacobian(
             np.array([t]))[0]))
         if d * speed > tol:
             gaps.append(int(p))
-        _ = pos_t
     return BijectivityReport(injective, not gaps, collisions,
                              refined_min, tol, gaps)
 
@@ -423,8 +402,7 @@ def reparametrized_lipschitz(c: Correspondence, j: int) -> ReparametrizedLipschi
                                              True, True, j)
     dx = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     df = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    mask = np.triu(np.ones_like(dx, dtype=bool), k=1) & (dx > 1e-14)
-    emp = float(np.max(df[mask] / dx[mask])) if np.any(mask) else 0.0
+    emp = max_quotient(df, dx)
     return ReparametrizedLipschitzReport(emp, cb.Lambda, cb.Lambda_sharp,
                                          emp <= cb.Lambda,
                                          emp <= cb.Lambda_sharp, j)

@@ -37,10 +37,6 @@ class InsufficientSamplingError(LipimmError):
     """Sample density too low to resolve the requested patch."""
 
 
-class InjectivityViolationError(LipimmError):
-    """A map required to be injective identified two distinct points."""
-
-
 class CoherenceViolationError(LipimmError):
     """Unit normals of overlapping patches disagree in sign sample-by-sample."""
 
@@ -51,10 +47,6 @@ class WellDefinednessError(LipimmError):
 
 class NonTransversalError(LipimmError):
     """Projection direction is tangent to the patch somewhere."""
-
-
-class UniquenessViolationError(LipimmError):
-    """A fiber met the patch in more than one point."""
 
 
 class ClosenessError(LipimmError):

@@ -19,19 +19,17 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InjectivityViolationError,
     InputError,
     InsufficientSamplingError,
     NotAGraphError,
 )
 from .grassmann import Subspace, orthonormalize, orthonormalize_all
-from ._util import map_ordered, unchecked
+from ._util import bisect, max_quotient, unchecked
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
 _SOLVE_BLOCK = 256  # rows per batched curve solve
 # failures that fail one sample of a check; any other error aborts the check
-_SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError,
-                 InjectivityViolationError, InputError)
+_SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 
 
 def delta(l: int, r: float, lam: float) -> float:
@@ -440,13 +438,7 @@ def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
     hi = np.where(hit_lo, lo, hi)
     r_hi = np.where(hit_lo, r_lo, r_hi)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        take_low = (r_mid > 0) == (r_lo > 0)
-        lo = np.where(take_low, mid, lo)
-        r_lo = np.where(take_low, r_mid, r_lo)
-        hi = np.where(take_low, hi, mid)
+    lo, hi = bisect(residual, lo, hi, r_lo, 24)
     t_star = 0.5 * (lo + hi)
     for _ in range(4):
         slope = np.matmul(ev.jacobian(t_star), e_col)[..., 0]
@@ -728,14 +720,13 @@ class CheckReport:
 
 def check_r_lambda(f: SampledImmersion, r: float, lam: float,
                    plane_rule="tangent", *, keep_patches=False,
-                   threads: int = 1, sample_ids=None) -> CheckReport:
+                   sample_ids=None) -> CheckReport:
     """Verify the local-graph condition ||Du|| <= lambda at every sample.
 
     Curves with an analytic evaluator are solved in one batched pass over
     all sample ids: the tangent rule resolves every plane from one evaluator
     call, and one bisection and Newton solve fills every patch grid.
-    ``threads`` has no effect on that path; surfaces and raw point clouds
-    extract one patch per sample, on ``threads`` worker threads.  Failures
+    Surfaces and raw point clouds extract one patch per sample.  Failures
     are collected per sample and the first in ``ids`` order is raised with
     its type and a ``sample {q}:`` prefix.
     """
@@ -753,9 +744,12 @@ def check_r_lambda(f: SampledImmersion, r: float, lam: float,
         outcomes = _analytic_curve_patches(f, ids, plane_of, r,
                                            GRID_CELLS_PER_RADIUS[1])
     else:
-        outcomes = map_ordered(
-            _safe(lambda q: extract_graph_patch(f, q, plane_of(q), r)),
-            ids, threads)
+        outcomes = []
+        for q in ids:
+            try:
+                outcomes.append((extract_graph_patch(f, q, plane_of(q), r), None))
+            except _SAMPLE_ERRORS as exc:
+                outcomes.append((None, exc))
 
     lambdas = np.full(len(f), np.nan)
     errors = []
@@ -778,15 +772,6 @@ def check_r_lambda(f: SampledImmersion, r: float, lam: float,
     if report.passed and sample_ids is None:
         f._checked[(r, lam, rule_name)] = True
     return report
-
-
-def _safe(fn):
-    def wrapped(q):
-        try:
-            return fn(q), None
-        except _SAMPLE_ERRORS as exc:
-            return None, exc
-    return wrapped
 
 
 @dataclass
@@ -834,9 +819,7 @@ def check_r_lambda_function(f: SampledImmersion, r: float, lam: float,
             i, j = np.argwhere(coincident)[0]
             violations.append((int(members[i]), int(members[j])))
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quot = np.where(upper & (dx > 1e-14), dz / np.maximum(dx, 1e-300), 0.0)
-        q_max = float(np.max(quot))
+        q_max = max_quotient(dz, dx)
         # projection collisions with distinct heights mean the patch is not a graph
         not_graph = upper & (dx <= 1e-14) & (dz > 1e-12)
         if np.any(not_graph):

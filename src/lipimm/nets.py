@@ -129,25 +129,16 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
     covered = np.zeros(len(f), dtype=bool)
     points = []
     planes = []
-    cover_members = []
     while not np.all(covered):
         q = int(np.argmin(covered))  # lowest uncovered sample id
         plane = plane_for(f, q, plane_rule, r, lam)
         u_cover = q_component(f, q, plane, d_cover)
         points.append(q)
         planes.append(plane)
-        cover_members.append(u_cover)
         covered[u_cover] = True
         covered[q] = True  # q covers itself even at degenerate resolution
 
-    member_sets = []
-    for q, plane in zip(points, planes):
-        sets = [q_component(f, int(q), plane, delta(iota, r, lam))
-                for iota in range(level + 2)]
-        member_sets.append(sets)
-    rule_name = plane_rule if isinstance(plane_rule, str) else "explicit"
-    net = DeltaNet(f, r, lam, level, np.asarray(points, dtype=int), planes,
-                   member_sets, rule_name)
+    net = _net_on(f, r, lam, level, points, planes, plane_rule)
     _assert_separation(net)
     return net
 
@@ -156,15 +147,21 @@ def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
                     points, plane_rule="tangent") -> DeltaNet:
     """Rebuild a net from serialized point ids (no greedy pass)."""
     planes = [plane_for(f, int(q), plane_rule, r, lam) for q in points]
-    member_sets = []
-    for q, plane in zip(points, planes):
-        member_sets.append([q_component(f, int(q), plane, delta(i, r, lam))
-                            for i in range(level + 2)])
-    rule = plane_rule if isinstance(plane_rule, str) else "explicit"
-    net = DeltaNet(f, r, lam, level, np.asarray(points, dtype=int), planes,
-                   member_sets, rule)
+    net = _net_on(f, r, lam, level, points, planes, plane_rule)
     _assert_separation(net)
     return net
+
+
+def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
+            planes, plane_rule) -> DeltaNet:
+    """The net on given points and planes, with U_{delta_iota, q} for
+    iota = 0..level+1 at every point; separation is not checked."""
+    member_sets = [[q_component(f, int(q), plane, delta(iota, r, lam))
+                    for iota in range(level + 2)]
+                   for q, plane in zip(points, planes)]
+    rule = plane_rule if isinstance(plane_rule, str) else "explicit"
+    return DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
+                    member_sets, rule)
 
 
 def _assert_separation(net: DeltaNet):

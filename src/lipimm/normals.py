@@ -24,10 +24,11 @@ from .errors import (
     RegimeError,
     WellDefinednessError,
 )
+from ._util import max_quotient
 from .grassmann import Subspace, geodesic_distance
 from .karcher import DiracMixture, karcher_mean
-from .immersion import GraphPatch, SampledImmersion
-from .nets import DeltaNet
+from .immersion import GraphPatch, SampledImmersion, plane_for
+from .nets import DeltaNet, _net_on
 
 RAMP_WIDTH = 0.25  # cutoff slope plateau 1/(1 - RAMP_WIDTH) = 4/3
 
@@ -163,7 +164,7 @@ class PatchNormalField:
             self._du_grid = du[:, 0][:, None]          # (G, 1): du/dx
         else:
             grid = du[:, :, 0, :]                      # (G, G, 2)
-            self._du_grid = _inpaint(grid, patch.mask)
+            self._du_grid = _inpaint(grid)
 
     def at(self, x) -> np.ndarray:
         """Unit normals at chart coordinates x (vectorized)."""
@@ -190,7 +191,7 @@ class PatchNormalField:
         return self.at(x0)[0]
 
 
-def _inpaint(grid, mask):
+def _inpaint(grid):
     """Replace NaN derivative cells by neighbor means for interpolation only."""
     out = grid.copy()
     for _ in range(3):
@@ -205,7 +206,6 @@ def _inpaint(grid, mask):
             fill = np.nansum(stacks, axis=0) / np.maximum(counts, 1)
         fill[counts == 0] = np.nan  # isolated corners stay unfilled this pass
         out[bad] = fill[bad]
-    _ = mask
     return np.nan_to_num(out, nan=0.0)
 
 
@@ -259,19 +259,6 @@ class DirectionField:
 
     def chart_field(self, j: int):
         return self.chart_data[j]
-
-
-def _chart_weights(f, net, sample_ids, cutoff):
-    """Cutoff weights g(|f(p) - f(q_k)| / delta_2) for k in Z(p), per sample."""
-    d2 = net.delta(2)
-    cover = net.cover_index(2)
-    out = []
-    for p in sample_ids:
-        ks = cover[int(p)]
-        dist = np.linalg.norm(f.positions[net.points[ks]] - f.positions[int(p)],
-                              axis=1)
-        out.append((ks, cutoff.value(dist / d2)))
-    return out
 
 
 def averaged_vector_S(f: SampledImmersion, net: DeltaNet, q: int,
@@ -430,21 +417,13 @@ class AngleBoundReport:
 def transfer_net(net: DeltaNet, f_other: SampledImmersion,
                  plane_rule="tangent") -> DeltaNet:
     """Reuse a net's point ids on a companion immersion (shared sample grid)."""
-    from .immersion import plane_for, q_component
-    from .immersion import delta as delta_fn
     if len(f_other) != len(net.f):
         raise DimensionMismatchError(
             "companion immersion must share the sample grid")
     planes = [plane_for(f_other, int(q), plane_rule, net.r, net.lam)
               for q in net.points]
-    member_sets = []
-    for q, plane in zip(net.points, planes):
-        member_sets.append([q_component(f_other, int(q), plane,
-                                        delta_fn(i, net.r, net.lam))
-                            for i in range(net.level + 2)])
-    rule = plane_rule if isinstance(plane_rule, str) else "explicit"
-    return DeltaNet(f_other, net.r, net.lam, net.level, net.points.copy(),
-                    planes, member_sets, rule)
+    return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
+                   plane_rule)
 
 
 def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
@@ -463,20 +442,23 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     if net_other is None:
         net_other = net if f_other is field.f else transfer_net(net, f_other)
     ids = range(len(net)) if chart_ids is None else chart_ids
+    same = net_other is net
 
     worst_h = 0.0
     worst_angle = 0.0
     for j in ids:
         nu_self = unit_normal_patch(net.patch(j))
-        nu_other = nu_self if net_other is net else unit_normal_patch(net_other.patch(j))
+        nu_other = nu_self if same else unit_normal_patch(net_other.patch(j))
         img_self = nu_self.at_samples(net.members(j, 1))
-        img_other = img_self if net_other is net else \
+        img_other = img_self if same else \
             nu_other.at_samples(net_other.members(j, 1))
-        # Hausdorff distance between (closures of) the chart normal images,
-        # insensitive to the overall sign choice of either chart normal
-        worst_h = max(worst_h, min(
-            _hausdorff_unit(img_self, img_other),
-            _hausdorff_unit(img_self, -img_other)))
+        if not same:
+            # Hausdorff distance between (closures of) the chart normal
+            # images, insensitive to the overall sign choice of either chart
+            # normal; an image is at distance exactly 0 from itself
+            worst_h = max(worst_h, min(
+                _hausdorff_unit(img_self, img_other),
+                _hausdorff_unit(img_self, -img_other)))
         sample_ids, _, t_vals = field.chart_field(j)
         dots = np.abs(t_vals @ img_other.T)  # span-level angle: sign free
         ang = float(np.max(np.arccos(np.clip(dots, 0.0, 1.0))))
@@ -515,18 +497,8 @@ def field_lipschitz_check(field: DirectionField, j: int) -> LipschitzReport:
         return LipschitzReport(0.0, bound, True, j)
     dx = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     dt = np.linalg.norm(t_vals[:, None, :] - t_vals[None, :, :], axis=2)
-    upper = np.triu(np.ones_like(dx, dtype=bool), k=1) & (dx > 1e-14)
-    emp = float(np.max(dt[upper] / dx[upper])) if np.any(upper) else 0.0
+    emp = max_quotient(dt, dx)
     return LipschitzReport(emp, bound, emp <= bound, j)
-
-
-def field_lipschitz_all(field: DirectionField) -> LipschitzReport:
-    worst = LipschitzReport(0.0, 0.0, True, -1)
-    for j in range(len(field.net)):
-        got = field_lipschitz_check(field, j)
-        if got.empirical > worst.empirical:
-            worst = got
-    return worst
 
 
 class NormalMeasureField:
@@ -605,10 +577,14 @@ def n_lipschitz_check(nfield: NormalMeasureField, j: int) -> LipschitzReport:
     if len(ids) < 2:
         return LipschitzReport(0.0, bound, True, j)
     means = [nfield.mean(int(p)) for p in ids]
-    emp = 0.0
+    # pair by pair: a stacked norm can differ in the last bit for m >= 2,
+    # and only the pairs the quotient reads need a geodesic distance
+    dx = np.zeros((len(ids), len(ids)))
+    dn = np.zeros_like(dx)
     for a in range(len(ids)):
         for b in range(a + 1, len(ids)):
-            dx = float(np.linalg.norm(x[a] - x[b]))
-            if dx > 1e-14:
-                emp = max(emp, geodesic_distance(means[a], means[b]) / dx)
+            dx[a, b] = np.linalg.norm(x[a] - x[b])
+            if dx[a, b] > 1e-14:
+                dn[a, b] = geodesic_distance(means[a], means[b])
+    emp = max_quotient(dn, dx)
     return LipschitzReport(emp, bound, emp <= bound, j)

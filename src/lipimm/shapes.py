@@ -194,9 +194,10 @@ def _sphere_evaluator(radius):
 
     def tangent_frame(t):
         # complement of the radial direction; regular at the poles
-        p = point(np.asarray(t, dtype=float)).reshape(-1)[:3] / radius
-        q, _ = np.linalg.qr(np.column_stack([p[:, None], np.eye(3)]))
-        return q[:, 1:3]
+        p = point(np.asarray(t, dtype=float)) / radius
+        eye = np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3))
+        q, _ = np.linalg.qr(np.concatenate([p[..., None], eye], axis=-1))
+        return q[..., 1:3]
 
     ev.tangent_frame = tangent_frame
     return ev
@@ -374,14 +375,6 @@ def immersion_from_manifest(spec: dict) -> SampledImmersion:
                                      closed=bool(spec.get("closed", True)),
                                      faces=spec.get("faces"))
     raise InputError("manifest needs either a 'shape' or a 'points' entry")
-
-
-def write_manifest(path, name, params, samples):
-    payload = {"shape": name, "params": params, "samples": samples}
-    manifest = {"m": 2 if name in ("sphere", "torus") else 1,
-                "n": 2 if name in ("circle", "ellipse", "rounded-rectangle") else 3,
-                **payload}
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
 def write_samples_csv(path, immersion: SampledImmersion):

@@ -19,9 +19,8 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     NonTransversalError,
-    UniquenessViolationError,
 )
-from ._util import halton
+from ._util import bisect, halton
 from .immersion import GraphPatch
 
 BISECTION_ITERATIONS = 80  # bracket shrinks by 2^-80, far below float noise
@@ -138,15 +137,7 @@ def _fiber_batch(x_nodes, u_rows, anchors, directions, radius):
     r_lo = residual(t_lo)
     r_hi = residual(t_hi)
     ok = (r_lo * r_hi <= 0) & (t_hi > t_lo)
-    lo = t_lo.copy()
-    hi = t_hi.copy()
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        take_low = (r_mid > 0) == (r_lo > 0)
-        lo = np.where(take_low, mid, lo)
-        r_lo = np.where(take_low, r_mid, r_lo)
-        hi = np.where(take_low, hi, mid)
+    lo, hi = bisect(residual, t_lo, t_hi, r_lo, BISECTION_ITERATIONS)
     t = 0.5 * (lo + hi)
     return t, ax + t * dx, ok
 
@@ -311,13 +302,7 @@ def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
     r_lo = residual(lo)
     r_hi = residual(hi)
     bracketed = r_lo * r_hi <= 0
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        take_low = (r_mid > 0) == (r_lo > 0)
-        lo = np.where(take_low, mid, lo)
-        r_lo = np.where(take_low, r_mid, r_lo)
-        hi = np.where(take_low, hi, mid)
+    lo, hi = bisect(residual, lo, hi, r_lo, BISECTION_ITERATIONS)
     x_star = 0.5 * (lo + hi)
     u_star = np.interp(x_star, patch.x_nodes, patch.u[:, 0])
     t_chart = (rot.T @ t_field.at(x_star).T).T
@@ -369,11 +354,3 @@ def separation_check(patch: GraphPatch, t_field: ChartField, gamma: float,
     return SeparationReport(min_ratio, cg, min_ratio >= cg - 1e-9,
                             int(np.count_nonzero(good)))
 
-
-def assert_unique_root(patch: GraphPatch, direction, anchor) -> FiberHit:
-    """Fiber intersection that insists on a hit; uniqueness via monotonicity."""
-    hit = fiber_intersection(patch, direction, anchor)
-    if hit is None:
-        raise UniquenessViolationError(
-            "expected the line to meet the patch exactly once, found no root")
-    return hit

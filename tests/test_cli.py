@@ -91,9 +91,10 @@ def test_karcher_command(tmp_path):
     path = tmp_path / "atoms.json"
     path.write_text(json.dumps(atoms))
     out = tmp_path / "mean.json"
-    assert run(["karcher", "--atoms", str(path), "--out", str(out)]) == 0
+    assert run(["karcher", "--atoms", str(path), "--tol", "1e-12",
+                "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["final_gradient_norm"] <= 1e-10
+    assert payload["final_gradient_norm"] <= 1e-12
     mean = np.asarray(payload["mean_frame"])[:, 0]
     expected = np.array([math.cos(0.15), math.sin(0.15), 0.0])
     assert min(np.linalg.norm(mean - expected),
@@ -113,13 +114,21 @@ def test_tube_command(circle_manifest, tmp_path):
     svg = tmp_path / "tube.svg"
     code = run(["tube", "--manifest", str(circle_manifest), "--chart", "0",
                 "--r", "0.2", "--lambda", "0.25", "--probes", "2000",
-                "--out", str(out), "--svg", str(svg)])
+                "--seed", "7", "--out", str(out), "--svg", str(svg)])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["params"]["active_branch"] == "curvature"
     assert payload["injectivity"]["injective"]
     assert payload["inclusion"]["all_reached"]
     assert svg.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+def test_check_rejects_flags_it_does_not_read(circle_manifest, flag):
+    with pytest.raises(SystemExit) as info:
+        run(["check", "--manifest", str(circle_manifest), "--r", "0.2",
+             "--lambda", "0.25", *flag])
+    assert info.value.code == 2
 
 
 def test_correspond_command_and_strict(circle_manifest, tmp_path):

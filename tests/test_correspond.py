@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lipimm.correspond import (
+    _covering_chart,
     build_correspondence,
     closeness_report,
     convergence_harness,
@@ -44,8 +45,22 @@ def test_identity_correspondence_exact(circle, circle_net, circle_dir_field):
     assert corr.line_residual_max <= 1e-9
     assert corr.chart_consistency_max <= 1e-9
     assert corr.closeness.graph_distance == 0.0
+    assert corr.closeness.hausdorff_worst == 0.0
     assert corr.closeness.strict_ok
     assert np.array_equal(corr.nearest_target, np.arange(len(circle)))
+
+
+def test_covering_chart_ranks(circle_net, circle_dir_field):
+    cover = circle_net.cover_index(3)
+    # cover lists run in chart order: rank 0 is the field's owning chart
+    assert np.array_equal(_covering_chart(circle_net, 0),
+                          circle_dir_field.chart_of)
+    second = _covering_chart(circle_net, 1)
+    for p, js in enumerate(cover):
+        others = [j for j in js if j != circle_dir_field.chart_of[p]]
+        assert second[p] == (others[0] if others else -1)
+    beyond = max(len(js) for js in cover)
+    assert np.all(_covering_chart(circle_net, beyond) == -1)
 
 
 def test_nearby_circle_radial_identification(circle, circle_net, circle_dir_field):

@@ -171,13 +171,6 @@ def test_check_monotonicity_in_r_and_lambda(circle):
     assert check_r_lambda(circle, 0.15, 0.25, sample_ids=ids).passed
 
 
-def test_check_threads_deterministic(circle):
-    ids = list(range(0, 4096, 256))
-    a = check_r_lambda(circle, 0.2, 0.25, sample_ids=ids, threads=1)
-    b = check_r_lambda(circle, 0.2, 0.25, sample_ids=ids, threads=4)
-    assert np.array_equal(a.lambdas, b.lambdas, equal_nan=True)
-
-
 def test_check_raises_first_failure_in_id_order(circle):
     # both samples fold at r ~ 1; the error names the first id as given
     with pytest.raises(NotAGraphError) as info:

@@ -74,6 +74,15 @@ def test_torus_triangulation_closed_and_volume():
     assert t.volume == pytest.approx(4 * math.pi ** 2, rel=0.01)
 
 
+@pytest.mark.parametrize("name, params", [("sphere", {"radius": 1.0}),
+                                          ("torus", {"R": 2.0, "r": 0.5})])
+def test_batched_tangent_planes_match_single(name, params):
+    f = make_shape(name, params, "8x16")
+    batched = f.tangent_planes(range(len(f)))
+    for q, plane in enumerate(batched):
+        assert np.array_equal(plane.frame, f.tangent_plane(q).frame)
+
+
 def test_tilted_circle_plane():
     c = make_shape("circle3d", {"radius": 1.0, "tilt": 0.3}, 512)
     normal = np.array([0.0, -math.sin(0.3), math.cos(0.3)])
