@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_SIZE = 640  # figure width and height in pixels
 
 
 def _fmt(x):
     return f"{x:.6f}"
 
 
-def svg_figure(paths=(), points=(), segments=(), size: int = 640) -> str:
+def svg_figure(paths=(), points=(), segments=()) -> str:
     """Render 2-d polylines, point markers, and segments as an SVG string.
 
     Inputs with more than two coordinates are projected onto their first two.
@@ -38,11 +39,11 @@ def svg_figure(paths=(), points=(), segments=(), size: int = 640) -> str:
     span = np.maximum(hi - lo, 1e-9)
     pad = 0.05 * float(np.max(span))
     lo, hi = lo - pad, hi + pad
-    scale = size / float(np.max(hi - lo))
+    scale = _SIZE / float(np.max(hi - lo))
 
     def tx(p):
         q = (p - lo) * scale
-        return q[:, 0], size - q[:, 1]  # flip y for screen coordinates
+        return q[:, 0], _SIZE - q[:, 1]  # flip y for screen coordinates
 
     for i, path in enumerate(paths):
         xs, ys = tx(path)
@@ -61,5 +62,5 @@ def svg_figure(paths=(), points=(), segments=(), size: int = 640) -> str:
             chunks.append(f'<circle fill="{_PALETTE[(i + 1) % len(_PALETTE)]}" '
                           f'r="2.0" cx="{_fmt(x)}" cy="{_fmt(y)}"/>')
     body = "\n".join(chunks)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-            f'height="{size}" viewBox="0 0 {size} {size}">\n{body}\n</svg>\n')
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+            f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">\n{body}\n</svg>\n')

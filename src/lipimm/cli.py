@@ -34,7 +34,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .grassmann import Subspace
-from .immersion import check_r_lambda, delta
+from .immersion import PLANE_RULES, check_r_lambda, delta
 from .karcher import DiracMixture, karcher_mean
 from .shapes import load_manifest, make_shape, write_samples_csv
 
@@ -167,7 +167,7 @@ def cmd_normals(args) -> int:
         header = ["sample", *[f"S{i}" for i in range(f.n)],
                   *[f"T{i}" for i in range(f.n)], "S_norm"]
         ok = (float(np.min(field.S_norm)) >= payload["direction_field"]["S_lower_bound"]
-              and field.overlap_span_max <= 1e-9
+              and field.overlap_span_max <= normals_mod.SPAN_TOL
               and worst_lip <= cb.L_codim1 and angle.holds)
     else:
         nfield = normals_mod.NormalMeasureField(f, net)
@@ -363,17 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "graph representations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_rl=True):
-        p.add_argument("--out", help="JSON report path")
-        p.add_argument("--csv", help="CSV output path")
-        p.add_argument("--svg", help="SVG figure path")
-        if need_rl:
-            p.add_argument("--r", type=float, required=True)
-            p.add_argument("--lambda", dest="lam", type=float, required=True)
-            p.add_argument("--plane-rule", default="tangent",
-                           choices=["tangent", "best-fit"])
-            p.add_argument("--level", type=int, default=5,
-                           choices=range(1, 7), metavar="1..6")
+    # shared flags; each command registers only the ones its handler reads
+    flags = {
+        "--out": dict(help="JSON report path"),
+        "--csv": dict(help="CSV output path"),
+        "--svg": dict(help="SVG figure path"),
+        "--r": dict(type=float, required=True),
+        "--lambda": dict(dest="lam", type=float, required=True),
+        "--plane-rule": dict(default="tangent", choices=PLANE_RULES),
+        "--level": dict(type=int, default=5, choices=range(1, 7), metavar="1..6"),
+    }
+
+    def common(p, *names):
+        for name in ("--out",) + names:
+            p.add_argument(name, **flags[name])
 
     p = sub.add_parser("shapes", help="generate a catalog shape")
     p.add_argument("name")
@@ -386,33 +389,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag.replace('_', '-')}", dest=f"shape_{flag}",
                        type=kind, default=None)
     p.add_argument("--center", help="center as 'x,y' (circle)")
-    common(p, need_rl=False)
+    common(p, "--csv", "--svg")
     p.set_defaults(handler=cmd_shapes)
 
     p = sub.add_parser("check", help="verify the local-graph condition")
     p.add_argument("--manifest", required=True)
-    common(p)
+    common(p, "--r", "--lambda", "--plane-rule")
     p.set_defaults(handler=cmd_check)
 
     p = sub.add_parser("net", help="build a delta-net and certify its bounds")
     p.add_argument("--manifest", required=True)
     p.add_argument("--z-iota", type=int, action="append",
                    help="serialize Z-sets at this scale index (repeatable)")
-    common(p)
+    common(p, "--csv", "--svg", "--r", "--lambda", "--plane-rule", "--level")
     p.set_defaults(handler=cmd_net)
 
     p = sub.add_parser("normals", help="averaged normal field and its bounds")
     p.add_argument("--manifest", required=True)
     p.add_argument("--max-samples", type=int, default=512,
                    help="subsample cap for higher-codimension sweeps")
-    common(p)
+    common(p, "--csv", "--r", "--lambda", "--plane-rule", "--level")
     p.set_defaults(handler=cmd_normals)
 
     p = sub.add_parser("karcher", help="Riemannian center of mass of atoms")
     p.add_argument("--atoms", required=True,
                    help="JSON with 'frames' and 'weights'")
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p, need_rl=False)
+    common(p)
     p.set_defaults(handler=cmd_karcher)
 
     p = sub.add_parser("tube", help="tube sizes and probe certificates")
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chart", type=int, default=0)
     p.add_argument("--probes", type=int, default=20000)
     p.add_argument("--seed", type=int, default=42)
-    common(p)
+    common(p, "--svg", "--r", "--lambda", "--plane-rule", "--level")
     p.set_defaults(handler=cmd_tube)
 
     p = sub.add_parser("correspond", help="project one immersion onto another")
@@ -428,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--strict", action="store_true",
                    help="refuse when the conservative closeness gauges fail")
-    common(p)
+    common(p, "--csv", "--svg", "--r", "--lambda", "--plane-rule", "--level")
     p.set_defaults(handler=cmd_correspond)
 
     p = sub.add_parser("converge", help="family convergence demo")
     p.add_argument("--family", required=True)
-    common(p)
+    common(p, "--csv", "--svg", "--r", "--lambda", "--level")
     p.set_defaults(handler=cmd_converge)
     return parser
 

@@ -23,6 +23,7 @@ from .errors import (
     NonTransversalError,
 )
 from ._util import bisect, max_quotient
+from .grassmann import sphere_angle_matrix
 from .immersion import (
     GraphSystem,
     SampledImmersion,
@@ -94,7 +95,9 @@ def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
         a = vec1[net1.members(j, 1)]
         b = vec2[net2.members(j, 1)]
         if lines:
-            ang = np.arccos(np.clip(np.abs(a @ b.T), 0.0, 1.0))
+            # nearer chord angle to b or -b: exactly 0 on identical lines
+            ang = np.minimum(sphere_angle_matrix(a, b),
+                             sphere_angle_matrix(a, -b))
             d = max(float(np.max(np.min(ang, axis=1))),
                     float(np.max(np.min(ang, axis=0))))
         else:
@@ -110,9 +113,9 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
     Hausdorff distance, against their formula thresholds.
 
     ``g1`` and ``g2`` are the graph systems of ``net1`` and ``net2``.  An
-    immersion compared with itself on one net is at graph distance 0, and
-    in codimension one at normal-image distance 0 (identical unit vectors
-    are at chord distance exactly 0); those gauges are not computed then.
+    immersion compared with itself on one net is at distance 0 in both
+    gauges (identical unit vectors are at chord distance exactly 0); the
+    gauges are not computed then.
     """
     lam, r = net1.lam, net1.r
     cb = constants(f1.m, lam, r)
@@ -120,14 +123,14 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
     same = f1 is f2 and net1 is net2
     g_dist = 0.0 if same else graph_system_distance(g1, g2)
     bound_h = math.pi / 4 - 0.5 * math.atan(lam)
-    if f1.n == f1.m + 1:
-        worst_h = 0.0 if same else _chart_hausdorff(
-            net1, net2, _sample_normals_codim1(f1), _sample_normals_codim1(f2),
-            lines=False)
+    if same:
+        worst_h = 0.0
+    elif f1.n == f1.m + 1:
+        worst_h = _chart_hausdorff(net1, net2, _sample_normals_codim1(f1),
+                                   _sample_normals_codim1(f2), lines=False)
     else:
         # higher codimension: tangent-line images in the Grassmann metric
-        # stand in for the sphere images (complement map is an isometry);
-        # arccos |<a, a>| reads about 1e-8, not 0, so a self-comparison runs too
+        # stand in for the sphere images (complement map is an isometry)
         worst_h = _chart_hausdorff(net1, net2, _sample_tangents(f1),
                                    _sample_tangents(f2), lines=True)
     return ClosenessReport(g_dist, threshold, g_dist < threshold,
@@ -321,7 +324,7 @@ class BijectivityReport:
                 "coverage_gaps": [int(g) for g in self.coverage_gaps[:32]]}
 
 
-def verify_bijectivity(c: Correspondence, *, target_ids=None) -> BijectivityReport:
+def verify_bijectivity(c: Correspondence) -> BijectivityReport:
     """Sample-scale injectivity and surjectivity of the correspondence.
 
     Nearest-sample collisions are expected at sub-sample displacements; they
@@ -353,12 +356,11 @@ def verify_bijectivity(c: Correspondence, *, target_ids=None) -> BijectivityRepo
         start = end + 1
 
     tol = 2.0 * c.target.sample_spacing
-    ids = np.arange(len(c.target)) if target_ids is None else np.asarray(target_ids)
     gaps = []
     # arc-parameter proximity is the right gauge on closed curves
     period = c.target.evaluator.period
     params_sorted = np.sort(np.mod(c.phi_params, period))
-    for p in ids:
+    for p in range(len(c.target)):
         t = float(np.mod(c.target.params[p], period))
         i = np.searchsorted(params_sorted, t)
         cands = [params_sorted[i % len(params_sorted)],
@@ -433,8 +435,8 @@ class ConvergenceReport:
         return rows
 
 
-def convergence_harness(family, r: float, lam: float, *, level: int = 5,
-                        higher_codim: bool | None = None) -> ConvergenceReport:
+def convergence_harness(family, r: float, lam: float, *,
+                        level: int = 5) -> ConvergenceReport:
     """Project a family onto its first member's charts and verify the limit.
 
     Every member must pass the local-graph check.  Members whose fibers fail
@@ -457,8 +459,7 @@ def convergence_harness(family, r: float, lam: float, *, level: int = 5,
 
     f1 = family[0]
     net = build_net(f1, r, lam, level)
-    codim_high = (f1.n != f1.m + 1) if higher_codim is None else higher_codim
-    if codim_high:
+    if f1.n != f1.m + 1:
         proj_field = NormalMeasureField(f1, net)
     else:
         proj_field = direction_field(f1, net)

@@ -17,7 +17,6 @@ import scipy.linalg
 from ._util import unchecked
 from .errors import CutLocusError, DegenerateFrameError, DimensionMismatchError
 
-FRAME_TOL = 1e-12
 PROJECTOR_TOL = 1e-10
 CUT_LOCUS_TOL = 1e-10
 
@@ -47,11 +46,12 @@ class Subspace:
         """Orthogonal projector onto the subspace (basis independent)."""
         return self.frame @ self.frame.T
 
-    def same_subspace(self, other: "Subspace", tol: float = PROJECTOR_TOL) -> bool:
+    def same_subspace(self, other: "Subspace") -> bool:
         """Basis-free equality: compare orthogonal projectors entrywise."""
         if self.n != other.n or self.k != other.k:
             return False
-        return bool(np.max(np.abs(self.projector() - other.projector())) <= tol)
+        return bool(np.max(np.abs(self.projector() - other.projector()))
+                    <= PROJECTOR_TOL)
 
     def complement(self) -> "Subspace":
         """Deterministic orthonormal frame for the orthogonal complement."""
@@ -118,7 +118,7 @@ class SpherePointSet:
 def _check_orthonormal(frames: np.ndarray):
     """Raise unless every (n, k) frame in the stack has orthonormal columns."""
     gram = np.swapaxes(frames, -1, -2) @ frames
-    if not np.allclose(gram, np.eye(frames.shape[-1]), atol=1e-10):
+    if np.max(np.abs(gram - np.eye(frames.shape[-1]))) > 1e-10:
         raise DegenerateFrameError("frame columns are not orthonormal")
 
 

@@ -27,6 +27,7 @@ from .grassmann import Subspace, orthonormalize, orthonormalize_all
 from ._util import bisect, max_quotient, unchecked
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
+PLANE_RULES = ("tangent", "best-fit")
 _SOLVE_BLOCK = 256  # rows per batched curve solve
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
@@ -447,7 +448,7 @@ def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
     return t_star, unresolved
 
 
-def _analytic_curve_patches(f, ids, plane_of, r, cells):
+def _analytic_curve_patches(f, ids, plane_of, r):
     """Graph patches of a curve with an evaluator, solved in one batched pass.
 
     ``plane_of(q)`` gives the plane at base sample q.  The per-sample setup
@@ -456,6 +457,7 @@ def _analytic_curve_patches(f, ids, plane_of, r, cells):
     brackets of every sample that passed it.  Returns one (patch, error)
     pair per id, the error being what ``extract_graph_patch`` raises there.
     """
+    cells = GRID_CELLS_PER_RADIUS[1]
     step = r / cells
     x_nodes = np.linspace(-r, r, 2 * cells + 1)
     outcomes = [None] * len(ids)
@@ -603,18 +605,18 @@ def _lambda_on_surface_grid(u, valid, step):
 
 
 def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
-                        r: float, grid_cells: int | None = None) -> GraphPatch:
+                        r: float) -> GraphPatch:
     """Extract the local graph of f over ``plane`` through f(q) on B_r.
 
     Curves with an analytic evaluator go through the batched solver that
     ``check_r_lambda`` runs over all samples, here with a single row.
     """
-    cells = grid_cells or GRID_CELLS_PER_RADIUS[f.m]
     if _has_curve_evaluator(f):
-        [(patch, err)] = _analytic_curve_patches(f, [q], lambda _: plane, r, cells)
+        [(patch, err)] = _analytic_curve_patches(f, [q], lambda _: plane, r)
         if err is not None:
             raise err
         return patch
+    cells = GRID_CELLS_PER_RADIUS[f.m]
     step = r / cells
     e_frame = plane.frame
     isometry = EuclideanIsometry.embedding(f.positions[q], plane)
@@ -686,16 +688,12 @@ def _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step):
 
 def plane_for(f: SampledImmersion, q: int, rule, r: float,
               lam: float) -> Subspace:
-    """Resolve a plane rule ('tangent', 'best-fit', mapping, or callable)."""
-    if isinstance(rule, str):
-        if rule == "tangent":
-            return f.tangent_plane(q)
-        if rule in ("best-fit", "best_fit"):
-            return f.best_fit_plane(q, delta(1, r, lam))
-        raise InputError(f"unknown plane rule {rule!r}")
-    if callable(rule):
-        return rule(q)
-    return rule[q]
+    """The plane at sample q under a rule of ``PLANE_RULES``."""
+    if rule == "tangent":
+        return f.tangent_plane(q)
+    if rule == "best-fit":
+        return f.best_fit_plane(q, delta(1, r, lam))
+    raise InputError(f"unknown plane rule {rule!r}")
 
 
 @dataclass
@@ -708,7 +706,6 @@ class CheckReport:
     lambdas: np.ndarray
     plane_rule: str
     errors: list = field(default_factory=list)
-    patches: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {"passed": bool(self.passed), "r": self.r, "lambda": self.lam,
@@ -719,8 +716,7 @@ class CheckReport:
 
 
 def check_r_lambda(f: SampledImmersion, r: float, lam: float,
-                   plane_rule="tangent", *, keep_patches=False,
-                   sample_ids=None) -> CheckReport:
+                   plane_rule="tangent", *, sample_ids=None) -> CheckReport:
     """Verify the local-graph condition ||Du|| <= lambda at every sample.
 
     Curves with an analytic evaluator are solved in one batched pass over
@@ -732,17 +728,17 @@ def check_r_lambda(f: SampledImmersion, r: float, lam: float,
     """
     if r <= 0 or lam <= 0:
         raise InputError("need r > 0 and lambda > 0")
+    if plane_rule not in PLANE_RULES:
+        raise InputError(f"unknown plane rule {plane_rule!r}")
     ids = list(range(len(f))) if sample_ids is None else list(sample_ids)
-    rule_name = plane_rule if isinstance(plane_rule, str) else "explicit"
 
     def plane_of(q):
         return plane_for(f, q, plane_rule, r, lam)
 
     if _has_curve_evaluator(f):
-        if isinstance(plane_rule, str) and plane_rule == "tangent":
+        if plane_rule == "tangent":
             plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
-        outcomes = _analytic_curve_patches(f, ids, plane_of, r,
-                                           GRID_CELLS_PER_RADIUS[1])
+        outcomes = _analytic_curve_patches(f, ids, plane_of, r)
     else:
         outcomes = []
         for q in ids:
@@ -752,25 +748,15 @@ def check_r_lambda(f: SampledImmersion, r: float, lam: float,
                 outcomes.append((None, exc))
 
     lambdas = np.full(len(f), np.nan)
-    errors = []
-    patches = {}
-    for q, outcome in zip(ids, outcomes):
-        patch, err = outcome
+    for q, (patch, err) in zip(ids, outcomes):
         if err is not None:
-            errors.append((q, err))
-            continue
+            raise type(err)(f"sample {q}: {err}")
         lambdas[q] = patch.lambda_measured
-        if keep_patches:
-            patches[q] = patch
-    if errors:
-        q, err = errors[0]
-        raise type(err)(f"sample {q}: {err}")
     worst = int(np.nanargmax(lambdas))
     report = CheckReport(bool(np.nanmax(lambdas) <= lam), r, lam,
-                         float(lambdas[worst]), worst, lambdas, rule_name,
-                         [], patches)
+                         float(lambdas[worst]), worst, lambdas, plane_rule)
     if report.passed and sample_ids is None:
-        f._checked[(r, lam, rule_name)] = True
+        f._checked[(r, lam, plane_rule)] = True
     return report
 
 

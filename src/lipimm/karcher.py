@@ -27,6 +27,7 @@ from .grassmann import (
 )
 
 KAPPA_GRASSMANN = 2.0  # sectional curvature upper bound, max{k, n-k} >= 2
+MAX_ITER = 10_000  # fixed-point iterations before NonConvergenceError
 
 
 def admissible_radius(kappa: float = KAPPA_GRASSMANN) -> float:
@@ -55,11 +56,6 @@ class DiracMixture:
                 raise DimensionMismatchError("atoms live in different Grassmannians")
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "weights", w)
-
-    @staticmethod
-    def of(pairs) -> "DiracMixture":
-        atoms, weights = zip(*pairs)
-        return DiracMixture(tuple(atoms), np.asarray(weights, dtype=float))
 
 
 @dataclass
@@ -96,8 +92,7 @@ def energy_gradient(p: Subspace, mu: DiracMixture) -> GrassmannTangent:
 
 def karcher_mean(mu: DiracMixture, tol: float = 1e-10, *,
                  center: Subspace | None = None,
-                 kappa: float = KAPPA_GRASSMANN,
-                 max_iter: int = 10_000) -> MeanReport:
+                 kappa: float = KAPPA_GRASSMANN) -> MeanReport:
     """Fixed-point iteration for the center of mass of ``mu``.
 
     The admissible ball is centered at ``center`` (first atom by default) and
@@ -110,11 +105,11 @@ def karcher_mean(mu: DiracMixture, tol: float = 1e-10, *,
     c = center if center is not None else mu.atoms[0]
     n, k = c.n, c.k
     if k == 1 or k == n - 1:
-        return _karcher_mean_lines(mu, tol, c, kappa, max_iter)
-    return _karcher_mean_general(mu, tol, c, kappa, max_iter)
+        return _karcher_mean_lines(mu, tol, c, kappa)
+    return _karcher_mean_general(mu, tol, c, kappa)
 
 
-def _karcher_mean_general(mu, tol, c, kappa, max_iter):
+def _karcher_mean_general(mu, tol, c, kappa):
     radius = max(geodesic_distance(c, a) for a in mu.atoms)
     bound = admissible_radius(kappa)
     if radius >= bound:
@@ -124,7 +119,7 @@ def _karcher_mean_general(mu, tol, c, kappa, max_iter):
 
     p = c
     trace = [energy(p, mu)]
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         v = _mean_tangent(p, mu)
         grad_norm = 2.0 * v.norm()
         if grad_norm <= tol:
@@ -141,13 +136,13 @@ def _karcher_mean_general(mu, tol, c, kappa, max_iter):
     v = _mean_tangent(p, mu)
     grad_norm = 2.0 * v.norm()
     if grad_norm <= tol:
-        return MeanReport(p, max_iter, grad_norm, c, radius, trace)
+        return MeanReport(p, MAX_ITER, grad_norm, c, radius, trace)
     raise NonConvergenceError(
-        f"gradient norm {grad_norm:.3e} > tol {tol:.3e} after {max_iter} iterations"
+        f"gradient norm {grad_norm:.3e} > tol {tol:.3e} after {MAX_ITER} iterations"
     )
 
 
-def _karcher_mean_lines(mu, tol, c, kappa, max_iter):
+def _karcher_mean_lines(mu, tol, c, kappa):
     """Vectorized fixed-point iteration on lines through the origin.
 
     Hyperplane mixtures are mapped through the orthogonal complement, an
@@ -185,7 +180,7 @@ def _karcher_mean_lines(mu, tol, c, kappa, max_iter):
     u = center_vec
     trace = [float(w @ theta0 ** 2)]
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         v, theta = tangent_at(u)
         grad_norm = 2.0 * float(np.linalg.norm(v))
         if grad_norm <= tol:
@@ -206,7 +201,7 @@ def _karcher_mean_lines(mu, tol, c, kappa, max_iter):
         it += 1
     else:
         raise NonConvergenceError(
-            f"line mean did not reach tol {tol:.3e} in {max_iter} iterations")
+            f"line mean did not reach tol {tol:.3e} in {MAX_ITER} iterations")
     mean_line = Subspace(u[:, None])
     mean = mean_line.complement() if flip else mean_line
     return MeanReport(mean, it, grad_norm, c, radius, trace)

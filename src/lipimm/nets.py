@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError, InvariantViolationError
 from .immersion import (
+    PLANE_RULES,
     SampledImmersion,
     check_r_lambda,
     delta,
@@ -108,8 +109,9 @@ class DeltaNet:
 
 
 def _ensure_checked(f: SampledImmersion, r: float, lam: float, plane_rule: str):
-    rule_name = plane_rule if isinstance(plane_rule, str) else "explicit"
-    if f._checked.get((r, lam, rule_name)):
+    if plane_rule not in PLANE_RULES:  # before it is hashed as a cache key
+        raise InputError(f"unknown plane rule {plane_rule!r}")
+    if f._checked.get((r, lam, plane_rule)):
         return
     report = check_r_lambda(f, r, lam, plane_rule)
     if not report.passed:
@@ -159,9 +161,8 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
     member_sets = [[q_component(f, int(q), plane, delta(iota, r, lam))
                     for iota in range(level + 2)]
                    for q, plane in zip(points, planes)]
-    rule = plane_rule if isinstance(plane_rule, str) else "explicit"
     return DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
-                    member_sets, rule)
+                    member_sets, plane_rule)
 
 
 def _assert_separation(net: DeltaNet):

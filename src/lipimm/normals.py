@@ -25,12 +25,13 @@ from .errors import (
     WellDefinednessError,
 )
 from ._util import max_quotient
-from .grassmann import Subspace, geodesic_distance
+from .grassmann import Subspace, geodesic_distance, sphere_angle_matrix
 from .karcher import DiracMixture, karcher_mean
 from .immersion import GraphPatch, SampledImmersion, plane_for
 from .nets import DeltaNet, _net_on
 
 RAMP_WIDTH = 0.25  # cutoff slope plateau 1/(1 - RAMP_WIDTH) = 4/3
+SPAN_TOL = 1e-9  # rad; chart spans of S must agree this well on overlaps
 
 
 def _bump_ramp(x):
@@ -325,12 +326,11 @@ class _FieldBuilder:
         return out
 
 
-def direction_field(f: SampledImmersion, net: DeltaNet,
-                    *, span_tol: float = 1e-9) -> DirectionField:
+def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
     """Build the global direction field and check chart-overlap agreement.
 
     Chart representatives S_j may differ by a global sign between charts;
-    their spans must agree on every overlap sample to ``span_tol``.
+    their spans must agree on every overlap sample to ``SPAN_TOL``.
     """
     if f.n != f.m + 1:
         raise DimensionMismatchError("direction field needs codimension 1")
@@ -372,7 +372,7 @@ def direction_field(f: SampledImmersion, net: DeltaNet,
                 # overlap: spans must agree even though signs may flip
                 dist = _line_span_distance(t_global[p], t_vals[row])
                 overlap_max = max(overlap_max, dist)
-                if dist > span_tol:
+                if dist > SPAN_TOL:
                     raise WellDefinednessError(
                         f"span of S disagrees by {dist:.3e} rad at sample {p} "
                         f"between charts {chart_of[p]} and {j}")
@@ -414,20 +414,18 @@ class AngleBoundReport:
                 "worst_angle": self.worst_angle, "holds": bool(self.holds)}
 
 
-def transfer_net(net: DeltaNet, f_other: SampledImmersion,
-                 plane_rule="tangent") -> DeltaNet:
-    """Reuse a net's point ids on a companion immersion (shared sample grid)."""
+def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
+    """Reuse a net's point ids and plane rule on a companion immersion."""
     if len(f_other) != len(net.f):
         raise DimensionMismatchError(
             "companion immersion must share the sample grid")
-    planes = [plane_for(f_other, int(q), plane_rule, net.r, net.lam)
+    planes = [plane_for(f_other, int(q), net.plane_rule, net.r, net.lam)
               for q in net.points]
     return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
-                   plane_rule)
+                   net.plane_rule)
 
 
 def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
-                      net_other: DeltaNet | None = None,
                       chart_ids=None) -> AngleBoundReport:
     """Check angle(T(q), nu_j(p)) <= gamma = pi/4 + arctan(lambda)/2.
 
@@ -439,8 +437,7 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     lam = net.lam
     gamma = math.pi / 4 + 0.5 * math.atan(lam)
     bound_h = math.pi / 4 - 0.5 * math.atan(lam)
-    if net_other is None:
-        net_other = net if f_other is field.f else transfer_net(net, f_other)
+    net_other = net if f_other is field.f else transfer_net(net, f_other)
     ids = range(len(net)) if chart_ids is None else chart_ids
     same = net_other is net
 
@@ -469,7 +466,6 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
 
 
 def _hausdorff_unit(a, b):
-    from .grassmann import sphere_angle_matrix
     angles = sphere_angle_matrix(a, b)
     return max(float(np.max(np.min(angles, axis=1))),
                float(np.max(np.min(angles, axis=0))))

@@ -169,12 +169,6 @@ class ChartField:
                         for j in range(self.vectors.shape[1])], axis=-1)
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
-    def measured_lipschitz(self):
-        dx = np.diff(self.xs)
-        dv = np.linalg.norm(np.diff(self.vectors, axis=0), axis=1)
-        good = dx > 1e-14
-        return float(np.max(dv[good] / dx[good])) if np.any(good) else 0.0
-
 
 def chart_direction_field(field, j: int) -> ChartField:
     """Interpolant of a direction field's T over chart j's coordinates."""

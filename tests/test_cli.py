@@ -123,11 +123,28 @@ def test_tube_command(circle_manifest, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
-def test_check_rejects_flags_it_does_not_read(circle_manifest, flag):
+@pytest.mark.parametrize("flag", [
+    ("check", "--threads", "2"), ("check", "--seed", "1"),
+    ("check", "--csv", "x.csv"), ("check", "--svg", "x.svg"),
+    ("check", "--level", "3"), ("normals", "--svg", "x.svg"),
+    ("karcher", "--csv", "x.csv"), ("karcher", "--svg", "x.svg"),
+    ("tube", "--csv", "x.csv"), ("converge", "--plane-rule", "best-fit"),
+])
+def test_check_rejects_flags_it_does_not_read(circle_manifest, tmp_path, flag):
+    # every required argument is given, so exit 2 comes from the flag
+    command, *extra = flag
+    atoms = tmp_path / "atoms.json"
+    atoms.write_text(json.dumps({"frames": [[[1.0], [0.0]]], "weights": [1.0]}))
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"radii": [1.0, 1.001], "samples": 512}))
+    rl = ["--r", "0.2", "--lambda", "0.25"]
+    required = {"check": ["--manifest", str(circle_manifest), *rl],
+                "normals": ["--manifest", str(circle_manifest), *rl],
+                "karcher": ["--atoms", str(atoms)],
+                "tube": ["--manifest", str(circle_manifest), *rl],
+                "converge": ["--family", str(family), *rl]}
     with pytest.raises(SystemExit) as info:
-        run(["check", "--manifest", str(circle_manifest), "--r", "0.2",
-             "--lambda", "0.25", *flag])
+        run([command, *required[command], *extra])
     assert info.value.code == 2
 
 

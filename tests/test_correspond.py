@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from lipimm.correspond import (
+    _chart_hausdorff,
     _covering_chart,
+    _sample_tangents,
     build_correspondence,
     closeness_report,
     convergence_harness,
@@ -14,6 +16,7 @@ from lipimm.correspond import (
     verify_bijectivity,
 )
 from lipimm.errors import ClosenessError
+from lipimm.immersion import graph_system_distance
 from lipimm.nets import build_net
 from lipimm.normals import NormalMeasureField, constants, direction_field, transfer_net
 from lipimm.shapes import make_shape
@@ -151,6 +154,21 @@ def test_closeness_report_thresholds(circle, circle_net):
     assert rep.graph_distance > rep.graph_threshold
 
 
+def test_transfer_net_keeps_the_plane_rule():
+    f = make_shape("circle", {"radius": 1.0}, 512)
+    target = make_shape("circle", {"radius": 1.001}, 512)
+    net = build_net(f, 0.2, 0.25, 4, "best-fit")
+    moved = transfer_net(net, target)
+    assert moved.plane_rule == "best-fit"
+    for q, plane in zip(moved.points, moved.planes):
+        best_fit = target.best_fit_plane(int(q), net.delta(1))
+        assert np.array_equal(plane.frame, best_fit.frame)
+    # charts on matching planes move by about the 0.001 radius change;
+    # tangent target planes against best-fit source planes read ~500
+    dist = graph_system_distance(graph_system(net), graph_system(moved))
+    assert dist < 0.01 * len(net)
+
+
 # ---------------------------------------------------------------------------
 # higher codimension
 
@@ -169,6 +187,12 @@ def test_higher_codim_correspondence(tilted):
     assert corr.line_residual_max <= 1e-9
     report = verify_bijectivity(corr)
     assert report.injective and report.surjective
+    # identical tangent lines are at chord distance exactly 0
+    ident = build_correspondence(tilted, tilted, net, nfield, net_target=net)
+    assert ident.closeness.graph_distance == 0.0
+    assert ident.closeness.hausdorff_worst == 0.0
+    lines = _sample_tangents(tilted)
+    assert _chart_hausdorff(net, net, lines, lines, lines=True) == 0.0
 
 
 # ---------------------------------------------------------------------------

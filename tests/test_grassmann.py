@@ -38,6 +38,12 @@ def test_orthonormalize_idempotent_on_orthonormal_frame():
     assert np.allclose(s.frame.T @ s.frame, np.eye(2), atol=1e-12)
 
 
+def test_subspace_rejects_a_column_norm_off_by_more_than_1e_10():
+    with pytest.raises(DegenerateFrameError):
+        Subspace(np.array([[1 + 4e-6], [0.0]]))
+    Subspace(np.array([[1 + 1e-11], [0.0]]))
+
+
 def test_orthonormalize_rank_deficient():
     with pytest.raises(DegenerateFrameError):
         orthonormalize(np.column_stack([E1, 2 * E1]))

@@ -8,6 +8,7 @@ from lipimm.grassmann import orthonormalize
 from lipimm.immersion import (
     EuclideanIsometry,
     GraphSystem,
+    _analytic_curve_patches,
     check_r_lambda,
     check_r_lambda_function,
     delta,
@@ -190,9 +191,12 @@ def test_batched_check_matches_single_patches(name, params):
     # slopes and graph values agree exactly, in codimension 1 and 2
     shape = make_shape(name, params, 1024)
     ids = [0, 129, 400, 777, 1023]
-    report = check_r_lambda(shape, 0.1, 1.0, sample_ids=ids, keep_patches=True)
-    for q in ids:
-        batched = report.patches[q]
+    report = check_r_lambda(shape, 0.1, 1.0, sample_ids=ids)
+    # the batched solve as check_r_lambda calls it under the tangent rule
+    plane_of = dict(zip(ids, shape.tangent_planes(ids))).__getitem__
+    outcomes = _analytic_curve_patches(shape, ids, plane_of, 0.1)
+    for q, (batched, err) in zip(ids, outcomes):
+        assert err is None
         single = extract_graph_patch(shape, q, batched.plane, 0.1)
         assert batched.lambda_measured == single.lambda_measured
         assert report.lambdas[q] == single.lambda_measured

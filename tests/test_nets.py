@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from lipimm.immersion import delta
+from lipimm.errors import InputError
+from lipimm.grassmann import orthonormalize
+from lipimm.immersion import check_r_lambda, delta
 from lipimm.nets import build_net, verify_net_bounds
 from lipimm.shapes import make_shape
 
@@ -164,3 +166,16 @@ def test_net_json_round_trip(circle, circle_net_l1):
                               payload["level"], payload["points"])
     assert np.array_equal(rebuilt.points, circle_net_l1.points)
     assert np.array_equal(rebuilt.members(5, 1), circle_net_l1.members(5, 1))
+
+
+def test_plane_rule_is_tangent_or_best_fit():
+    # only named rules: a check under one callable must not admit a net
+    # under another, here radial lines over which the circle is no graph
+    f = make_shape("circle", {"radius": 1.0}, 1024)
+    radial = lambda q: orthonormalize(f.positions[q])  # noqa: E731
+    tangents = {q: f.tangent_plane(q) for q in range(len(f))}
+    for rule in (f.tangent_plane, radial, tangents, "best_fit", "normal"):
+        with pytest.raises(InputError):
+            check_r_lambda(f, 0.2, 0.25, rule)
+        with pytest.raises(InputError):
+            build_net(f, 0.2, 0.25, 1, rule)
