@@ -25,10 +25,12 @@ from .errors import (
 from ._util import bisect, max_quotient
 from .grassmann import sphere_angle_matrix
 from .immersion import (
+    COINCIDENCE_TOL,
     GraphSystem,
     SampledImmersion,
     check_r_lambda,
     check_r_lambda_function,
+    graph_patches,
     graph_system_distance,
 )
 from .nets import DeltaNet, build_net
@@ -138,7 +140,8 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
 
 
 def graph_system(net: DeltaNet) -> GraphSystem:
-    return GraphSystem.from_patches([net.patch(j) for j in range(len(net))])
+    return GraphSystem.from_patches(
+        graph_patches(net.f, net.points, net.r, net.lam, net.plane_rule))
 
 
 # ---------------------------------------------------------------------------
@@ -328,50 +331,34 @@ def verify_bijectivity(c: Correspondence) -> BijectivityReport:
     """Sample-scale injectivity and surjectivity of the correspondence.
 
     Nearest-sample collisions are expected at sub-sample displacements; they
-    are resolved by comparing the refined target points.  Surjectivity asks
-    every target sample to lie within twice the target sample spacing of some
-    projected point.
+    are resolved by comparing the refined target points, and two that
+    coincide within ``COINCIDENCE_TOL`` make the map non-injective.
+    Surjectivity asks every target sample to lie within twice the target
+    sample spacing of some projected point.
     """
     order = np.argsort(c.nearest_target, kind="stable")
-    nearest_sorted = c.nearest_target[order]
-    collisions = 0
+    _, starts, counts = np.unique(c.nearest_target[order], return_index=True,
+                                  return_counts=True)
     refined_min = math.inf
-    injective = True
-    start = 0
-    while start < len(nearest_sorted):
-        end = start
-        while end + 1 < len(nearest_sorted) and \
-                nearest_sorted[end + 1] == nearest_sorted[start]:
-            end += 1
-        if end > start:
-            group = order[start:end + 1]
-            collisions += len(group) - 1
-            pts = c.phi_points[group]
-            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            iu = np.triu_indices(len(group), k=1)
-            gap = float(np.min(d[iu]))
-            refined_min = min(refined_min, gap)
-            if gap <= 0.0:
-                injective = False
-        start = end + 1
+    for start, count in zip(starts[counts > 1], counts[counts > 1]):
+        pts = c.phi_points[order[start:start + count]]
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        refined_min = min(refined_min,
+                          float(np.min(d[np.triu_indices(count, k=1)])))
 
     tol = 2.0 * c.target.sample_spacing
-    gaps = []
     # arc-parameter proximity is the right gauge on closed curves
     period = c.target.evaluator.period
     params_sorted = np.sort(np.mod(c.phi_params, period))
-    for p in range(len(c.target)):
-        t = float(np.mod(c.target.params[p], period))
-        i = np.searchsorted(params_sorted, t)
-        cands = [params_sorted[i % len(params_sorted)],
-                 params_sorted[(i - 1) % len(params_sorted)]]
-        d = min(min(abs(t - x), period - abs(t - x)) for x in cands)
-        speed = float(np.linalg.norm(c.target.evaluator.jacobian(
-            np.array([t]))[0]))
-        if d * speed > tol:
-            gaps.append(int(p))
-    return BijectivityReport(injective, not gaps, collisions,
-                             refined_min, tol, gaps)
+    t = np.mod(c.target.params, period)
+    i = np.searchsorted(params_sorted, t)
+    near = params_sorted[np.stack([i, i - 1], axis=1) % len(params_sorted)]
+    dist = np.abs(t[:, None] - near)
+    d = np.min(np.minimum(dist, period - dist), axis=1)
+    speed = np.linalg.norm(c.target.evaluator.jacobian(t), axis=1)
+    gaps = np.nonzero(d * speed > tol)[0].tolist()
+    return BijectivityReport(refined_min >= COINCIDENCE_TOL, not gaps,
+                             len(order) - len(starts), refined_min, tol, gaps)
 
 
 @dataclass
@@ -489,6 +476,6 @@ def convergence_harness(family, r: float, lam: float, *,
                 for p in reparams]
     successive = [float(np.max(np.linalg.norm(a - b, axis=1)))
                   for a, b in zip(reparams, reparams[1:])]
-    limit_check = check_r_lambda_function(limit, r, lam, plane_rule="best-fit")
+    limit_check = check_r_lambda_function(limit, r, lam)
     return ConvergenceReport(kept, dropped, closeness, to_limit, successive,
                              limit, limit_check, True, origin_distances)

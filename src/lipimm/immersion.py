@@ -6,7 +6,9 @@ evaluator.  The central object is the local patch: the connected component
 through a base sample of the preimage of a ball under projection to a chosen
 m-plane, written as a graph u: B_r -> R^k over that plane, with the measured
 sup-norm of Du.  The derivative norm is the column norm
-||Du|| = (sum_j |d_j u|^2)^(1/2).
+||Du|| = (sum_j |d_j u|^2)^(1/2).  Each immersion keeps one patch store:
+a patch is built once per (r, lambda, plane rule) and sample, by the check
+or by the first net, field or correspondence that asks for it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ PLANE_RULES = ("tangent", "best-fit")
 _SOLVE_BLOCK = 256  # rows per batched curve solve
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
+COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
 
 
 def delta(l: int, r: float, lam: float) -> float:
@@ -55,15 +58,10 @@ class EuclideanIsometry:
         _check_rotations(r[None])
 
     @staticmethod
-    def embedding(origin_image: np.ndarray, plane: Subspace) -> "EuclideanIsometry":
-        """Deterministic isometry with A(0) = origin and A(R^m x {0}) = origin + E."""
-        origin = np.asarray(origin_image, dtype=float)
-        return EuclideanIsometry.embeddings(origin[None], plane.frame[None])[0]
-
-    @staticmethod
     def embeddings(origin_images: np.ndarray,
                    frames: np.ndarray) -> list["EuclideanIsometry"]:
-        """``embedding`` for (S, n) origins and (S, n, m) frames at once.
+        """Deterministic isometries with A(0) = origin and
+        A(R^m x {0}) = origin + E, for (S, n) origins and (S, n, m) frames.
 
         One stacked QR completes every frame; the SO(n) check runs once over
         the whole stack.
@@ -109,7 +107,7 @@ class SampledImmersion:
         self.params = None if params is None else np.asarray(params, dtype=float)
         self.evaluator = evaluator
         self.faces = None if faces is None else np.asarray(faces, dtype=int)
-        self._checked = {}  # cache of passed (r, lambda, rule) verifications
+        self._patch_store = {}  # (r, lambda, rule) -> {id: (patch, error)}
 
         if neighbors is None:
             if self.faces is None:
@@ -619,7 +617,7 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
     cells = GRID_CELLS_PER_RADIUS[f.m]
     step = r / cells
     e_frame = plane.frame
-    isometry = EuclideanIsometry.embedding(f.positions[q], plane)
+    [isometry] = EuclideanIsometry.embeddings(f.positions[q][None], e_frame[None])
     n_frame = isometry.rotation[:, f.m:]
     members = q_component(f, q, plane, r)
     f_q = f.positions[q]
@@ -715,49 +713,67 @@ class CheckReport:
                 "errors": [str(e) for e in self.errors]}
 
 
+def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
+                  plane_rule) -> list[GraphPatch]:
+    """The patches at sample ids from f's patch store, where each is built
+    once per (r, lambda, plane rule) and sample.
+
+    The misses are built in one pass: under the tangent rule a curve with
+    an evaluator resolves their planes from one evaluator call, and one
+    batched solve fills their grids; surfaces and raw point clouds extract
+    one patch per sample.  The first failure in ``ids`` order is raised
+    with its type and a ``sample {q}:`` prefix.
+    """
+    store = f._patch_store.setdefault((r, lam, plane_rule), {})
+    missing = [q for q in dict.fromkeys(ids) if q not in store]
+
+    def plane_of(q):
+        return plane_for(f, q, plane_rule, r, lam)
+
+    if not _has_curve_evaluator(f):
+        for q in missing:
+            try:
+                store[q] = (extract_graph_patch(f, q, plane_of(q), r), None)
+            except _SAMPLE_ERRORS as exc:
+                store[q] = (None, exc)
+    elif missing:
+        if plane_rule == "tangent":
+            plane_of = dict(zip(missing, f.tangent_planes(missing))).__getitem__
+        store.update(zip(missing, _analytic_curve_patches(f, missing, plane_of, r)))
+    for q in ids:
+        if store[q][1] is not None:
+            raise type(store[q][1])(f"sample {q}: {store[q][1]}")
+    return [store[q][0] for q in ids]
+
+
 def check_r_lambda(f: SampledImmersion, r: float, lam: float,
                    plane_rule="tangent", *, sample_ids=None) -> CheckReport:
     """Verify the local-graph condition ||Du|| <= lambda at every sample.
 
-    Curves with an analytic evaluator are solved in one batched pass over
-    all sample ids: the tangent rule resolves every plane from one evaluator
-    call, and one bisection and Newton solve fills every patch grid.
-    Surfaces and raw point clouds extract one patch per sample.  Failures
-    are collected per sample and the first in ``ids`` order is raised with
-    its type and a ``sample {q}:`` prefix.
+    The patches come from ``graph_patches``, so nets, fields and
+    correspondences read the check's patches instead of building them again.
+    The first failure in ``ids`` order is raised with a ``sample {q}:`` prefix.
     """
     if r <= 0 or lam <= 0:
         raise InputError("need r > 0 and lambda > 0")
     if plane_rule not in PLANE_RULES:
         raise InputError(f"unknown plane rule {plane_rule!r}")
     ids = list(range(len(f))) if sample_ids is None else list(sample_ids)
-
-    def plane_of(q):
-        return plane_for(f, q, plane_rule, r, lam)
-
-    if _has_curve_evaluator(f):
-        if plane_rule == "tangent":
-            plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
-        outcomes = _analytic_curve_patches(f, ids, plane_of, r)
-    else:
-        outcomes = []
-        for q in ids:
-            try:
-                outcomes.append((extract_graph_patch(f, q, plane_of(q), r), None))
-            except _SAMPLE_ERRORS as exc:
-                outcomes.append((None, exc))
-
     lambdas = np.full(len(f), np.nan)
-    for q, (patch, err) in zip(ids, outcomes):
-        if err is not None:
-            raise type(err)(f"sample {q}: {err}")
-        lambdas[q] = patch.lambda_measured
+    lambdas[ids] = [patch.lambda_measured
+                    for patch in graph_patches(f, ids, r, lam, plane_rule)]
     worst = int(np.nanargmax(lambdas))
-    report = CheckReport(bool(np.nanmax(lambdas) <= lam), r, lam,
-                         float(lambdas[worst]), worst, lambdas, plane_rule)
-    if report.passed and sample_ids is None:
-        f._checked[(r, lam, plane_rule)] = True
-    return report
+    return CheckReport(bool(np.nanmax(lambdas) <= lam), r, lam,
+                       float(lambdas[worst]), worst, lambdas, plane_rule)
+
+
+def passes_stored_check(f: SampledImmersion, r: float, lam: float,
+                        plane_rule) -> bool:
+    """Whether f's patch store holds a patch with slope <= lambda at every
+    sample, so that ``check_r_lambda`` would pass without building one."""
+    store = f._patch_store.get((r, lam, plane_rule), {})
+    return all(q in store and store[q][1] is None
+               and store[q][0].lambda_measured <= lam for q in range(len(f)))
 
 
 @dataclass
@@ -778,17 +794,18 @@ class FunctionCheckReport:
                 "injectivity_violations": self.injectivity_violations}
 
 
-def check_r_lambda_function(f: SampledImmersion, r: float, lam: float,
-                            plane_rule="best-fit") -> FunctionCheckReport:
-    """Lipschitz-graph check by difference quotients between member samples.
+def check_r_lambda_function(f: SampledImmersion, r: float,
+                            lam: float) -> FunctionCheckReport:
+    """Lipschitz-graph check by difference quotients between member samples
+    over best-fit planes.
 
     Also enforces injectivity of f on every patch: no two member samples may
-    coincide in R^n (within 1e-9) while carrying distinct ids.
+    coincide in R^n (within ``COINCIDENCE_TOL``) while carrying distinct ids.
     """
     worst, worst_q = 0.0, -1
     violations = []
     for q in range(len(f)):
-        plane = plane_for(f, q, plane_rule, r, lam)
+        plane = plane_for(f, q, "best-fit", r, lam)
         members = q_component(f, q, plane, r)
         if len(members) < 2:
             continue
@@ -800,7 +817,7 @@ def check_r_lambda_function(f: SampledImmersion, r: float, lam: float,
         damb = np.linalg.norm(f.positions[members][:, None, :]
                               - f.positions[members][None, :, :], axis=2)
         upper = np.triu(np.ones_like(dx, dtype=bool), k=1)
-        coincident = upper & (damb < 1e-9)
+        coincident = upper & (damb < COINCIDENCE_TOL)
         if np.any(coincident):
             i, j = np.argwhere(coincident)[0]
             violations.append((int(members[i]), int(members[j])))
@@ -866,11 +883,11 @@ class IntersectReport:
 
 
 def patch_intersection_check(f: SampledImmersion, p: int, q: int, rho: float,
-                          lam: float, plane_rule="tangent", r=None) -> IntersectReport:
+                             lam: float) -> IntersectReport:
     """Check |f(q) - f(x)| < (1 + lambda) rho on U_{rho,q}, and the inclusion
-    U_{delta,p} subset U_{rho,q} whenever the delta-sets of p and q meet."""
-    r = rho if r is None else r
-    plane_q = plane_for(f, q, plane_rule, r, lam)
+    U_{delta,p} subset U_{rho,q} whenever the delta-sets of p and q meet,
+    over tangent planes."""
+    plane_q = f.tangent_plane(q)
     members_q = q_component(f, q, plane_q, rho)
     dist = np.linalg.norm(f.positions[members_q] - f.positions[q], axis=1)
     bound = (1.0 + lam) * rho
@@ -878,7 +895,7 @@ def patch_intersection_check(f: SampledImmersion, p: int, q: int, rho: float,
     distance_ok = bool(np.all(dist < bound))
 
     d = rho / (3.0 * (1.0 + lam))
-    plane_p = plane_for(f, p, plane_rule, r, lam)
+    plane_p = f.tangent_plane(p)
     dq = q_component(f, q, plane_q, d)
     dp = q_component(f, p, plane_p, d)
     applicable = bool(np.intersect1d(dq, dp).size)

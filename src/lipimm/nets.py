@@ -20,7 +20,8 @@ from .immersion import (
     SampledImmersion,
     check_r_lambda,
     delta,
-    extract_graph_patch,
+    graph_patches,
+    passes_stored_check,
     plane_for,
     q_component,
 )
@@ -38,7 +39,6 @@ class DeltaNet:
     planes: list                            # Subspace per net point
     member_sets: list                       # member_sets[j][iota] = ids of U_{delta_iota, q_j}
     plane_rule: str = "tangent"
-    _patches: dict = field(default_factory=dict)
     _cover_index: dict = field(default_factory=dict)
     _z_cache: dict = field(default_factory=dict)
 
@@ -55,12 +55,12 @@ class DeltaNet:
         return self.member_sets[j][iota]
 
     def patch(self, j: int):
-        """Graph patch of radius r at net point j (built on demand)."""
-        if j not in self._patches:
-            q = int(self.points[j])
-            self._patches[j] = extract_graph_patch(self.f, q, self.planes[j],
-                                                   self.r)
-        return self._patches[j]
+        """Graph patch of radius r at net point j, from the immersion's
+        patch store (the check's patch when the check built it)."""
+        if not 0 <= j < len(self.points):
+            raise InputError(f"net index {j} out of range")
+        return graph_patches(self.f, self.points[j:j + 1], self.r, self.lam,
+                             self.plane_rule)[0]
 
     def cover_index(self, iota: int) -> list:
         """For every sample p, the net indices j with p in U_{delta_iota, q_j}."""
@@ -108,25 +108,19 @@ class DeltaNet:
         return json.dumps(payload, sort_keys=True)
 
 
-def _ensure_checked(f: SampledImmersion, r: float, lam: float, plane_rule: str):
-    if plane_rule not in PLANE_RULES:  # before it is hashed as a cache key
-        raise InputError(f"unknown plane rule {plane_rule!r}")
-    if f._checked.get((r, lam, plane_rule)):
-        return
-    report = check_r_lambda(f, r, lam, plane_rule)
-    if not report.passed:
-        raise InvariantViolationError(
-            f"immersion fails the local-graph check at (r={r}, lambda={lam}): "
-            f"worst slope {report.worst_lambda:.6f} at sample {report.worst_sample}")
-
-
 def build_net(f: SampledImmersion, r: float, lam: float, level: int,
               plane_rule="tangent", *, verify_immersion: bool = True) -> DeltaNet:
     """Greedy delta_level-net; deterministic (lowest uncovered id first)."""
     if level < 1:
         raise InputError("net level must be >= 1")
-    if verify_immersion:
-        _ensure_checked(f, r, lam, plane_rule)
+    if plane_rule not in PLANE_RULES:  # before it is hashed as a store key
+        raise InputError(f"unknown plane rule {plane_rule!r}")
+    if verify_immersion and not passes_stored_check(f, r, lam, plane_rule):
+        report = check_r_lambda(f, r, lam, plane_rule)
+        if not report.passed:
+            raise InvariantViolationError(
+                f"immersion fails the local-graph check at (r={r}, lambda={lam}): "
+                f"worst slope {report.worst_lambda:.6f} at sample {report.worst_sample}")
     d_cover = delta(level, r, lam)
     covered = np.zeros(len(f), dtype=bool)
     points = []

@@ -123,6 +123,18 @@ def test_tube_command(circle_manifest, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("chart", ["-1", "99999"])
+def test_tube_rejects_a_chart_outside_the_net(tmp_path, chart):
+    manifest = tmp_path / "circle.json"
+    assert run(["shapes", "circle", "--samples", "512",
+                "--out", str(manifest)]) == 0
+    out = tmp_path / "tube.json"
+    code = run(["tube", "--manifest", str(manifest), "--chart", chart,
+                "--r", "0.2", "--lambda", "0.25", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [
     ("check", "--threads", "2"), ("check", "--seed", "1"),
     ("check", "--csv", "x.csv"), ("check", "--svg", "x.svg"),

@@ -15,10 +15,18 @@ from lipimm.correspond import (
     reparametrized_lipschitz,
     verify_bijectivity,
 )
+import lipimm.immersion as immersion_mod
+import lipimm.nets as nets_mod
 from lipimm.errors import ClosenessError
-from lipimm.immersion import graph_system_distance
+from lipimm.immersion import check_r_lambda, graph_system_distance
 from lipimm.nets import build_net
-from lipimm.normals import NormalMeasureField, constants, direction_field, transfer_net
+from lipimm.normals import (
+    NormalMeasureField,
+    angle_bound_check,
+    constants,
+    direction_field,
+    transfer_net,
+)
 from lipimm.shapes import make_shape
 
 
@@ -115,6 +123,22 @@ def test_bijectivity_decimated_coverage_detected(circle, circle_net, circle_dir_
     assert len(report.coverage_gaps) > 0
 
 
+def test_bijectivity_refined_points_coinciding_within_tolerance(
+        circle, circle_net, circle_dir_field):
+    target = make_shape("circle", {"radius": 1.001}, 2048)
+    corr = build_correspondence(circle, target, circle_net, circle_dir_field)
+    # send source sample 1 to sample 0's target, 1e-12 away from it
+    points = corr.phi_points.copy()
+    nearest = corr.nearest_target.copy()
+    points[1] = points[0] + np.array([1e-12, 0.0])
+    nearest[1] = nearest[0]
+    report = verify_bijectivity(dataclasses.replace(
+        corr, phi_points=points, nearest_target=nearest))
+    assert report.nearest_collisions >= 1
+    assert report.refined_min_separation == pytest.approx(1e-12, rel=1e-3)
+    assert not report.injective
+
+
 def test_reparametrized_lipschitz_bounds(circle, circle_net, circle_dir_field):
     target = make_shape("circle", {"radius": 1.001}, 2048)
     corr = build_correspondence(circle, target, circle_net, circle_dir_field)
@@ -167,6 +191,41 @@ def test_transfer_net_keeps_the_plane_rule():
     # tangent target planes against best-fit source planes read ~500
     dist = graph_system_distance(graph_system(net), graph_system(moved))
     assert dist < 0.01 * len(net)
+
+
+def test_consumers_read_the_checked_patches(monkeypatch):
+    f = make_shape("circle", {"radius": 1.0}, 512)
+    g = make_shape("circle", {"radius": 1.001}, 512)
+    built = {}
+    real = immersion_mod._analytic_curve_patches
+
+    def recording(shape, ids, plane_of, r):
+        outcomes = real(shape, ids, plane_of, r)
+        built.update({(id(shape), q): patch
+                      for q, (patch, _) in zip(ids, outcomes)})
+        return outcomes
+
+    monkeypatch.setattr(immersion_mod, "_analytic_curve_patches", recording)
+    for shape in (f, g):
+        assert check_r_lambda(shape, 0.2, 0.25).passed
+    assert len(built) == 1024
+    # from here on no patch may be built, and no check run again
+    calls = []
+    for module, name in [(immersion_mod, "_analytic_curve_patches"),
+                         (immersion_mod, "extract_graph_patch"),
+                         (nets_mod, "check_r_lambda")]:
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append(name))
+    net = build_net(f, 0.2, 0.25, 5)
+    field = direction_field(f, net)
+    assert angle_bound_check(field, g).holds
+    system = graph_system(net)
+    corr = build_correspondence(f, g, net, field)
+    assert calls == []
+    for j, q in enumerate(net.points):
+        assert net.patch(j) is built[(id(f), int(q))]
+        assert corr.net_target.patch(j) is built[(id(g), int(q))]
+        assert system.isometries[j] is built[(id(f), int(q))].isometry
 
 
 # ---------------------------------------------------------------------------

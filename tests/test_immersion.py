@@ -6,6 +6,7 @@ import pytest
 from lipimm.errors import InputError, NotAGraphError
 from lipimm.grassmann import orthonormalize
 from lipimm.immersion import (
+    PLANE_RULES,
     EuclideanIsometry,
     GraphSystem,
     _analytic_curve_patches,
@@ -15,6 +16,7 @@ from lipimm.immersion import (
     extract_graph_patch,
     graph_system_distance,
     patch_intersection_check,
+    plane_for,
     q_component,
 )
 from lipimm.shapes import immersion_from_points, make_shape
@@ -187,21 +189,41 @@ def test_check_raises_first_failure_in_id_order(circle):
     ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}),
 ])
 def test_batched_check_matches_single_patches(name, params):
-    # the batched check and the one-row extraction share one solver, so the
-    # slopes and graph values agree exactly, in codimension 1 and 2
+    # the batched check and the one-row extraction share one solver, so
+    # every field of the patches agrees exactly, in codimension 1 and 2
     shape = make_shape(name, params, 1024)
     ids = [0, 129, 400, 777, 1023]
-    report = check_r_lambda(shape, 0.1, 1.0, sample_ids=ids)
-    # the batched solve as check_r_lambda calls it under the tangent rule
-    plane_of = dict(zip(ids, shape.tangent_planes(ids))).__getitem__
-    outcomes = _analytic_curve_patches(shape, ids, plane_of, 0.1)
-    for q, (batched, err) in zip(ids, outcomes):
-        assert err is None
-        single = extract_graph_patch(shape, q, batched.plane, 0.1)
-        assert batched.lambda_measured == single.lambda_measured
-        assert report.lambdas[q] == single.lambda_measured
-        assert np.array_equal(batched.u, single.u)
-        assert batched.u.shape == (129, shape.n - 1)
+    for rule in PLANE_RULES:
+        report = check_r_lambda(shape, 0.1, 1.0, rule, sample_ids=ids)
+        # the batched solve as check_r_lambda calls it under each rule
+        if rule == "tangent":
+            plane_of = dict(zip(ids, shape.tangent_planes(ids))).__getitem__
+        else:
+            def plane_of(q):
+                return plane_for(shape, q, rule, 0.1, 1.0)
+        outcomes = _analytic_curve_patches(shape, ids, plane_of, 0.1)
+        for q, (batched, err) in zip(ids, outcomes):
+            assert err is None
+            single = extract_graph_patch(shape, q, batched.plane, 0.1)
+            assert batched.lambda_measured == single.lambda_measured
+            assert report.lambdas[q] == single.lambda_measured
+            assert batched.u.shape == (129, shape.n - 1)
+            assert (batched.base, batched.radius, batched.m, batched.k,
+                    batched.grid_step) == (single.base, single.radius,
+                                           single.m, single.k,
+                                           single.grid_step)
+            for a, b in [
+                    (batched.plane.frame, single.plane.frame),
+                    (batched.isometry.rotation, single.isometry.rotation),
+                    (batched.isometry.translation,
+                     single.isometry.translation),
+                    (batched.x_nodes, single.x_nodes),
+                    (batched.u, single.u),
+                    (batched._du, single._du),
+                    (batched.member_samples, single.member_samples),
+                    (batched.member_proj, single.member_proj),
+                    (batched.member_heights, single.member_heights)]:
+                assert a.shape == b.shape and np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +244,7 @@ def test_function_check_detects_self_intersection():
     t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     pts = np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
     raw = immersion_from_points(pts)
-    report = check_r_lambda_function(raw, 0.2, 0.6, plane_rule="best-fit")
+    report = check_r_lambda_function(raw, 0.2, 0.6)
     assert not report.injective or not report.passed
 
 

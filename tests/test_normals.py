@@ -11,7 +11,7 @@ from lipimm.errors import (
 from lipimm.grassmann import geodesic_distance, orthonormalize, sphere_angle
 from lipimm.immersion import EuclideanIsometry, GraphPatch, extract_graph_patch
 from lipimm.karcher import karcher_mean
-from lipimm.nets import build_net
+from lipimm.nets import DeltaNet, build_net
 from lipimm.normals import (
     NormalMeasureField,
     angle_bound_check,
@@ -198,7 +198,7 @@ def _flip_patch(patch):
     return flipped
 
 
-def test_sign_alignment_detects_negated_patch(circle):
+def test_sign_alignment_detects_negated_patch(circle, monkeypatch):
     net = build_net(circle, 0.2, 0.25, 5)
     patch = net.patch(1)
     flipped = _flip_patch(patch)
@@ -206,7 +206,9 @@ def test_sign_alignment_detects_negated_patch(circle):
     b = unit_normal_patch(flipped).at_samples(patch.member_samples[:5])
     assert np.allclose(a, -b, atol=1e-12)
     # drive the dichotomy through the alignment op itself
-    net._patches[1] = flipped
+    real = DeltaNet.patch
+    monkeypatch.setattr(DeltaNet, "patch",
+                        lambda self, j: flipped if j == 1 else real(self, j))
     assert normal_sign_alignment(circle, net, 0, 1) == -1
 
 
