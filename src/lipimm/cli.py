@@ -62,8 +62,7 @@ def _dump_csv(path, rows, header=None):
         writer = csv.writer(fh)
         if header:
             writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _parse_params(items):
@@ -73,10 +72,9 @@ def _parse_params(items):
             raise InputError(f"--param expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         try:
-            parsed = json.loads(value)
+            out[key] = json.loads(value)
         except json.JSONDecodeError:
-            parsed = value
-        out[key] = parsed
+            out[key] = value
     return out
 
 
@@ -227,7 +225,7 @@ def cmd_tube(args) -> int:
     field = normals_mod.direction_field(f, net)
     d3 = delta(3, args.r, args.lam)
     params = tubular_mod.tube_params(d3, args.lam, cb.L_codim1, cb.gamma)
-    patch = net.patch(args.chart)
+    patch = net.patches([args.chart])[0]
     t_field = tubular_mod.chart_direction_field(field, args.chart)
     inj = tubular_mod.injectivity_probe(patch, t_field, params.epsilon,
                                         args.probes, rho=d3, seed=args.seed)

@@ -30,7 +30,6 @@ from .immersion import (
     SampledImmersion,
     check_r_lambda,
     check_r_lambda_function,
-    graph_patches,
     graph_system_distance,
 )
 from .nets import DeltaNet, build_net
@@ -140,8 +139,7 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
 
 
 def graph_system(net: DeltaNet) -> GraphSystem:
-    return GraphSystem.from_patches(
-        graph_patches(net.f, net.points, net.r, net.lam, net.plane_rule))
+    return GraphSystem.from_patches(net.patches())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .immersion import (
     SampledImmersion,
     check_r_lambda,
     delta,
+    extract_graph_patch,
     graph_patches,
     passes_stored_check,
     plane_for,
@@ -39,6 +40,7 @@ class DeltaNet:
     planes: list                            # Subspace per net point
     member_sets: list                       # member_sets[j][iota] = ids of U_{delta_iota, q_j}
     plane_rule: str = "tangent"
+    _patches: dict = field(default_factory=dict)
     _cover_index: dict = field(default_factory=dict)
     _z_cache: dict = field(default_factory=dict)
 
@@ -54,13 +56,24 @@ class DeltaNet:
             raise InputError(f"iota {iota} out of range 0..{self.level + 1}")
         return self.member_sets[j][iota]
 
-    def patch(self, j: int):
-        """Graph patch of radius r at net point j, from the immersion's
-        patch store (the check's patch when the check built it)."""
+    def _point(self, j: int) -> int:
         if not 0 <= j < len(self.points):
             raise InputError(f"net index {j} out of range")
-        return graph_patches(self.f, self.points[j:j + 1], self.r, self.lam,
-                             self.plane_rule)[0]
+        return int(self.points[j])
+
+    def patch(self, j: int):
+        """Graph patch of radius r over planes[j], kept by the net."""
+        if j not in self._patches:
+            self._patches[j] = extract_graph_patch(self.f, self._point(j),
+                                                   self.planes[j], self.r)
+        return self._patches[j]
+
+    def patches(self, js=None) -> list:
+        """Graph patches at net points js (all by default), read from the
+        immersion's patch store: the check's patches where it built them."""
+        js = range(len(self.points)) if js is None else js
+        return graph_patches(self.f, [self._point(j) for j in js], self.r,
+                             self.lam, self.plane_rule)
 
     def cover_index(self, iota: int) -> list:
         """For every sample p, the net indices j with p in U_{delta_iota, q_j}."""
@@ -76,8 +89,7 @@ class DeltaNet:
         """Z_iota(j) = indices k whose delta_iota-patches meet that of j."""
         if not 0 <= iota <= self.level:
             raise InputError(f"iota must lie in 0..{self.level}")
-        if not 0 <= j < len(self.points):
-            raise InputError(f"net index {j} out of range")
+        self._point(j)
         key = (iota, j)
         if key not in self._z_cache:
             cover = self.cover_index(iota)

@@ -225,8 +225,8 @@ def normal_sign_alignment(f: SampledImmersion, net: DeltaNet, j: int, k: int) ->
     shared = np.intersect1d(net.members(j, 1), net.members(k, 1))
     if len(shared) == 0:
         raise InputError(f"charts {j} and {k} do not meet at delta_1 scale")
-    nu_j = unit_normal_patch(net.patch(j)).at_samples(shared)
-    nu_k = unit_normal_patch(net.patch(k)).at_samples(shared)
+    nu_j, nu_k = (unit_normal_patch(patch).at_samples(shared)
+                  for patch in net.patches([j, k]))
     dots = np.einsum("ij,ij->i", nu_j, nu_k)
     if np.all(dots > 0):
         return 1
@@ -270,22 +270,18 @@ def averaged_vector_S(f: SampledImmersion, net: DeltaNet, q: int,
     if q not in set(net.members(reference_j, 3).tolist()):
         raise InputError(f"sample {q} is not in the delta_3-patch of chart "
                          f"{reference_j}")
-    cutoff = make_cutoff(net.lam)
-    builder = _FieldBuilder(f, net, cutoff)
-    s_vals = builder.chart_s(reference_j, np.array([q]))
-    return s_vals[0]
+    return _FieldBuilder(f, net).chart_s(reference_j, np.array([q]))[0]
 
 
 class _FieldBuilder:
-    def __init__(self, f, net, cutoff):
+    def __init__(self, f, net):
         self.f = f
         self.net = net
-        self.cutoff = cutoff
-        self.w = np.stack([net.patch(j).normal_frame()[:, 0]
-                           for j in range(len(net))])
-        self.nu_at_center = np.stack([
-            unit_normal_patch(net.patch(j)).at_center()
-            for j in range(len(net))])
+        self.cutoff = make_cutoff(net.lam)
+        patches = net.patches()
+        self.w = np.stack([p.normal_frame()[:, 0] for p in patches])
+        self.nu_at_center = np.stack([unit_normal_patch(p).at_center()
+                                      for p in patches])
         self.arctan_lam = math.atan(net.lam)
         self._weights_cache = {}
 
@@ -337,8 +333,7 @@ def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
     if net.level < 4:
         raise InputError("direction field needs a net of level >= 4 "
                          "(a delta_4-net) for the lower bound on |S|")
-    cutoff = make_cutoff(net.lam)
-    builder = _FieldBuilder(f, net, cutoff)
+    builder = _FieldBuilder(f, net)
     n_samples = len(f)
     lower = 1.0 / (1.0 + net.lam)
 
@@ -381,7 +376,7 @@ def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
         raise InvariantViolationError(
             f"{len(uncovered)} samples not covered by any delta_3-chart")
     return DirectionField(f, net, t_global, s_norm, omega, chart_of,
-                          chart_data, overlap_max, cutoff)
+                          chart_data, overlap_max, builder.cutoff)
 
 
 def _canonical_sign(v):
@@ -438,17 +433,15 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     gamma = math.pi / 4 + 0.5 * math.atan(lam)
     bound_h = math.pi / 4 - 0.5 * math.atan(lam)
     net_other = net if f_other is field.f else transfer_net(net, f_other)
-    ids = range(len(net)) if chart_ids is None else chart_ids
+    ids = list(range(len(net)) if chart_ids is None else chart_ids)
     same = net_other is net
 
     worst_h = 0.0
     worst_angle = 0.0
-    for j in ids:
-        nu_self = unit_normal_patch(net.patch(j))
-        nu_other = nu_self if same else unit_normal_patch(net_other.patch(j))
-        img_self = nu_self.at_samples(net.members(j, 1))
+    for j, patch, other in zip(ids, net.patches(ids), net_other.patches(ids)):
+        img_self = unit_normal_patch(patch).at_samples(net.members(j, 1))
         img_other = img_self if same else \
-            nu_other.at_samples(net_other.members(j, 1))
+            unit_normal_patch(other).at_samples(net_other.members(j, 1))
         if not same:
             # Hausdorff distance between (closures of) the chart normal
             # images, insensitive to the overall sign choice of either chart

@@ -222,10 +222,12 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     system = graph_system(net)
     corr = build_correspondence(f, g, net, field)
     assert calls == []
-    for j, q in enumerate(net.points):
-        assert net.patch(j) is built[(id(f), int(q))]
-        assert corr.net_target.patch(j) is built[(id(g), int(q))]
-        assert system.isometries[j] is built[(id(f), int(q))].isometry
+    for j, (own, target) in enumerate(zip(net.patches(),
+                                          corr.net_target.patches())):
+        q = int(net.points[j])
+        assert own is built[(id(f), q)]
+        assert target is built[(id(g), q)]
+        assert system.isometries[j] is built[(id(f), q)].isometry
 
 
 # ---------------------------------------------------------------------------

@@ -206,9 +206,9 @@ def test_sign_alignment_detects_negated_patch(circle, monkeypatch):
     b = unit_normal_patch(flipped).at_samples(patch.member_samples[:5])
     assert np.allclose(a, -b, atol=1e-12)
     # drive the dichotomy through the alignment op itself
-    real = DeltaNet.patch
-    monkeypatch.setattr(DeltaNet, "patch",
-                        lambda self, j: flipped if j == 1 else real(self, j))
+    real = DeltaNet.patches
+    monkeypatch.setattr(DeltaNet, "patches", lambda self, js=None: [
+        flipped if j == 1 else p for j, p in zip(js, real(self, js))])
     assert normal_sign_alignment(circle, net, 0, 1) == -1
 
 
