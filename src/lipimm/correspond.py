@@ -427,6 +427,7 @@ def convergence_harness(family, r: float, lam: float, *,
     Every member must pass the local-graph check.  Members whose fibers fail
     to meet the reference charts are dropped (the finite analogue of passing
     to a subsequence); the closeness gauges of the kept members are recorded.
+    An input the correspondence cannot use raises ``InputError`` instead.
     The limit candidate is the last kept member's reparametrization; it must
     pass the Lipschitz-graph function check including patch injectivity.
     """
@@ -456,7 +457,7 @@ def convergence_harness(family, r: float, lam: float, *,
     for i, f_i in enumerate(family[1:], start=1):
         try:
             corr = build_correspondence(f1, f_i, net, proj_field)
-        except (ClosenessError, NonTransversalError, InputError) as exc:
+        except (ClosenessError, NonTransversalError) as exc:
             dropped.append((i, str(exc)))
             continue
         kept.append(i)

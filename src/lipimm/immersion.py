@@ -30,7 +30,9 @@ from ._util import bisect, max_quotient, unchecked
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
 PLANE_RULES = ("tangent", "best-fit")
-_SOLVE_BLOCK = 256  # rows per batched curve solve
+# rows per block of a batched patch solve, by m: a curve row's 129 nodes are
+# cheap, while more surface rows than this only raise the peak memory
+_SOLVE_ROWS = {1: 256, 2: 15}
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
@@ -215,10 +217,6 @@ class SampledImmersion:
         return plane
 
 
-def _has_curve_evaluator(f: SampledImmersion) -> bool:
-    return f.m == 1 and f.evaluator is not None and f.params is not None
-
-
 def _neighbors_from_faces(n_samples, faces):
     neighbors = [set() for _ in range(n_samples)]
     for a, b, c in faces:
@@ -373,19 +371,13 @@ def _detect_fold(proj, positions, step, base_id, member_ids):
                 f"{np.linalg.norm(positions[j] - positions[i]):.2e} apart in R^n")
 
 
-def _curve_brackets(f, q, plane, r, step, x_nodes):
-    """Per-sample setup of the analytic curve fill.
+def _curve_brackets(f, q, members, proj, x_nodes):
+    """Parameter brackets (lo, hi) of every chart node of the curve patch at q.
 
-    Finds the component through q, runs the fold and monotonicity checks and
-    returns the members, their projections and a parameter bracket (lo, hi)
-    for every chart node.  The projection is strictly monotone in the
-    parameter along the component (fold detection runs first), so member
-    parameters bracket every node.
+    The projection must be strictly monotone in the parameter along the
+    component (fold detection runs first), so member parameters bracket
+    every node.
     """
-    members = q_component(f, q, plane, r)
-    member_pos = f.positions[members]
-    proj = (member_pos - f.positions[q]) @ plane.frame
-    _detect_fold(proj, member_pos, step, q, members)
     # unwrap periodic parameters into a contiguous window around q
     t_q = f.params[q]
     period = f.evaluator.period
@@ -409,7 +401,7 @@ def _curve_brackets(f, q, plane, r, step, x_nodes):
     hi = t_sorted[np.minimum(idx, len(t_sorted) - 1)]
     lo = np.where(idx == 0, t_sorted[0] - 2 * spacing, lo)
     hi = np.where(idx == len(t_sorted), t_sorted[-1] + 2 * spacing, hi)
-    return members, proj, lo, hi
+    return lo, hi
 
 
 def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
@@ -446,93 +438,141 @@ def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
     return t_star, unresolved
 
 
-def _analytic_curve_patches(f, ids, plane_of, r):
-    """Graph patches of a curve with an evaluator, solved in one batched pass.
+def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
+    """Graph heights (S, T, k) of every row s over the chart nodes
+    ``targets``, and an (S,) flag for rows whose fill did not converge.
+
+    The evaluator's closed-form ``graph_heights`` fills each row it can.
+    The other rows solve (ev.point(t) - f_q[s]) . e_frames[s] = targets by
+    Newton from the (S, T, 2) parameters ``t``, with the 2x2 Jacobian E^T J
+    inverted in closed form; a row steps until its residual is below 1e-13,
+    at most 40 times, and fails if it stays above 1e-9.
+    """
+    closed_form = getattr(ev, "graph_heights", None)
+    heights = np.empty((len(t), len(targets), n_frames.shape[-1]))
+    newton = []
+    for s in range(len(t)):
+        h = None if closed_form is None else closed_form(
+            f_q[s], e_frames[s], n_frames[s], targets)
+        if h is None:
+            newton.append(s)
+        else:
+            heights[s] = h
+    f_q, e_frames, t = f_q[newton, None], e_frames[newton], t[newton]
+    pts = np.empty(t.shape[:-1] + (f_q.shape[-1],))
+    active = np.arange(len(t))
+    for _ in range(40):
+        pts[active] = ev.point(t[active])
+        res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
+        going = ~(np.max(np.abs(res), axis=(1, 2)) < 1e-13)  # NaN keeps going
+        active, res = active[going], res[going]
+        if not len(active):
+            break
+        # per node a = J^T E, the transpose of the residual's Jacobian E^T J
+        jac_t = np.swapaxes(ev.jacobian(t[active]), -1, -2)
+        a = np.matmul(jac_t.reshape(len(active), -1, f_q.shape[-1]),
+                      e_frames[active]).reshape(res.shape + (2,))
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        t[active] -= np.stack([a[..., 1, 1] * res[..., 0] - a[..., 1, 0] * res[..., 1],
+                               a[..., 0, 0] * res[..., 1] - a[..., 0, 1] * res[..., 0]],
+                              axis=-1) / det[..., None]
+    pts[active] = ev.point(t[active])  # rows still stepping after 40 steps
+    res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
+    heights[newton] = np.matmul(pts - f_q, n_frames[newton])
+    failed = np.zeros(len(heights), dtype=bool)
+    failed[np.asarray(newton, dtype=int)[active]] = \
+        ~(np.max(np.abs(res), axis=(1, 2)) <= 1e-9)
+    return heights, failed
+
+
+def _analytic_patches(f, ids, plane_of, r):
+    """Graph patches of an immersion with an evaluator, solved in batched
+    blocks.
 
     ``plane_of(q)`` gives the plane at base sample q.  The per-sample setup
-    (plane, component, fold and monotonicity checks, brackets) runs sample
-    by sample; the bisection and Newton solve runs once over the (S, G)
-    brackets of every sample that passed it.  Returns one (patch, error)
+    (plane, component, fold check; on a curve the parameter brackets) runs
+    sample by sample.  The solve and the slope scan then run once per block
+    of rows: bisection and Newton on a curve, ``_fill_surface_rows`` from
+    each node's nearest member on a surface.  Returns one (patch, error)
     pair per id, the error being what ``extract_graph_patch`` raises there.
     """
-    cells = GRID_CELLS_PER_RADIUS[1]
-    step = r / cells
-    x_nodes = np.linspace(-r, r, 2 * cells + 1)
+    m, k, ev = f.m, f.n - f.m, f.evaluator
+    step, axis, x_grid, in_disk = _chart_grid(m, r)
+    nodes = x_grid[in_disk]
+    valid = in_disk.reshape((len(axis),) * m)
     outcomes = [None] * len(ids)
     rows = []
     for i, q in enumerate(ids):
         try:
             plane = plane_of(q)
-            rows.append((i, q, plane) + _curve_brackets(f, q, plane, r, step, x_nodes))
+            members = q_component(f, q, plane, r)
+            proj = (f.positions[members] - f.positions[q]) @ plane.frame
+            _detect_fold(proj, f.positions[members], step, q, members)
+            rows.append((i, q, plane, members, proj, None if m == 2 else
+                         _curve_brackets(f, q, members, proj, nodes[:, 0])))
         except _SAMPLE_ERRORS as exc:
             outcomes[i] = (None, exc)
     if not rows:
         return outcomes
-    index, base, planes, members, projs, lo, hi = zip(*rows)
+    index, base, planes, members, projs, brackets = zip(*rows)
     f_q = f.positions[list(base)]
     frames = np.stack([plane.frame for plane in planes])
     isometries = EuclideanIsometry.embeddings(f_q, frames)
-    n_frames = np.stack([iso.rotation[:, 1:] for iso in isometries])
-    e_vecs, lo, hi = frames[:, :, 0], np.stack(lo), np.stack(hi)
-    t = np.empty_like(lo)
-    unresolved = np.empty(len(base), dtype=bool)
+    n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
     # rows are independent; blocks of rows keep the solver's arrays in cache
-    for a in range(0, len(base), _SOLVE_BLOCK):
-        b = slice(a, a + _SOLVE_BLOCK)
-        t[b], unresolved[b] = _solve_curve_rows(f.evaluator, f_q[b], e_vecs[b],
-                                                lo[b], hi[b], x_nodes)
-    u = np.matmul(f.evaluator.point(t) - f_q[:, None, :], n_frames)
-    off_center = np.max(np.abs(u[:, cells]), axis=1) > 1e-9
-    lams, du = _lambda_on_curve_grid(u, step)
-    for j, (i, q) in enumerate(zip(index, base)):
-        if unresolved[j]:
-            outcomes[i] = (None, InsufficientSamplingError(
-                f"patch at sample {q} is not resolved out to its rim"))
-        elif off_center[j]:
-            outcomes[i] = (None, NotAGraphError(
-                f"patch at {q} does not pass through f(q)"))
+    for a in range(0, len(base), _SOLVE_ROWS[m]):
+        b = slice(a, a + _SOLVE_ROWS[m])
+        js = range(a, min(b.stop, len(base)))
+        if m == 1:
+            lo, hi = map(np.stack, zip(*brackets[b]))
+            t, failed = _solve_curve_rows(ev, f_q[b], frames[b, :, 0],
+                                          lo, hi, nodes[:, 0])
+            on_disk = np.matmul(ev.point(t) - f_q[b, None], n_frames[b])
+        else:  # each node starts from its nearest member's parameters
+            gaps = [nodes[:, None, :] - projs[j] for j in js]
+            t = np.stack([f.params[members[j]][np.argmin(
+                np.einsum("tmi,tmi->tm", gap, gap), axis=1)]
+                for j, gap in zip(js, gaps)])
+            on_disk, failed = _fill_surface_rows(ev, f_q[b], frames[b],
+                                                 n_frames[b], t, nodes)
+        u = np.full((len(js), len(x_grid), k), np.nan)
+        u[:, in_disk] = on_disk
+        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
+        u = u.reshape((len(js),) + valid.shape + (k,))
+        if m == 1:
+            lams, du = _lambda_on_curve_grid(u, step)
         else:
-            heights = (f.positions[members[j]] - f_q[j]) @ n_frames[j]
-            patch = GraphPatch(q, planes[j], isometries[j], r, x_nodes, u[j],
-                               float(lams[j]), members[j], projs[j], heights,
-                               1, f.n - 1, step)
-            patch._du = du[j]
-            outcomes[i] = (patch, None)
+            lams, du = _lambda_on_surface_grid(
+                u, np.broadcast_to(valid, u.shape[:-1]), step)
+        for s, j in enumerate(js):
+            q = base[j]
+            if failed[s] and m == 1:
+                outcomes[index[j]] = (None, InsufficientSamplingError(
+                    f"patch at sample {q} is not resolved out to its rim"))
+            elif failed[s]:
+                outcomes[index[j]] = (None, NotAGraphError(
+                    f"grid fill did not converge on the patch at sample {q}"))
+            elif off_center[s]:
+                outcomes[index[j]] = (None, NotAGraphError(
+                    f"patch at {q} does not pass through f(q)"))
+            else:
+                heights = (f.positions[members[j]] - f_q[j]) @ n_frames[j]
+                patch = GraphPatch(q, planes[j], isometries[j], r, axis, u[s],
+                                   float(lams[s]), members[j], projs[j],
+                                   heights, m, k, step,
+                                   mask=valid if m == 2 else None)
+                patch._du = du[s]
+                outcomes[index[j]] = (patch, None)
     return outcomes
 
 
-def _fill_surface_grid(f, q, e_frame, n_frame, members, x_grid, in_disk):
-    """Analytic graph values by 2-d Newton in the surface parameters."""
-    ev = f.evaluator
-    f_q = f.positions[q]
-    if getattr(ev, "graph_heights", None) is not None:
-        u = ev.graph_heights(f_q, e_frame, n_frame, x_grid[in_disk])
-        if u is not None:
-            out = np.full((len(x_grid), n_frame.shape[1]), np.nan)
-            out[in_disk] = u
-            return out
-    targets = x_grid[in_disk]
-    member_proj = (f.positions[members] - f_q) @ e_frame
-    nearest = np.argmin(np.linalg.norm(targets[:, None, :] - member_proj[None, :, :],
-                                       axis=2), axis=1)
-    t = f.params[members][nearest].copy()
-    for _ in range(40):
-        pts = ev.point(t)
-        res = (pts - f_q) @ e_frame - targets
-        if np.max(np.abs(res)) < 1e-13:
-            break
-        jac = ev.jacobian(t)  # (T, n, 2)
-        a = np.einsum("tnk,nj->tkj", jac, e_frame)  # (T, 2, 2)
-        step = np.linalg.solve(a, res[..., None])[..., 0]
-        t = t - step
-    pts = ev.point(t)
-    res = (pts - f_q) @ e_frame - targets
-    if np.max(np.abs(res)) > 1e-9:
-        raise NotAGraphError(
-            f"grid fill did not converge on the patch at sample {q}")
-    out = np.full((len(x_grid), n_frame.shape[1]), np.nan)
-    out[in_disk] = (pts - f_q) @ n_frame
-    return out
+def _chart_grid(m, r):
+    """Grid step, axis, (G^m, m) chart nodes and disk mask of the chart B_r."""
+    cells = GRID_CELLS_PER_RADIUS[m]
+    axis = np.linspace(-r, r, 2 * cells + 1)
+    x_grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    in_disk = np.einsum("ij,ij->i", x_grid, x_grid) <= r * r * (1 + 1e-12)
+    return r / cells, axis, x_grid, in_disk
 
 
 def _interp_curve_grid(q, proj, heights, x_nodes, step):
@@ -567,9 +607,10 @@ def _lambda_on_curve_grid(u, step):
 
 
 def _derivative_2d_axis(u, valid, step, axis):
-    """Axis derivative on a masked grid: central inside, one-sided at the rim."""
-    u = np.moveaxis(u, axis, 0)
-    v = np.moveaxis(valid, axis, 0)
+    """Derivative along grid axis 0 or 1 of (..., G, G, k) values on
+    (..., G, G) masks: central inside, one-sided at the rim."""
+    u = np.moveaxis(u, axis - 3, 0)
+    v = np.moveaxis(valid, axis - 2, 0)
     g = u.shape[0]
     pad_u = np.full((2,) + u.shape[1:], np.nan)
     pad_v = np.zeros((2,) + v.shape[1:], dtype=bool)
@@ -591,14 +632,15 @@ def _derivative_2d_axis(u, valid, step, axis):
     for cond, val in [(bwd1, d_bwd1), (fwd1, d_fwd1), (bwd2, d_bwd2),
                       (fwd2, d_fwd2), (central, d_central)]:
         du = np.where((cond & v)[..., None], val, du)
-    return np.moveaxis(du, 0, axis)
+    return np.moveaxis(du, 0, axis - 3)
 
 
 def _lambda_on_surface_grid(u, valid, step):
+    """Slopes sup ||Du|| of (..., G, G, k) graph values, one per grid."""
     d0 = _derivative_2d_axis(u, valid, step, axis=0)
     d1 = _derivative_2d_axis(u, valid, step, axis=1)
     norm_sq = np.sum(d0 * d0, axis=-1) + np.sum(d1 * d1, axis=-1)
-    lam = float(np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan))))
+    lam = np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan), axis=(-2, -1)))
     return lam, np.stack([d0, d1], axis=-1)
 
 
@@ -606,16 +648,16 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
                         r: float) -> GraphPatch:
     """Extract the local graph of f over ``plane`` through f(q) on B_r.
 
-    Curves with an analytic evaluator go through the batched solver that
+    Immersions with an analytic evaluator go through the batched solver that
     ``check_r_lambda`` runs over all samples, here with a single row.
     """
-    if _has_curve_evaluator(f):
-        [(patch, err)] = _analytic_curve_patches(f, [q], lambda _: plane, r)
+    if f.evaluator is not None and f.params is not None:
+        [(patch, err)] = _analytic_patches(f, [q], lambda _: plane, r)
         if err is not None:
             raise err
         return patch
     cells = GRID_CELLS_PER_RADIUS[f.m]
-    step = r / cells
+    step, axis, x_grid, in_disk = _chart_grid(f.m, r)
     e_frame = plane.frame
     [isometry] = EuclideanIsometry.embeddings(f.positions[q][None], e_frame[None])
     n_frame = isometry.rotation[:, f.m:]
@@ -628,35 +670,26 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
 
     k = f.n - f.m
     if f.m == 1:
-        x_nodes = np.linspace(-r, r, 2 * cells + 1)
         if len(members) < 4:
             raise InsufficientSamplingError(
                 f"only {len(members)} samples in the patch at {q}")
-        u = _interp_curve_grid(q, proj[:, 0], heights, x_nodes, step)
+        u = _interp_curve_grid(q, proj[:, 0], heights, axis, step)
         if np.max(np.abs(u[cells])) > 1e-9:
             raise NotAGraphError(f"patch at {q} does not pass through f(q)")
         lam, du = _lambda_on_curve_grid(u, step)
-        patch = GraphPatch(q, plane, isometry, r, x_nodes, u, float(lam),
+        patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam),
                            members, proj, heights, 1, k, step)
         patch._du = du
         return patch
 
-    axis = np.linspace(-r, r, 2 * cells + 1)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    x_grid = np.column_stack([gx.ravel(), gy.ravel()])
-    in_disk = np.einsum("ij,ij->i", x_grid, x_grid) <= r * r * (1 + 1e-12)
-    if f.evaluator is not None and f.params is not None:
-        u_flat = _fill_surface_grid(f, q, e_frame, n_frame, members, x_grid, in_disk)
-    else:
-        u_flat = _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step)
+    u_flat = _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step)
     shape = (len(axis), len(axis))
     u = u_flat.reshape(shape + (k,))
     valid = in_disk.reshape(shape)
-    center = (cells, cells)
-    if np.max(np.abs(u[center])) > 1e-9:
+    if np.max(np.abs(u[cells, cells])) > 1e-9:
         raise NotAGraphError(f"patch at {q} does not pass through f(q)")
     lam, du = _lambda_on_surface_grid(u, valid, step)
-    patch = GraphPatch(q, plane, isometry, r, axis, u, lam, members, proj,
+    patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam), members, proj,
                        heights, 2, k, step, mask=valid)
     patch._du = du
     return patch
@@ -718,11 +751,11 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     """The patches at sample ids from f's patch store, where each is built
     once per (r, lambda, plane rule) and sample.
 
-    The misses are built in one pass: under the tangent rule a curve with
-    an evaluator resolves their planes from one evaluator call, and one
-    batched solve fills their grids; surfaces and raw point clouds extract
-    one patch per sample.  The first failure in ``ids`` order is raised
-    with its type and a ``sample {q}:`` prefix.
+    The misses are built in one pass: under the tangent rule an immersion
+    with an evaluator resolves their planes from one evaluator call, and
+    one batched solve fills their grids; raw point clouds extract one patch
+    per sample.  The first failure in ``ids`` order is raised with its type
+    and a ``sample {q}:`` prefix.
     """
     store = f._patch_store.setdefault((r, lam, plane_rule), {})
     missing = [q for q in dict.fromkeys(ids) if q not in store]
@@ -730,7 +763,7 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     def plane_of(q):
         return plane_for(f, q, plane_rule, r, lam)
 
-    if not _has_curve_evaluator(f):
+    if f.evaluator is None or f.params is None:
         for q in missing:
             try:
                 store[q] = (extract_graph_patch(f, q, plane_of(q), r), None)
@@ -739,7 +772,7 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     elif missing:
         if plane_rule == "tangent":
             plane_of = dict(zip(missing, f.tangent_planes(missing))).__getitem__
-        store.update(zip(missing, _analytic_curve_patches(f, missing, plane_of, r)))
+        store.update(zip(missing, _analytic_patches(f, missing, plane_of, r)))
     for q in ids:
         if store[q][1] is not None:
             raise type(store[q][1])(f"sample {q}: {store[q][1]}")

@@ -133,13 +133,17 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
             raise InvariantViolationError(
                 f"immersion fails the local-graph check at (r={r}, lambda={lam}): "
                 f"worst slope {report.worst_lambda:.6f} at sample {report.worst_sample}")
+    stored = None
+    if verify_immersion:  # the passing check stored every sample's plane
+        stored = graph_patches(f, range(len(f)), r, lam, plane_rule)
     d_cover = delta(level, r, lam)
     covered = np.zeros(len(f), dtype=bool)
     points = []
     planes = []
     while not np.all(covered):
         q = int(np.argmin(covered))  # lowest uncovered sample id
-        plane = plane_for(f, q, plane_rule, r, lam)
+        plane = (plane_for(f, q, plane_rule, r, lam) if stored is None
+                 else stored[q].plane)
         u_cover = q_component(f, q, plane, d_cover)
         points.append(q)
         planes.append(plane)

@@ -211,13 +211,14 @@ def _torus_evaluator(big_radius, tube_radius):
                          tube_radius * np.sin(v)], axis=-1)
 
     def jacobian(t):
-        u, v = t[..., 0], t[..., 1]
-        w = big_radius + tube_radius * np.cos(v)
-        d_u = np.stack([-w * np.sin(u), w * np.cos(u), np.zeros_like(u)], axis=-1)
-        d_v = tube_radius * np.stack([-np.sin(v) * np.cos(u),
-                                      -np.sin(v) * np.sin(u),
-                                      np.cos(v)], axis=-1)
-        return np.stack([d_u, d_v], axis=-1)
+        cos_u, sin_u = np.cos(t[..., 0]), np.sin(t[..., 0])
+        cos_v, sin_v = np.cos(t[..., 1]), np.sin(t[..., 1])
+        w = big_radius + tube_radius * cos_v
+        jac = np.zeros(t.shape[:-1] + (3, 2))
+        jac[..., 0, 0], jac[..., 1, 0] = -w * sin_u, w * cos_u
+        jac[..., 1] = tube_radius * np.stack(
+            [-sin_v * cos_u, -sin_v * sin_u, cos_v], axis=-1)
+        return jac
 
     return SurfaceEvaluator(3, point, jacobian)
 

@@ -17,7 +17,7 @@ from lipimm.correspond import (
 )
 import lipimm.immersion as immersion_mod
 import lipimm.nets as nets_mod
-from lipimm.errors import ClosenessError
+from lipimm.errors import ClosenessError, InputError
 from lipimm.immersion import check_r_lambda, graph_system_distance
 from lipimm.nets import build_net
 from lipimm.normals import (
@@ -197,7 +197,7 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     f = make_shape("circle", {"radius": 1.0}, 512)
     g = make_shape("circle", {"radius": 1.001}, 512)
     built = {}
-    real = immersion_mod._analytic_curve_patches
+    real = immersion_mod._analytic_patches
 
     def recording(shape, ids, plane_of, r):
         outcomes = real(shape, ids, plane_of, r)
@@ -205,13 +205,13 @@ def test_consumers_read_the_checked_patches(monkeypatch):
                       for q, (patch, _) in zip(ids, outcomes)})
         return outcomes
 
-    monkeypatch.setattr(immersion_mod, "_analytic_curve_patches", recording)
+    monkeypatch.setattr(immersion_mod, "_analytic_patches", recording)
     for shape in (f, g):
         assert check_r_lambda(shape, 0.2, 0.25).passed
     assert len(built) == 1024
     # from here on no patch may be built, and no check run again
     calls = []
-    for module, name in [(immersion_mod, "_analytic_curve_patches"),
+    for module, name in [(immersion_mod, "_analytic_patches"),
                          (immersion_mod, "extract_graph_patch"),
                          (nets_mod, "check_r_lambda")]:
         monkeypatch.setattr(module, name,
@@ -320,3 +320,12 @@ def test_harness_records_origin_distances():
               for i in range(1, 4)]
     rep = convergence_harness(family, 0.2, 0.25, level=4)
     assert rep.origin_distances == pytest.approx([1.5, 1.25, 1.125], abs=1e-9)
+
+
+def test_harness_raises_on_an_unusable_input():
+    # correspondences are built for curves only: a family of surfaces is an
+    # input error, not a member to drop from the subsequence
+    family = [make_shape("torus", {"R": big_r, "r": 0.5}, "16x32")
+              for big_r in (2.0, 2.001)]
+    with pytest.raises(InputError):
+        convergence_harness(family, 0.1, 0.25, level=4)

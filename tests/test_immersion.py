@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from lipimm.immersion import (
     PLANE_RULES,
     EuclideanIsometry,
     GraphSystem,
-    _analytic_curve_patches,
+    SampledImmersion,
+    _analytic_patches,
     check_r_lambda,
     check_r_lambda_function,
     delta,
@@ -19,7 +21,7 @@ from lipimm.immersion import (
     plane_for,
     q_component,
 )
-from lipimm.shapes import immersion_from_points, make_shape
+from lipimm.shapes import SurfaceEvaluator, immersion_from_points, make_shape
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +203,7 @@ def test_batched_check_matches_single_patches(name, params):
         else:
             def plane_of(q):
                 return plane_for(shape, q, rule, 0.1, 1.0)
-        outcomes = _analytic_curve_patches(shape, ids, plane_of, 0.1)
+        outcomes = _analytic_patches(shape, ids, plane_of, 0.1)
         for q, (batched, err) in zip(ids, outcomes):
             assert err is None
             single = extract_graph_patch(shape, q, batched.plane, 0.1)
@@ -224,6 +226,99 @@ def test_batched_check_matches_single_patches(name, params):
                     (batched.member_proj, single.member_proj),
                     (batched.member_heights, single.member_heights)]:
                 assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def torus():
+    return make_shape("torus", {"R": 2.0, "r": 0.5}, "16x32")
+
+
+def sheared(torus):
+    """The torus over parameters (a, b) -> (a + b, b): the same surface and
+    samples, over a chart that is not conformal."""
+    ev = torus.evaluator
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    chart = SurfaceEvaluator(3, lambda t: ev.point(t @ shear.T),
+                             lambda t: ev.jacobian(t @ shear.T) @ shear)
+    return SampledImmersion(2, 3, torus.positions, faces=torus.faces,
+                            params=torus.params @ np.linalg.inv(shear).T,
+                            evaluator=chart)
+
+
+def test_sheared_torus_patches_build_in_few_newton_steps(torus):
+    # Newton with the Jacobian of its residual converges quadratically, so
+    # a chart far from conformal needs a few steps per patch, not 40
+    f = sheared(torus)
+    ids = list(range(0, len(f), 8))
+    planes = f.tangent_planes(ids)  # tangent frames call the Jacobian too
+    calls = []
+    jacobian = f.evaluator.jacobian
+    f.evaluator.jacobian = lambda t: calls.append(1) or jacobian(t)
+    lams = [extract_graph_patch(f, q, plane, 0.1).lambda_measured
+            for q, plane in zip(ids, planes)]
+    f.evaluator.jacobian = jacobian
+    assert len(calls) <= 5 * len(ids)
+    # the same surface: every patch builds, with the catalog torus's slopes
+    report = check_r_lambda(f, 0.1, 0.25)
+    reference = check_r_lambda(torus, 0.1, 0.25)
+    assert report.passed
+    assert np.max(np.abs(report.lambdas - reference.lambdas)) <= 1e-12
+    assert np.max(np.abs(np.array(lams) - reference.lambdas[ids])) <= 1e-12
+
+
+def test_sphere_newton_fill_matches_closed_form():
+    sphere = make_shape("sphere", {"radius": 1.0}, "24x12")
+    newton = copy.copy(sphere)
+    newton.evaluator = copy.copy(sphere.evaluator)
+    newton.evaluator.graph_heights = None
+    newton._patch_store = {}
+    poles = [0, len(sphere) - 1]
+    ids = [q for q in range(len(sphere)) if q not in poles]
+    closed = check_r_lambda(sphere, 0.2, 0.25, sample_ids=ids)
+    solved = check_r_lambda(newton, 0.2, 0.25, sample_ids=ids)
+    assert np.nanmax(np.abs(solved.lambdas - closed.lambdas)) <= 1e-12
+    for q in ids:
+        a = sphere._patch_store[(0.2, 0.25, "tangent")][q][0]
+        b = newton._patch_store[(0.2, 0.25, "tangent")][q][0]
+        assert np.nanmax(np.abs(a.u - b.u)) <= 1e-12
+        assert np.nanmax(np.abs(a._du - b._du)) <= 1e-12
+    # the lon/lat chart is singular at the poles, where Newton cannot start
+    for q in poles:
+        with pytest.raises(NotAGraphError):
+            extract_graph_patch(newton, q, sphere.tangent_plane(q), 0.2)
+
+
+def test_batched_surface_check_matches_single_patches(torus):
+    report = check_r_lambda(torus, 0.1, 0.25)
+    store = torus._patch_store[(0.1, 0.25, "tangent")]
+    for q in (0, 37, 200, 311, 511):
+        batched = store[q][0]
+        single = extract_graph_patch(torus, q, batched.plane, 0.1)
+        assert abs(batched.lambda_measured - single.lambda_measured) <= 1e-14
+        assert report.lambdas[q] == batched.lambda_measured
+        assert np.array_equal(np.isnan(batched.u), np.isnan(single.u))
+        assert np.nanmax(np.abs(batched.u - single.u)) <= 1e-14
+        assert np.nanmax(np.abs(batched._du - single._du)) <= 1e-14
+        assert np.array_equal(batched.member_samples, single.member_samples)
+
+
+def test_failing_row_of_a_surface_block_fails_alone():
+    # without its closed form the sphere's north pole does not converge;
+    # its block neighbours are built and stored all the same
+    sphere = make_shape("sphere", {"radius": 1.0}, "24x12")
+    sphere.evaluator.graph_heights = None
+    pole = len(sphere) - 1
+    ids = [pole - 3, pole - 1, pole, 100]
+    with pytest.raises(NotAGraphError) as info:
+        check_r_lambda(sphere, 0.2, 0.25, sample_ids=ids)
+    assert str(info.value).startswith(f"sample {pole}:")
+    store = sphere._patch_store[(0.2, 0.25, "tangent")]
+    assert store[pole][0] is None
+    for q in (pole - 3, pole - 1, 100):
+        patch, err = store[q]
+        assert err is None
+        single = extract_graph_patch(sphere, q, patch.plane, 0.2)
+        assert np.nanmax(np.abs(patch.u - single.u)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
