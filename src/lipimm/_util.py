@@ -23,12 +23,12 @@ def bisect(residual, lo, hi, r_lo, iters: int):
 
 
 def max_quotient(dv: np.ndarray, dx: np.ndarray) -> float:
-    """Largest dv / dx over the pairs above the diagonal with dx > 1e-14.
+    """Largest dv / dx over the pairs with dx > 1e-14.
 
-    ``dv`` and ``dx`` are pairwise value and chart distances; 0.0 when no
-    pair is left.
+    ``dv`` and ``dx`` are the value and chart distances of the same pairs;
+    0.0 when no pair is left.
     """
-    keep = np.triu(dx > 1e-14, k=1)
+    keep = dx > 1e-14
     return float(np.max(dv[keep] / dx[keep])) if np.any(keep) else 0.0
 
 

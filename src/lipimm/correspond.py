@@ -22,8 +22,8 @@ from .errors import (
     InputError,
     NonTransversalError,
 )
-from ._util import bisect, max_quotient
-from .grassmann import sphere_angle_matrix
+from ._util import bisect
+from .grassmann import hausdorff_of, sphere_angle_matrix
 from .immersion import (
     COINCIDENCE_TOL,
     GraphSystem,
@@ -36,7 +36,6 @@ from .nets import DeltaNet, build_net
 from .normals import (
     DirectionField,
     NormalMeasureField,
-    _hausdorff_unit,
     constants,
     direction_field,
     transfer_net,
@@ -76,17 +75,11 @@ def _sample_normals_codim1(f: SampledImmersion) -> np.ndarray:
     if f.evaluator is None:
         raise InputError("closeness checks need analytic evaluators")
     if f.m == 1:
-        tan = f.evaluator.jacobian(f.params)
-        tan /= np.linalg.norm(tan, axis=1, keepdims=True)
+        tan = f.evaluator.tangent_frame(f.params)
         return np.column_stack([-tan[:, 1], tan[:, 0]])
     jac = f.evaluator.jacobian(f.params)
     normal = np.cross(jac[..., 0], jac[..., 1])
     return normal / np.linalg.norm(normal, axis=1, keepdims=True)
-
-
-def _sample_tangents(f: SampledImmersion) -> np.ndarray:
-    tan = f.evaluator.jacobian(f.params)
-    return tan / np.linalg.norm(tan, axis=1, keepdims=True)
 
 
 def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
@@ -95,14 +88,10 @@ def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
     for j in range(len(net1)):
         a = vec1[net1.members(j, 1)]
         b = vec2[net2.members(j, 1)]
-        if lines:
-            # nearer chord angle to b or -b: exactly 0 on identical lines
-            ang = np.minimum(sphere_angle_matrix(a, b),
-                             sphere_angle_matrix(a, -b))
-            d = max(float(np.max(np.min(ang, axis=1))),
-                    float(np.max(np.min(ang, axis=0))))
-        else:
-            d = min(_hausdorff_unit(a, b), _hausdorff_unit(a, -b))
+        plus, minus = sphere_angle_matrix(a, b), sphere_angle_matrix(a, -b)
+        # lines: nearer chord angle to b or -b, exactly 0 on identical lines
+        d = hausdorff_of(np.minimum(plus, minus)) if lines else \
+            min(hausdorff_of(plus), hausdorff_of(minus))
         worst = max(worst, d)
     return worst
 
@@ -132,8 +121,10 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
     else:
         # higher codimension: tangent-line images in the Grassmann metric
         # stand in for the sphere images (complement map is an isometry)
-        worst_h = _chart_hausdorff(net1, net2, _sample_tangents(f1),
-                                   _sample_tangents(f2), lines=True)
+        worst_h = _chart_hausdorff(net1, net2,
+                                   f1.evaluator.tangent_frame(f1.params),
+                                   f2.evaluator.tangent_frame(f2.params),
+                                   lines=True)
     return ClosenessReport(g_dist, threshold, g_dist < threshold,
                            worst_h, bound_h, worst_h < bound_h, len(net1))
 
@@ -379,17 +370,10 @@ class ReparametrizedLipschitzReport:
 def reparametrized_lipschitz(c: Correspondence, j: int) -> ReparametrizedLipschitzReport:
     """Chart-Lipschitz constant of the reparametrized target f2 . phi."""
     net = c.net
-    ids = net.members(j, 3)
-    q_j = int(net.points[j])
-    x = (c.source.positions[ids] - c.source.positions[q_j]) @ net.planes[j].frame
-    pts = c.phi_points[ids]
+    pts = c.phi_points[net.members(j, 3)]
     cb = constants(c.source.m, net.lam, net.r)
-    if len(ids) < 2:
-        return ReparametrizedLipschitzReport(0.0, cb.Lambda, cb.Lambda_sharp,
-                                             True, True, j)
-    dx = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-    df = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    emp = max_quotient(df, dx)
+    emp = net.chart_quotient(
+        j, lambda a, b: np.linalg.norm(pts[a] - pts[b], axis=1))
     return ReparametrizedLipschitzReport(emp, cb.Lambda, cb.Lambda_sharp,
                                          emp <= cb.Lambda,
                                          emp <= cb.Lambda_sharp, j)

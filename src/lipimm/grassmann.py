@@ -2,9 +2,11 @@
 
 Subspaces of R^n are carried as orthonormal frames (n x k column matrices).
 All distances use the principal-angle metric d(E, G) = (sum theta_i^2)^(1/2),
-the unique O(n)-invariant metric with that normalization.  The unit sphere
-S^m carries the intrinsic (angular) metric, together with the Hausdorff
-distance on finite point sets.
+the unique O(n)-invariant metric with that normalization.  Angles (Bjorck
+and Golub 1973), log maps (Edelman, Arias and Smith 1998) and complements
+are computed over frame stacks; the single-pair functions are one-row views
+of the stacked ones.  The unit sphere S^m carries the intrinsic (angular)
+metric, together with the Hausdorff distance on finite point sets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._util import unchecked
 from .errors import CutLocusError, DegenerateFrameError, DimensionMismatchError
@@ -57,8 +58,8 @@ class Subspace:
         """Deterministic orthonormal frame for the orthogonal complement."""
         cached = getattr(self, "_complement", None)
         if cached is None:
-            q, _ = np.linalg.qr(np.hstack([self.frame, np.eye(self.n)]))
-            cached = Subspace(q[:, self.k:self.n])
+            cached = unchecked(Subspace,
+                               frame=complement_frames(self.frame[None])[0])
             object.__setattr__(self, "_complement", cached)
         return cached
 
@@ -72,9 +73,6 @@ class PrincipalAngles:
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=float)
         object.__setattr__(self, "angles", a)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.angles))
 
 
 @dataclass(frozen=True)
@@ -153,52 +151,94 @@ def orthonormalize_all(raw_frames: np.ndarray) -> list[Subspace]:
     return [unchecked(Subspace, frame=frame) for frame in frames]
 
 
-def _check_pair(e: Subspace, g: Subspace):
-    if e.n != g.n or e.k != g.k:
+def complement_frames(frames: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the complements of an (S, n, k) stack: one
+    stacked QR of [F, I], deterministic per frame, checked once."""
+    s, n, k = frames.shape
+    q, _ = np.linalg.qr(np.concatenate(
+        [frames, np.broadcast_to(np.eye(n), (s, n, n))], axis=2))
+    _check_orthonormal(q[:, :, k:])
+    return q[:, :, k:]
+
+
+def _pair_stacks(a, b):
+    """Two frame stacks broadcast to (S, n, k), and their leading shape."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-2:] != b.shape[-2:] or a.ndim < 2:
         raise DimensionMismatchError(
-            f"subspace mismatch: ({e.n},{e.k}) vs ({g.n},{g.k})"
-        )
+            f"subspace mismatch: {a.shape[-2:]} vs {b.shape[-2:]}")
+    a, b = np.broadcast_arrays(a, b)
+    return (a.reshape((-1,) + a.shape[-2:]), b.reshape((-1,) + a.shape[-2:]),
+            a.shape[:-2])
+
+
+def principal_angles_all(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles (..., k), ascending in [0, pi/2], between the frames
+    of two broadcastable (..., n, k) stacks.
+
+    Bjorck-Golub hybrid: with singular values cos(theta) of A^T B and
+    sin(theta) of B - A A^T B, the i-th largest cosine and the i-th smallest
+    sine belong to one angle, read as arcsin of the sine where cos^2 >= 1/2
+    and as arccos of the cosine elsewhere.  Each pair takes the frame that is
+    smaller at the first entry where they differ as A, so the result is
+    exactly symmetric, and identical frames are at exactly 0.
+    """
+    a, b, lead = _pair_stacks(a, b)
+    s, n, k = a.shape
+    flat_a, flat_b = a.reshape(s, n * k), b.reshape(s, n * k)
+    differ = flat_a != flat_b
+    first = (np.arange(s), np.argmax(differ, axis=1))
+    swap = (flat_a[first] > flat_b[first])[:, None, None]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)
+    m = np.swapaxes(a, 1, 2) @ b
+    cosines = np.linalg.svd(m, compute_uv=False)
+    sines = np.linalg.svd(b - a @ m, compute_uv=False)[:, ::-1]
+    theta = np.where(cosines ** 2 >= 0.5, np.arcsin(np.clip(sines, 0.0, 1.0)),
+                     np.arccos(np.clip(cosines, 0.0, 1.0)))
+    theta[~np.any(differ, axis=1)] = 0.0
+    return np.sort(np.clip(theta, 0.0, np.pi / 2)).reshape(lead + (k,))
+
+
+def geodesic_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geodesic distances between the frames of two broadcastable stacks."""
+    return np.linalg.norm(principal_angles_all(a, b), axis=-1)
 
 
 def principal_angles(e: Subspace, g: Subspace) -> PrincipalAngles:
-    """Principal angles from the singular values of E^T G.
-
-    Uses the sine/cosine hybrid of scipy.linalg.subspace_angles, which is
-    accurate for angles near 0 as well as near pi/2.  The operands are
-    ordered deterministically so the result is exactly symmetric in (E, G).
-    """
-    _check_pair(e, g)
-    a, b = e.frame, g.frame
-    if a.tobytes() == b.tobytes():
-        return PrincipalAngles(np.zeros(e.k))
-    if a.tobytes() > b.tobytes():
-        a, b = b, a
-    angles = scipy.linalg.subspace_angles(a, b)  # descending
-    return PrincipalAngles(np.sort(np.clip(angles, 0.0, np.pi / 2)))
+    """Principal angles of one pair by the Bjorck-Golub hybrid, paired as in
+    ``principal_angles_all``, of which this is a one-row view."""
+    return PrincipalAngles(
+        principal_angles_all(e.frame[None], g.frame[None])[0])
 
 
 def geodesic_distance(e: Subspace, g: Subspace) -> float:
     """Principal-angle geodesic distance (sum theta_i^2)^(1/2)."""
-    return principal_angles(e, g).norm()
+    return float(geodesic_distances(e.frame[None], g.frame[None])[0])
+
+
+def log_map_all(base: np.ndarray, targets: np.ndarray,
+                angles: np.ndarray | None = None) -> np.ndarray:
+    """Tangent deltas (..., n, k) of the inverse exponential maps at
+    ``base`` to ``targets`` (broadcastable stacks), given or computing their
+    principal angles; every angle must stay below pi/2, the cut locus."""
+    p, q, lead = _pair_stacks(base, targets)
+    theta = principal_angles_all(p, q) if angles is None else angles
+    if theta.size and np.max(theta) >= np.pi / 2 - CUT_LOCUS_TOL:
+        raise CutLocusError(
+            f"largest principal angle {np.max(theta):.12f} at or beyond pi/2")
+    pt, qt = np.swapaxes(p, 1, 2), np.swapaxes(q, 1, 2)
+    m = qt @ p  # nonsingular away from the cut locus
+    bt = np.linalg.solve(m, qt - m @ pt)
+    u, s, vt = np.linalg.svd(np.swapaxes(bt, 1, 2), full_matrices=False)
+    delta = (u * np.arctan(s)[:, None, :]) @ vt
+    # remove numerical leakage into the base directions
+    return (delta - p @ (pt @ delta)).reshape(lead + p.shape[1:])
 
 
 def log_map(base: Subspace, target: Subspace) -> GrassmannTangent:
     """Inverse exponential map; valid while every principal angle < pi/2."""
-    _check_pair(base, target)
-    theta = principal_angles(base, target).angles
-    if theta.size and theta[-1] >= np.pi / 2 - CUT_LOCUS_TOL:
-        raise CutLocusError(
-            f"largest principal angle {theta[-1]:.12f} at or beyond pi/2"
-        )
-    p, q = base.frame, target.frame
-    m = q.T @ p  # nonsingular away from the cut locus
-    at = q.T - m @ p.T
-    bt = np.linalg.solve(m, at)
-    u, s, vt = np.linalg.svd(bt.T, full_matrices=False)
-    delta = (u * np.arctan(s)) @ vt
-    # remove numerical leakage into the base directions
-    delta = delta - p @ (p.T @ delta)
-    return GrassmannTangent(base, delta)
+    return GrassmannTangent(base, log_map_all(base.frame[None],
+                                              target.frame[None])[0])
 
 
 def exp_map(base: Subspace, v: GrassmannTangent) -> Subspace:
@@ -207,31 +247,25 @@ def exp_map(base: Subspace, v: GrassmannTangent) -> Subspace:
         raise DimensionMismatchError("tangent is not based at the given subspace")
     u, s, vt = np.linalg.svd(v.delta, full_matrices=False)
     frame = (base.frame @ vt.T) * np.cos(s) @ vt + (u * np.sin(s)) @ vt
-    q, r = np.linalg.qr(frame)  # re-orthonormalize against roundoff
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return Subspace(q * signs)
+    return orthonormalize_all(frame[None])[0]  # against roundoff
 
 
 def sphere_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Intrinsic (angular) distance between two unit vectors.
-
-    Evaluated through the chord, 2 arcsin(|u - v| / 2), which agrees with
-    arccos <u, v> on unit vectors and is exact at both ends of [0, pi].
-    """
+    """Intrinsic (angular) distance between the directions of two vectors:
+    a one-pair ``sphere_angle_matrix``."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu < 1e-15 or nv < 1e-15:
         raise DimensionMismatchError("sphere_angle of a zero vector")
-    chord = np.linalg.norm(u / nu - v / nv)
-    return float(2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0)))
+    return float(sphere_angle_matrix((u / nu)[None], (v / nv)[None])[0, 0])
 
 
 def sphere_angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise angles between rows of two unit-vector arrays.
 
-    Chords are formed by explicit differences so that identical points are at
+    Angles are 2 arcsin(|u - v| / 2), through chords formed by explicit
+    differences: exact at both ends of [0, pi], and identical points are at
     distance exactly zero.  Intended for the patch-sized sets that arise here,
     not for bulk nearest-neighbor work.
     """
@@ -241,12 +275,15 @@ def sphere_angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
 
+def hausdorff_of(dist: np.ndarray) -> float:
+    """Hausdorff distance of two finite sets from their distance matrix."""
+    return max(float(np.max(np.min(dist, axis=1))),
+               float(np.max(np.min(dist, axis=0))))
+
+
 def hausdorff_distance(a: SpherePointSet, b: SpherePointSet) -> float:
     """Hausdorff distance of finite sphere point sets under the angular metric."""
-    angles = sphere_angle_matrix(a.points, b.points)
-    d_ab = float(np.max(np.min(angles, axis=1)))
-    d_ba = float(np.max(np.min(angles, axis=0)))
-    return max(d_ab, d_ba)
+    return hausdorff_of(sphere_angle_matrix(a.points, b.points))
 
 
 def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:

@@ -25,7 +25,12 @@ from .errors import (
     InsufficientSamplingError,
     NotAGraphError,
 )
-from .grassmann import Subspace, orthonormalize, orthonormalize_all
+from .grassmann import (
+    Subspace,
+    complement_frames,
+    orthonormalize,
+    orthonormalize_all,
+)
 from ._util import bisect, max_quotient, unchecked
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
@@ -68,10 +73,7 @@ class EuclideanIsometry:
         One stacked QR completes every frame; the SO(n) check runs once over
         the whole stack.
         """
-        s, n, m = frames.shape
-        q, _ = np.linalg.qr(np.concatenate(
-            [frames, np.broadcast_to(np.eye(n), (s, n, n))], axis=2))
-        rotations = np.concatenate([frames, q[:, :, m:n]], axis=2)
+        rotations = np.concatenate([frames, complement_frames(frames)], axis=2)
         flip = np.linalg.det(rotations) < 0
         rotations[flip, :, -1] = -rotations[flip, :, -1]
         _check_rotations(rotations)
@@ -855,7 +857,7 @@ def check_r_lambda_function(f: SampledImmersion, r: float,
             i, j = np.argwhere(coincident)[0]
             violations.append((int(members[i]), int(members[j])))
             continue
-        q_max = max_quotient(dz, dx)
+        q_max = max_quotient(dz[upper], dx[upper])
         # projection collisions with distinct heights mean the patch is not a graph
         not_graph = upper & (dx <= 1e-14) & (dz > 1e-12)
         if np.any(not_graph):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InvariantViolationError
+from ._util import max_quotient
 from .immersion import (
     PLANE_RULES,
     SampledImmersion,
@@ -60,6 +61,23 @@ class DeltaNet:
         if not 0 <= j < len(self.points):
             raise InputError(f"net index {j} out of range")
         return int(self.points[j])
+
+    def chart_coords(self, j: int, sample_ids) -> np.ndarray:
+        """pi . A_j^{-1} . f coordinates of samples in chart j."""
+        rel = self.f.positions[sample_ids] - self.f.positions[self._point(j)]
+        return rel @ self.planes[j].frame
+
+    def chart_quotient(self, j: int, distances) -> float:
+        """``max_quotient`` of d(v_a, v_b) over |x_a - x_b|, for the pairs of
+        chart j's delta_3-members in chart coordinates x; ``distances(a, b)``
+        gives d for member rows a, b and is not called below two members."""
+        ids = self.members(j, 3)
+        if len(ids) < 2:
+            return 0.0
+        x = self.chart_coords(j, ids)
+        a, b = np.triu_indices(len(ids), k=1)
+        return max_quotient(distances(a, b),
+                            np.linalg.norm(x[a] - x[b], axis=1))
 
     def patch(self, j: int):
         """Graph patch of radius r over planes[j], kept by the net."""

@@ -24,8 +24,15 @@ from .errors import (
     RegimeError,
     WellDefinednessError,
 )
-from ._util import max_quotient
-from .grassmann import Subspace, geodesic_distance, sphere_angle_matrix
+from ._util import unchecked
+from .grassmann import (
+    Subspace,
+    complement_frames,
+    geodesic_distance,
+    geodesic_distances,
+    hausdorff_of,
+    sphere_angle_matrix,
+)
 from .karcher import DiracMixture, karcher_mean
 from .immersion import GraphPatch, SampledImmersion, plane_for
 from .nets import DeltaNet, _net_on
@@ -252,12 +259,6 @@ class DirectionField:
         self.overlap_span_max = overlap_max
         self.cutoff = cutoff
 
-    def chart_coords(self, j: int, sample_ids) -> np.ndarray:
-        """pi . A_j^{-1} . f coordinates of samples in chart j."""
-        q_j = int(self.net.points[j])
-        rel = self.f.positions[sample_ids] - self.f.positions[q_j]
-        return rel @ self.net.planes[j].frame
-
     def chart_field(self, j: int):
         return self.chart_data[j]
 
@@ -414,8 +415,10 @@ def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
     if len(f_other) != len(net.f):
         raise DimensionMismatchError(
             "companion immersion must share the sample grid")
-    planes = [plane_for(f_other, int(q), net.plane_rule, net.r, net.lam)
-              for q in net.points]
+    ids = [int(q) for q in net.points]
+    planes = (f_other.tangent_planes(ids) if net.plane_rule == "tangent" else
+              [plane_for(f_other, q, net.plane_rule, net.r, net.lam)
+               for q in ids])
     return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
                    net.plane_rule)
 
@@ -447,8 +450,8 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
             # images, insensitive to the overall sign choice of either chart
             # normal; an image is at distance exactly 0 from itself
             worst_h = max(worst_h, min(
-                _hausdorff_unit(img_self, img_other),
-                _hausdorff_unit(img_self, -img_other)))
+                hausdorff_of(sphere_angle_matrix(img_self, img_other)),
+                hausdorff_of(sphere_angle_matrix(img_self, -img_other))))
         sample_ids, _, t_vals = field.chart_field(j)
         dots = np.abs(t_vals @ img_other.T)  # span-level angle: sign free
         ang = float(np.max(np.arccos(np.clip(dots, 0.0, 1.0))))
@@ -456,12 +459,6 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     pre_ok = worst_h < bound_h
     return AngleBoundReport(gamma, pre_ok, worst_h, bound_h, worst_angle,
                             bool(pre_ok and worst_angle <= gamma + 1e-12))
-
-
-def _hausdorff_unit(a, b):
-    angles = sphere_angle_matrix(a, b)
-    return max(float(np.max(np.min(angles, axis=1))),
-               float(np.max(np.min(angles, axis=0))))
 
 
 @dataclass
@@ -479,19 +476,16 @@ class LipschitzReport:
 def field_lipschitz_check(field: DirectionField, j: int) -> LipschitzReport:
     """Empirical chart-Lipschitz constant of T against [3(1+lam)]^(6m+4)/r."""
     net = field.net
-    ids, _, t_vals = field.chart_field(j)
-    x = field.chart_coords(j, ids)
+    t_vals = field.chart_field(j)[2]
     bound = (3.0 * (1.0 + net.lam)) ** (6 * net.f.m + 4) / net.r
-    if len(ids) < 2:
-        return LipschitzReport(0.0, bound, True, j)
-    dx = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-    dt = np.linalg.norm(t_vals[:, None, :] - t_vals[None, :, :], axis=2)
-    emp = max_quotient(dt, dx)
+    emp = net.chart_quotient(
+        j, lambda a, b: np.linalg.norm(t_vals[a] - t_vals[b], axis=1))
     return LipschitzReport(emp, bound, emp <= bound, j)
 
 
 class NormalMeasureField:
-    """Per-sample Dirac mixtures of chart normal spaces and their means."""
+    """Per-sample Dirac mixtures of chart normal spaces and their means; the
+    chart and sample normal spaces are resolved once, as two stacks."""
 
     def __init__(self, f: SampledImmersion, net: DeltaNet):
         if net.lam > 0.25:
@@ -500,8 +494,13 @@ class NormalMeasureField:
         self.f = f
         self.net = net
         self.cutoff = make_cutoff(net.lam)
-        self._normal_spaces = [net.planes[j].complement()
-                               for j in range(len(net))]
+        tangents = f.tangent_planes(range(len(f)))
+        self._chart_frames = complement_frames(
+            np.stack([plane.frame for plane in net.planes]))
+        self._sample_frames = complement_frames(
+            np.stack([plane.frame for plane in tangents]))
+        self._normal_spaces = [unchecked(Subspace, frame=frame)
+                               for frame in self._chart_frames]
         self._mean_cache = {}
         self.support_bound = math.pi / 12
 
@@ -520,9 +519,8 @@ class NormalMeasureField:
         raw = self.cutoff.value(dist / self.net.delta(2))
         keep = raw > 0
         ks, raw = ks[keep], raw[keep]
-        nu_q = normal_space(self.f, q)
-        margins = np.array([geodesic_distance(self._normal_spaces[k], nu_q)
-                            for k in ks])
+        margins = geodesic_distances(self._chart_frames[ks],
+                                     self._sample_frames[q])
         if np.any(margins >= self.support_bound):
             k_bad = ks[int(np.argmax(margins))]
             raise InvariantViolationError(
@@ -536,9 +534,9 @@ class NormalMeasureField:
     def mean(self, q: int) -> Subspace:
         """The averaged normal N(q): center of mass in B_{pi/6}(nu(q))."""
         if q not in self._mean_cache:
-            mu = self.measure(q)
-            report = karcher_mean(mu, 1e-10, center=normal_space(self.f, q))
-            if geodesic_distance(report.mean, normal_space(self.f, q)) >= math.pi / 6:
+            nu_q = unchecked(Subspace, frame=self._sample_frames[q])
+            report = karcher_mean(self.measure(q), 1e-10, center=nu_q)
+            if geodesic_distance(report.mean, nu_q) >= math.pi / 6:
                 raise InvariantViolationError(
                     f"averaged normal left B_(pi/6)(nu({q}))")
             self._mean_cache[q] = report.mean
@@ -556,24 +554,17 @@ def averaged_normal_N(f: SampledImmersion, net: DeltaNet, q: int) -> Subspace:
 
 
 def n_lipschitz_check(nfield: NormalMeasureField, j: int) -> LipschitzReport:
-    """Empirical chart-Lipschitz constant of N against 4^(12m+6)/r."""
+    """Empirical chart-Lipschitz constant of N against 4^(12m+6)/r.
+
+    The means are computed only on a chart with at least two members.
+    """
     net = nfield.net
-    f = nfield.f
     ids = net.members(j, 3)
-    q_j = int(net.points[j])
-    x = (f.positions[ids] - f.positions[q_j]) @ net.planes[j].frame
-    bound = 4.0 ** (12 * f.m + 6) / net.r
-    if len(ids) < 2:
-        return LipschitzReport(0.0, bound, True, j)
-    means = [nfield.mean(int(p)) for p in ids]
-    # pair by pair: a stacked norm can differ in the last bit for m >= 2,
-    # and only the pairs the quotient reads need a geodesic distance
-    dx = np.zeros((len(ids), len(ids)))
-    dn = np.zeros_like(dx)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            dx[a, b] = np.linalg.norm(x[a] - x[b])
-            if dx[a, b] > 1e-14:
-                dn[a, b] = geodesic_distance(means[a], means[b])
-    emp = max_quotient(dn, dx)
+    bound = 4.0 ** (12 * nfield.f.m + 6) / net.r
+
+    def distances(a, b):
+        means = np.stack([nfield.mean(int(p)).frame for p in ids])
+        return geodesic_distances(means[a], means[b])
+
+    emp = net.chart_quotient(j, distances)
     return LipschitzReport(emp, bound, emp <= bound, j)

@@ -173,7 +173,7 @@ class ChartField:
 def chart_direction_field(field, j: int) -> ChartField:
     """Interpolant of a direction field's T over chart j's coordinates."""
     ids, _, t_vals = field.chart_field(j)
-    xs = field.chart_coords(j, ids)[:, 0]
+    xs = field.net.chart_coords(j, ids)[:, 0]
     return ChartField(xs, t_vals.copy())
 
 

@@ -7,7 +7,6 @@ import pytest
 from lipimm.correspond import (
     _chart_hausdorff,
     _covering_chart,
-    _sample_tangents,
     build_correspondence,
     closeness_report,
     convergence_harness,
@@ -252,7 +251,7 @@ def test_higher_codim_correspondence(tilted):
     ident = build_correspondence(tilted, tilted, net, nfield, net_target=net)
     assert ident.closeness.graph_distance == 0.0
     assert ident.closeness.hausdorff_worst == 0.0
-    lines = _sample_tangents(tilted)
+    lines = tilted.evaluator.tangent_frame(tilted.params)
     assert _chart_hausdorff(net, net, lines, lines, lines=True) == 0.0
 
 

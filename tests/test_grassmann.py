@@ -1,16 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import lipimm
 
 from lipimm.errors import CutLocusError, DegenerateFrameError, DimensionMismatchError
 from lipimm.grassmann import (
     SpherePointSet,
     Subspace,
+    complement_frames,
     exp_map,
     geodesic_distance,
+    geodesic_distances,
     hausdorff_distance,
     log_map,
+    log_map_all,
     orthonormalize,
     principal_angles,
+    principal_angles_all,
     random_subspace,
     random_tangent,
     sphere_angle,
@@ -215,3 +226,53 @@ def test_hausdorff_metric_axioms():
         assert dab == pytest.approx(hausdorff_distance(b, a), abs=0.0)
         assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
     assert hausdorff_distance(sets[0], sets[0]) == 0.0
+
+
+def test_principal_angles_resolve_a_shared_line():
+    # two planes of R^3 meeting along a line at 1 rad: the 0 angle is read
+    # from its sine, not from a cosine next to 1
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    e = Subspace(q @ np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    g = Subspace(q @ np.array([[1.0, 0.0], [0.0, np.cos(1.0)],
+                               [0.0, np.sin(1.0)]]))
+    angles = principal_angles(e, g).angles
+    assert angles[0] <= 1e-14
+    assert abs(angles[1] - 1.0) <= 1e-14
+    assert np.array_equal(principal_angles(g, e).angles, angles)
+
+
+def test_stacks_of_zero_pairs_are_empty():
+    empty = np.zeros((0, 3, 2))
+    assert principal_angles_all(empty, empty).shape == (0, 2)
+    assert geodesic_distances(empty, empty).shape == (0,)
+    assert log_map_all(span(E1, E2).frame, empty).shape == (0, 3, 2)
+
+
+def test_stack_rows_equal_their_batch_of_one_calls():
+    rng = np.random.default_rng(11)
+    base = random_subspace(5, 2, rng)
+    es = [random_subspace(5, 2, rng) for _ in range(20)]
+    gs = [exp_map(base, random_tangent(base, rng, norm=rng.uniform(0, 1.2)))
+          for _ in range(20)]
+    e_stack = np.stack([e.frame for e in es])
+    g_stack = np.stack([g.frame for g in gs])
+    angles = principal_angles_all(e_stack, g_stack)
+    distances = geodesic_distances(e_stack, g_stack)
+    deltas = log_map_all(base.frame, g_stack)
+    complements = complement_frames(e_stack)
+    for i, (e, g) in enumerate(zip(es, gs)):
+        assert np.array_equal(angles[i], principal_angles(e, g).angles)
+        assert distances[i] == geodesic_distance(e, g)
+        assert np.array_equal(deltas[i], log_map(base, g).delta)
+        assert np.array_equal(complements[i], e.complement().frame)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    src = str(Path(lipimm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lipimm; print('scipy.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

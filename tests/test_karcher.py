@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipimm.errors import InadmissibleSupportError
 from lipimm.grassmann import (
@@ -153,6 +155,51 @@ def test_mean_equivariance_under_rotation():
     rotated = [Subspace(q @ a.frame) for a in atoms]
     m_rot = karcher_mean(mixture(rotated, w), center=Subspace(q @ c.frame)).mean
     assert geodesic_distance(m_rot, Subspace(q @ m.frame)) < 1e-8
+
+
+# Mixtures of 1-4 atoms within 0.3 of a random center, in G(3,1), G(3,2),
+# G(4,2) and G(5,1).  The means run to a gradient norm of 1e-13, so that one
+# iteration more or fewer cannot show at the 1e-12 the properties assert.
+MIXTURES = st.tuples(st.sampled_from([(3, 1), (3, 2), (4, 2), (5, 1)]),
+                     st.integers(1, 4), st.floats(0.0, 0.3),
+                     st.integers(0, 2 ** 32 - 1))
+
+
+def drawn_mixture(dims, atoms, spread, seed):
+    rng = np.random.default_rng(seed)
+    c = random_subspace(*dims, rng)
+    frames = [exp_map(c, random_tangent(c, rng, norm=rng.uniform(0, spread)))
+              for _ in range(atoms)]
+    w = rng.uniform(0.1, 1.0, atoms)
+    return mixture(frames, w / w.sum()), c, rng
+
+
+def projector_gap(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXTURES)
+def test_mean_is_orthogonally_equivariant(draw):
+    mu, c, rng = drawn_mixture(*draw)
+    q, _ = np.linalg.qr(rng.standard_normal((c.n, c.n)))  # det +1 or -1
+    mean = karcher_mean(mu, 1e-13, center=c).mean
+    moved = mixture([Subspace(q @ a.frame) for a in mu.atoms], mu.weights)
+    mean_moved = karcher_mean(moved, 1e-13, center=Subspace(q @ c.frame)).mean
+    assert projector_gap(mean_moved.projector(),
+                         q @ mean.projector() @ q.T) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXTURES)
+def test_mean_commutes_with_the_complement(draw):
+    # the mean of the complements is the complement of the mean
+    mu, c, _ = drawn_mixture(*draw)
+    mean = karcher_mean(mu, 1e-13, center=c).mean
+    complements = mixture([a.complement() for a in mu.atoms], mu.weights)
+    mean_c = karcher_mean(complements, 1e-13, center=c.complement()).mean
+    assert projector_gap(mean_c.projector(),
+                         np.eye(c.n) - mean.projector()) <= 1e-12
 
 
 def test_mean_inadmissible_support():

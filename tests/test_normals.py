@@ -419,3 +419,17 @@ def test_codim1_normal_measure_consistent_with_direction_field(circle, circle_ne
         mean = nf.mean(q)
         t_line = orthonormalize(circle_field.T[q][:, None])
         assert geodesic_distance(mean, t_line) < 0.3  # same up to tilt of S
+
+
+def test_n_lipschitz_computes_no_mean_below_two_members(monkeypatch):
+    sparse = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 512)
+    net = build_net(sparse, 0.2, 0.25, 5)
+    j = next(j for j in range(len(net)) if len(net.members(j, 3)) < 2)
+    nfield = NormalMeasureField(sparse, net)
+    calls = []
+    original = NormalMeasureField.mean
+    monkeypatch.setattr(NormalMeasureField, "mean",
+                        lambda self, q: calls.append(q) or original(self, q))
+    rep = n_lipschitz_check(nfield, j)
+    assert rep.empirical == 0.0 and rep.holds
+    assert calls == []
