@@ -38,6 +38,7 @@ from .immersion import (
     graph_system_distance,
     patch_intersection_check,
     q_component,
+    q_components,
 )
 from .nets import DeltaNet, build_net, verify_net_bounds
 from .normals import (

@@ -292,7 +292,8 @@ def cmd_correspond(args) -> int:
     print(f"correspondence: max displacement {corr.max_displacement():.6f}, "
           f"injective={bij.injective} surjective={bij.surjective}")
     ok = bij.injective and bij.surjective \
-        and corr.line_residual_max <= 1e-9 and corr.chart_consistency_max <= 1e-9
+        and corr.line_residual_max <= correspond_mod.FIBER_RESIDUAL_TOL \
+        and corr.chart_consistency_max <= 1e-9
     return EXIT_PASS if ok else EXIT_FAIL
 
 

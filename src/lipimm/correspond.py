@@ -41,6 +41,8 @@ from .normals import (
     transfer_net,
 )
 
+FIBER_RESIDUAL_TOL = 1e-9  # largest |<f2(theta) - f1(p), c>| of a fiber root
+
 
 # ---------------------------------------------------------------------------
 # closeness preconditions
@@ -144,6 +146,8 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     ``constraints`` is one unit vector per sample, orthogonal to its fiber;
     transversality makes the residual strictly monotone on the chart, so
     bisection over the delta_1-member parameter bracket finds the unique root.
+    Returns the roots and a flag per sample: its bracket changed sign and
+    the polished root's residual is at most ``FIBER_RESIDUAL_TOL``.
     """
     ev = f2.evaluator
     period = ev.period
@@ -172,6 +176,9 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
         slope = np.einsum("ij,ij->i", ev.jacobian(theta), constraints)
         bad = np.abs(slope) < 1e-300
         theta = theta - np.where(bad, 0.0, residual(theta) / np.where(bad, 1.0, slope))
+    # a sign change without a root (the target jumps across the fiber) or a
+    # polish that wandered off leaves a residual: that fiber missed
+    ok &= np.abs(residual(theta)) <= FIBER_RESIDUAL_TOL
     return theta, ok
 
 

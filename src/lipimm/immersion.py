@@ -14,7 +14,7 @@ or by the first net, field or correspondence that asks for it.
 from __future__ import annotations
 
 import math
-from collections import deque
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +113,34 @@ class SampledImmersion:
         self.faces = None if faces is None else np.asarray(faces, dtype=int)
         self._patch_store = {}  # (r, lambda, rule) -> {id: (patch, error)}
 
+        n_samples = len(self.positions)
         if neighbors is None:
             if self.faces is None:
                 raise InputError("need neighbors (m=1) or faces (m=2)")
-            neighbors = _neighbors_from_faces(len(self.positions), self.faces)
-        self._adj = [np.asarray(sorted(set(nb)), dtype=int) for nb in neighbors]
+            if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+                raise InputError("faces must be an (F, 3) array")
+            if np.any((self.faces < 0) | (self.faces >= n_samples)):
+                raise InputError("faces name out-of-range samples")
+            # every face makes its three vertices neighbors of each other
+            rows = self.faces[:, [0, 0, 1, 1, 2, 2]].ravel()
+            cols = self.faces[:, [1, 2, 0, 2, 0, 1]].ravel()
+        else:
+            counts = [len(nb) for nb in neighbors]
+            if len(counts) != n_samples:
+                raise InputError("need one neighbor list per sample")
+            rows = np.repeat(np.arange(n_samples), counts)
+            cols = np.fromiter(chain.from_iterable(neighbors), dtype=int,
+                               count=len(rows))
+        # CSR adjacency: the sorted, distinct neighbors of sample i are
+        # _indices[_indptr[i]:_indptr[i + 1]]
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        self._indices = cols[fresh]
+        self._indptr = np.zeros(n_samples + 1, dtype=int)
+        np.cumsum(np.bincount(rows[fresh], minlength=n_samples),
+                  out=self._indptr[1:])
         self._validate()
         self.volume = self._compute_volume()
         self.sample_spacing = self._compute_spacing()
@@ -127,39 +150,42 @@ class SampledImmersion:
     def _validate(self):
         n_samples = len(self.positions)
         min_deg = 2 if self.m == 1 else 3
-        for i, nb in enumerate(self._adj):
-            if len(nb) < min_deg:
-                raise InputError(f"sample {i} has {len(nb)} < {min_deg} neighbors")
-            if np.any(nb < 0) or np.any(nb >= n_samples):
-                raise InputError(f"sample {i} has out-of-range neighbors")
-        seen = np.zeros(n_samples, dtype=bool)
-        queue = deque([0])
-        seen[0] = True
-        while queue:
-            v = queue.popleft()
-            for w in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        if not np.all(seen):
+        degree = np.diff(self._indptr)
+        out_of_range = np.zeros(n_samples, dtype=bool)
+        out_of_range[np.repeat(np.arange(n_samples), degree)[
+            (self._indices < 0) | (self._indices >= n_samples)]] = True
+        bad = (degree < min_deg) | out_of_range
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            if degree[i] < min_deg:
+                raise InputError(f"sample {i} has {degree[i]} < {min_deg} neighbors")
+            raise InputError(f"sample {i} has out-of-range neighbors")
+        # sample i next to i +- 1 only; such a cycle needs no BFS to be
+        # connected, and a BFS would take N / 2 steps around it
+        self._id_cycle = False
+        if self.m == 1 and np.all(degree == 2):
+            i = np.arange(n_samples)
+            ends = np.sort(np.stack([(i - 1) % n_samples, (i + 1) % n_samples],
+                                    axis=1), axis=1)
+            self._id_cycle = np.array_equal(self._indices.reshape(-1, 2), ends)
+        if not self._id_cycle and len(
+                _frontier_bfs(self._indptr, self._indices, 0)) < n_samples:
             raise InputError("adjacency is not connected (one closed manifold only)")
         if self.evaluator is not None and self.params is not None:
             recon = self.evaluator.point(self.params)
             if np.max(np.linalg.norm(recon - self.positions, axis=1)) > 1e-9:
                 raise InputError("samples do not lie on the evaluator")
         # curves must be plain cycles
-        if self.m == 1 and any(len(nb) != 2 for nb in self._adj):
+        if self.m == 1 and np.any(degree != 2):
             raise InputError("m=1 adjacency must be a single cycle")
-        n_samples = len(self.positions)
-        self._id_cycle = self.m == 1 and all(
-            set(nb) == {(i - 1) % n_samples, (i + 1) % n_samples}
-            for i, nb in enumerate(self._adj))
 
     def _compute_volume(self):
         if self.m == 1:
+            # one norm per edge, summed in id order: the volume feeds the net
+            # size bound, and a stacked norm can differ in the last bit
             total = 0.0
-            for i, nb in enumerate(self._adj):
-                for j in nb:
+            for i in range(len(self.positions)):
+                for j in self.neighbors(i):
                     if j > i:
                         total += float(np.linalg.norm(self.positions[i] - self.positions[j]))
             return total
@@ -172,7 +198,7 @@ class SampledImmersion:
     def _compute_spacing(self):
         lengths = []
         for i in range(min(len(self.positions), 512)):
-            for j in self._adj[i]:
+            for j in self.neighbors(i):
                 lengths.append(np.linalg.norm(self.positions[i] - self.positions[j]))
         return float(np.median(lengths))
 
@@ -182,7 +208,7 @@ class SampledImmersion:
         return len(self.positions)
 
     def neighbors(self, q: int) -> np.ndarray:
-        return self._adj[q]
+        return self._indices[self._indptr[q]:self._indptr[q + 1]]
 
     def tangent_plane(self, q: int) -> Subspace:
         return self.tangent_planes([q])[0]
@@ -219,15 +245,6 @@ class SampledImmersion:
         return plane
 
 
-def _neighbors_from_faces(n_samples, faces):
-    neighbors = [set() for _ in range(n_samples)]
-    for a, b, c in faces:
-        neighbors[a].update((b, c))
-        neighbors[b].update((a, c))
-        neighbors[c].update((a, b))
-    return neighbors
-
-
 def _principal_plane(centered: np.ndarray, m: int) -> Subspace:
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     frame = vt[:m].T.copy()
@@ -244,36 +261,135 @@ def q_component(f: SampledImmersion, q: int, plane: Subspace, rho: float) -> np.
 
     Depends only on the plane and f(q), not on any isometry completing it.
     """
+    return q_components(f, q, plane, [rho])[0]
+
+
+def q_components(f: SampledImmersion, q: int, plane: Subspace,
+                 radii) -> list[np.ndarray]:
+    """U_{rho,q} over ``plane`` for every rho in ``radii``, from one traversal.
+
+    The traversal runs at the largest radius and projects only the samples
+    it reaches: on an id cycle a window of ids around q, on any other
+    adjacency a frontier BFS.  Every smaller radius is cut from that
+    component and its stored projections, since the components are nested.
+    Each result equals ``q_component`` at its radius, sorted by id.
+    """
     if q < 0 or q >= len(f):
         raise InputError(f"sample id {q} out of range")
     if plane.k != f.m or plane.n != f.n:
         raise DimensionMismatchError("plane dimension must match the immersion")
-    rel = f.positions - f.positions[q]
-    proj = rel @ plane.frame
-    mask = np.einsum("ij,ij->i", proj, proj) < rho * rho
+    radii2 = np.array([rho * rho for rho in radii], dtype=float)
+    # the traversal's ball; a NaN radius has an empty ball and a component {q}
+    reach2 = np.max(radii2, initial=0.0, where=~np.isnan(radii2))
+    if f._id_cycle:
+        return _cycle_components(f, q, plane.frame, radii2, reach2)
+    return _graph_components(f, q, plane.frame, radii2, reach2)
+
+
+def _squared_projections(f, q, frame, ids):
+    """|pi(f(p) - f(q))|^2 for the samples ``ids``, row for row as the
+    projection of all samples would give them."""
+    rel = f.positions[ids] - f.positions[q]
+    if len(ids) == 1:  # a one-row product takes another BLAS path
+        return _squared_projections(f, q, frame, np.repeat(ids, 2))[:1]
+    proj = rel @ frame
+    return np.einsum("ij,ij->i", proj, proj)
+
+
+def _cycle_components(f, q, frame, radii2, reach2):
+    """``q_components`` on an id cycle, where a component is a run of ids.
+
+    A window of ids around q doubles until both its ends project outside
+    the largest ball; the runs are then read from the window, every radius
+    at once.  A projection is at most the arc length, so on a curved arc the
+    run reaches past rho / sample spacing ids: the window starts at twice
+    that.  A window that would wrap onto itself is replaced by the whole
+    cycle.
+    """
+    n = len(f)
+    half = 2 * math.sqrt(reach2) / f.sample_spacing if f.sample_spacing > 0 else n
+    half = int(half) + 1 if half < n else n
+    while 2 * half + 1 <= n:
+        ids = (q + np.arange(-half, half + 1)) % n
+        d2 = _squared_projections(f, q, frame, ids)
+        if d2[0] >= reach2 and d2[-1] >= reach2:
+            inside = d2 < radii2[:, None]
+            # nearest ids outside each ball on either side of q
+            right = q + np.argmin(inside[:, half:], axis=1)
+            left = q - np.argmin(inside[:, half::-1], axis=1)
+            wraps = q < half or q + half >= n
+            return [np.array([q], dtype=int) if lo == hi else
+                    np.sort(np.arange(lo + 1, hi) % n) if wraps else
+                    np.arange(lo + 1, hi)
+                    for lo, hi in zip(left.tolist(), right.tolist())]
+        half *= 2
+    d2 = _squared_projections(f, q, frame, np.arange(n))
+    return [_cycle_run(d2 < rho2, q) for rho2 in radii2]
+
+
+def _cycle_run(mask, q):
+    """The run of ids around q on which ``mask`` holds, on the whole cycle."""
     if not mask[q]:
         return np.array([q], dtype=int)  # q itself always projects to 0
-    if f._id_cycle:
-        # the component is a contiguous id run around q on the cycle
-        n = len(f)
-        false_pos = np.nonzero(~mask)[0]
-        if len(false_pos) == 0:
-            return np.arange(n)
-        # nearest ids outside the mask on either side of q, cyclically
-        k = int(np.searchsorted(false_pos, q))
-        right = false_pos[k] - q if k < len(false_pos) else false_pos[0] + n - q
-        left = q - false_pos[k - 1] if k > 0 else q + n - false_pos[-1]
-        return np.sort((q + np.arange(-left + 1, right)) % n)
-    seen = np.zeros(len(f), dtype=bool)
+    n = len(mask)
+    false_pos = np.nonzero(~mask)[0]
+    if len(false_pos) == 0:
+        return np.arange(n)
+    # nearest ids outside the mask on either side of q, cyclically
+    k = int(np.searchsorted(false_pos, q))
+    right = false_pos[k] - q if k < len(false_pos) else false_pos[0] + n - q
+    left = q - false_pos[k - 1] if k > 0 else q + n - false_pos[-1]
+    return np.sort((q + np.arange(-left + 1, right)) % n)
+
+
+def _graph_components(f, q, frame, radii2, reach2):
+    """``q_components`` over the CSR adjacency by frontier BFS.
+
+    The BFS at the largest radius projects each neighbor it reaches once.
+    Each smaller radius, largest first, runs a BFS without projections
+    inside the component of the radius before it.
+    """
+    d2 = np.empty(len(f))
+    d2[q] = 0.0
+
+    def project(ids):
+        d2[ids] = _squared_projections(f, q, frame, ids)
+        return d2[ids] < reach2
+
+    members = _frontier_bfs(f._indptr, f._indices, q, project)
+    out = [None] * len(radii2)
+    for i in np.argsort(-radii2, kind="stable"):
+        inside = d2[members] < radii2[i]
+        if np.count_nonzero(inside) <= 1:  # q alone, or no ball at all
+            members = np.array([q], dtype=int)
+        elif not np.all(inside):
+            allowed = np.zeros(len(f), dtype=bool)
+            allowed[members[inside]] = True
+            members = _frontier_bfs(f._indptr, f._indices, q,
+                                    allowed.__getitem__)
+        out[i] = members
+    return out
+
+
+def _frontier_bfs(indptr, indices, q, admit=None):
+    """Sorted ids reached from q over the CSR adjacency (indptr, indices).
+
+    Each BFS step gathers the unseen neighbors of the frontier as one sorted
+    array and keeps those ``admit`` accepts (all without ``admit``); admit
+    sees every sample at most once.
+    """
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
     seen[q] = True
-    queue = deque([q])
-    while queue:
-        v = queue.popleft()
-        for w in f.neighbors(v):
-            if mask[w] and not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    return np.nonzero(seen)[0]
+    frontier = np.array([q], dtype=int)
+    parts = [frontier]
+    while len(frontier):
+        reached = np.concatenate([indices[a:b] for a, b in zip(
+            indptr[frontier].tolist(), indptr[frontier + 1].tolist())])
+        reached = np.unique(reached[~seen[reached]])
+        seen[reached] = True
+        frontier = reached if admit is None else reached[admit(reached)]
+        parts.append(frontier)
+    return np.sort(np.concatenate(parts))
 
 
 @dataclass
@@ -923,15 +1039,14 @@ def patch_intersection_check(f: SampledImmersion, p: int, q: int, rho: float,
     U_{delta,p} subset U_{rho,q} whenever the delta-sets of p and q meet,
     over tangent planes."""
     plane_q = f.tangent_plane(q)
-    members_q = q_component(f, q, plane_q, rho)
+    d = rho / (3.0 * (1.0 + lam))
+    members_q, dq = q_components(f, q, plane_q, [rho, d])
     dist = np.linalg.norm(f.positions[members_q] - f.positions[q], axis=1)
     bound = (1.0 + lam) * rho
     worst = float(np.max(dist) / bound) if len(dist) else 0.0
     distance_ok = bool(np.all(dist < bound))
 
-    d = rho / (3.0 * (1.0 + lam))
     plane_p = f.tangent_plane(p)
-    dq = q_component(f, q, plane_q, d)
     dp = q_component(f, p, plane_p, d)
     applicable = bool(np.intersect1d(dq, dp).size)
     missing = []

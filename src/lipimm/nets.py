@@ -25,7 +25,7 @@ from .immersion import (
     graph_patches,
     passes_stored_check,
     plane_for,
-    q_component,
+    q_components,
 )
 
 
@@ -154,21 +154,22 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
     stored = None
     if verify_immersion:  # the passing check stored every sample's plane
         stored = graph_patches(f, range(len(f)), r, lam, plane_rule)
-    d_cover = delta(level, r, lam)
     covered = np.zeros(len(f), dtype=bool)
     points = []
     planes = []
+    member_sets = []
     while not np.all(covered):
         q = int(np.argmin(covered))  # lowest uncovered sample id
         plane = (plane_for(f, q, plane_rule, r, lam) if stored is None
                  else stored[q].plane)
-        u_cover = q_component(f, q, plane, d_cover)
         points.append(q)
         planes.append(plane)
-        covered[u_cover] = True
+        member_sets.append(_ladder(f, r, lam, level, q, plane))
+        covered[member_sets[-1][level]] = True  # U_{delta_level, q}
         covered[q] = True  # q covers itself even at degenerate resolution
 
-    net = _net_on(f, r, lam, level, points, planes, plane_rule)
+    net = DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
+                   member_sets, plane_rule)
     _assert_separation(net)
     return net
 
@@ -186,11 +187,18 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
             planes, plane_rule) -> DeltaNet:
     """The net on given points and planes, with U_{delta_iota, q} for
     iota = 0..level+1 at every point; separation is not checked."""
-    member_sets = [[q_component(f, int(q), plane, delta(iota, r, lam))
-                    for iota in range(level + 2)]
+    member_sets = [_ladder(f, r, lam, level, int(q), plane)
                    for q, plane in zip(points, planes)]
     return DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
                     member_sets, plane_rule)
+
+
+def _ladder(f: SampledImmersion, r: float, lam: float, level: int, q: int,
+            plane) -> list:
+    """U_{delta_iota, q} over ``plane`` for iota = 0..level+1, from one
+    traversal."""
+    return q_components(f, q, plane,
+                        [delta(iota, r, lam) for iota in range(level + 2)])
 
 
 def _assert_separation(net: DeltaNet):

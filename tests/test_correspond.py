@@ -328,3 +328,46 @@ def test_harness_raises_on_an_unusable_input():
               for big_r in (2.0, 2.001)]
     with pytest.raises(InputError):
         convergence_harness(family, 0.1, 0.25, level=4)
+
+
+def gapped_circle(samples, gap):
+    """The unit circle with its angles (pi - gap/2, pi + gap/2) skipped:
+    the parameter runs at a rate 1 - gap/(2 pi) and jumps the gap at pi."""
+    from lipimm.immersion import SampledImmersion
+    from lipimm.shapes import CurveEvaluator
+
+    rate = 1.0 - gap / (2 * math.pi)
+
+    def angle(t):
+        t = np.mod(t, 2 * math.pi)
+        return rate * t + gap * (t >= math.pi)
+
+    def point(t):
+        a = angle(t)
+        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+    def velocity(t):
+        a = angle(t)
+        return rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+
+    ev = CurveEvaluator(2, 2 * math.pi, point, velocity)
+    params = np.arange(samples) * (2 * math.pi / samples)
+    return SampledImmersion(1, 2, ev.point(params), params=params, evaluator=ev,
+                            neighbors=[((i - 1) % samples, (i + 1) % samples)
+                                       for i in range(samples)])
+
+
+def test_a_fiber_across_a_gap_is_a_missed_fiber():
+    # the fiber through angle pi of the circle meets no point of the gapped
+    # target, yet its bracket changes sign across the gap: the polished root
+    # keeps a residual of about gap / 2 and must not count as found
+    circle = make_shape("circle", {"radius": 1.0}, 512)
+    gapped = gapped_circle(512, 1e-4)
+    assert check_r_lambda(gapped, 0.2, 0.25).passed
+    net = build_net(circle, 0.2, 0.25, 5)
+    with pytest.raises(ClosenessError, match="^1 fibers missed"):
+        build_correspondence(circle, gapped, net, direction_field(circle, net))
+    rep = convergence_harness([circle, gapped], 0.2, 0.25)
+    assert rep.kept == [0]
+    assert [i for i, _ in rep.dropped] == [1]
+    assert not rep.conclusive

@@ -1,11 +1,14 @@
 import copy
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipimm.errors import InputError, NotAGraphError
-from lipimm.grassmann import orthonormalize
+from lipimm.grassmann import orthonormalize, random_subspace
 from lipimm.immersion import (
     PLANE_RULES,
     EuclideanIsometry,
@@ -20,6 +23,7 @@ from lipimm.immersion import (
     patch_intersection_check,
     plane_for,
     q_component,
+    q_components,
 )
 from lipimm.shapes import SurfaceEvaluator, immersion_from_points, make_shape
 
@@ -70,6 +74,93 @@ def test_q_component_circle_tangent_arc(circle):
     assert abs(len(members) - expected) <= 2
 
 
+def reference_component(f, q, plane, rho):
+    """U_{rho,q} by brute force: project every sample, then BFS over the
+    samples inside the ball."""
+    proj = (f.positions - f.positions[q]) @ plane.frame
+    inside = np.einsum("ij,ij->i", proj, proj) < rho * rho
+    seen, stack = {q}, [q]
+    while stack:
+        for w in f.neighbors(stack.pop()).tolist():
+            if inside[w] and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return np.array(sorted(seen))
+
+
+def _shuffled_cycle(f, seed):
+    """The cycle f with its sample ids permuted: no longer an id cycle."""
+    perm = np.random.default_rng(seed).permutation(len(f))
+    new_id = np.argsort(perm)  # sample perm[i] becomes sample i
+    neighbors = [new_id[f.neighbors(p)] for p in perm]
+    return SampledImmersion(1, f.n, f.positions[perm], neighbors=neighbors,
+                            params=f.params[perm], evaluator=f.evaluator)
+
+
+@functools.lru_cache(maxsize=None)
+def component_shape(name):
+    if name == "circle":
+        return make_shape("circle", {"radius": 1.0}, 256)
+    if name == "ellipse":
+        return make_shape("ellipse", {"a": 1.0, "b": 0.4}, 301)
+    if name == "shuffled circle":
+        return _shuffled_cycle(make_shape("circle", {"radius": 1.0}, 200), 5)
+    if name == "raw cloud":
+        t = np.linspace(0, 2 * np.pi, 240, endpoint=False)
+        wobble = 0.02 * np.random.default_rng(3).standard_normal((240, 3))
+        return immersion_from_points(
+            np.column_stack([np.cos(t), np.sin(3 * t) / 3, np.sin(t)]) + wobble)
+    if name == "torus":
+        return make_shape("torus", {"R": 2.0, "r": 0.5}, "16x32")
+    return make_shape("sphere", {"radius": 1.0}, "24x12")
+
+
+COMPONENT_SHAPES = ("circle", "ellipse", "shuffled circle", "raw cloud",
+                    "torus", "sphere")
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(COMPONENT_SHAPES),
+       seam=st.sampled_from([0, -1, None]), q_frac=st.floats(0.0, 1.0),
+       tangent=st.booleans(), seed=st.integers(0, 2 ** 16),
+       scales=st.lists(st.floats(-1.5, 3.0), min_size=1, max_size=7))
+def test_component_ladder_matches_brute_force(name, seam, q_frac, tangent,
+                                              seed, scales):
+    # every level of one traversal equals the brute-force component at its
+    # radius, and lies in the level before; radii run from below the sample
+    # spacing to 10^3 spacings, beyond every shape's diameter
+    f = component_shape(name)
+    n = len(f)
+    q = (min(int(q_frac * n), n - 1) if seam is None else seam % n)
+    if tangent and f.evaluator is not None:
+        plane = f.tangent_plane(q)
+    else:
+        plane = random_subspace(f.n, f.m, np.random.default_rng(seed))
+    radii = sorted((f.sample_spacing * 10.0 ** s for s in scales), reverse=True)
+    ladder = q_components(f, q, plane, radii)
+    assert len(ladder) == len(radii)
+    for rho, members in zip(radii, ladder):
+        assert np.array_equal(members, reference_component(f, q, plane, rho))
+    for outer, inner in zip(ladder, ladder[1:]):
+        assert np.all(np.isin(inner, outer))
+
+
+@pytest.mark.parametrize("name", COMPONENT_SHAPES)
+def test_component_ladder_ends(name):
+    # below the nearest neighbor's projection only q is left; beyond the
+    # diameter every sample is
+    f = component_shape(name)
+    for q in (0, len(f) - 1):
+        plane = (f.tangent_plane(q) if f.evaluator is not None
+                 else f.best_fit_plane(q, 4 * f.sample_spacing))
+        nearest = np.min(np.linalg.norm(
+            (f.positions[f.neighbors(q)] - f.positions[q]) @ plane.frame, axis=1))
+        diameter = np.max(np.linalg.norm(f.positions - f.positions[q], axis=1))
+        whole, alone = q_components(f, q, plane, [1.01 * diameter, 0.5 * nearest])
+        assert np.array_equal(whole, np.arange(len(f)))
+        assert np.array_equal(alone, [q])
+
+
 def test_disconnected_input_rejected():
     # two parallel circles bundled as one immersion: invalid at construction
     t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
@@ -81,6 +172,17 @@ def test_disconnected_input_rejected():
     from lipimm.immersion import SampledImmersion
     with pytest.raises(InputError):
         SampledImmersion(m=1, n=3, positions=pts, neighbors=neighbors)
+
+
+def test_malformed_adjacency_rejected():
+    torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "8x8")
+    faces = torus.faces.copy()
+    faces[5, 1] = len(torus)
+    with pytest.raises(InputError, match="out-of-range"):
+        SampledImmersion(2, 3, torus.positions, faces=faces)
+    with pytest.raises(InputError, match="one neighbor list per sample"):
+        SampledImmersion(1, 2, np.eye(2)[[0, 1, 0]],
+                         neighbors=[(1, 2), (0, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -179,3 +179,34 @@ def test_plane_rule_is_tangent_or_best_fit():
             check_r_lambda(f, 0.2, 0.25, rule)
         with pytest.raises(InputError):
             build_net(f, 0.2, 0.25, 1, rule)
+
+
+@pytest.mark.parametrize("shape, samples, r, level", [
+    ("circle", 1024, 0.2, 5),
+    # r = 0.6 fails the check, but its delta_0-patches hold 34 samples on
+    # average where r = 0.1 gives 3
+    ("torus", "16x32", 0.6, 2),
+])
+def test_ladder_net_equals_net_of_single_radius_components(monkeypatch, shape,
+                                                           samples, r, level):
+    # one traversal per net point must give the net that one q_component
+    # call per radius gives
+    from lipimm import nets
+    from lipimm.immersion import q_component
+
+    f = make_shape(shape, {}, samples)
+    verify = shape == "circle"
+    net = build_net(f, r, 0.25, level, verify_immersion=verify)
+    monkeypatch.setattr(nets, "q_components", lambda f, q, plane, radii: [
+        q_component(f, q, plane, rho) for rho in radii])
+    reference = build_net(f, r, 0.25, level, verify_immersion=verify)
+    assert np.array_equal(net.points, reference.points)
+    for ladder, expected in zip(net.member_sets, reference.member_sets):
+        assert len(ladder) == level + 2
+        assert all(np.array_equal(a, b) for a, b in zip(ladder, expected))
+    for iota in (2, 3):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(net.cover_index(iota), reference.cover_index(iota)))
+    for iota in range(level + 1):
+        for j in range(len(net)):
+            assert np.array_equal(net.z_set(iota, j), reference.z_set(iota, j))
