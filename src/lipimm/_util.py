@@ -1,9 +1,60 @@
-"""Small shared helpers: batched bisection, the largest pairwise difference
-quotient, bulk-validated dataclass instances and Halton sequences."""
+"""Small shared helpers: batched root finding, the largest pairwise
+difference quotient, bulk-validated dataclass instances and Halton sequences.
+
+``bracketed_newton`` solves residuals with an analytic slope (Newton kept
+inside a bracket, the ``rtsafe`` of Numerical Recipes), in 2-3 iterations
+on a smooth root; each root stops on its own, so it does not depend on the
+roots solved with it.  ``bisect`` is for residuals without a derivative.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+NEWTON_ITERATIONS = 60  # hard cap of bracketed_newton
+
+
+def rounding_floor(points: np.ndarray) -> np.ndarray:
+    """Absolute step floor 1e-15 (1 + max|p|) of residuals of points p, one
+    per row.  A stop relative to |t| instead asks for less than one unit in
+    the last place of t, and can cycle there until the iteration cap."""
+    return 1e-15 * (1.0 + np.max(np.abs(points), axis=-1))
+
+
+def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor):
+    """Roots of a residual in the brackets [lo, hi] by bracketed Newton.
+
+    ``residual_slope(t)`` returns the residual and its derivative at an
+    array of parameters; ``r_lo`` and ``r_hi`` are the residuals at the
+    bracket ends, and ``floor`` broadcasts against them.  ``lo``, ``hi``
+    and ``r_lo`` are float arrays narrowed in place.  The iterates start
+    from the secant point of each bracket.  Each iteration keeps the sign
+    change in the bracket and takes the Newton step, or the midpoint where
+    the step would leave the bracket.  An element stops once its step is at
+    most its ``floor``, with that step taken, or after ``NEWTON_ITERATIONS``.
+    A bracket without a sign change drifts to an end; callers flag it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+    t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))  # NaN too
+    active = np.ones(np.shape(t), dtype=bool)
+    for _ in range(NEWTON_ITERATIONS):
+        r, slope = residual_slope(t)
+        keep_lo = (r > 0) == (r_lo > 0)
+        np.copyto(lo, t, where=keep_lo)
+        np.copyto(r_lo, r, where=keep_lo)
+        np.copyto(hi, t, where=~keep_lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = t - r / slope
+        # a step below half a unit in the last place of t keeps t
+        inside = ((new > lo) & (new < hi)) | (new == t)
+        np.copyto(new, 0.5 * (lo + hi), where=~inside)
+        done = np.abs(new - t) <= floor
+        np.copyto(t, new, where=active)
+        active &= ~done
+        if not active.any():
+            break
+    return t
 
 
 def bisect(residual, lo, hi, r_lo, iters: int):

@@ -5,7 +5,7 @@ For every source sample p the target point is the unique transversal
 intersection of the fiber through f1(p) (the line along the direction field
 in codimension one, the affine normal-space fiber in higher codimension)
 with the target's local graph over the chart covering p.  On analytic
-targets the root is polished at parameter level, so the identity
+targets the root is solved at parameter level, so the identity
 correspondence is exact to round-off.
 """
 
@@ -22,10 +22,9 @@ from .errors import (
     InputError,
     NonTransversalError,
 )
-from ._util import bisect
+from ._util import bracketed_newton, rounding_floor
 from .grassmann import hausdorff_of, sphere_angle_matrix
 from .immersion import (
-    COINCIDENCE_TOL,
     GraphSystem,
     SampledImmersion,
     check_r_lambda,
@@ -42,6 +41,8 @@ from .normals import (
 )
 
 FIBER_RESIDUAL_TOL = 1e-9  # largest |<f2(theta) - f1(p), c>| of a fiber root
+# refined target points closer than this many target sample spacings coincide
+COINCIDENCE_SPACINGS = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +146,9 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
 
     ``constraints`` is one unit vector per sample, orthogonal to its fiber;
     transversality makes the residual strictly monotone on the chart, so
-    bisection over the delta_1-member parameter bracket finds the unique root.
-    Returns the roots and a flag per sample: its bracket changed sign and
-    the polished root's residual is at most ``FIBER_RESIDUAL_TOL``.
+    bracketed Newton over the delta_1-member parameter bracket finds the
+    unique root.  Returns the roots and a flag per sample: its bracket
+    changed sign and the root's residual is at most ``FIBER_RESIDUAL_TOL``.
     """
     ev = f2.evaluator
     period = ev.period
@@ -164,21 +165,21 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
         lo[row] = np.min(t_m) - 2 * spacing
         hi[row] = np.max(t_m) + 2 * spacing
 
-    def residual(theta):
-        return np.einsum("ij,ij->i", ev.point(theta) - anchors, constraints)
+    def residual(points):
+        return np.einsum("ij,ij->i", points - anchors, constraints)
 
-    r_lo = residual(lo)
-    r_hi = residual(hi)
+    def residual_slope(theta):
+        return (residual(ev.point(theta)),
+                np.einsum("ij,ij->i", ev.jacobian(theta), constraints))
+
+    r_lo = residual(ev.point(lo))
+    r_hi = residual(ev.point(hi))
     ok = r_lo * r_hi <= 0
-    lo, hi = bisect(residual, lo, hi, r_lo, 60)
-    theta = 0.5 * (lo + hi)
-    for _ in range(3):  # Newton polish on the analytic curve
-        slope = np.einsum("ij,ij->i", ev.jacobian(theta), constraints)
-        bad = np.abs(slope) < 1e-300
-        theta = theta - np.where(bad, 0.0, residual(theta) / np.where(bad, 1.0, slope))
-    # a sign change without a root (the target jumps across the fiber) or a
-    # polish that wandered off leaves a residual: that fiber missed
-    ok &= np.abs(residual(theta)) <= FIBER_RESIDUAL_TOL
+    theta = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                             rounding_floor(anchors))
+    # a sign change without a root (the target jumps across the fiber)
+    # leaves a residual: that fiber missed
+    ok &= np.abs(residual(ev.point(theta))) <= FIBER_RESIDUAL_TOL
     return theta, ok
 
 
@@ -328,7 +329,8 @@ def verify_bijectivity(c: Correspondence) -> BijectivityReport:
 
     Nearest-sample collisions are expected at sub-sample displacements; they
     are resolved by comparing the refined target points, and two that
-    coincide within ``COINCIDENCE_TOL`` make the map non-injective.
+    coincide within ``COINCIDENCE_SPACINGS`` target sample spacings make
+    the map non-injective.
     Surjectivity asks every target sample to lie within twice the target
     sample spacing of some projected point.
     """
@@ -353,7 +355,8 @@ def verify_bijectivity(c: Correspondence) -> BijectivityReport:
     d = np.min(np.minimum(dist, period - dist), axis=1)
     speed = np.linalg.norm(c.target.evaluator.jacobian(t), axis=1)
     gaps = np.nonzero(d * speed > tol)[0].tolist()
-    return BijectivityReport(refined_min >= COINCIDENCE_TOL, not gaps,
+    coincide = COINCIDENCE_SPACINGS * c.target.sample_spacing
+    return BijectivityReport(refined_min >= coincide, not gaps,
                              len(order) - len(starts), refined_min, tol, gaps)
 
 

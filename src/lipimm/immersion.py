@@ -31,7 +31,7 @@ from .grassmann import (
     orthonormalize,
     orthonormalize_all,
 )
-from ._util import bisect, max_quotient, unchecked
+from ._util import bracketed_newton, max_quotient, rounding_floor, unchecked
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
 PLANE_RULES = ("tangent", "best-fit")
@@ -41,6 +41,7 @@ _SOLVE_ROWS = {1: 256, 2: 15}
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
+CURVE_RESIDUAL_TOL = 1e-9  # largest |<f(t) - f(q), e> - x| of a chart node's root
 
 
 def delta(l: int, r: float, lam: float) -> float:
@@ -522,22 +523,27 @@ def _curve_brackets(f, q, members, proj, x_nodes):
     return lo, hi
 
 
-def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
-    """Solve (ev.point(t) - f_q[s]) . e_vecs[s] = x_nodes for every row s.
+def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
+    """Graph heights (ev.point(t) - f_q[s]) . n_frames[s] over the chart
+    nodes of every row s, at the roots t of (ev.point(t) - f_q[s]) .
+    e_vecs[s] = x_nodes.
 
-    ``lo`` and ``hi`` are (S, G) parameter brackets.  Bisection narrows every
-    bracket at once and Newton polishes to machine precision.  Returns the
-    (S, G) roots and an (S,) flag for rows with a bracket that straddles no
-    root.
+    ``lo`` and ``hi`` are (S, G) parameter brackets, solved by bracketed
+    Newton from their secant points.  Returns the (S, G, k) heights, an
+    (S,) flag for rows with a bracket that straddles no root, and the (S,)
+    largest |residual| of each row's roots.
     """
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
 
-    def residual(t):
-        return np.matmul(ev.point(t) - f_q, e_col)[..., 0] - x_nodes
+    def residual(points):
+        return np.matmul(points - f_q, e_col)[..., 0] - x_nodes
 
-    r_lo = residual(lo)
-    r_hi = residual(hi)
+    def residual_slope(t):
+        return residual(ev.point(t)), np.matmul(ev.jacobian(t), e_col)[..., 0]
+
+    r_lo = residual(ev.point(lo))
+    r_hi = residual(ev.point(hi))
     # a bracket endpoint may already solve the node (e.g. the base sample at
     # x = 0); collapse those brackets instead of testing the sign product
     hit_hi = np.abs(r_hi) <= 1e-12
@@ -547,13 +553,12 @@ def _solve_curve_rows(ev, f_q, e_vecs, lo, hi, x_nodes):
     hi = np.where(hit_lo, lo, hi)
     r_hi = np.where(hit_lo, r_lo, r_hi)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
-    lo, hi = bisect(residual, lo, hi, r_lo, 24)
-    t_star = 0.5 * (lo + hi)
-    for _ in range(4):
-        slope = np.matmul(ev.jacobian(t_star), e_col)[..., 0]
-        step_t = residual(t_star) / np.where(np.abs(slope) < 1e-300, 1e-300, slope)
-        t_star = np.clip(t_star - step_t, lo - 1e-9, hi + 1e-9)
-    return t_star, unresolved
+    t = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                         rounding_floor(f_q))
+    points = ev.point(t)
+    # NaN counts as the largest residual
+    return (np.matmul(points - f_q, n_frames), unresolved,
+            np.max(np.abs(residual(points)), axis=1))
 
 
 def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
@@ -610,8 +615,9 @@ def _analytic_patches(f, ids, plane_of, r):
     ``plane_of(q)`` gives the plane at base sample q.  The per-sample setup
     (plane, component, fold check; on a curve the parameter brackets) runs
     sample by sample.  The solve and the slope scan then run once per block
-    of rows: bisection and Newton on a curve, ``_fill_surface_rows`` from
-    each node's nearest member on a surface.  Returns one (patch, error)
+    of rows: bracketed Newton on a curve, with every root's residual checked
+    against ``CURVE_RESIDUAL_TOL``, and ``_fill_surface_rows`` from each
+    node's nearest member on a surface.  Returns one (patch, error)
     pair per id, the error being what ``extract_graph_patch`` raises there.
     """
     m, k, ev = f.m, f.n - f.m, f.evaluator
@@ -643,9 +649,8 @@ def _analytic_patches(f, ids, plane_of, r):
         js = range(a, min(b.stop, len(base)))
         if m == 1:
             lo, hi = map(np.stack, zip(*brackets[b]))
-            t, failed = _solve_curve_rows(ev, f_q[b], frames[b, :, 0],
-                                          lo, hi, nodes[:, 0])
-            on_disk = np.matmul(ev.point(t) - f_q[b, None], n_frames[b])
+            on_disk, failed, res_max = _solve_curve_rows(
+                ev, f_q[b], frames[b, :, 0], n_frames[b], lo, hi, nodes[:, 0])
         else:  # each node starts from its nearest member's parameters
             gaps = [nodes[:, None, :] - projs[j] for j in js]
             t = np.stack([f.params[members[j]][np.argmin(
@@ -667,6 +672,10 @@ def _analytic_patches(f, ids, plane_of, r):
             if failed[s] and m == 1:
                 outcomes[index[j]] = (None, InsufficientSamplingError(
                     f"patch at sample {q} is not resolved out to its rim"))
+            elif m == 1 and not res_max[s] <= CURVE_RESIDUAL_TOL:
+                outcomes[index[j]] = (None, InsufficientSamplingError(
+                    f"patch at sample {q} has a chart node the curve does not "
+                    f"reach (residual {res_max[s]:.1e})"))
             elif failed[s]:
                 outcomes[index[j]] = (None, NotAGraphError(
                     f"grid fill did not converge on the patch at sample {q}"))

@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipimm.correspond import (
     _chart_hausdorff,
@@ -14,9 +17,10 @@ from lipimm.correspond import (
     reparametrized_lipschitz,
     verify_bijectivity,
 )
+import lipimm.correspond as correspond_mod
 import lipimm.immersion as immersion_mod
 import lipimm.nets as nets_mod
-from lipimm.errors import ClosenessError, InputError
+from lipimm.errors import ClosenessError, InputError, InsufficientSamplingError
 from lipimm.immersion import check_r_lambda, graph_system_distance
 from lipimm.nets import build_net
 from lipimm.normals import (
@@ -87,6 +91,19 @@ def test_nearby_circle_radial_identification(circle, circle_net, circle_dir_fiel
     assert corr.chart_consistency_max <= 1e-9
 
 
+def test_fiber_roots_make_few_evaluator_calls(circle, circle_net,
+                                             circle_dir_field, evaluator_calls,
+                                             per_call):
+    # bracket ends, a few bracketed Newton iterations and the check of
+    # the roots' residuals, for the owning and the second covering charts
+    target = make_shape("circle", {"radius": 1.001}, 2048)
+    counter = evaluator_calls(target.evaluator)
+    solves = per_call(correspond_mod, "_project_to_curve", counter)
+    build_correspondence(circle, target, circle_net, circle_dir_field)
+    assert len(solves) == 2
+    assert max(solves) <= 12
+
+
 def test_offset_circle_strict_closeness_refusal(circle, circle_net, circle_dir_field):
     sigma = constants(1, 0.25, 0.2).sigma
     target = make_shape("circle", {"radius": 1.0,
@@ -136,6 +153,46 @@ def test_bijectivity_refined_points_coinciding_within_tolerance(
     assert report.nearest_collisions >= 1
     assert report.refined_min_separation == pytest.approx(1e-12, rel=1e-3)
     assert not report.injective
+
+
+@functools.cache
+def dilated_correspondence(scale):
+    """The radius-1.001 correspondence of circle 1024, with source, target
+    and (r, lambda) = (0.2, 0.25) dilated by ``scale``."""
+    source = make_shape("circle", {"radius": scale}, 1024)
+    target = make_shape("circle", {"radius": 1.001 * scale}, 1024)
+    net = build_net(source, 0.2 * scale, 0.25, 5)
+    return build_correspondence(source, target, net,
+                                direction_field(source, net))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.sampled_from([1e-6, 1e3]),
+       sample=st.integers(0, 1022),
+       separation=st.sampled_from([None, 0.0, 1e-12, 1e-10, 1e-8, 1e-6,
+                                   1e-4]),
+       every=st.sampled_from([1, 2, 8]))
+def test_bijectivity_verdicts_are_invariant_under_dilation(scale, sample,
+                                                           separation, every):
+    # a dilation multiplies every distance by the scale, so verdicts read
+    # at sample scale must not move; ``separation`` (in target sample
+    # spacings) moves the next sample's point next to this one's, and
+    # keeping every ``every``-th parameter thins the coverage
+    def verdicts(corr):
+        points = corr.phi_points.copy()
+        nearest = corr.nearest_target.copy()
+        if separation is not None:
+            points[sample + 1] = points[sample] + np.array(
+                [separation * corr.target.sample_spacing, 0.0])
+            nearest[sample + 1] = nearest[sample]
+        params = corr.phi_params[(np.arange(len(points)) // every) * every]
+        report = verify_bijectivity(dataclasses.replace(
+            corr, phi_points=points, nearest_target=nearest,
+            phi_params=params))
+        return report.injective, report.surjective
+
+    assert verdicts(dilated_correspondence(scale)) == \
+        verdicts(dilated_correspondence(1.0))
 
 
 def test_reparametrized_lipschitz_bounds(circle, circle_net, circle_dir_field):
@@ -355,6 +412,15 @@ def gapped_circle(samples, gap):
     return SampledImmersion(1, 2, ev.point(params), params=params, evaluator=ev,
                             neighbors=[((i - 1) % samples, (i + 1) % samples)
                                        for i in range(samples)])
+
+
+def test_a_chart_node_across_a_gap_fails_its_sample():
+    # a 1e-3 gap at pi is wider than a chart cell of r = 0.2: nodes of the
+    # patches near pi fall into it, and their brackets change sign across
+    # the jump without a curve point on the node
+    gapped = gapped_circle(512, 1e-3)
+    with pytest.raises(InsufficientSamplingError, match="does not reach"):
+        check_r_lambda(gapped, 0.2, 0.25)
 
 
 def test_a_fiber_across_a_gap_is_a_missed_fiber():

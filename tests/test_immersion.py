@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lipimm.immersion as immersion_mod
 from lipimm.errors import InputError, NotAGraphError
 from lipimm.grassmann import orthonormalize, random_subspace
 from lipimm.immersion import (
@@ -283,6 +284,19 @@ def test_check_raises_first_failure_in_id_order(circle):
     with pytest.raises(NotAGraphError) as info:
         check_r_lambda(circle, 0.9999, 0.25, sample_ids=[7, 3])
     assert str(info.value).startswith("sample 7:")
+
+
+def test_curve_check_makes_few_evaluator_calls_per_block(evaluator_calls,
+                                                        per_call):
+    # bracketed Newton from the secant point: two bracket ends, about three
+    # Newton iterations of a point and a slope, and the points at the roots
+    circle = make_shape("circle", {"radius": 1.0}, 1024)
+    counter = evaluator_calls(circle.evaluator)
+    blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
+    check_r_lambda(circle, 0.2, 0.25)
+    assert len(blocks) == 4  # 256 rows each
+    assert max(blocks) <= 12
+    assert counter.calls <= sum(blocks) + 1  # and one for the tangent frames
 
 
 @pytest.mark.parametrize("name, params", [

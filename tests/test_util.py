@@ -1,0 +1,138 @@
+import math
+
+import numpy as np
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+import lipimm.immersion as immersion_mod
+from lipimm._util import (
+    NEWTON_ITERATIONS,
+    bisect,
+    bracketed_newton,
+    rounding_floor,
+)
+from lipimm.errors import NotAGraphError
+from lipimm.grassmann import orthonormalize
+from lipimm.immersion import (
+    _curve_brackets,
+    _solve_curve_rows,
+    check_r_lambda,
+    q_component,
+)
+from lipimm.shapes import make_shape
+
+
+SHAPES = {
+    "circle": lambda v: {"radius": 0.5 + 2.5 * v},
+    "ellipse": lambda v: {"a": 1.0, "b": 0.4 + 0.6 * v},
+    "circle3d": lambda v: {"radius": 1.0, "tilt": 1.2 * v},
+    "torus-knot": lambda v: {"R": 2.0, "tube": 0.3 + 0.4 * v},
+    "rounded-rectangle": lambda v: {"width": 2.0, "height": 1.5,
+                                    "corner_radius": 0.2 + 0.5 * v},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(SHAPES)),
+       shape_param=st.floats(0.0, 1.0),
+       samples=st.sampled_from([512, 1024, 2048]),
+       base=st.floats(0.0, 1.0, exclude_max=True),
+       radius=st.floats(0.02, 0.2),
+       tilt=st.floats(-0.3, 0.3),
+       normal=st.floats(0.0, 2 * math.pi))
+def test_roots_match_a_long_bisection(name, shape_param, samples, base,
+                                      radius, tilt, normal):
+    # the chart nodes of one patch, over a line tilted off the tangent
+    f = make_shape(name, SHAPES[name](shape_param), samples)
+    q = int(base * len(f))
+    tangent = f.evaluator.tangent_frame(f.params[q])
+    frame = np.linalg.qr(np.column_stack([tangent, np.eye(f.n)]))[0]
+    normal_dir = frame[:, 1] if f.n == 2 else (
+        math.cos(normal) * frame[:, 1] + math.sin(normal) * frame[:, 2])
+    plane = orthonormalize(
+        (math.cos(tilt) * frame[:, 0] + math.sin(tilt) * normal_dir)[:, None])
+    members = q_component(f, q, plane, radius)
+    # a radius below the sample spacing leaves no orientation to bracket by
+    if len(members) < 4:
+        reject()
+    proj = (f.positions[members] - f.positions[q]) @ plane.frame
+    x_nodes = np.linspace(-radius, radius, 129)
+    try:
+        lo, hi = _curve_brackets(f, q, members, proj, x_nodes)
+    except NotAGraphError:  # the tilted line folds the component
+        reject()
+    f_q, e = f.positions[q], plane.frame[:, 0]
+
+    def residual(t):
+        return (f.evaluator.point(t) - f_q) @ e - x_nodes
+
+    def residual_slope(t):
+        return residual(t), f.evaluator.jacobian(t) @ e
+
+    r_lo, r_hi = residual(lo), residual(hi)
+    t = bracketed_newton(residual_slope, lo.copy(), hi.copy(), r_lo.copy(),
+                         r_hi, rounding_floor(f_q))
+    ref_lo, ref_hi = bisect(residual, lo, hi, r_lo, 200)
+    straddle = r_lo * r_hi <= 0
+    assert np.count_nonzero(straddle) >= 127  # at most the two rim nodes
+    bound = 4e-15 * (1 + np.max(np.abs(f_q)))
+    assert np.max(np.abs(t - 0.5 * (ref_lo + ref_hi))[straddle]) <= bound
+
+
+def test_a_bracket_end_that_is_a_root_stays_the_root():
+    # sin has its root 0 at an end of the first two brackets
+    calls = []
+
+    def residual_slope(t):
+        calls.append(t)
+        return np.sin(t), np.cos(t)
+
+    lo, hi = np.array([0.0, -1.0, 3.0]), np.array([1.0, 0.0, 3.5])
+    t = bracketed_newton(residual_slope, lo, hi, np.sin(lo), np.sin(hi), 1e-15)
+    assert t[0] == 0.0 and t[1] == 0.0
+    assert abs(t[2] - math.pi) <= 4.5e-16
+    assert len(calls) <= 4
+
+
+def test_each_root_stops_on_its_own():
+    # the first root meets its loose floor while the others still step, so
+    # it comes out the same alone and in a block only if it stops there
+    targets, floors = np.array([0.1, 0.5, 0.9]), np.array([1e-3, 1e-15, 1e-15])
+
+    def solve(rows):
+        c = targets[rows]
+        lo, hi = np.zeros(len(rows)), np.full(len(rows), 1.5)
+        return bracketed_newton(lambda t: (np.sin(t) - c, np.cos(t)), lo, hi,
+                                -c, np.sin(hi) - c, floors[rows])
+
+    assert solve([0, 1, 2]).tolist() == [solve([i])[0] for i in range(3)]
+
+
+def test_a_bracket_without_sign_change_is_flagged():
+    # the unit circle through f_q = (1, 0) over its tangent line: node x sits
+    # at t = asin(x); the second row's brackets all lie past their roots
+    ev = make_shape("circle", {"radius": 1.0}, 64).evaluator
+    x_nodes = np.linspace(-0.1, 0.1, 5)
+    roots = np.arcsin(x_nodes)
+    lo = np.stack([roots - 0.01, roots + 0.02])
+    hi = np.stack([roots + 0.01, roots + 0.05])
+    f_q = np.array([[1.0, 0.0], [1.0, 0.0]])
+    e_vecs = np.array([[0.0, 1.0], [0.0, 1.0]])
+    n_frames = np.array([[[-1.0], [0.0]], [[-1.0], [0.0]]])
+    heights, unresolved, res_max = _solve_curve_rows(ev, f_q, e_vecs, n_frames,
+                                                     lo, hi, x_nodes)
+    assert unresolved.tolist() == [False, True]
+    assert res_max[0] <= 1e-15 and res_max[1] > 1e-3
+    assert np.max(np.abs(heights[0, :, 0] - (1 - np.cos(roots)))) <= 1e-15
+
+
+def test_rounded_rectangle_block_stops_well_under_the_cap(evaluator_calls,
+                                                          per_call):
+    # a stop relative to |t| cycled at the last bit of this block's roots
+    # and ran all its iterations; 12 evaluator calls are at most 4 of them
+    f = make_shape("rounded-rectangle", {}, 2048)
+    counter = evaluator_calls(f.evaluator)
+    blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
+    check_r_lambda(f, 0.1, 1.0, sample_ids=range(256))
+    assert len(blocks) == 1
+    assert blocks[0] <= 12 < 2 * NEWTON_ITERATIONS
