@@ -171,22 +171,21 @@ def cmd_normals(args) -> int:
         nfield = normals_mod.NormalMeasureField(f, net)
         step = max(1, len(f) // args.max_samples if args.max_samples else 1)
         sample_ids = range(0, len(f), step)
-        margins = [nfield.support_margin(q) for q in sample_ids]
+        margin_max = float(np.max(nfield.support_margins(sample_ids)))
         worst_lip = 0.0
         for j in range(0, len(net), step):
             worst_lip = max(worst_lip,
                             normals_mod.n_lipschitz_check(nfield, j).empirical)
         payload["normal_field"] = {
-            "support_margin_max": max(margins),
+            "support_margin_max": margin_max,
             "support_bound": math.pi / 12,
             "N_lipschitz_empirical": worst_lip,
             "N_lipschitz_bound": cb.L_highercodim,
         }
-        for q in sample_ids:
-            frame = nfield.mean(q).frame
+        for q, frame in zip(sample_ids, nfield.means(sample_ids)):
             rows.append([q, *map(repr, frame.flatten().tolist())])
         header = ["sample", *[f"N{i}" for i in range(len(rows[0]) - 1)]]
-        ok = max(margins) < math.pi / 12 and worst_lip <= cb.L_highercodim
+        ok = margin_max < math.pi / 12 and worst_lip <= cb.L_highercodim
     _dump_json(args.out, payload)
     _dump_csv(args.csv, rows, header)
     print(json.dumps(payload.get("direction_field") or payload.get("normal_field"),
@@ -292,7 +291,7 @@ def cmd_correspond(args) -> int:
     print(f"correspondence: max displacement {corr.max_displacement():.6f}, "
           f"injective={bij.injective} surjective={bij.surjective}")
     ok = bij.injective and bij.surjective \
-        and corr.line_residual_max <= correspond_mod.FIBER_RESIDUAL_TOL \
+        and corr.line_residual_max <= correspond_mod.fiber_residual_tol(f2) \
         and corr.chart_consistency_max <= 1e-9
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -23,7 +23,7 @@ from .errors import (
     NonTransversalError,
 )
 from ._util import bracketed_newton, rounding_floor
-from .grassmann import hausdorff_of, sphere_angle_matrix
+from .grassmann import complement_frames, hausdorff_of, sphere_angle_matrix
 from .immersion import (
     GraphSystem,
     SampledImmersion,
@@ -40,9 +40,16 @@ from .normals import (
     transfer_net,
 )
 
-FIBER_RESIDUAL_TOL = 1e-9  # largest |<f2(theta) - f1(p), c>| of a fiber root
+# largest |<f2(theta) - f1(p), c>| of a fiber root, in target sample spacings
+FIBER_RESIDUAL_SPACINGS = 1e-7
 # refined target points closer than this many target sample spacings coincide
 COINCIDENCE_SPACINGS = 1e-7
+
+
+def fiber_residual_tol(target: SampledImmersion) -> float:
+    """Largest |residual| of a fiber root on ``target``, which scales with
+    it: ``FIBER_RESIDUAL_SPACINGS`` target sample spacings."""
+    return FIBER_RESIDUAL_SPACINGS * target.sample_spacing
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +155,7 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     transversality makes the residual strictly monotone on the chart, so
     bracketed Newton over the delta_1-member parameter bracket finds the
     unique root.  Returns the roots and a flag per sample: its bracket
-    changed sign and the root's residual is at most ``FIBER_RESIDUAL_TOL``.
+    changed sign and the root's residual is at most ``fiber_residual_tol``.
     """
     ev = f2.evaluator
     period = ev.period
@@ -179,7 +186,7 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
                              rounding_floor(anchors))
     # a sign change without a root (the target jumps across the fiber)
     # leaves a residual: that fiber missed
-    ok &= np.abs(residual(ev.point(theta))) <= FIBER_RESIDUAL_TOL
+    ok &= np.abs(residual(ev.point(theta))) <= fiber_residual_tol(f2)
     return theta, ok
 
 
@@ -253,9 +260,8 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
                              f"covered at delta_3 scale")
         # higher codimension: the fiber is p + N(p); the constraint spans its
         # m-dimensional complement
-        constraints = np.stack([
-            proj_field.mean(p).complement().frame[:, 0]
-            for p in range(n_samples)])
+        constraints = np.ascontiguousarray(complement_frames(
+            proj_field.means(range(n_samples)))[:, :, 0])
         second_chart = _covering_chart(net, 1)
 
     theta, ok = _project_to_curve(f2, net2, chart, anchors, constraints)

@@ -3,10 +3,11 @@
 Subspaces of R^n are carried as orthonormal frames (n x k column matrices).
 All distances use the principal-angle metric d(E, G) = (sum theta_i^2)^(1/2),
 the unique O(n)-invariant metric with that normalization.  Angles (Bjorck
-and Golub 1973), log maps (Edelman, Arias and Smith 1998) and complements
-are computed over frame stacks; the single-pair functions are one-row views
-of the stacked ones.  The unit sphere S^m carries the intrinsic (angular)
-metric, together with the Hausdorff distance on finite point sets.
+and Golub 1973), log and exponential maps (Edelman, Arias and Smith 1998)
+and complements are computed over frame stacks; the single-pair functions
+are one-row views of the stacked ones.  The unit sphere S^m carries the
+intrinsic (angular) metric, together with the Hausdorff distance on finite
+point sets.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def orthonormalize_all(raw_frames: np.ndarray) -> list[Subspace]:
 
     The rank and orthonormality checks run once over the whole stack.
     """
+    return [unchecked(Subspace, frame=frame)
+            for frame in _orthonormal_frames(raw_frames)]
+
+
+def _orthonormal_frames(raw_frames: np.ndarray) -> np.ndarray:
+    """The (S, n, k) frames of ``orthonormalize_all``, as one array."""
     raw = np.asarray(raw_frames, dtype=float)
     if raw.ndim != 3:
         raise DegenerateFrameError("frames must be an (S, n, k) stack")
@@ -148,7 +155,7 @@ def orthonormalize_all(raw_frames: np.ndarray) -> list[Subspace]:
     signs[signs == 0] = 1.0
     frames = q * signs[..., None, :]
     _check_orthonormal(frames)
-    return [unchecked(Subspace, frame=frame) for frame in frames]
+    return frames
 
 
 def complement_frames(frames: np.ndarray) -> np.ndarray:
@@ -241,13 +248,22 @@ def log_map(base: Subspace, target: Subspace) -> GrassmannTangent:
                                               target.frame[None])[0])
 
 
+def exp_map_all(base: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Frames (S, n, k) of the geodesic exponential maps at the frames
+    ``base`` of an (S, n, k) stack of tangent deltas, from their thin SVDs,
+    orthonormalized against roundoff."""
+    u, s, vt = np.linalg.svd(deltas, full_matrices=False)
+    frames = ((base @ np.swapaxes(vt, 1, 2)) * np.cos(s)[:, None, :] @ vt
+              + (u * np.sin(s)[:, None, :]) @ vt)
+    return _orthonormal_frames(frames)
+
+
 def exp_map(base: Subspace, v: GrassmannTangent) -> Subspace:
-    """Geodesic exponential map from the thin SVD of the tangent."""
+    """Geodesic exponential map: a one-row ``exp_map_all``."""
     if v.base.frame.shape != base.frame.shape or not v.base.same_subspace(base):
         raise DimensionMismatchError("tangent is not based at the given subspace")
-    u, s, vt = np.linalg.svd(v.delta, full_matrices=False)
-    frame = (base.frame @ vt.T) * np.cos(s) @ vt + (u * np.sin(s)) @ vt
-    return orthonormalize_all(frame[None])[0]  # against roundoff
+    return unchecked(Subspace,
+                     frame=exp_map_all(base.frame[None], v.delta[None])[0])
 
 
 def sphere_angle(u: np.ndarray, v: np.ndarray) -> float:

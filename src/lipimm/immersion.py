@@ -41,7 +41,8 @@ _SOLVE_ROWS = {1: 256, 2: 15}
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
-CURVE_RESIDUAL_TOL = 1e-9  # largest |<f(t) - f(q), e> - x| of a chart node's root
+# largest |<f(t) - f(q), e> - x| of a chart node's root, in sample spacings
+CURVE_RESIDUAL_SPACINGS = 1e-7
 
 
 def delta(l: int, r: float, lam: float) -> float:
@@ -616,9 +617,10 @@ def _analytic_patches(f, ids, plane_of, r):
     (plane, component, fold check; on a curve the parameter brackets) runs
     sample by sample.  The solve and the slope scan then run once per block
     of rows: bracketed Newton on a curve, with every root's residual checked
-    against ``CURVE_RESIDUAL_TOL``, and ``_fill_surface_rows`` from each
-    node's nearest member on a surface.  Returns one (patch, error)
-    pair per id, the error being what ``extract_graph_patch`` raises there.
+    against ``CURVE_RESIDUAL_SPACINGS`` sample spacings, and
+    ``_fill_surface_rows`` from each node's nearest member on a surface.
+    Returns one (patch, error) pair per id, the error being what
+    ``extract_graph_patch`` raises there.
     """
     m, k, ev = f.m, f.n - f.m, f.evaluator
     step, axis, x_grid, in_disk = _chart_grid(m, r)
@@ -643,6 +645,7 @@ def _analytic_patches(f, ids, plane_of, r):
     frames = np.stack([plane.frame for plane in planes])
     isometries = EuclideanIsometry.embeddings(f_q, frames)
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
+    residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
     # rows are independent; blocks of rows keep the solver's arrays in cache
     for a in range(0, len(base), _SOLVE_ROWS[m]):
         b = slice(a, a + _SOLVE_ROWS[m])
@@ -672,7 +675,7 @@ def _analytic_patches(f, ids, plane_of, r):
             if failed[s] and m == 1:
                 outcomes[index[j]] = (None, InsufficientSamplingError(
                     f"patch at sample {q} is not resolved out to its rim"))
-            elif m == 1 and not res_max[s] <= CURVE_RESIDUAL_TOL:
+            elif m == 1 and not res_max[s] <= residual_tol:
                 outcomes[index[j]] = (None, InsufficientSamplingError(
                     f"patch at sample {q} has a chart node the curve does not "
                     f"reach (residual {res_max[s]:.1e})"))

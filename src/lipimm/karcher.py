@@ -18,11 +18,12 @@ from .errors import (
     InadmissibleSupportError,
     NonConvergenceError,
 )
+from ._util import unchecked
 from .grassmann import (
     GrassmannTangent,
     Subspace,
     complement_frames,
-    exp_map,
+    exp_map_all,
     geodesic_distance,
     geodesic_distances,
     log_map_all,
@@ -78,68 +79,143 @@ def energy(p: Subspace, mu: DiracMixture) -> float:
     return float(mu.weights @ geodesic_distances(p.frame, mu.frames) ** 2)
 
 
-def _mean_tangent(p: Subspace, frames, weights, angles) -> GrassmannTangent:
-    """sum_i w_i log_p(x_i), from the atoms' principal angles at p."""
-    if np.max(np.linalg.norm(angles, axis=-1)) > math.pi / 2 - 1e-6:
-        raise InadmissibleSupportError(
-            "atom at or beyond the cut locus of the evaluation point")
-    deltas = log_map_all(p.frame, frames, angles)
-    return GrassmannTangent(p, np.einsum("a,anj->nj", weights, deltas))
+_CUT_LOCUS = "atom at or beyond the cut locus of the evaluation point"
+
+
+def _beyond_cut_locus(angles) -> np.ndarray:
+    """Per row of (..., A, k) principal angles: an atom is about to reach
+    the cut locus of the evaluation point."""
+    return np.max(np.linalg.norm(angles, axis=-1), axis=-1) \
+        > math.pi / 2 - 1e-6
+
+
+def _atom_sum(weights, values):
+    """sum_a w[s, a] values[s, a] per row s, added in atom order, so that
+    atoms of weight 0 appended to a row leave its sum unchanged."""
+    w = weights.reshape(weights.shape + (1,) * (values.ndim - 2))
+    total = w[:, 0] * values[:, 0]
+    for a in range(1, values.shape[1]):
+        total = total + w[:, a] * values[:, a]
+    return total
 
 
 def energy_gradient(p: Subspace, mu: DiracMixture) -> GrassmannTangent:
     """grad P(p) = -2 sum_i w_i log_p(x_i); vanishes exactly at the center."""
     angles = principal_angles_all(p.frame, mu.frames)
-    return _mean_tangent(p, mu.frames, mu.weights, angles).scaled(-2.0)
+    if _beyond_cut_locus(angles):
+        raise InadmissibleSupportError(_CUT_LOCUS)
+    deltas = log_map_all(p.frame, mu.frames, angles)
+    return GrassmannTangent(p, -2.0 * _atom_sum(mu.weights[None],
+                                                deltas[None])[0])
+
+
+@dataclass
+class MeanStack:
+    """Centers of mass of a stack of mixtures: the (S, n, k) mean frames
+    and, per row, the iterations, final gradient norm, support radius about
+    its center and energy trace that ``MeanReport`` gives for one."""
+
+    means: np.ndarray
+    iterations: np.ndarray
+    gradient_norms: np.ndarray
+    radii: np.ndarray
+    energy_traces: list
+
+
+def karcher_means(frames, weights, centers, tol: float = 1e-10, *,
+                  kappa: float = KAPPA_GRASSMANN) -> MeanStack:
+    """Fixed-point iteration for the centers of mass of S mixtures at once.
+
+    Row s holds the atom frames ``frames[s]`` (A, n, k) with ``weights[s]``
+    and its admissible-ball center ``centers[s]``; a row with fewer atoms is
+    padded with weight-0 copies of one of its atoms, which change neither
+    its radius nor its sums.  Each row runs the iteration of
+    ``karcher_mean``: it stops on its own, halves its own step, and comes
+    out as its one-row call does.  Each iterate's principal angles to the
+    atoms are computed once, as one stack over the rows still active.  When
+    rows fail, the error of the first failing row is raised, once every
+    row before it has finished.
+    """
+    frames = np.asarray(frames, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    rows, atoms, n, k = frames.shape
+    flip = k > n - k
+    if flip:  # average the complements, an isometry, and map the means back
+        frames = complement_frames(frames.reshape(-1, n, k)).reshape(
+            rows, atoms, n, n - k)
+        p = complement_frames(np.asarray(centers, dtype=float))
+    else:
+        p = np.array(centers, dtype=float)  # the iterates overwrite it
+    angles = principal_angles_all(p[:, None], frames)
+    dist = np.linalg.norm(angles, axis=-1)
+    radii = np.max(dist, axis=1)
+    bound = admissible_radius(kappa)
+    errors = {s: InadmissibleSupportError(
+        f"support radius {radii[s]:.6f} >= admissible bound {bound:.6f}")
+        for s in np.flatnonzero(radii >= bound).tolist()}
+    energies = _atom_sum(w, dist ** 2)
+    traces = [[e] for e in energies.tolist()]
+    iterations = np.zeros(rows, dtype=int)
+    grad_norms = np.zeros(rows)
+    active = np.flatnonzero(radii < bound)
+    for it in range(MAX_ITER + 1):
+        if errors:  # rows after a failed one cannot change the outcome
+            active = active[active < min(errors)]
+        far = _beyond_cut_locus(angles[active])
+        errors.update((s, InadmissibleSupportError(_CUT_LOCUS))
+                      for s in active[far].tolist())
+        active = active[~far]
+        if not len(active):
+            break
+        v = _atom_sum(w[active], log_map_all(p[active, None], frames[active],
+                                             angles[active]))
+        grad_norms[active] = 2.0 * np.linalg.norm(v, axis=(1, 2))
+        iterations[active] = it
+        going = grad_norms[active] > tol
+        active, v = active[going], v[going]
+        step = np.ones(len(active))
+        todo = np.arange(len(active))
+        while len(todo):
+            s = active[todo]
+            candidates = exp_map_all(p[s], v[todo] * step[todo, None, None])
+            new_angles = principal_angles_all(candidates[:, None], frames[s])
+            e_new = _atom_sum(w[s], np.linalg.norm(new_angles, axis=-1) ** 2)
+            # strict convexity makes the step-halving fallback rare
+            ok = (e_new <= energies[s] + 1e-15) | (step[todo] < 1e-8)
+            p[s[ok]], angles[s[ok]], energies[s[ok]] = \
+                candidates[ok], new_angles[ok], e_new[ok]
+            for row, e in zip(s[ok].tolist(), e_new[ok].tolist()):
+                traces[row].append(e)
+            todo = todo[~ok]
+            step[todo] *= 0.5
+    errors.update((s, NonConvergenceError(
+        f"gradient norm {grad_norms[s]:.3e} > tol {tol:.3e} after "
+        f"{MAX_ITER} iterations")) for s in active.tolist())
+    if errors:
+        raise errors[min(errors)]
+    return MeanStack(complement_frames(p) if flip else p, iterations,
+                     grad_norms, radii, traces)
 
 
 def karcher_mean(mu: DiracMixture, tol: float = 1e-10, *,
                  center: Subspace | None = None,
                  kappa: float = KAPPA_GRASSMANN) -> MeanReport:
-    """Fixed-point iteration for the center of mass of ``mu``.
+    """Fixed-point iteration for the center of mass of ``mu``: a one-row
+    ``karcher_means``.
 
     The admissible ball is centered at ``center`` (first atom by default) and
     must contain the support within radius < pi/(4 kappa^(1/2)).  Energy is
     non-increasing along the iteration; a step-halving fallback guards the
-    rare float-level increase.  Each iterate's principal angles to the atoms
-    are computed once, as one stack, for the radius, the cut-locus check, the
-    energy and the log maps.  k-planes with k > n - k are averaged through
+    rare float-level increase.  k-planes with k > n - k are averaged through
     their complements (an isometry), and the mean mapped back.
     """
     c = center if center is not None else mu.atoms[0]
-    flip = c.k > c.n - c.k
-    frames = complement_frames(mu.frames) if flip else mu.frames
-    w = mu.weights
-    p = c.complement() if flip else c
-    angles = principal_angles_all(p.frame, frames)
-    dist = np.linalg.norm(angles, axis=-1)
-    radius = float(np.max(dist))
-    bound = admissible_radius(kappa)
-    if radius >= bound:
-        raise InadmissibleSupportError(
-            f"support radius {radius:.6f} >= admissible bound {bound:.6f}"
-        )
-
-    trace = [float(w @ dist ** 2)]
-    for it in range(MAX_ITER + 1):
-        v = _mean_tangent(p, frames, w, angles)
-        grad_norm = 2.0 * v.norm()
-        if grad_norm <= tol:
-            return MeanReport(p.complement() if flip else p, it, grad_norm, c,
-                              radius, trace)
-        step = 1.0
-        while True:
-            candidate = exp_map(p, v.scaled(step))
-            new_angles = principal_angles_all(candidate.frame, frames)
-            e_new = float(w @ np.linalg.norm(new_angles, axis=-1) ** 2)
-            if e_new <= trace[-1] + 1e-15 or step < 1e-8:
-                break
-            step *= 0.5  # strict convexity makes this fallback rare
-        p, angles = candidate, new_angles
-        trace.append(e_new)
-    raise NonConvergenceError(
-        f"gradient norm {grad_norm:.3e} > tol {tol:.3e} after {MAX_ITER} iterations"
-    )
+    stack = karcher_means(mu.frames[None], mu.weights[None], c.frame[None],
+                          tol, kappa=kappa)
+    return MeanReport(unchecked(Subspace, frame=stack.means[0]),
+                      int(stack.iterations[0]),
+                      float(stack.gradient_norms[0]), c,
+                      float(stack.radii[0]), stack.energy_traces[0])
 
 
 def stability_constant(kappa: float, rho: float) -> float:

@@ -28,12 +28,11 @@ from ._util import unchecked
 from .grassmann import (
     Subspace,
     complement_frames,
-    geodesic_distance,
     geodesic_distances,
     hausdorff_of,
     sphere_angle_matrix,
 )
-from .karcher import DiracMixture, karcher_mean
+from .karcher import DiracMixture, karcher_means
 from .immersion import GraphPatch, SampledImmersion, plane_for
 from .nets import DeltaNet, _net_on
 
@@ -484,8 +483,12 @@ def field_lipschitz_check(field: DirectionField, j: int) -> LipschitzReport:
 
 
 class NormalMeasureField:
-    """Per-sample Dirac mixtures of chart normal spaces and their means; the
-    chart and sample normal spaces are resolved once, as two stacks."""
+    """Per-sample Dirac mixtures of chart normal spaces and their means.
+
+    The chart and sample normal spaces are resolved once, as two stacks.
+    The mixtures of a list of samples are built in one pass, and their
+    means solved as one stack; each sample's mean is solved once per field.
+    """
 
     def __init__(self, f: SampledImmersion, net: DeltaNet):
         if net.lam > 0.25:
@@ -499,48 +502,107 @@ class NormalMeasureField:
             np.stack([plane.frame for plane in net.planes]))
         self._sample_frames = complement_frames(
             np.stack([plane.frame for plane in tangents]))
-        self._normal_spaces = [unchecked(Subspace, frame=frame)
-                               for frame in self._chart_frames]
-        self._mean_cache = {}
+        self._means = np.empty(self._sample_frames.shape)
+        self._solved = np.zeros(len(f), dtype=bool)
         self.support_bound = math.pi / 12
 
-    def measure(self, q: int) -> DiracMixture:
-        ks, weights, _ = self._measure_parts(q)
-        atoms = tuple(self._normal_spaces[k] for k in ks)
-        return DiracMixture(atoms, weights)
+    def _mixtures(self, ids: np.ndarray):
+        """The cutoff-weighted mixtures at samples ``ids``, built in one pass.
 
-    def _measure_parts(self, q: int):
-        ks = self.net.cover_index(2)[q]
-        if len(ks) == 0:
-            raise InvariantViolationError(
-                f"sample {q} is not covered at delta_2 scale")
-        dist = np.linalg.norm(
-            self.f.positions[self.net.points[ks]] - self.f.positions[q], axis=1)
+        Returns their (S, A) chart indices and weights, padded to the largest
+        atom count A with weight-0 copies of each row's first atom; each
+        row's atom count and support margin (its atoms' largest distance to
+        nu(q)); and None, or the first failing row and its error.
+        """
+        cover = self.net.cover_index(2)
+        lists = [cover[q] for q in ids]
+        rows = np.repeat(np.arange(len(ids)), [len(ks) for ks in lists])
+        ks = np.concatenate(lists + [np.empty(0, dtype=int)])
+        dist = np.linalg.norm(self.f.positions[self.net.points[ks]]
+                              - self.f.positions[ids[rows]], axis=1)
         raw = self.cutoff.value(dist / self.net.delta(2))
         keep = raw > 0
-        ks, raw = ks[keep], raw[keep]
-        margins = geodesic_distances(self._chart_frames[ks],
-                                     self._sample_frames[q])
-        if np.any(margins >= self.support_bound):
-            k_bad = ks[int(np.argmax(margins))]
-            raise InvariantViolationError(
-                f"normal space of chart {k_bad} is {np.max(margins):.4f} rad "
-                f"from nu({q}), at or beyond pi/12")
-        return ks, raw / raw.sum(), float(np.max(margins))
+        ks, raw, rows = ks[keep], raw[keep], rows[keep]
+        counts = np.bincount(rows, minlength=len(ids))
+        slot = np.arange(len(ks)) - (np.cumsum(counts) - counts)[rows]
+        shape = (len(ids), max(int(counts.max(initial=0)), 1))
+        charts = np.zeros(shape, dtype=int)
+        charts[rows[slot == 0]] = ks[slot == 0, None]
+        charts[rows, slot] = ks
+        weights, margin = np.zeros(shape), np.zeros(shape)
+        weights[rows, slot] = raw
+        margin[rows, slot] = geodesic_distances(
+            self._chart_frames[ks], self._sample_frames[ids[rows]])
+        # each row's sum as a sum over its own atoms, in numpy's order
+        for count in set(counts.tolist()) - {0}:
+            same = counts == count
+            weights[same] /= weights[same, :count].sum(axis=1)[:, None]
+        worst = np.max(margin, axis=1)
+        failing = (counts == 0) | (worst >= self.support_bound)
+        if not np.any(failing):
+            return charts, weights, counts, worst, None
+        row = int(np.argmax(failing))
+        q = int(ids[row])
+        if counts[row] == 0:
+            error = InvariantViolationError(
+                f"sample {q} is not covered at delta_2 scale")
+        else:
+            error = InvariantViolationError(
+                f"normal space of chart {charts[row, np.argmax(margin[row])]} "
+                f"is {worst[row]:.4f} rad from nu({q}), at or beyond pi/12")
+        return charts, weights, counts, worst, (row, error)
+
+    def measure(self, q: int) -> DiracMixture:
+        charts, weights, counts, _, failure = self._mixtures(np.array([q]))
+        if failure:
+            raise failure[1]
+        atoms = charts[0, :counts[0]]
+        return DiracMixture(
+            tuple(unchecked(Subspace, frame=self._chart_frames[k])
+                  for k in atoms), weights[0, :counts[0]])
+
+    def support_margins(self, ids) -> np.ndarray:
+        """Each sample's largest atom distance to nu(q), below pi/12."""
+        *_, margins, failure = self._mixtures(np.asarray(ids, dtype=int))
+        if failure:
+            raise failure[1]
+        return margins
 
     def support_margin(self, q: int) -> float:
-        return self._measure_parts(q)[2]
+        return float(self.support_margins([q])[0])
+
+    def means(self, ids) -> np.ndarray:
+        """The averaged normals N(q) of samples ``ids``, as (S, n, k) frames:
+        centers of mass in B_{pi/6}(nu(q)), solved as one stack.
+
+        An error names the first sample in ``ids`` whose mixture or mean
+        fails, as ``mean`` on that sample alone does.
+        """
+        ids = np.asarray(ids, dtype=int)
+        todo = ids[~self._solved[ids]]
+        todo = todo[np.sort(np.unique(todo, return_index=True)[1])]
+        if len(todo):
+            charts, weights, _, _, failure = self._mixtures(todo)
+            solve = todo[:len(todo) if failure is None else failure[0]]
+            if len(solve):
+                centers = self._sample_frames[solve]
+                means = karcher_means(self._chart_frames[charts[:len(solve)]],
+                                      weights[:len(solve)], centers,
+                                      1e-10).means
+                outside = geodesic_distances(means, centers) >= math.pi / 6
+                if np.any(outside):
+                    raise InvariantViolationError(
+                        f"averaged normal left B_(pi/6)(nu("
+                        f"{solve[np.argmax(outside)]}))")
+                self._means[solve] = means
+                self._solved[solve] = True
+            if failure:
+                raise failure[1]
+        return self._means[ids]
 
     def mean(self, q: int) -> Subspace:
-        """The averaged normal N(q): center of mass in B_{pi/6}(nu(q))."""
-        if q not in self._mean_cache:
-            nu_q = unchecked(Subspace, frame=self._sample_frames[q])
-            report = karcher_mean(self.measure(q), 1e-10, center=nu_q)
-            if geodesic_distance(report.mean, nu_q) >= math.pi / 6:
-                raise InvariantViolationError(
-                    f"averaged normal left B_(pi/6)(nu({q}))")
-            self._mean_cache[q] = report.mean
-        return self._mean_cache[q]
+        """The averaged normal N(q): a one-sample ``means``."""
+        return unchecked(Subspace, frame=self.means([q])[0])
 
 
 def normal_measure(f: SampledImmersion, net: DeltaNet, q: int) -> DiracMixture:
@@ -563,7 +625,7 @@ def n_lipschitz_check(nfield: NormalMeasureField, j: int) -> LipschitzReport:
     bound = 4.0 ** (12 * nfield.f.m + 6) / net.r
 
     def distances(a, b):
-        means = np.stack([nfield.mean(int(p)).frame for p in ids])
+        means = nfield.means(ids)
         return geodesic_distances(means[a], means[b])
 
     emp = net.chart_quotient(j, distances)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 
@@ -41,3 +43,22 @@ def per_call(monkeypatch):
         monkeypatch.setattr(module, name, recording)
         return steps
     return instrument
+
+
+@pytest.fixture
+def angle_calls_per_means(monkeypatch, per_call):
+    """The calls of ``grassmann.principal_angles_all`` made in each
+    ``NormalMeasureField.means`` call, under every name a lipimm module
+    holds the function by: a list with one entry per call."""
+    from lipimm import grassmann
+    from lipimm.normals import NormalMeasureField
+
+    counter = CallCounter()
+    original = grassmann.principal_angles_all
+    counting = counter.wrap(original)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lipimm":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return per_call(NormalMeasureField, "means", counter)

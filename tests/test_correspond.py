@@ -387,9 +387,10 @@ def test_harness_raises_on_an_unusable_input():
         convergence_harness(family, 0.1, 0.25, level=4)
 
 
-def gapped_circle(samples, gap):
-    """The unit circle with its angles (pi - gap/2, pi + gap/2) skipped:
-    the parameter runs at a rate 1 - gap/(2 pi) and jumps the gap at pi."""
+def gapped_circle(samples, gap, scale=1.0):
+    """The circle of radius ``scale`` with its angles (pi - gap/2,
+    pi + gap/2) skipped: the parameter runs at a rate 1 - gap/(2 pi) and
+    jumps the gap at pi."""
     from lipimm.immersion import SampledImmersion
     from lipimm.shapes import CurveEvaluator
 
@@ -401,11 +402,11 @@ def gapped_circle(samples, gap):
 
     def point(t):
         a = angle(t)
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
+        return scale * np.stack([np.cos(a), np.sin(a)], axis=-1)
 
     def velocity(t):
         a = angle(t)
-        return rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+        return scale * rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
 
     ev = CurveEvaluator(2, 2 * math.pi, point, velocity)
     params = np.arange(samples) * (2 * math.pi / samples)
@@ -437,3 +438,18 @@ def test_a_fiber_across_a_gap_is_a_missed_fiber():
     assert rep.kept == [0]
     assert [i for i, _ in rep.dropped] == [1]
     assert not rep.conclusive
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
+def test_root_tolerances_scale_with_the_curve(scale):
+    # both root tolerances count sample spacings: a dilation keeps the
+    # failing chart node and the missed fiber, and the intact circle passes
+    with pytest.raises(InsufficientSamplingError,
+                       match="sample 242 has a chart node the curve does not"):
+        check_r_lambda(gapped_circle(512, 1e-3, scale), 0.2 * scale, 0.25)
+    circle = gapped_circle(512, 0.0, scale)
+    assert check_r_lambda(circle, 0.2 * scale, 0.25).passed
+    net = build_net(circle, 0.2 * scale, 0.25, 5)
+    with pytest.raises(ClosenessError, match="^1 fibers missed"):
+        build_correspondence(circle, gapped_circle(512, 1e-4, scale), net,
+                             direction_field(circle, net))

@@ -21,9 +21,11 @@ from lipimm.karcher import (
     energy,
     energy_gradient,
     karcher_mean,
+    karcher_means,
     stability_constant,
     verify_stability,
 )
+import lipimm.karcher as karcher_mod
 
 
 def line(v):
@@ -200,6 +202,111 @@ def test_mean_commutes_with_the_complement(draw):
     mean_c = karcher_mean(complements, 1e-13, center=c.complement()).mean
     assert projector_gap(mean_c.projector(),
                          np.eye(c.n) - mean.projector()) <= 1e-12
+
+
+# Ragged stacks of 1-6 mixtures of 1-8 atoms in G(3,1), G(3,2) or G(4,2).
+# Each row's center lies up to 0.2 from where its atoms were drawn, so rows
+# iterate, and atoms spread up to 0.6 put some supports beyond the
+# admissible radius 0.555 of their center.
+STACKS = st.tuples(
+    st.sampled_from([(3, 1), (3, 2), (4, 2)]),
+    st.lists(st.tuples(st.integers(1, 8), st.floats(0.0, 0.6),
+                       st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6),
+    st.booleans())
+
+
+def drawn_rows(dims, rows):
+    """(mixture, center) per row, and the rows padded into one stack with
+    weight-0 copies of each row's first atom."""
+    drawn = []
+    for atoms, spread, seed in rows:
+        mu, c, rng = drawn_mixture(dims, atoms, spread, seed)
+        drawn.append((mu, exp_map(c, random_tangent(
+            c, rng, norm=rng.uniform(0.0, 0.2)))))
+    width = max(len(mu.atoms) for mu, _ in drawn)
+    frames = np.stack([np.concatenate(
+        [mu.frames] + [mu.frames[:1]] * (width - len(mu.atoms)))
+        for mu, _ in drawn])
+    weights = np.stack([np.pad(mu.weights, (0, width - len(mu.atoms)))
+                        for mu, _ in drawn])
+    centers = np.stack([center.frame for _, center in drawn])
+    return drawn, frames, weights, centers
+
+
+def overshooting(exp, taken):
+    """``exp_map_all`` that goes 2.5 times as far along every tangent longer
+    than 1e-3, so that full steps raise the energy and are halved; each row
+    it moves is added to ``taken``."""
+    def wrapped(base, deltas):
+        taken.append(len(deltas))
+        long = np.linalg.norm(deltas, axis=(1, 2)) > 1e-3
+        return exp(base, np.where(long[:, None, None], 2.5 * deltas, deltas))
+    return wrapped
+
+
+def single_outcomes(drawn):
+    """Per row, its one-row ``karcher_mean`` report or the error it raises."""
+    out = []
+    for mu, center in drawn:
+        try:
+            out.append(karcher_mean(mu, 1e-12, center=center))
+        except InadmissibleSupportError as exc:
+            out.append(exc)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(STACKS)
+def test_stacked_means_match_the_one_row_means(draw):
+    dims, rows, overshoot = draw
+    drawn, frames, weights, centers = drawn_rows(dims, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if overshoot:
+            mp.setattr(karcher_mod, "exp_map_all",
+                       overshooting(karcher_mod.exp_map_all, []))
+        singles = single_outcomes(drawn)
+        failed = [out for out in singles if isinstance(out, Exception)]
+        if failed:  # the first failing row in order is the one reported
+            with pytest.raises(InadmissibleSupportError) as info:
+                karcher_means(frames, weights, centers, 1e-12)
+            assert str(info.value) == str(failed[0])
+            return
+        stack = karcher_means(frames, weights, centers, 1e-12)
+    for s, report in enumerate(singles):
+        assert np.max(np.abs(stack.means[s] - report.mean.frame)) <= 1e-14
+        assert stack.iterations[s] == report.iterations
+        assert stack.gradient_norms[s] == report.final_gradient_norm
+        assert stack.radii[s] == report.admissible_ball_radius
+        assert stack.energy_traces[s] == report.energy_trace
+
+
+def test_stacked_means_halve_steps_per_row(monkeypatch):
+    # with overshooting steps every iterating row halves a step, each on
+    # its own, and ends where its one-row call ends
+    rows = [(1, 0.0, 1), (4, 0.3, 2), (8, 0.4, 3), (2, 0.2, 4)]
+    drawn, frames, weights, centers = drawn_rows((4, 2), rows)
+    taken = []
+    monkeypatch.setattr(karcher_mod, "exp_map_all",
+                        overshooting(karcher_mod.exp_map_all, taken))
+    stack = karcher_means(frames, weights, centers, 1e-12)
+    assert sum(taken) > int(np.sum(stack.iterations)) > 0
+    for s, report in enumerate(single_outcomes(drawn)):
+        assert np.max(np.abs(stack.means[s] - report.mean.frame)) <= 1e-14
+        assert stack.iterations[s] == report.iterations
+
+
+def test_stacked_means_report_the_first_failing_row():
+    # rows 1, 2 and 4 leave the admissible ball, each at its own radius
+    rows = [(3, 0.2, 5), (8, 0.6, 6), (8, 0.6, 11), (2, 0.1, 7), (8, 0.6, 1)]
+    drawn, frames, weights, centers = drawn_rows((3, 2), rows)
+    singles = single_outcomes(drawn)
+    assert [isinstance(out, Exception) for out in singles] == \
+        [False, True, True, False, True]
+    for first in (1, 2, 4):
+        keep = [0, 3] + list(range(first, 5))
+        with pytest.raises(InadmissibleSupportError) as info:
+            karcher_means(frames[keep], weights[keep], centers[keep], 1e-12)
+        assert str(info.value) == str(singles[first])
 
 
 def test_mean_inadmissible_support():

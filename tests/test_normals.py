@@ -1,14 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import lipimm.normals as normals_mod
 from lipimm.errors import (
     CoherenceViolationError,
     InputError,
+    InvariantViolationError,
     RegimeError,
 )
-from lipimm.grassmann import geodesic_distance, orthonormalize, sphere_angle
+from lipimm.grassmann import (
+    geodesic_distance,
+    geodesic_distances,
+    orthonormalize,
+    sphere_angle,
+)
 from lipimm.immersion import EuclideanIsometry, GraphPatch, extract_graph_patch
 from lipimm.karcher import karcher_mean
 from lipimm.nets import DeltaNet, build_net
@@ -345,6 +353,34 @@ def test_normal_measure_weight_normalization(tilted, tilted_net):
     assert len(mu.atoms) >= 1
 
 
+def test_stacked_mixtures_match_the_per_sample_reference(
+        monkeypatch, tilted, tilted_net):
+    # rows of 9 atoms cut to 5..9, so that the stack pads them: every
+    # weight and margin is still the one a sample's own mixture gives
+    ids = np.arange(0, 2048, 37)
+    cover = list(tilted_net.cover_index(2))
+    for i, q in enumerate(ids):
+        cover[q] = cover[q][:5 + i % 5]
+    monkeypatch.setattr(tilted_net, "cover_index", lambda iota: cover)
+    nfield = NormalMeasureField(tilted, tilted_net)
+    charts, weights, counts, margins, failure = nfield._mixtures(ids)
+    assert failure is None and set(counts.tolist()) == {5, 6, 7, 8, 9}
+    for row, q in enumerate(ids):
+        ks = cover[q]
+        raw = nfield.cutoff.value(np.linalg.norm(
+            tilted.positions[tilted_net.points[ks]] - tilted.positions[q],
+            axis=1) / tilted_net.delta(2))
+        ks, raw = ks[raw > 0], raw[raw > 0]
+        reference = geodesic_distances(nfield._chart_frames[ks],
+                                       nfield._sample_frames[q])
+        c = counts[row]
+        assert np.array_equal(charts[row, :c], ks)
+        assert np.all(charts[row, c:] == ks[0])
+        assert np.array_equal(weights[row, :c], raw / raw.sum())
+        assert np.all(weights[row, c:] == 0.0)
+        assert margins[row] == np.max(reference)
+
+
 def test_regime_error_beyond_quarter(circle):
     net = build_net(circle, 0.2, 0.3, 5, verify_immersion=False)
     with pytest.raises(RegimeError):
@@ -427,9 +463,61 @@ def test_n_lipschitz_computes_no_mean_below_two_members(monkeypatch):
     j = next(j for j in range(len(net)) if len(net.members(j, 3)) < 2)
     nfield = NormalMeasureField(sparse, net)
     calls = []
-    original = NormalMeasureField.mean
-    monkeypatch.setattr(NormalMeasureField, "mean",
-                        lambda self, q: calls.append(q) or original(self, q))
+    original = NormalMeasureField.means
+    monkeypatch.setattr(NormalMeasureField, "means", lambda self, ids:
+                        calls.append(ids) or original(self, ids))
     rep = n_lipschitz_check(nfield, j)
     assert rep.empirical == 0.0 and rep.holds
     assert calls == []
+
+
+def test_means_take_a_constant_number_of_stacked_angle_calls(
+        angle_calls_per_means):
+    # margins, the iteration's start and the B_(pi/6) check: one stacked
+    # call each, however many samples; means that iterate add one per step
+    sparse = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 512)
+    net = build_net(sparse, 0.2, 0.25, 5)
+    NormalMeasureField(sparse, net).means(range(512))
+    NormalMeasureField(sparse, net).means(range(0, 512, 64))
+    assert angle_calls_per_means == [3, 3]
+
+
+def test_means_raise_for_the_first_failing_sample(monkeypatch):
+    # sample 100's mixture holds a chart normal a quarter turn away (beyond
+    # pi/12), sample 300 is not covered, and the mean of sample 400 is moved
+    # out of B_(pi/6)(nu(400)): a stack raises what the per-sample path
+    # raises on its first failing sample
+    sparse = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 512)
+    net = build_net(sparse, 0.2, 0.25, 5)
+    nfield = NormalMeasureField(sparse, net)
+    nfield._chart_frames[net.cover_index(2)[100][0]] = \
+        nfield._sample_frames[228]
+    cover = list(net.cover_index(2))
+    cover[300] = np.empty(0, dtype=int)
+    monkeypatch.setattr(net, "cover_index", lambda iota: cover)
+    solve = normals_mod.karcher_means
+
+    def leaving(frames, weights, centers, tol):
+        stack = solve(frames, weights, centers, tol)
+        moved = np.all(centers == nfield._sample_frames[400], axis=(1, 2))
+        stack.means[moved] = nfield._sample_frames[272]
+        return stack
+
+    monkeypatch.setattr(normals_mod, "karcher_means", leaving)
+
+    def error(ids):
+        with pytest.raises(InvariantViolationError) as info:
+            nfield.means(ids)
+        return str(info.value)
+
+    single = {}
+    for q in (100, 300, 400):
+        with pytest.raises(InvariantViolationError) as info:
+            nfield.mean(q)
+        single[q] = str(info.value)
+    assert "rad from nu(100), at or beyond pi/12" in single[100]
+    assert single[300] == "sample 300 is not covered at delta_2 scale"
+    assert single[400] == "averaged normal left B_(pi/6)(nu(400))"
+    for order in itertools.permutations((100, 300, 400)):
+        assert error([0, *order, 5]) == single[order[0]]
+    assert nfield.means([0, 5]).shape == (2, 3, 2)
