@@ -27,8 +27,8 @@ from .errors import (
 )
 from .grassmann import (
     Subspace,
+    _orthonormal_frames,
     complement_frames,
-    orthonormalize,
     orthonormalize_all,
 )
 from ._util import bracketed_newton, max_quotient, rounding_floor, unchecked
@@ -38,6 +38,9 @@ PLANE_RULES = ("tangent", "best-fit")
 # rows per block of a batched patch solve, by m: a curve row's 129 nodes are
 # cheap, while more surface rows than this only raise the peak memory
 _SOLVE_ROWS = {1: 256, 2: 15}
+# rows per block of a whole-immersion pass (seed balls, components,
+# quotients), which keeps its padded (rows, members, n) stacks a few MB
+_PASS_ROWS = 256
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
@@ -181,16 +184,21 @@ class SampledImmersion:
         if self.m == 1 and np.any(degree != 2):
             raise InputError("m=1 adjacency must be a single cycle")
 
+    def _edge_lengths(self, stop):
+        """|f(i) - f(j)| of the CSR edges (i, j) with i < ``stop``, in CSR
+        order.  Each is the square root of one ``vecdot``, the BLAS dot that
+        ``np.linalg.norm`` of a single vector takes; a row-wise norm can
+        differ in the last bit."""
+        rows = np.repeat(np.arange(stop), np.diff(self._indptr[:stop + 1]))
+        d = self.positions[rows] - self.positions[self._indices[:len(rows)]]
+        return rows, np.sqrt(np.vecdot(d, d))
+
     def _compute_volume(self):
         if self.m == 1:
-            # one norm per edge, summed in id order: the volume feeds the net
-            # size bound, and a stacked norm can differ in the last bit
-            total = 0.0
-            for i in range(len(self.positions)):
-                for j in self.neighbors(i):
-                    if j > i:
-                        total += float(np.linalg.norm(self.positions[i] - self.positions[j]))
-            return total
+            # each edge (i, j > i) once, summed in CSR order by the sequential
+            # cumsum: the volume feeds the net size bound
+            rows, lengths = self._edge_lengths(len(self))
+            return float(np.cumsum(lengths[self._indices > rows])[-1])
         p = self.positions
         a = p[self.faces[:, 1]] - p[self.faces[:, 0]]
         b = p[self.faces[:, 2]] - p[self.faces[:, 0]]
@@ -198,11 +206,7 @@ class SampledImmersion:
         return float(0.5 * np.sum(np.linalg.norm(cross, axis=1)))
 
     def _compute_spacing(self):
-        lengths = []
-        for i in range(min(len(self.positions), 512)):
-            for j in self.neighbors(i):
-                lengths.append(np.linalg.norm(self.positions[i] - self.positions[j]))
-        return float(np.median(lengths))
+        return float(np.median(self._edge_lengths(min(len(self), 512))[1]))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -219,43 +223,111 @@ class SampledImmersion:
         """Tangent planes at many samples from one evaluator call."""
         if self.evaluator is None or self.params is None:
             raise InputError("tangent rule needs an analytic evaluator")
-        ids = np.asarray(ids, dtype=int)
-        outside = (ids < 0) | (ids >= len(self))
-        if np.any(outside):
-            raise InputError(f"sample id {ids[np.argmax(outside)]} out of range")
+        ids = _checked_ids(self, ids)
         frames = self.evaluator.tangent_frame(self.params[ids])
         frames = np.asarray(frames, dtype=float)
         return orthonormalize_all(frames.reshape(len(ids), self.n, self.m))
 
     def best_fit_plane(self, q: int, radius: float) -> Subspace:
-        """Principal m-plane of the local patch members within ``radius``.
+        return self.best_fit_planes([q], radius)[0]
 
-        Two passes: a Euclidean ball seeds the plane, the graph component over
-        that plane refines it.  Frames are sign-canonicalized so the result is
-        deterministic.
+    def best_fit_planes(self, ids, radius: float) -> list[Subspace]:
+        """Principal m-planes of the local patch members within ``radius``
+        at the samples ``ids``, in passes over blocks of rows.
+
+        The samples within 2 ``radius`` of f(q) (``_ball_blocks``) seed the
+        plane at q, and the component U_{radius,q} over it refines it.
+        Frames are sign-canonicalized so the result is deterministic.  The
+        first id whose seed ball holds at most m samples raises.
         """
-        f_q = self.positions[q]
-        dist = np.linalg.norm(self.positions - f_q, axis=1)
-        seed_ids = np.nonzero(dist < 2.0 * radius)[0]
-        if len(seed_ids) <= self.m:
-            raise InsufficientSamplingError(
-                f"not enough samples near {q} for a best-fit plane")
-        plane = _principal_plane(self.positions[seed_ids] - f_q, self.m)
-        members = q_component(self, q, plane, radius)
-        if len(members) > self.m:
-            plane = _principal_plane(self.positions[members] - f_q, self.m)
-        return plane
+        ids = _checked_ids(self, ids)
+        frames = np.empty((len(ids), self.n, self.m))
+        for a, ptr, seeds in _ball_blocks(self.positions, ids, 2.0 * radius):
+            counts = np.diff(ptr)
+            thin = counts <= self.m
+            if np.any(thin):
+                raise InsufficientSamplingError(
+                    f"not enough samples near {ids[a + np.argmax(thin)]} "
+                    "for a best-fit plane")
+            qs = ids[a:a + len(counts)]
+            plane = _principal_frames(self, qs, seeds, ptr, counts)
+            members, size = _padded_components(self, qs, plane, radius)
+            refine = np.nonzero(size > self.m)[0]
+            plane[refine] = _principal_frames(
+                self, qs[refine], members.reshape(-1),
+                refine * members.shape[1], size[refine])
+            frames[a:a + len(counts)] = plane
+        return [unchecked(Subspace, frame=frame) for frame in frames]
 
 
-def _principal_plane(centered: np.ndarray, m: int) -> Subspace:
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    frame = vt[:m].T.copy()
-    for j in range(m):  # canonical sign: dominant entry positive
-        col = frame[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0:
-            frame[:, j] = -col
-    return orthonormalize(frame)
+def _checked_ids(f, ids):
+    ids = np.asarray(ids, dtype=int).reshape(-1)
+    outside = (ids < 0) | (ids >= len(f))
+    if np.any(outside):
+        raise InputError(f"sample id {ids[np.argmax(outside)]} out of range")
+    return ids
+
+
+def _principal_frames(f, bases, flat, starts, counts):
+    """Orthonormal, sign-canonical principal m-frames of the rows
+    f(flat[starts[s]:starts[s] + counts[s]]) - f(bases[s]).  Rows of one
+    count share a stacked SVD: each SVD sees the matrix it would see alone,
+    where zero-padding would change the last bits of some frames."""
+    raw = np.empty((len(bases), f.n, f.m))
+    for c in np.unique(counts).tolist():
+        rows = np.nonzero(counts == c)[0]
+        rel = (f.positions[flat[starts[rows, None] + np.arange(c)]]
+               - f.positions[bases[rows], None])
+        raw[rows] = np.swapaxes(
+            np.linalg.svd(rel, full_matrices=False)[2][:, :f.m], 1, 2)
+    if not len(raw):
+        return raw
+    # canonical sign: the dominant entry of every column positive
+    lead = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=1)[:, None], 1)
+    return _orthonormal_frames(np.where(lead < 0, -raw, raw))
+
+
+def _ball_blocks(positions, qs, radius):
+    """Per block of ``_PASS_ROWS`` bases q in ``qs``: its offset and the
+    ids p with |f(p) - f(q)| < radius, as CSR (ptr, ids), rows ascending.
+
+    A uniform grid hash over at most three coordinates, with cells at least
+    ``radius`` wide, hands q the samples of the 3^d cells around its own:
+    O(N + output).  Candidates are kept by the row-wise norm that
+    |f - f(q)| over all samples gives them.
+    """
+    d = min(positions.shape[1], 3)
+    coords = positions[:, :d]
+    low = coords.min(axis=0)
+    # at most 2^20 cells a side, so the cell keys fit in int64; a NaN or
+    # nonpositive radius keeps no candidate
+    width = max(float(np.max(coords.max(axis=0) - low)) / 2 ** 20,
+                radius * (1 + 1e-6), np.finfo(float).tiny)
+    cells = np.floor((coords - low) / width).astype(np.int64) + 1
+    dims = cells.max(axis=0) + 2  # a free cell on either side
+    strides = np.cumprod(np.concatenate([[1], dims[:0:-1]]))[::-1]
+    keys = cells @ strides
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    shifts = np.stack(np.meshgrid(*[[-1, 0, 1]] * d, indexing="ij"),
+                      axis=-1).reshape(-1, d) @ strides
+    for a in range(0, len(qs), _PASS_ROWS):
+        block = qs[a:a + _PASS_ROWS]
+        near = (keys[block, None] + shifts).reshape(-1)
+        first = np.searchsorted(sorted_keys, near, "left")
+        count = np.searchsorted(sorted_keys, near, "right") - first
+        row = np.repeat(np.arange(len(block)), count.reshape(len(block), -1)
+                        .sum(axis=1))
+        slot = np.arange(len(row)) + np.repeat(first - np.cumsum(count)
+                                               + count, count)
+        cand = order[slot]
+        dist = np.linalg.norm(positions[cand] - positions[block[row]], axis=1)
+        keep = dist < radius
+        row, cand = row[keep], cand[keep]
+        cand = cand[np.lexsort((cand, row))]
+        ptr = np.zeros(len(block) + 1, dtype=int)
+        np.cumsum(np.bincount(row, minlength=len(block)), out=ptr[1:])
+        yield a, ptr, cand
 
 
 def q_component(f: SampledImmersion, q: int, plane: Subspace, rho: float) -> np.ndarray:
@@ -280,68 +352,102 @@ def q_components(f: SampledImmersion, q: int, plane: Subspace,
         raise InputError(f"sample id {q} out of range")
     if plane.k != f.m or plane.n != f.n:
         raise DimensionMismatchError("plane dimension must match the immersion")
-    radii2 = np.array([rho * rho for rho in radii], dtype=float)
+    return component_ladders(f, np.array([q]), plane.frame[None], radii)[0]
+
+
+def component_ladders(f: SampledImmersion, bases, frames,
+                      radii) -> list[list[np.ndarray]]:
+    """``q_components`` at every base q of the (S,) ``bases`` over its frame
+    in the (S, n, m) ``frames``: on an id cycle one window pass per block of
+    rows, on any other adjacency one frontier BFS per row."""
+    radii2 = [rho * rho for rho in radii]
     # the traversal's ball; a NaN radius has an empty ball and a component {q}
-    reach2 = np.max(radii2, initial=0.0, where=~np.isnan(radii2))
-    if f._id_cycle:
-        return _cycle_components(f, q, plane.frame, radii2, reach2)
-    return _graph_components(f, q, plane.frame, radii2, reach2)
+    reach2 = max((r2 for r2 in radii2 if r2 == r2), default=0.0)
+    radii2 = np.array(radii2, dtype=float)
+    if not f._id_cycle:
+        return [_graph_components(f, q, frame, radii2, reach2)
+                for q, frame in zip(bases.tolist(), frames)]
+    ladders = []
+    for a in range(0, len(bases), _PASS_ROWS):
+        left, right = _cycle_components(f, bases[a:a + _PASS_ROWS],
+                                        frames[a:a + _PASS_ROWS], radii2, reach2)
+        ladders += [[_run_ids(q - b + 1, b + c - 1, len(f)) for b, c in zip(*lr)]
+                    for q, *lr in zip(bases[a:a + _PASS_ROWS].tolist(),
+                                      left.T.tolist(), right.T.tolist())]
+    return ladders
 
 
-def _squared_projections(f, q, frame, ids):
-    """|pi(f(p) - f(q))|^2 for the samples ``ids``, row for row as the
-    projection of all samples would give them."""
-    rel = f.positions[ids] - f.positions[q]
-    if len(ids) == 1:  # a one-row product takes another BLAS path
-        return _squared_projections(f, q, frame, np.repeat(ids, 2))[:1]
-    proj = rel @ frame
-    return np.einsum("ij,ij->i", proj, proj)
+def _padded_components(f, bases, frames, rho):
+    """U_{rho,q} of every base q over its frame in the (S, n, m) ``frames``,
+    padded with q to an (S, W) id array, and the (S,) member counts."""
+    comps = [ladder[0] for ladder in component_ladders(f, bases, frames, [rho])]
+    counts = np.array([len(c) for c in comps])
+    ids = np.repeat(bases[:, None], np.max(counts), axis=1)
+    for row, comp in zip(ids, comps):
+        row[:len(comp)] = comp
+    return ids, counts
 
 
-def _cycle_components(f, q, frame, radii2, reach2):
-    """``q_components`` on an id cycle, where a component is a run of ids.
+def _squared_projections(f, qs, frames, ids):
+    """|pi(f(p) - f(q))|^2 for the samples ``ids`` (W,) of a base q over its
+    (n, m) frame, or for the (S, W) samples of (S,) bases over (S, n, m)
+    frames, row for row as the projection of all samples would give them."""
+    if ids.shape[-1] == 1:  # a one-row product takes another BLAS path
+        return _squared_projections(f, qs, frames,
+                                    np.repeat(ids, 2, axis=-1))[..., :1]
+    proj = (f.positions[ids] - f.positions[qs][..., None, :]) @ frames
+    proj = proj.reshape(-1, proj.shape[-1])
+    return np.einsum("ij,ij->i", proj, proj).reshape(ids.shape)
 
-    A window of ids around q doubles until both its ends project outside
-    the largest ball; the runs are then read from the window, every radius
-    at once.  A projection is at most the arc length, so on a curved arc the
-    run reaches past rho / sample spacing ids: the window starts at twice
-    that.  A window that would wrap onto itself is replaced by the whole
-    cycle.
+
+def _cycle_components(f, qs, frames, radii2, reach2):
+    """U_{rho,q} on an id cycle, where it is the run of ids
+    q - left + 1 .. q + right - 1 mod N, for the (S,) bases ``qs`` over
+    their (S, n, m) ``frames`` and every rho^2 in ``radii2``: the (R, S)
+    arrays ``left`` and ``right``.
+
+    A window of ids around each q doubles until both its ends project
+    outside the largest ball; the runs are read from the window, every
+    radius at once.  A projection is at most the arc length, so the windows
+    start at twice rho / sample spacing.  A window that would wrap onto
+    itself is replaced by the whole cycle.
     """
     n = len(f)
     half = 2 * math.sqrt(reach2) / f.sample_spacing if f.sample_spacing > 0 else n
     half = int(half) + 1 if half < n else n
-    while 2 * half + 1 <= n:
-        ids = (q + np.arange(-half, half + 1)) % n
-        d2 = _squared_projections(f, q, frame, ids)
-        if d2[0] >= reach2 and d2[-1] >= reach2:
-            inside = d2 < radii2[:, None]
-            # nearest ids outside each ball on either side of q
-            right = q + np.argmin(inside[:, half:], axis=1)
-            left = q - np.argmin(inside[:, half::-1], axis=1)
-            wraps = q < half or q + half >= n
-            return [np.array([q], dtype=int) if lo == hi else
-                    np.sort(np.arange(lo + 1, hi) % n) if wraps else
-                    np.arange(lo + 1, hi)
-                    for lo, hi in zip(left.tolist(), right.tolist())]
+    left = right = None
+    pending = slice(None)  # the rows whose window is not yet wide enough
+    while True:
+        wraps = 2 * half + 1 > n
+        if wraps:  # ids q - N .. q + N: the nearest ids outside, cyclically
+            half = n
+        base = qs[pending]
+        d2 = _squared_projections(f, base, frames[pending],
+                                  (base[:, None] + np.arange(-half, half + 1)) % n)
+        inside = d2 < radii2[:, None, None]
+        inside[..., half] = True  # q alone is the run of an empty or NaN ball
+        if left is None:
+            left = inside[..., half::-1].argmin(axis=-1)
+            right = inside[..., half:].argmin(axis=-1)
+        else:
+            left[:, pending] = inside[..., half::-1].argmin(axis=-1)
+            right[:, pending] = inside[..., half:].argmin(axis=-1)
+        if wraps:  # a ball without an outside id holds the whole cycle
+            whole = left == 0
+            left[whole] = np.broadcast_to(qs + 1, left.shape)[whole]
+            right[whole] = np.broadcast_to(n - qs, left.shape)[whole]
+            return left, right
+        ends = d2[:, ::2 * half]
+        if ends.min() >= reach2:  # NaN is not
+            return left, right
+        pending = np.arange(len(qs))[pending][~np.all(ends >= reach2, axis=1)]
         half *= 2
-    d2 = _squared_projections(f, q, frame, np.arange(n))
-    return [_cycle_run(d2 < rho2, q) for rho2 in radii2]
 
 
-def _cycle_run(mask, q):
-    """The run of ids around q on which ``mask`` holds, on the whole cycle."""
-    if not mask[q]:
-        return np.array([q], dtype=int)  # q itself always projects to 0
-    n = len(mask)
-    false_pos = np.nonzero(~mask)[0]
-    if len(false_pos) == 0:
-        return np.arange(n)
-    # nearest ids outside the mask on either side of q, cyclically
-    k = int(np.searchsorted(false_pos, q))
-    right = false_pos[k] - q if k < len(false_pos) else false_pos[0] + n - q
-    left = q - false_pos[k - 1] if k > 0 else q + n - false_pos[-1]
-    return np.sort((q + np.arange(-left + 1, right)) % n)
+def _run_ids(start, length, n):
+    """The ascending ids of the run ``start + arange(length)`` mod n."""
+    ids = np.arange(start, start + length)
+    return ids if 0 <= start and start + length <= n else np.sort(ids % n)
 
 
 def _graph_components(f, q, frame, radii2, reach2):
@@ -850,10 +956,17 @@ def _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step):
 def plane_for(f: SampledImmersion, q: int, rule, r: float,
               lam: float) -> Subspace:
     """The plane at sample q under a rule of ``PLANE_RULES``."""
+    return planes_for(f, [q], rule, r, lam)[0]
+
+
+def planes_for(f: SampledImmersion, ids, rule, r: float,
+               lam: float) -> list[Subspace]:
+    """The planes at sample ids under a rule of ``PLANE_RULES``, resolved in
+    one pass; raises for the first id that has none."""
     if rule == "tangent":
-        return f.tangent_plane(q)
+        return f.tangent_planes(ids)
     if rule == "best-fit":
-        return f.best_fit_plane(q, delta(1, r, lam))
+        return f.best_fit_planes(ids, delta(1, r, lam))
     raise InputError(f"unknown plane rule {rule!r}")
 
 
@@ -881,27 +994,35 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     """The patches at sample ids from f's patch store, where each is built
     once per (r, lambda, plane rule) and sample.
 
-    The misses are built in one pass: under the tangent rule an immersion
-    with an evaluator resolves their planes from one evaluator call, and
-    one batched solve fills their grids; raw point clouds extract one patch
-    per sample.  The first failure in ``ids`` order is raised with its type
-    and a ``sample {q}:`` prefix.
+    The misses are built in one pass: the best-fit rule resolves their
+    planes from one ``best_fit_planes`` pass, and under the tangent rule an
+    immersion with an evaluator resolves them from one evaluator call; one
+    batched solve fills their grids, while raw point clouds extract one
+    patch per sample.  The first failure in ``ids`` order is raised with its
+    type and a ``sample {q}:`` prefix.
     """
     store = f._patch_store.setdefault((r, lam, plane_rule), {})
     missing = [q for q in dict.fromkeys(ids) if q not in store]
+    analytic = f.evaluator is not None and f.params is not None
 
     def plane_of(q):
         return plane_for(f, q, plane_rule, r, lam)
 
-    if f.evaluator is None or f.params is None:
+    if missing and plane_rule == "best-fit":
+        try:
+            plane_of = dict(zip(missing, f.best_fit_planes(
+                missing, delta(1, r, lam)))).__getitem__
+        except InsufficientSamplingError:
+            pass  # plane by plane, so that a failing sample fails alone
+    elif missing and plane_rule == "tangent" and analytic:
+        plane_of = dict(zip(missing, f.tangent_planes(missing))).__getitem__
+    if not analytic:
         for q in missing:
             try:
                 store[q] = (extract_graph_patch(f, q, plane_of(q), r), None)
             except _SAMPLE_ERRORS as exc:
                 store[q] = (None, exc)
     elif missing:
-        if plane_rule == "tangent":
-            plane_of = dict(zip(missing, f.tangent_planes(missing))).__getitem__
         store.update(zip(missing, _analytic_patches(f, missing, plane_of, r)))
     for q in ids:
         if store[q][1] is not None:
@@ -963,39 +1084,80 @@ def check_r_lambda_function(f: SampledImmersion, r: float,
     over best-fit planes.
 
     Also enforces injectivity of f on every patch: no two member samples may
-    coincide in R^n (within ``COINCIDENCE_TOL``) while carrying distinct ids.
+    coincide in R^n (within ``COINCIDENCE_TOL``) while carrying distinct ids;
+    such a patch adds no quotient.  Two members whose projections differ by
+    at most 1e-14 while their heights differ by more than 1e-12 make the
+    quotient infinite.  After ``best_fit_planes``, each block of rows takes
+    one component pass and one quotient pass.
     """
-    worst, worst_q = 0.0, -1
+    frames = np.stack([plane.frame for plane in
+                       f.best_fit_planes(range(len(f)), delta(1, r, lam))])
+    normals = complement_frames(frames)
+    quotients = np.zeros(len(f))
     violations = []
-    for q in range(len(f)):
-        plane = plane_for(f, q, "best-fit", r, lam)
-        members = q_component(f, q, plane, r)
-        if len(members) < 2:
-            continue
-        rel = f.positions[members] - f.positions[q]
-        proj = rel @ plane.frame
-        heights = rel @ plane.complement().frame
-        dx = np.linalg.norm(proj[:, None, :] - proj[None, :, :], axis=2)
-        dz = np.linalg.norm(heights[:, None, :] - heights[None, :, :], axis=2)
-        damb = np.linalg.norm(f.positions[members][:, None, :]
-                              - f.positions[members][None, :, :], axis=2)
-        upper = np.triu(np.ones_like(dx, dtype=bool), k=1)
-        coincident = upper & (damb < COINCIDENCE_TOL)
-        if np.any(coincident):
-            i, j = np.argwhere(coincident)[0]
-            violations.append((int(members[i]), int(members[j])))
-            continue
-        q_max = max_quotient(dz[upper], dx[upper])
-        # projection collisions with distinct heights mean the patch is not a graph
-        not_graph = upper & (dx <= 1e-14) & (dz > 1e-12)
-        if np.any(not_graph):
-            q_max = math.inf
-        if q_max > worst:
-            worst, worst_q = q_max, q
+    for a in range(0, len(f), _PASS_ROWS):
+        qs = np.arange(a, min(a + _PASS_ROWS, len(f)))
+        members, counts = _padded_components(f, qs, frames[qs], r)
+        points = f.positions[members]
+        rel = points - f.positions[qs, None]
+        quotients[qs], found = (_curve_quotients if f.m == 1 else
+                                _pairwise_quotients)(
+            points, counts, rel @ frames[qs], rel @ normals[qs])
+        violations += [(int(members[s, i]), int(members[s, j]))
+                       for s, i, j in found]
+    quotients[np.isnan(quotients)] = 0.0  # a NaN quotient never counts
+    worst_q = int(np.argmax(quotients)) if np.max(quotients) > 0 else -1
+    worst = float(quotients[worst_q]) if worst_q >= 0 else 0.0
     injective = not violations
     passed = injective and worst <= lam
     return FunctionCheckReport(passed, r, lam, worst, worst_q, injective,
                                violations)
+
+
+def _pairwise_quotients(points, counts, proj, heights):
+    """Per row s of padded (S, W, .) member points, projections and heights
+    with (S,) ``counts``: the largest |dz| / |dx| over all member pairs, and
+    the first coincident pair (s, i, j), i < j, of every row with one."""
+    quotients, found = np.zeros(len(counts)), []
+    for s, c in enumerate(counts.tolist()):
+        dx, dz, damb = (np.linalg.norm(v[s, :c, None] - v[s, None, :c], axis=2)
+                        for v in (proj, heights, points))
+        upper = np.triu(np.ones((c, c), dtype=bool), k=1)
+        coincident = np.argwhere(upper & (damb < COINCIDENCE_TOL))
+        if len(coincident):
+            found.append((s, *coincident[0].tolist()))
+        elif np.any(upper & (dx <= 1e-14) & (dz > 1e-12)):
+            quotients[s] = math.inf  # not a graph over the plane
+        else:
+            quotients[s] = max_quotient(dz[upper], dx[upper])
+    return quotients, found
+
+
+def _curve_quotients(points, counts, proj, heights):
+    """``_pairwise_quotients`` of curve patches from one sort by x.
+
+    In x order, sup |dz| / |dx| over all member pairs is the sup over
+    adjacent pairs: for x_i < x_l < x_j, |z_j - z_i| <= |z_j - z_l| +
+    |z_l - z_i|.  Coincidence and collisions are not left to adjacency: the
+    rows with two members within 2 ``COINCIDENCE_TOL`` in x, the only rows
+    that can hold either, compare all their member pairs.
+    """
+    key = np.where(np.arange(proj.shape[1]) < counts[:, None], proj[..., 0],
+                   np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    x, z = (np.take_along_axis(v, order[..., None], axis=1)
+            for v in (proj, heights))
+    key = np.take_along_axis(key, order, axis=1)
+    dx = np.linalg.norm(np.diff(x, axis=1), axis=2)
+    dz = np.linalg.norm(np.diff(z, axis=1), axis=2)
+    keep = np.isfinite(key[:, 1:]) & (dx > 1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf - inf, 0 / 0
+        quotients = np.max(np.where(keep, dz / dx, 0.0), axis=1, initial=0.0)
+        ties = np.nonzero(np.any(np.diff(key, axis=1) < 2 * COINCIDENCE_TOL,
+                                 axis=1))[0]
+    quotients[ties], found = _pairwise_quotients(
+        points[ties], counts[ties], proj[ties], heights[ties])
+    return quotients, [(ties[s], i, j) for s, i, j in found]
 
 
 @dataclass

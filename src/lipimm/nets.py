@@ -20,11 +20,13 @@ from .immersion import (
     PLANE_RULES,
     SampledImmersion,
     check_r_lambda,
+    component_ladders,
     delta,
     extract_graph_patch,
     graph_patches,
     passes_stored_check,
     plane_for,
+    planes_for,
     q_components,
 )
 
@@ -177,7 +179,7 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
 def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
                     points, plane_rule="tangent") -> DeltaNet:
     """Rebuild a net from serialized point ids (no greedy pass)."""
-    planes = [plane_for(f, int(q), plane_rule, r, lam) for q in points]
+    planes = planes_for(f, [int(q) for q in points], plane_rule, r, lam)
     net = _net_on(f, r, lam, level, points, planes, plane_rule)
     _assert_separation(net)
     return net
@@ -186,11 +188,13 @@ def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
 def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
             planes, plane_rule) -> DeltaNet:
     """The net on given points and planes, with U_{delta_iota, q} for
-    iota = 0..level+1 at every point; separation is not checked."""
-    member_sets = [_ladder(f, r, lam, level, int(q), plane)
-                   for q, plane in zip(points, planes)]
-    return DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
-                    member_sets, plane_rule)
+    iota = 0..level+1 at every point from one stacked pass; separation is
+    not checked."""
+    points = np.array(points, dtype=int)
+    member_sets = component_ladders(
+        f, points, np.stack([plane.frame for plane in planes]),
+        [delta(iota, r, lam) for iota in range(level + 2)])
+    return DeltaNet(f, r, lam, level, points, planes, member_sets, plane_rule)
 
 
 def _ladder(f: SampledImmersion, r: float, lam: float, level: int, q: int,

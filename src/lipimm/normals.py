@@ -33,7 +33,7 @@ from .grassmann import (
     sphere_angle_matrix,
 )
 from .karcher import DiracMixture, karcher_means
-from .immersion import GraphPatch, SampledImmersion, plane_for
+from .immersion import GraphPatch, SampledImmersion, planes_for
 from .nets import DeltaNet, _net_on
 
 RAMP_WIDTH = 0.25  # cutoff slope plateau 1/(1 - RAMP_WIDTH) = 4/3
@@ -415,9 +415,7 @@ def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
         raise DimensionMismatchError(
             "companion immersion must share the sample grid")
     ids = [int(q) for q in net.points]
-    planes = (f_other.tangent_planes(ids) if net.plane_rule == "tangent" else
-              [plane_for(f_other, q, net.plane_rule, net.r, net.lam)
-               for q in ids])
+    planes = planes_for(f_other, ids, net.plane_rule, net.r, net.lam)
     return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
                    net.plane_rule)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lipimm.immersion as immersion_mod
-from lipimm.errors import InputError, NotAGraphError
+from lipimm.errors import InputError, InsufficientSamplingError, NotAGraphError
 from lipimm.grassmann import orthonormalize, random_subspace
 from lipimm.immersion import (
     PLANE_RULES,
@@ -16,8 +16,10 @@ from lipimm.immersion import (
     GraphSystem,
     SampledImmersion,
     _analytic_patches,
+    _padded_components,
     check_r_lambda,
     check_r_lambda_function,
+    component_ladders,
     delta,
     extract_graph_patch,
     graph_system_distance,
@@ -144,6 +146,43 @@ def test_component_ladder_matches_brute_force(name, seam, q_frac, tangent,
         assert np.array_equal(members, reference_component(f, q, plane, rho))
     for outer, inner in zip(ladder, ladder[1:]):
         assert np.all(np.isin(inner, outer))
+
+
+@pytest.mark.parametrize("name, params, samples", [
+    ("circle", {"radius": 1.0}, 257),
+    ("ellipse", {"a": 1.0, "b": 0.4}, 301),
+    ("circle3d", {"radius": 1.0, "tilt": 0.3}, 200),
+    ("torus-knot", {"p": 2, "q": 3}, 500),
+    ("rounded-rectangle", {"width": 3.0, "height": 2.0,
+                           "corner_radius": 0.5}, 400),
+    ("circle", {"radius": 1.0}, 9),  # every window wraps
+])
+def test_stacked_window_pass_matches_q_component(name, params, samples):
+    # one pass over all samples gives each sample's run, in ascending ids
+    # and padded with the sample itself, exactly as its own q_component and
+    # the brute-force component
+    f = make_shape(name, params, samples)
+    ids = np.arange(len(f))
+    planes = f.tangent_planes(ids)
+    frames = np.stack([plane.frame for plane in planes])
+    for rho in (3.5 * f.sample_spacing, 0.3):
+        members, counts = _padded_components(f, ids, frames, rho)
+        for q, plane in zip(ids, planes):
+            run = members[q, :counts[q]]
+            assert np.array_equal(run, q_component(f, q, plane, rho))
+            assert np.array_equal(run, reference_component(f, q, plane, rho))
+            assert np.all(members[q, counts[q]:] == q)
+    # a net's ladders: every radius of every row from one pass
+    radii = [0.3 / 3.75 ** level for level in range(5)]
+    for q, ladder in zip(ids, component_ladders(f, ids, frames, radii)):
+        for rho, members in zip(radii, ladder):
+            assert np.array_equal(members,
+                                  reference_component(f, q, planes[q], rho))
+    if samples == 9:
+        # the windows would wrap onto themselves: the whole cycle instead
+        members, counts = _padded_components(f, ids, frames, 1.5)
+        assert np.all(counts == 9)
+        assert np.array_equal(members, np.tile(ids, (9, 1)))
 
 
 @pytest.mark.parametrize("name", COMPONENT_SHAPES)
@@ -451,12 +490,201 @@ def test_function_check_rounded_rectangle_points_only():
 
 
 def test_function_check_detects_self_intersection():
-    # figure eight: injective parametrization, crossing image
+    # figure eight: injective parametrization, crossing image; no two
+    # samples coincide, and the patches through the crossing are steep
     t = np.linspace(0, 2 * np.pi, 512, endpoint=False)
     pts = np.column_stack([np.sin(t), np.sin(t) * np.cos(t)])
     raw = immersion_from_points(pts)
     report = check_r_lambda_function(raw, 0.2, 0.6)
-    assert not report.injective or not report.passed
+    assert (report.worst_quotient, report.worst_sample) == \
+        (1.5078154101626282, 315)
+    assert report.injective and report.injectivity_violations == []
+    assert not report.passed
+
+
+def test_function_check_names_a_duplicated_sample():
+    # sample 10 repeated as sample 11: every patch holding both reports the
+    # pair and adds no quotient
+    circle = make_shape("circle", {"radius": 1.0}, 256).positions
+    raw = immersion_from_points(np.insert(circle, 10, circle[10], axis=0))
+    report = check_r_lambda_function(raw, 0.2, 0.25)
+    assert not report.injective and not report.passed
+    assert report.injectivity_violations == [(10, 11)] * 18
+    assert (report.worst_quotient, report.worst_sample) == \
+        (0.18618539952758859, 229)
+
+
+def test_function_check_projection_tie_is_not_a_graph():
+    # a flat side of a rounded rectangle with one sample split into two that
+    # share their x but differ by 1e-6 in height
+    rect = make_shape("rounded-rectangle", {"width": 3.0, "height": 2.0,
+                                            "corner_radius": 0.5}, 512)
+    pts = np.insert(rect.positions, 56, rect.positions[56] + [0.0, 5e-7],
+                    axis=0)
+    pts[57] = rect.positions[56] - [0.0, 5e-7]
+    report = check_r_lambda_function(immersion_from_points(pts), 0.2, 0.25)
+    assert report.worst_quotient == math.inf and report.worst_sample == 45
+    assert report.injective and not report.passed
+
+
+def test_function_check_names_the_first_thin_seed_ball():
+    # sample 45 of the thinned circle has no neighbor within 2 delta_1
+    circle = make_shape("circle", {"radius": 1.0}, 256).positions
+    raw = immersion_from_points(
+        np.delete(circle, list(range(45, 50)) + list(range(51, 56)), axis=0))
+    with pytest.raises(InsufficientSamplingError) as info:
+        check_r_lambda_function(raw, 0.2, 0.25)
+    assert str(info.value) == "not enough samples near 45 for a best-fit plane"
+    with pytest.raises(InputError, match="need r > 0"):
+        check_r_lambda_function(raw, 0.0, 0.25)
+
+
+def reference_best_fit_plane(f, q, radius):
+    """The best-fit plane sample by sample: the seed ball from the distances
+    to all samples, one SVD per plane, brute-force components."""
+    def principal(centered):
+        frame = np.linalg.svd(centered, full_matrices=False)[2][:f.m].T.copy()
+        for j in range(f.m):
+            if frame[np.argmax(np.abs(frame[:, j])), j] < 0:
+                frame[:, j] = -frame[:, j]
+        return orthonormalize(frame)
+
+    f_q = f.positions[q]
+    seed = np.nonzero(np.linalg.norm(f.positions - f_q, axis=1) < 2 * radius)[0]
+    if len(seed) <= f.m:
+        raise InsufficientSamplingError(
+            f"not enough samples near {q} for a best-fit plane")
+    plane = principal(f.positions[seed] - f_q)
+    members = reference_component(f, q, plane, radius)
+    return principal(f.positions[members] - f_q) if len(members) > f.m \
+        else plane
+
+
+def reference_function_check(f, r, lam):
+    """(worst quotient, worst sample, violations) from one pass per sample
+    over every member pair."""
+    worst, worst_q, violations = 0.0, -1, []
+    for q in range(len(f)):
+        plane = reference_best_fit_plane(f, q, delta(1, r, lam))
+        members = reference_component(f, q, plane, r)
+        rel = f.positions[members] - f.positions[q]
+        proj, heights = rel @ plane.frame, rel @ plane.complement().frame
+        pts = f.positions[members]
+        dx, dz, damb = (np.linalg.norm(a[:, None] - a[None], axis=2)
+                        for a in (proj, heights, pts))
+        upper = np.triu(np.ones_like(dx, dtype=bool), k=1)
+        if np.any(upper & (damb < 1e-9)):
+            i, j = np.argwhere(upper & (damb < 1e-9))[0]
+            violations.append((int(members[i]), int(members[j])))
+            continue
+        keep = upper & (dx > 1e-14)
+        q_max = float(np.max(dz[keep] / dx[keep])) if np.any(keep) else 0.0
+        if np.any(upper & (dx <= 1e-14) & (dz > 1e-12)):
+            q_max = math.inf
+        if q_max > worst:
+            worst, worst_q = q_max, q
+    return worst, worst_q, violations
+
+
+def _function_check_inputs():
+    t = np.linspace(0, 2 * np.pi, 300, endpoint=False)
+    wobble = 0.01 * np.random.default_rng(4).standard_normal((300, 3))
+    yield immersion_from_points(np.column_stack(
+        [np.cos(t), np.sin(2 * t) / 2, np.sin(t)]) + wobble), 0.3, 0.5
+    yield make_shape("torus-knot", {"p": 2, "q": 3}, 600), 0.2, 0.25
+    yield make_shape("ellipse", {"a": 1.0, "b": 0.4}, 301), 0.15, 0.5
+    yield _shuffled_cycle(make_shape("ellipse", {"a": 1.0, "b": 0.5}, 200),
+                          7), 0.2, 0.25
+    sphere = make_shape("sphere", {"radius": 1.0}, "16x8")
+    yield immersion_from_points(sphere.positions, m=2,
+                                faces=sphere.faces), 1.0, 0.5
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_function_check_matches_the_pairwise_reference(index):
+    # sorted adjacent pairs on curves, all pairs on surfaces, against every
+    # pair of every patch; the adjacency bound holds in exact arithmetic,
+    # so the quotients may differ by rounding only
+    f, r, lam = list(_function_check_inputs())[index]
+    worst, worst_q, violations = reference_function_check(f, r, lam)
+    report = check_r_lambda_function(f, r, lam)
+    assert report.worst_sample == worst_q
+    assert report.worst_quotient == pytest.approx(worst, rel=1e-12)
+    assert report.injectivity_violations == violations
+
+
+@pytest.mark.parametrize("name, params, samples", [
+    ("circle", {"radius": 1.0}, 200),
+    ("ellipse", {"a": 1.0, "b": 0.4}, 301),
+    ("rounded-rectangle", {"width": 3.0, "height": 2.0,
+                           "corner_radius": 0.5}, 400),
+    ("circle3d", {"radius": 1.0, "tilt": 0.3}, 257),
+    ("torus-knot", {"p": 2, "q": 3}, 600),
+    ("sphere", {"radius": 1.0}, "16x8"),
+])
+def test_best_fit_planes_match_the_sample_by_sample_planes(name, params,
+                                                           samples):
+    # the stacked pass (grid-hash seed balls, SVDs grouped by member count,
+    # window components) gives every frame bit for bit, and the one-row view
+    # raises what the reference raises
+    f = make_shape(name, params, samples)
+    for radius in (2 * f.sample_spacing, 8 * f.sample_spacing):
+        planes = f.best_fit_planes(range(len(f)), radius)
+        for q, plane in enumerate(planes):
+            assert np.array_equal(plane.frame,
+                                  reference_best_fit_plane(f, q, radius).frame)
+    with pytest.raises(InsufficientSamplingError, match="near 3 for"):
+        f.best_fit_plane(3, 1e-3 * f.sample_spacing)
+
+
+def _jittered(name, params, samples, seed):
+    """Samples of a catalog curve at jittered parameters, as raw points (no
+    two patches are congruent, so the worst sample is unique), and a patch
+    radius of at most 12 sample spacings and 0.4 radii of curvature."""
+    ev = make_shape(name, params, 8).evaluator
+    rng = np.random.default_rng(seed)
+    t = (np.arange(samples) + rng.uniform(-0.3, 0.3, samples)) / samples
+    dense = ev.point(np.linspace(0.0, ev.period, 4096, endpoint=False))
+    step = np.roll(dense, -1, axis=0) - dense
+    length = np.linalg.norm(step, axis=1)
+    curvature = np.max(np.linalg.norm(np.roll(step, -1, axis=0) - step,
+                                      axis=1) / length ** 2)
+    spacing = np.median(length) * 4096 / samples
+    return ev.point(t * ev.period), min(12 * spacing, 0.4 / curvature)
+
+
+CATALOG_CURVES = st.one_of(
+    st.builds(lambda r: ("circle", {"radius": r}), st.floats(0.5, 2.0)),
+    st.builds(lambda a, b: ("ellipse", {"a": a, "b": b}),
+              st.floats(0.8, 1.2), st.floats(0.6, 0.8)),
+    st.builds(lambda r, tilt: ("circle3d", {"radius": r, "tilt": tilt}),
+              st.floats(0.5, 2.0), st.floats(0.0, 0.6)),
+    st.builds(lambda tube: ("torus-knot", {"p": 2, "q": 3, "tube": tube}),
+              st.floats(0.3, 0.6)),
+    st.builds(lambda w, h, c: ("rounded-rectangle", {
+        "width": w, "height": h, "corner_radius": c}),
+        st.floats(2.0, 3.0), st.floats(1.5, 2.0), st.floats(0.4, 0.6)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=CATALOG_CURVES, samples=st.integers(500, 800),
+       seed=st.integers(0, 2 ** 16), shift=st.integers(1, 10 ** 6))
+def test_function_check_is_invariant_under_relabeling_and_rigid_motion(
+        shape, samples, seed, shift):
+    pts, r = _jittered(*shape, samples, seed)
+    base = check_r_lambda_function(immersion_from_points(pts), r, 0.25)
+    # sample i becomes sample i + shift
+    rolled = check_r_lambda_function(
+        immersion_from_points(np.roll(pts, shift, axis=0)), r, 0.25)
+    assert math.isclose(rolled.worst_quotient, base.worst_quotient,
+                        rel_tol=1e-12, abs_tol=1e-12)
+    assert rolled.worst_sample == (base.worst_sample + shift) % samples
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((pts.shape[1],) * 2))
+    moved = check_r_lambda_function(immersion_from_points(
+        pts @ rotation.T + rng.uniform(-3, 3, pts.shape[1])), r, 0.25)
+    assert math.isclose(moved.worst_quotient, base.worst_quotient,
+                        rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

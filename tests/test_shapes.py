@@ -150,3 +150,37 @@ def test_sparse_raw_circle_insufficient_for_patches():
     plane = orthonormalize(np.array([[0.0], [1.0]]))
     with pytest.raises(InsufficientSamplingError):
         extract_graph_patch(raw, 0, plane, 0.2)
+
+
+def _looped_volume_and_spacing(f):
+    """Volume and sample spacing as one norm per CSR edge in a Python loop:
+    the reference the stacked edge norms must match bit for bit."""
+    volume = 0.0
+    for i in range(len(f)):
+        for j in f.neighbors(i):
+            if j > i:
+                volume += float(np.linalg.norm(f.positions[i] - f.positions[j]))
+    lengths = [np.linalg.norm(f.positions[i] - f.positions[j])
+               for i in range(min(len(f), 512)) for j in f.neighbors(i)]
+    return volume, float(np.median(lengths))
+
+
+@pytest.mark.parametrize("name, params, samples", [
+    ("circle", {"radius": 1.3, "center": (0.4, -2.0)}, 1024),
+    ("ellipse", {"a": 1.0, "b": 0.35}, 777),
+    ("rounded-rectangle", {"width": 3.0, "height": 2.0,
+                           "corner_radius": 0.5}, 1000),
+    ("circle3d", {"radius": 1.5, "tilt": 0.3}, 513),
+    ("torus-knot", {"p": 3, "q": 5, "R": 2.0, "tube": 0.7}, 2048),
+    ("sphere", {"radius": 1.0}, "24x12"),
+    ("torus", {"R": 2.0, "r": 0.5}, "32x16"),
+])
+def test_volume_and_spacing_match_the_edge_loop(name, params, samples):
+    shape = make_shape(name, params, samples)
+    volume, spacing = _looped_volume_and_spacing(shape)
+    assert shape.sample_spacing == spacing
+    if shape.m == 1:
+        assert shape.volume == volume
+        raw = immersion_from_points(shape.positions[::-1])
+        assert (raw.volume, raw.sample_spacing) == \
+            _looped_volume_and_spacing(raw)
