@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -979,14 +979,12 @@ class CheckReport:
     worst_sample: int
     lambdas: np.ndarray
     plane_rule: str
-    errors: list = field(default_factory=list)
 
     def to_dict(self):
         return {"passed": bool(self.passed), "r": self.r, "lambda": self.lam,
                 "worst_lambda": self.worst_lambda,
                 "worst_sample": int(self.worst_sample),
-                "plane_rule": self.plane_rule,
-                "errors": [str(e) for e in self.errors]}
+                "plane_rule": self.plane_rule}
 
 
 def graph_patches(f: SampledImmersion, ids, r: float, lam: float,

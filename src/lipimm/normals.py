@@ -12,7 +12,7 @@ sigma = cos^2(gamma) / (2 L (1+lambda)), and 4^(12m+6)/r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -244,22 +244,85 @@ def normal_sign_alignment(f: SampledImmersion, net: DeltaNet, j: int, k: int) ->
 
 
 class DirectionField:
-    """Global projection direction: S, T = S/|S|, omega = span S per sample."""
+    """Global projection direction: S and T = S/|S| per sample.
 
-    def __init__(self, f, net, t_global, s_norm, omega, chart_of, chart_data,
-                 overlap_max, cutoff):
+    The charts' (sample ids, S, T) rows form one stack, chart j's at
+    ``offsets[j]:offsets[j + 1]``; each sample's T is its first chart's.
+    """
+
+    def __init__(self, f, net, t_global, s_norm, chart_of, overlap_max,
+                 ids, s_vals, t_vals, offsets):
         self.f = f
         self.net = net
         self.T = t_global                # (N, n), sign from the owning chart
         self.S_norm = s_norm             # (N,)
-        self.omega = omega               # (N, n) canonical-sign span generators
         self.chart_of = chart_of         # (N,) owning chart index
-        self.chart_data = chart_data     # j -> (sample ids, S values, T values)
         self.overlap_span_max = overlap_max
-        self.cutoff = cutoff
+        self._ids, self._S, self._T = ids, s_vals, t_vals
+        self._offsets = offsets
 
     def chart_field(self, j: int):
-        return self.chart_data[j]
+        """Chart j's delta_3-member ids with their S and T values."""
+        self.net._point(j)
+        rows = slice(self._offsets[j], self._offsets[j + 1])
+        return self._ids[rows], self._S[rows], self._T[rows]
+
+
+def _cutoff_atoms(f: SampledImmersion, net: DeltaNet, ids: np.ndarray):
+    """The delta_2-cover atoms of samples ``ids``, in one pass: each atom's
+    row in ``ids``, its net index k and its cutoff weight g_k (0 kept)."""
+    cover = net.cover_index(2)
+    lists = [cover[q] for q in ids]
+    rows = np.repeat(np.arange(len(ids)), [len(ks) for ks in lists])
+    ks = np.concatenate(lists + [np.empty(0, dtype=int)])
+    dist = np.linalg.norm(f.positions[net.points[ks]]
+                          - f.positions[ids[rows]], axis=1)
+    return rows, ks, make_cutoff(net.lam).value(dist / net.delta(2))
+
+
+def _chart_sums(f: SampledImmersion, net: DeltaNet, js: np.ndarray,
+                ids: np.ndarray):
+    """S at the pairs (chart js[i], sample ids[i]): the sum of g_k w_k over
+    the cover atoms, each plane normal w_k signed against chart js[i]'s
+    normal at its center.  Atoms of weight 0 count in the sum and in the
+    angle check.
+
+    Returns the (len(ids), n) sums and None, or the first failing pair and
+    its error.
+    """
+    rows, ks, g = _cutoff_atoms(f, net, ids)
+    patches = net.patches()
+    w = np.stack([p.normal_frame()[:, 0] for p in patches])
+    centers = np.stack([unit_normal_patch(p).at_center() for p in patches])
+    counts = np.bincount(rows, minlength=len(ids))
+    starts = np.cumsum(counts) - counts
+    dots = np.empty(len(ks))
+    sums = np.zeros((len(ids), f.n))
+    # per atom count: a product over zero-padded rows can differ in the
+    # last bit from the product over the row's own atoms
+    for count in set(counts.tolist()) - {0}:
+        same = np.nonzero(counts == count)[0]
+        atoms = starts[same, None] + np.arange(count)
+        normals = w[ks[atoms]]
+        dots[atoms] = (normals @ centers[js[same], :, None])[..., 0]
+        signed = g[atoms] * np.where(dots[atoms] >= 0, 1.0, -1.0)
+        sums[same] = (signed[:, None, :] @ normals)[:, 0]
+    angles = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
+    arctan_lam = math.atan(net.lam)
+    failing = counts == 0
+    failing[rows[angles > arctan_lam + 1e-9]] = True
+    if not np.any(failing):
+        return sums, None
+    i = int(np.argmax(failing))
+    if counts[i] == 0:
+        return sums, (i, InvariantViolationError(
+            f"sample {ids[i]} is not covered at delta_2 scale; the net is "
+            f"not fine enough (level >= 4 required)"))
+    own = slice(starts[i], starts[i] + counts[i])
+    return sums, (i, InvariantViolationError(
+        f"plane normal of chart {ks[own][np.argmax(angles[own])]} is "
+        f"{np.max(angles[own]):.4f} rad from chart {js[i]}'s reference "
+        f"normal, beyond arctan(lambda) = {arctan_lam:.4f}"))
 
 
 def averaged_vector_S(f: SampledImmersion, net: DeltaNet, q: int,
@@ -270,126 +333,71 @@ def averaged_vector_S(f: SampledImmersion, net: DeltaNet, q: int,
     if q not in set(net.members(reference_j, 3).tolist()):
         raise InputError(f"sample {q} is not in the delta_3-patch of chart "
                          f"{reference_j}")
-    return _FieldBuilder(f, net).chart_s(reference_j, np.array([q]))[0]
-
-
-class _FieldBuilder:
-    def __init__(self, f, net):
-        self.f = f
-        self.net = net
-        self.cutoff = make_cutoff(net.lam)
-        patches = net.patches()
-        self.w = np.stack([p.normal_frame()[:, 0] for p in patches])
-        self.nu_at_center = np.stack([unit_normal_patch(p).at_center()
-                                      for p in patches])
-        self.arctan_lam = math.atan(net.lam)
-        self._weights_cache = {}
-
-    def weights_at(self, p: int):
-        if p not in self._weights_cache:
-            d2 = self.net.delta(2)
-            ks = self.net.cover_index(2)[p]
-            dist = np.linalg.norm(
-                self.f.positions[self.net.points[ks]] - self.f.positions[p],
-                axis=1)
-            self._weights_cache[p] = (ks, self.cutoff.value(dist / d2))
-        return self._weights_cache[p]
-
-    def signs_for_chart(self, j: int, ks: np.ndarray) -> np.ndarray:
-        """Sign-fix the plane normals w_k against chart j's reference normal."""
-        ref = self.nu_at_center[j]
-        dots = self.w[ks] @ ref
-        signs = np.where(dots >= 0, 1.0, -1.0)
-        angles = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
-        if np.any(angles > self.arctan_lam + 1e-9):
-            k_bad = ks[int(np.argmax(angles))]
-            raise InvariantViolationError(
-                f"plane normal of chart {k_bad} is {np.max(angles):.4f} rad "
-                f"from chart {j}'s reference normal, beyond arctan(lambda) = "
-                f"{self.arctan_lam:.4f}")
-        return signs
-
-    def chart_s(self, j: int, sample_ids: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(sample_ids), self.f.n))
-        for row, p in enumerate(sample_ids):
-            ks, g_w = self.weights_at(int(p))
-            if len(ks) == 0:
-                raise InvariantViolationError(
-                    f"sample {p} is not covered at delta_2 scale; the net is "
-                    f"not fine enough (level >= 4 required)")
-            signs = self.signs_for_chart(j, ks)
-            out[row] = (g_w * signs) @ self.w[ks]
-        return out
+    sums, failure = _chart_sums(f, net, np.array([reference_j]),
+                                np.array([q]))
+    if failure:
+        raise failure[1]
+    return sums[0]
 
 
 def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
     """Build the global direction field and check chart-overlap agreement.
 
     Chart representatives S_j may differ by a global sign between charts;
-    their spans must agree on every overlap sample to ``SPAN_TOL``.
+    their spans must agree on every overlap sample to ``SPAN_TOL``.  All
+    (chart, delta_3-member) pairs are solved as one stack.  An error names
+    the first chart j that fails: its first failing member row, else its
+    |S| bound, else its first failing overlap row.
     """
     if f.n != f.m + 1:
         raise DimensionMismatchError("direction field needs codimension 1")
     if net.level < 4:
         raise InputError("direction field needs a net of level >= 4 "
                          "(a delta_4-net) for the lower bound on |S|")
-    builder = _FieldBuilder(f, net)
-    n_samples = len(f)
-    lower = 1.0 / (1.0 + net.lam)
-
-    cover3 = net.cover_index(3)
-    t_global = np.zeros((n_samples, f.n))
-    s_norm = np.zeros(n_samples)
-    omega = np.zeros((n_samples, f.n))
-    chart_of = np.full(n_samples, -1, dtype=int)
-    chart_data = {}
-    overlap_max = 0.0
-
-    for j in range(len(net)):
-        ids = net.members(j, 3)
-        s_vals = builder.chart_s(j, ids)
-        norms = np.linalg.norm(s_vals, axis=1)
-        if np.any(norms < lower - 1e-12):
-            p_bad = ids[int(np.argmin(norms))]
-            raise InvariantViolationError(
-                f"|S| = {np.min(norms):.6f} < (1+lambda)^-1 = {lower:.6f} at "
-                f"sample {p_bad} in chart {j}")
+    members = [net.members(j, 3) for j in range(len(net))]
+    offsets = np.cumsum([0] + [len(ids) for ids in members])
+    js = np.repeat(np.arange(len(net)), np.diff(offsets))
+    ids = np.concatenate(members + [np.empty(0, dtype=int)])
+    s_vals, failure = _chart_sums(f, net, js, ids)
+    norms = np.linalg.norm(s_vals, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         t_vals = s_vals / norms[:, None]
-        chart_data[j] = (ids, s_vals, t_vals)
-        fresh = chart_of[ids] < 0
-        for row, p in enumerate(ids):
-            if fresh[row]:
-                chart_of[p] = j
-                t_global[p] = t_vals[row]
-                s_norm[p] = norms[row]
-                omega[p] = _canonical_sign(t_vals[row])
-            else:
-                # overlap: spans must agree even though signs may flip
-                dist = _line_span_distance(t_global[p], t_vals[row])
-                overlap_max = max(overlap_max, dist)
-                if dist > SPAN_TOL:
-                    raise WellDefinednessError(
-                        f"span of S disagrees by {dist:.3e} rad at sample {p} "
-                        f"between charts {chart_of[p]} and {j}")
-    uncovered = np.nonzero(chart_of < 0)[0]
-    if len(uncovered):
+    # a sample's first chart owns it; its other charts are overlaps
+    owned, first, owner = np.unique(ids, return_index=True,
+                                    return_inverse=True)
+    owner = first[owner]
+    overlaps = np.nonzero(owner != np.arange(len(ids)))[0]
+    u, v = t_vals[owner[overlaps]], t_vals[overlaps]
+    v = np.where((np.vecdot(u, v) < 0)[:, None], -v, v)
+    # the angle between the spanned lines, from the rejection: stable near 0
+    rej = u - np.vecdot(u, v)[:, None] * v
+    spans = np.arcsin(np.clip(np.sqrt(np.vecdot(rej, rej)), 0.0, 1.0))
+
+    failures = [] if failure is None else [(js[failure[0]], 0, failure[1])]
+    lower = 1.0 / (1.0 + net.lam)
+    small = np.nonzero(norms < lower - 1e-12)[0]
+    if len(small):
+        j = js[small[0]]
+        chart = js == j
+        failures.append((j, 1, InvariantViolationError(
+            f"|S| = {np.min(norms[chart]):.6f} < (1+lambda)^-1 = "
+            f"{lower:.6f} at sample {ids[chart][np.argmin(norms[chart])]} "
+            f"in chart {j}")))
+    wide = np.nonzero(spans > SPAN_TOL)[0]
+    if len(wide):
+        i, p = overlaps[wide[0]], ids[overlaps[wide[0]]]
+        failures.append((js[i], 2, WellDefinednessError(
+            f"span of S disagrees by {spans[wide[0]]:.3e} rad at sample {p} "
+            f"between charts {js[owner[i]]} and {js[i]}")))
+    if failures:
+        raise min(failures, key=lambda failing: failing[:2])[2]
+    if len(owned) < len(f):
         raise InvariantViolationError(
-            f"{len(uncovered)} samples not covered by any delta_3-chart")
-    return DirectionField(f, net, t_global, s_norm, omega, chart_of,
-                          chart_data, overlap_max, builder.cutoff)
-
-
-def _canonical_sign(v):
-    lead = np.argmax(np.abs(v))
-    return v if v[lead] >= 0 else -v
-
-
-def _line_span_distance(u, v):
-    """Angle between the lines spanned by unit vectors, stable near zero."""
-    if float(u @ v) < 0:
-        v = -v
-    rej = u - float(u @ v) * v
-    return float(np.arcsin(np.clip(np.linalg.norm(rej), 0.0, 1.0)))
+            f"{len(f) - len(owned)} samples not covered by any delta_3-chart")
+    # every sample is owned, so ``owned`` is 0..N-1
+    return DirectionField(f, net, t_vals[first], norms[first], js[first],
+                          float(np.max(spans, initial=0.0)), ids, s_vals,
+                          t_vals, offsets)
 
 
 @dataclass
@@ -494,7 +502,6 @@ class NormalMeasureField:
                 "averaged normal spaces need lambda <= 1/4")
         self.f = f
         self.net = net
-        self.cutoff = make_cutoff(net.lam)
         tangents = f.tangent_planes(range(len(f)))
         self._chart_frames = complement_frames(
             np.stack([plane.frame for plane in net.planes]))
@@ -512,13 +519,7 @@ class NormalMeasureField:
         row's atom count and support margin (its atoms' largest distance to
         nu(q)); and None, or the first failing row and its error.
         """
-        cover = self.net.cover_index(2)
-        lists = [cover[q] for q in ids]
-        rows = np.repeat(np.arange(len(ids)), [len(ks) for ks in lists])
-        ks = np.concatenate(lists + [np.empty(0, dtype=int)])
-        dist = np.linalg.norm(self.f.positions[self.net.points[ks]]
-                              - self.f.positions[ids[rows]], axis=1)
-        raw = self.cutoff.value(dist / self.net.delta(2))
+        rows, ks, raw = _cutoff_atoms(self.f, self.net, ids)
         keep = raw > 0
         ks, raw, rows = ks[keep], raw[keep], rows[keep]
         counts = np.bincount(rows, minlength=len(ids))

@@ -10,6 +10,7 @@ from lipimm.errors import (
     InputError,
     InvariantViolationError,
     RegimeError,
+    WellDefinednessError,
 )
 from lipimm.grassmann import (
     geodesic_distance,
@@ -53,6 +54,24 @@ def circle_net(circle):
 @pytest.fixture(scope="module")
 def circle_field(circle, circle_net):
     return direction_field(circle, circle_net)
+
+
+@pytest.fixture(scope="module")
+def circle1024_net():
+    return build_net(make_shape("circle", {"radius": 1.0}, 1024), 0.2, 0.25,
+                     5)
+
+
+@pytest.fixture(scope="module")
+def circle2048_net():
+    return build_net(make_shape("circle", {"radius": 1.0}, 2048), 0.2, 0.25,
+                     5)
+
+
+@pytest.fixture(scope="module")
+def sphere_net():
+    sphere = make_shape("sphere", {"radius": 1.0}, "48x24")
+    return build_net(sphere, 0.15, 0.25, 5)
 
 
 @pytest.fixture(scope="module")
@@ -262,8 +281,156 @@ def test_averaged_vector_lower_bound_flat():
     assert np.linalg.norm(s) >= 1.0  # aligned sum with one unit weight
 
 
-def test_averaged_vector_bound_formula():
-    assert 1 / 1.25 == 0.8
+def test_averaged_vector_is_a_row_of_the_direction_field(circle, circle_net,
+                                                         circle_field):
+    for j in (0, 2047, 4095):
+        ids, s_vals, _ = circle_field.chart_field(j)
+        for row in (0, len(ids) - 1):
+            s = averaged_vector_S(circle, circle_net, int(ids[row]), j)
+            assert np.array_equal(s, s_vals[row])
+            assert np.linalg.norm(s) >= 1 / (1 + circle_net.lam)
+
+
+def _reference_field(f, net):
+    """The chart-by-chart direction field: per-sample cutoff weights, sign
+    fixes and sums over each chart's delta_3-members, then a per-row span
+    test on every overlap; returns T, |S|, owning charts, every chart's
+    (ids, S, T) and the largest overlap span distance."""
+    cutoff = make_cutoff(net.lam)
+    patches = net.patches()
+    w = np.stack([p.normal_frame()[:, 0] for p in patches])
+    nu_at_center = np.stack([unit_normal_patch(p).at_center()
+                             for p in patches])
+    weights = {}
+    t_global = np.zeros((len(f), f.n))
+    s_norm = np.zeros(len(f))
+    chart_of = np.full(len(f), -1, dtype=int)
+    charts, overlap_max = [], 0.0
+    for j in range(len(net)):
+        ids = net.members(j, 3)
+        s_vals = np.zeros((len(ids), f.n))
+        for row, p in enumerate(ids):
+            if p not in weights:
+                ks = net.cover_index(2)[p]
+                dist = np.linalg.norm(
+                    f.positions[net.points[ks]] - f.positions[p], axis=1)
+                weights[p] = (ks, cutoff.value(dist / net.delta(2)))
+            ks, g_w = weights[p]
+            signs = np.where(w[ks] @ nu_at_center[j] >= 0, 1.0, -1.0)
+            s_vals[row] = (g_w * signs) @ w[ks]
+        norms = np.linalg.norm(s_vals, axis=1)
+        t_vals = s_vals / norms[:, None]
+        charts.append((ids, s_vals, t_vals))
+        fresh = chart_of[ids] < 0
+        for row, p in enumerate(ids):
+            if fresh[row]:
+                chart_of[p] = j
+                t_global[p] = t_vals[row]
+                s_norm[p] = norms[row]
+                continue
+            u, v = t_global[p], t_vals[row]
+            if float(u @ v) < 0:
+                v = -v
+            rej = u - float(u @ v) * v
+            overlap_max = max(overlap_max, float(
+                np.arcsin(np.clip(np.linalg.norm(rej), 0.0, 1.0))))
+    return t_global, s_norm, chart_of, charts, overlap_max
+
+
+@pytest.mark.parametrize("net_name",
+                         ["circle_net", "sphere_net", "circle1024_net"])
+def test_stacked_field_matches_the_chart_by_chart_reference(request,
+                                                            net_name):
+    # circle4096 has real overlaps (span distances up to 4.7e-16); every
+    # value is the one the chart-by-chart pass gives, bit for bit
+    net = request.getfixturevalue(net_name)
+    field = direction_field(net.f, net)
+    t_global, s_norm, chart_of, charts, overlap_max = \
+        _reference_field(net.f, net)
+    assert np.array_equal(field.T, t_global)
+    assert np.array_equal(field.S_norm, s_norm)
+    assert np.array_equal(field.chart_of, chart_of)
+    assert field.overlap_span_max == overlap_max
+    for j, reference in enumerate(charts):
+        for got, want in zip(field.chart_field(j), reference):
+            assert np.array_equal(got, want)
+    if net_name == "circle_net":
+        assert 0.0 < overlap_max <= 1e-15
+
+
+def _field_error(monkeypatch, net, failures):
+    """direction_field's error on a circle-2048 net (chart j's delta_3-members
+    are samples j-1, j, j+1) with failures injected: ("uncovered", s)
+    empties sample s's delta_2-cover; ("far", s) leaves it one atom, 20
+    samples away, of weight 0; ("angle", j) turns chart j's reference
+    normal by 0.5 rad; ("span", j) scales and tilts it, so that the angle
+    check passes but the signs of the atoms split."""
+    cover = list(net.cover_index(2))
+    refs = {}
+    for kind, at in failures:
+        if kind == "uncovered":
+            cover[at] = np.empty(0, dtype=int)
+        elif kind == "far":
+            cover[at] = np.array([at + 20])
+        else:
+            refs[int(net.points[at])] = kind
+    real_cover, real_normal = net.cover_index, normals_mod.unit_normal_patch
+
+    def normal(patch):
+        field = real_normal(patch)
+        nu = field.at_center()
+        t = np.array([-nu[1], nu[0]])
+        if refs.get(patch.base) == "angle":
+            field.at_center = lambda: math.cos(0.5) * nu + math.sin(0.5) * t
+        elif refs.get(patch.base) == "span":
+            field.at_center = lambda: 1e6 * (nu + 100.0 * t)
+        return field
+
+    with monkeypatch.context() as m:
+        m.setattr(net, "cover_index",
+                  lambda iota: cover if iota == 2 else real_cover(iota))
+        m.setattr(normals_mod, "unit_normal_patch", normal)
+        with pytest.raises(Exception) as info:
+            direction_field(net.f, net)
+    return type(info.value), str(info.value)
+
+
+def test_direction_field_raises_for_the_first_failing_chart_and_row(
+        monkeypatch, circle2048_net):
+    # a chart-by-chart pass raises, for the first chart that fails, a
+    # failing member row first, then the chart's |S| bound, then its
+    # overlap rows; sample s belongs to charts s-1, s and s+1
+    net = circle2048_net
+    single = {kind: _field_error(monkeypatch, net, [(kind, at)])
+              for kind, at in (("uncovered", 101), ("far", 101),
+                               ("angle", 100), ("span", 100))}
+    assert single == {
+        "uncovered": (InvariantViolationError,
+                      "sample 101 is not covered at delta_2 scale; the net "
+                      "is not fine enough (level >= 4 required)"),
+        "far": (InvariantViolationError,
+                "|S| = 0.000000 < (1+lambda)^-1 = 0.800000 at sample 101 in "
+                "chart 100"),
+        "angle": (InvariantViolationError,
+                  "plane normal of chart 95 is 0.5153 rad from chart 100's "
+                  "reference normal, beyond arctan(lambda) = 0.2450"),
+        "span": (WellDefinednessError,
+                 "span of S disagrees by 2.280e-03 rad at sample 99 between "
+                 "charts 98 and 100"),
+    }
+    # one failure per chart: the first chart's failure is raised
+    for order in itertools.permutations(single):
+        failures = [(kind, 100 * i + (kind in ("uncovered", "far")))
+                    for i, kind in enumerate(order, start=1)]
+        assert _field_error(monkeypatch, net, failures) == single[order[0]]
+    # two failures in chart 100: rows, then |S|, then overlap rows
+    for failures, first in ((["angle", "uncovered"], "angle"),
+                            (["angle", "far"], "angle"),
+                            (["span", "uncovered"], "uncovered"),
+                            (["span", "far"], "far")):
+        injected = [(kind, 101 if kind in ("uncovered", "far") else 100)
+                    for kind in failures]
+        assert _field_error(monkeypatch, net, injected) == single[first]
 
 
 def test_direction_field_min_norm_regression(circle_field):
@@ -281,10 +448,9 @@ def test_direction_field_requires_level_4(circle):
         direction_field(circle, net1)
 
 
-def test_direction_field_on_sphere():
-    sphere = make_shape("sphere", {"radius": 1.0}, "48x24")
-    net = build_net(sphere, 0.15, 0.25, 5)
-    field = direction_field(sphere, net)
+def test_direction_field_on_sphere(sphere_net):
+    sphere = sphere_net.f
+    field = direction_field(sphere, sphere_net)
     assert field.overlap_span_max <= 1e-9
     assert float(np.min(field.S_norm)) >= 0.8
     # the averaged direction of a sphere is radial
@@ -367,7 +533,7 @@ def test_stacked_mixtures_match_the_per_sample_reference(
     assert failure is None and set(counts.tolist()) == {5, 6, 7, 8, 9}
     for row, q in enumerate(ids):
         ks = cover[q]
-        raw = nfield.cutoff.value(np.linalg.norm(
+        raw = make_cutoff(tilted_net.lam).value(np.linalg.norm(
             tilted.positions[tilted_net.points[ks]] - tilted.positions[q],
             axis=1) / tilted_net.delta(2))
         ks, raw = ks[raw > 0], raw[raw > 0]
