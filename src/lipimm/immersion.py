@@ -536,9 +536,8 @@ class GraphPatch:
         if self.m != 1:
             raise NotImplementedError("du_at is provided for curves only")
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.stack([np.interp(xs, self.x_nodes, self._du[:, j])
-                        for j in range(self.k)], axis=-1)
-        return out
+        return np.stack([np.interp(xs, self.x_nodes, self._du[:, j])
+                         for j in range(self.k)], axis=-1)
 
     def ambient(self, x) -> np.ndarray:
         """Map chart coordinates to R^n points on the graph."""
@@ -562,72 +561,78 @@ def _bilinear(axis, grid, pts):
     return out
 
 
-def _detect_fold(proj, positions, step, base_id, member_ids):
-    """Projection-injectivity heuristic at sample resolution.
+def _detect_fold(f, bases, members, counts, proj, step):
+    """Projection-injectivity heuristic at sample resolution: the
+    NotAGraphError or None of each row of padded (S, W) ``members``.
 
     A fold (or slope blow-up) shows up as two member samples projecting within
     half a grid cell of each other while sitting more than four grid cells
-    apart in R^n.  Candidate pairs are found by scanning windows in the order
-    of the first chart coordinate, so the cost stays near-linear.
+    apart in R^n.  Pairs are scanned at growing offsets in the order of the
+    first chart coordinate, padding last as +inf.  A sorted row's smallest
+    gap never shrinks as the offset grows, so the scan stops at the first
+    offset where no row has a gap below half a cell.
     """
-    m_count = len(member_ids)
-    if m_count < 2:
-        return
-    order = np.argsort(proj[:, 0], kind="stable")
-    p = proj[order]
+    x = np.where(np.arange(members.shape[1]) < counts[:, None], proj[..., 0], np.inf)
+    order = np.argsort(x, axis=1, kind="stable")
+    x, ids = (np.take_along_axis(v, order, axis=1) for v in (x, members))
+    p = np.take_along_axis(proj, order[..., None], axis=1)
     close, far = 0.5 * step, 4.0 * step
-    for off in range(1, m_count):
-        gap = p[off:, 0] - p[:-off, 0]
-        if np.min(gap) >= close:
+    errors = [None] * len(bases)
+    for off in range(1, members.shape[1]):
+        with np.errstate(invalid="ignore"):  # inf - inf between pads
+            s, i = np.nonzero(x[:, off:] - x[:, :-off] < close)
+        if not len(s):
             break
-        cand = np.nonzero(gap < close)[0]
-        dp = p[cand + off] - p[cand]
-        if proj.shape[1] > 1:
-            cand = cand[np.einsum("ij,ij->i", dp, dp) < close * close]
-        if len(cand) == 0:
-            continue
-        first, second = order[cand], order[cand + off]
-        da = positions[second] - positions[first]
+        if proj.shape[-1] > 1:
+            dp = p[s, i + off] - p[s, i]
+            near = np.einsum("ij,ij->i", dp, dp) < close * close
+            s, i = s[near], i[near]
+        da = f.positions[ids[s, i + off]] - f.positions[ids[s, i]]
         bad = np.einsum("ij,ij->i", da, da) > far * far
-        if np.any(bad):
-            i, j = first[np.argmax(bad)], second[np.argmax(bad)]
-            raise NotAGraphError(
-                f"projection folds near sample {base_id}: members "
-                f"{member_ids[i]} and {member_ids[j]} overlap in the chart while "
-                f"{np.linalg.norm(positions[j] - positions[i]):.2e} apart in R^n")
+        rows, first = np.unique(s[bad], return_index=True)
+        for row, a in zip(rows.tolist(), i[bad][first].tolist()):
+            i_id, j_id = ids[row, a], ids[row, a + off]
+            errors[row] = NotAGraphError(
+                f"projection folds near sample {bases[row]}: members "
+                f"{i_id} and {j_id} overlap in the chart while "
+                f"{np.linalg.norm(f.positions[j_id] - f.positions[i_id]):.2e}"
+                " apart in R^n")
+        x[rows] = np.inf  # a row stops at its first fold
+    return errors
 
 
-def _curve_brackets(f, q, members, proj, x_nodes):
-    """Parameter brackets (lo, hi) of every chart node of the curve patch at q.
-
-    The projection must be strictly monotone in the parameter along the
-    component (fold detection runs first), so member parameters bracket
-    every node.
+def _curve_brackets(f, bases, members, counts, proj, x_nodes):
+    """(S, G) parameter brackets (lo, hi) of every chart node of the curve
+    patches over padded (S, W) ``members``, and each row's NotAGraphError
+    or None.  The projection must be strictly monotone in the parameter
+    along the component, so member parameters bracket every node.
     """
     # unwrap periodic parameters into a contiguous window around q
-    t_q = f.params[q]
+    t_q = f.params[bases][:, None]
     period = f.evaluator.period
     t_members = t_q + (f.params[members] - t_q + period / 2) % period - period / 2
-    order = np.argsort(t_members)
-    t_sorted = t_members[order]
-    p_sorted = proj[order, 0]
-    dp = np.diff(p_sorted)
-    if np.all(dp > 0):
-        sign = 1.0
-    elif np.all(dp < 0):
-        sign = -1.0
-    else:
-        raise NotAGraphError(
-            f"projection is not monotone along the component of sample {q}")
+    pad = np.arange(members.shape[1]) >= counts[:, None]
+    order = np.argsort(np.where(pad, np.inf, t_members), axis=1, kind="stable")
+    t_sorted = np.take_along_axis(t_members, order, axis=1)
+    p_sorted = np.take_along_axis(proj[..., 0], order, axis=1)
+    dp = np.diff(p_sorted, axis=1)
+    rising = np.all((dp > 0) | pad[:, 1:], axis=1)
+    monotone = rising | np.all((dp < 0) | pad[:, 1:], axis=1)
+    sign = np.where(rising, 1.0, -1.0)
+    errors = [None if ok else NotAGraphError(
+        f"projection is not monotone along the component of sample {q}")
+        for q, ok in zip(bases.tolist(), monotone.tolist())]
     # member parameters bracket every node; extend two sample spacings at the
     # rim, where the true graph continues just beyond the outermost member
     spacing = period / len(f)
-    idx = np.searchsorted(sign * p_sorted, sign * x_nodes)
-    lo = t_sorted[np.maximum(idx - 1, 0)]
-    hi = t_sorted[np.minimum(idx, len(t_sorted) - 1)]
-    lo = np.where(idx == 0, t_sorted[0] - 2 * spacing, lo)
-    hi = np.where(idx == len(t_sorted), t_sorted[-1] + 2 * spacing, hi)
-    return lo, hi
+    idx = np.stack([np.searchsorted(s * p[:c], s * x_nodes) for s, p, c in
+                    zip(sign.tolist(), p_sorted, counts.tolist())])
+    last = counts[:, None] - 1
+    lo = np.take_along_axis(t_sorted, np.maximum(idx - 1, 0), axis=1)
+    hi = np.take_along_axis(t_sorted, np.minimum(idx, last), axis=1)
+    lo = np.where(idx == 0, lo - 2 * spacing, lo)
+    hi = np.where(idx > last, hi + 2 * spacing, hi)
+    return lo, hi, errors
 
 
 def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
@@ -716,89 +721,120 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
 
 
 def _analytic_patches(f, ids, plane_of, r):
-    """Graph patches of an immersion with an evaluator, solved in batched
-    blocks.
+    """Graph patches of an immersion with an evaluator: ``plane_of(q)``
+    gives the plane at base sample q, and each block of ``_PASS_ROWS``
+    samples with a plane takes one ``_padded_components`` pass and one
+    ``_component_patches`` build.  Returns one (patch, error) pair per id,
+    the error being what ``extract_graph_patch`` raises there.
+    """
+    outcomes, rows, planes = [None] * len(ids), [], []
+    for i, q in enumerate(ids):
+        try:
+            planes.append(plane_of(q))
+            rows.append(i)
+        except _SAMPLE_ERRORS as exc:
+            outcomes[i] = (None, exc)
+    bases = _checked_ids(f, [ids[i] for i in rows])
+    for a in range(0, len(rows), _PASS_ROWS):
+        block = slice(a, a + _PASS_ROWS)
+        frames = np.stack([plane.frame for plane in planes[block]])
+        members, counts = _padded_components(f, bases[block], frames, r)
+        for i, outcome in zip(rows[block], _component_patches(
+                f, bases[block], planes[block], members, counts, r)):
+            outcomes[i] = outcome
+    return outcomes
 
-    ``plane_of(q)`` gives the plane at base sample q.  The per-sample setup
-    (plane, component, fold check; on a curve the parameter brackets) runs
-    sample by sample.  The solve and the slope scan then run once per block
-    of rows: bracketed Newton on a curve, with every root's residual checked
-    against ``CURVE_RESIDUAL_SPACINGS`` sample spacings, and
-    ``_fill_surface_rows`` from each node's nearest member on a surface.
-    Returns one (patch, error) pair per id, the error being what
-    ``extract_graph_patch`` raises there.
+
+def _component_patches(f, bases, planes, members, counts, r):
+    """(patch, error) of every row of the padded (S, W) components
+    ``members`` with ``counts`` members, at ``bases`` over their ``planes``.
+
+    One batched projection, one fold scan and, on a curve, one bracket pass
+    serve all rows; a fold error comes before a bracket error.  The solve
+    and the slope scan run per block of ``_SOLVE_ROWS`` rows: bracketed
+    Newton on a curve, every root's residual checked against
+    ``CURVE_RESIDUAL_SPACINGS`` sample spacings, and ``_fill_surface_rows``
+    on a surface from each node's nearest member, or from that member's
+    nearest mesh neighbour where E^T J is singular (a lon/lat pole).
     """
     m, k, ev = f.m, f.n - f.m, f.evaluator
     step, axis, x_grid, in_disk = _chart_grid(m, r)
     nodes = x_grid[in_disk]
     valid = in_disk.reshape((len(axis),) * m)
-    outcomes = [None] * len(ids)
-    rows = []
-    for i, q in enumerate(ids):
-        try:
-            plane = plane_of(q)
-            members = q_component(f, q, plane, r)
-            proj = (f.positions[members] - f.positions[q]) @ plane.frame
-            _detect_fold(proj, f.positions[members], step, q, members)
-            rows.append((i, q, plane, members, proj, None if m == 2 else
-                         _curve_brackets(f, q, members, proj, nodes[:, 0])))
-        except _SAMPLE_ERRORS as exc:
-            outcomes[i] = (None, exc)
-    if not rows:
-        return outcomes
-    index, base, planes, members, projs, brackets = zip(*rows)
-    f_q = f.positions[list(base)]
     frames = np.stack([plane.frame for plane in planes])
-    isometries = EuclideanIsometry.embeddings(f_q, frames)
+    f_q = f.positions[bases]
+    rel = f.positions[members] - f_q[:, None]
+    proj = rel @ frames
+    errors = _detect_fold(f, bases, members, counts, proj, step)
+    if m == 1:
+        lo, hi, bent = _curve_brackets(f, bases, members, counts, proj,
+                                       nodes[:, 0])
+        errors = [fold or other for fold, other in zip(errors, bent)]
+    else:  # E^T J at every member, |det| against its squared entries
+        etj = np.swapaxes(frames, 1, 2)[:, None] @ ev.jacobian(f.params[members])
+        singular = np.abs(etj[..., 0, 0] * etj[..., 1, 1] - etj[..., 0, 1] * etj[
+            ..., 1, 0]) <= 1e-8 * np.sum(etj * etj, axis=(-2, -1))
+        proj_in = np.where((np.arange(members.shape[1]) < counts[:, None])[
+            ..., None], proj, np.inf)  # padding is nearest to no node
+    outcomes = [(None, err) for err in errors]
+    keep = np.flatnonzero([err is None for err in errors])
+    if not len(keep):
+        return outcomes
+    isometries = EuclideanIsometry.embeddings(f_q[keep], frames[keep])
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
+    heights = rel[keep] @ n_frames
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
     # rows are independent; blocks of rows keep the solver's arrays in cache
-    for a in range(0, len(base), _SOLVE_ROWS[m]):
+    for a in range(0, len(keep), _SOLVE_ROWS[m]):
         b = slice(a, a + _SOLVE_ROWS[m])
-        js = range(a, min(b.stop, len(base)))
+        js = keep[b]
         if m == 1:
-            lo, hi = map(np.stack, zip(*brackets[b]))
             on_disk, failed, res_max = _solve_curve_rows(
-                ev, f_q[b], frames[b, :, 0], n_frames[b], lo, hi, nodes[:, 0])
-        else:  # each node starts from its nearest member's parameters
-            gaps = [nodes[:, None, :] - projs[j] for j in js]
-            t = np.stack([f.params[members[j]][np.argmin(
-                np.einsum("tmi,tmi->tm", gap, gap), axis=1)]
-                for j, gap in zip(js, gaps)])
-            on_disk, failed = _fill_surface_rows(ev, f_q[b], frames[b],
+                ev, f_q[js], frames[js, :, 0], n_frames[b], lo[js], hi[js],
+                nodes[:, 0])
+        else:
+            w = np.max(counts[js])  # the block's own padded width
+            gap = nodes[:, None] - proj_in[js, None, :w]
+            near = np.argmin(np.einsum("stwi,stwi->stw", gap, gap), axis=2)
+            t = f.params[np.take_along_axis(members[js], near, axis=1)]
+            for s, p in zip(*np.nonzero(singular[js, :w])):
+                # the parameters of the member's nearest mesh neighbour
+                at, nb = near[s] == p, f.neighbors(members[js[s], p])
+                gap = nodes[at, None] - (f.positions[nb] - f_q[js[s]]) @ \
+                    frames[js[s]]
+                t[s, at] = f.params[nb[np.argmin(
+                    np.einsum("tki,tki->tk", gap, gap), axis=1)]]
+            on_disk, failed = _fill_surface_rows(ev, f_q[js], frames[js],
                                                  n_frames[b], t, nodes)
         u = np.full((len(js), len(x_grid), k), np.nan)
         u[:, in_disk] = on_disk
         off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
         u = u.reshape((len(js),) + valid.shape + (k,))
-        if m == 1:
-            lams, du = _lambda_on_curve_grid(u, step)
-        else:
-            lams, du = _lambda_on_surface_grid(
-                u, np.broadcast_to(valid, u.shape[:-1]), step)
-        for s, j in enumerate(js):
-            q = base[j]
+        lams, du = (_lambda_on_curve_grid(u, step) if m == 1 else
+                    _lambda_on_surface_grid(
+                        u, np.broadcast_to(valid, u.shape[:-1]), step))
+        for s, (i, j) in enumerate(zip(range(a, a + len(js)), js.tolist())):
+            q, c = int(bases[j]), int(counts[j])
             if failed[s] and m == 1:
-                outcomes[index[j]] = (None, InsufficientSamplingError(
+                outcomes[j] = (None, InsufficientSamplingError(
                     f"patch at sample {q} is not resolved out to its rim"))
             elif m == 1 and not res_max[s] <= residual_tol:
-                outcomes[index[j]] = (None, InsufficientSamplingError(
+                outcomes[j] = (None, InsufficientSamplingError(
                     f"patch at sample {q} has a chart node the curve does not "
                     f"reach (residual {res_max[s]:.1e})"))
             elif failed[s]:
-                outcomes[index[j]] = (None, NotAGraphError(
+                outcomes[j] = (None, NotAGraphError(
                     f"grid fill did not converge on the patch at sample {q}"))
             elif off_center[s]:
-                outcomes[index[j]] = (None, NotAGraphError(
+                outcomes[j] = (None, NotAGraphError(
                     f"patch at {q} does not pass through f(q)"))
             else:
-                heights = (f.positions[members[j]] - f_q[j]) @ n_frames[j]
-                patch = GraphPatch(q, planes[j], isometries[j], r, axis, u[s],
-                                   float(lams[s]), members[j], projs[j],
-                                   heights, m, k, step,
+                patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
+                                   float(lams[s]), members[j, :c], proj[j, :c],
+                                   heights[i, :c], m, k, step,
                                    mask=valid if m == 2 else None)
                 patch._du = du[s]
-                outcomes[index[j]] = (patch, None)
+                outcomes[j] = (patch, None)
     return outcomes
 
 
@@ -821,9 +857,8 @@ def _interp_curve_grid(q, proj, heights, x_nodes, step):
         raise InsufficientSamplingError(
             f"samples cover [{p_sorted[0]:.4f}, {p_sorted[-1]:.4f}] of the "
             f"requested chart at sample {q}")
-    u = np.stack([np.interp(x_nodes, p_sorted, h_sorted[:, j])
-                  for j in range(h_sorted.shape[1])], axis=-1)
-    return u
+    return np.stack([np.interp(x_nodes, p_sorted, h_sorted[:, j])
+                     for j in range(h_sorted.shape[1])], axis=-1)
 
 
 def _derivative_1d(u, step):
@@ -884,49 +919,42 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
                         r: float) -> GraphPatch:
     """Extract the local graph of f over ``plane`` through f(q) on B_r.
 
-    Immersions with an analytic evaluator go through the batched solver that
-    ``check_r_lambda`` runs over all samples, here with a single row.
+    The component comes from ``q_component``.  Immersions with an analytic
+    evaluator go through the block setup and solve that ``check_r_lambda``
+    runs, here with a single row; raw samples share its fold scan.
     """
+    members = q_component(f, q, plane, r)
+    one = (np.array([q]), members[None], np.array([len(members)]))
     if f.evaluator is not None and f.params is not None:
-        [(patch, err)] = _analytic_patches(f, [q], lambda _: plane, r)
+        [(patch, err)] = _component_patches(f, one[0], [plane], *one[1:], r)
         if err is not None:
             raise err
         return patch
     cells = GRID_CELLS_PER_RADIUS[f.m]
     step, axis, x_grid, in_disk = _chart_grid(f.m, r)
-    e_frame = plane.frame
-    [isometry] = EuclideanIsometry.embeddings(f.positions[q][None], e_frame[None])
-    n_frame = isometry.rotation[:, f.m:]
-    members = q_component(f, q, plane, r)
-    f_q = f.positions[q]
-    rel = f.positions[members] - f_q
-    proj = rel @ e_frame
-    heights = rel @ n_frame
-    _detect_fold(proj, f.positions[members], step, q, members)
-
-    k = f.n - f.m
+    [isometry] = EuclideanIsometry.embeddings(f.positions[q][None],
+                                              plane.frame[None])
+    rel = f.positions[members] - f.positions[q]
+    proj = rel @ plane.frame
+    heights = rel @ isometry.rotation[:, f.m:]
+    [err] = _detect_fold(f, *one, proj[None], step)
+    if err is not None:
+        raise err
     if f.m == 1:
         if len(members) < 4:
             raise InsufficientSamplingError(
                 f"only {len(members)} samples in the patch at {q}")
-        u = _interp_curve_grid(q, proj[:, 0], heights, axis, step)
-        if np.max(np.abs(u[cells])) > 1e-9:
-            raise NotAGraphError(f"patch at {q} does not pass through f(q)")
-        lam, du = _lambda_on_curve_grid(u, step)
-        patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam),
-                           members, proj, heights, 1, k, step)
-        patch._du = du
-        return patch
-
-    u_flat = _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step)
-    shape = (len(axis), len(axis))
-    u = u_flat.reshape(shape + (k,))
-    valid = in_disk.reshape(shape)
-    if np.max(np.abs(u[cells, cells])) > 1e-9:
+        u, valid = _interp_curve_grid(q, proj[:, 0], heights, axis, step), None
+    else:
+        u = _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step)
+        u = u.reshape((len(axis), len(axis), -1))
+        valid = in_disk.reshape(u.shape[:2])
+    if np.max(np.abs(u[(cells,) * f.m])) > 1e-9:
         raise NotAGraphError(f"patch at {q} does not pass through f(q)")
-    lam, du = _lambda_on_surface_grid(u, valid, step)
-    patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam), members, proj,
-                       heights, 2, k, step, mask=valid)
+    lam, du = (_lambda_on_curve_grid(u, step) if f.m == 1 else
+               _lambda_on_surface_grid(u, valid, step))
+    patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam), members,
+                       proj, heights, f.m, f.n - f.m, step, mask=valid)
     patch._du = du
     return patch
 

@@ -167,11 +167,9 @@ class PatchNormalField:
                 "unit normal fields require codimension one")
         self.patch = patch
         du = patch._du  # (G, 1) for m=1; (G, G, 1, 2) for m=2
-        if patch.m == 1:
-            self._du_grid = du[:, 0][:, None]          # (G, 1): du/dx
-        else:
-            grid = du[:, :, 0, :]                      # (G, G, 2)
-            self._du_grid = _inpaint(grid)
+        # (G, 1): du/dx, or (G, G, 2), inpainted once ``at`` reads a NaN cell
+        self._du_grid = du[:, 0][:, None] if patch.m == 1 else du[:, :, 0, :]
+        self._inpainted = None
 
     def at(self, x) -> np.ndarray:
         """Unit normals at chart coordinates x (vectorized)."""
@@ -182,6 +180,10 @@ class PatchNormalField:
         else:
             from .immersion import _bilinear
             du = _bilinear(p.x_nodes, self._du_grid, np.atleast_2d(x))
+            if not np.all(np.isfinite(du)):  # inpainting keeps finite cells
+                if self._inpainted is None:
+                    self._inpainted = _inpaint(self._du_grid)
+                du = _bilinear(p.x_nodes, self._inpainted, np.atleast_2d(x))
         graph_normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
         graph_normal /= np.linalg.norm(graph_normal, axis=1, keepdims=True)
         return graph_normal @ self.patch.isometry.rotation.T

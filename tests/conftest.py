@@ -1,5 +1,7 @@
+import math
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -46,19 +48,59 @@ def per_call(monkeypatch):
 
 
 @pytest.fixture
-def angle_calls_per_means(monkeypatch, per_call):
+def lipimm_calls(monkeypatch):
+    """``counter = lipimm_calls(fn)`` counts the calls of the lipimm
+    function ``fn`` under every name a lipimm module holds it by."""
+    def instrument(fn):
+        counter = CallCounter()
+        counting = counter.wrap(fn)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "lipimm":
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+        return counter
+    return instrument
+
+
+@pytest.fixture
+def angle_calls_per_means(lipimm_calls, per_call):
     """The calls of ``grassmann.principal_angles_all`` made in each
-    ``NormalMeasureField.means`` call, under every name a lipimm module
-    holds the function by: a list with one entry per call."""
+    ``NormalMeasureField.means`` call: a list with one entry per call."""
     from lipimm import grassmann
     from lipimm.normals import NormalMeasureField
 
-    counter = CallCounter()
-    original = grassmann.principal_angles_all
-    counting = counter.wrap(original)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lipimm":
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    counter = lipimm_calls(grassmann.principal_angles_all)
     return per_call(NormalMeasureField, "means", counter)
+
+
+@pytest.fixture(scope="session")
+def gapped_circle():
+    """``gapped_circle(samples, gap, scale=1.0)``: the circle of radius
+    ``scale`` with its angles (pi - gap/2, pi + gap/2) skipped.  The
+    parameter runs at a rate 1 - gap/(2 pi) and jumps the gap at pi."""
+    from lipimm.immersion import SampledImmersion
+    from lipimm.shapes import CurveEvaluator
+
+    def make(samples, gap, scale=1.0):
+        rate = 1.0 - gap / (2 * math.pi)
+
+        def angle(t):
+            t = np.mod(t, 2 * math.pi)
+            return rate * t + gap * (t >= math.pi)
+
+        def point(t):
+            a = angle(t)
+            return scale * np.stack([np.cos(a), np.sin(a)], axis=-1)
+
+        def velocity(t):
+            a = angle(t)
+            return scale * rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
+
+        ev = CurveEvaluator(2, 2 * math.pi, point, velocity)
+        params = np.arange(samples) * (2 * math.pi / samples)
+        return SampledImmersion(
+            1, 2, ev.point(params), params=params, evaluator=ev,
+            neighbors=[((i - 1) % samples, (i + 1) % samples)
+                       for i in range(samples)])
+    return make

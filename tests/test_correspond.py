@@ -387,35 +387,7 @@ def test_harness_raises_on_an_unusable_input():
         convergence_harness(family, 0.1, 0.25, level=4)
 
 
-def gapped_circle(samples, gap, scale=1.0):
-    """The circle of radius ``scale`` with its angles (pi - gap/2,
-    pi + gap/2) skipped: the parameter runs at a rate 1 - gap/(2 pi) and
-    jumps the gap at pi."""
-    from lipimm.immersion import SampledImmersion
-    from lipimm.shapes import CurveEvaluator
-
-    rate = 1.0 - gap / (2 * math.pi)
-
-    def angle(t):
-        t = np.mod(t, 2 * math.pi)
-        return rate * t + gap * (t >= math.pi)
-
-    def point(t):
-        a = angle(t)
-        return scale * np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-    def velocity(t):
-        a = angle(t)
-        return scale * rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
-
-    ev = CurveEvaluator(2, 2 * math.pi, point, velocity)
-    params = np.arange(samples) * (2 * math.pi / samples)
-    return SampledImmersion(1, 2, ev.point(params), params=params, evaluator=ev,
-                            neighbors=[((i - 1) % samples, (i + 1) % samples)
-                                       for i in range(samples)])
-
-
-def test_a_chart_node_across_a_gap_fails_its_sample():
+def test_a_chart_node_across_a_gap_fails_its_sample(gapped_circle):
     # a 1e-3 gap at pi is wider than a chart cell of r = 0.2: nodes of the
     # patches near pi fall into it, and their brackets change sign across
     # the jump without a curve point on the node
@@ -424,7 +396,7 @@ def test_a_chart_node_across_a_gap_fails_its_sample():
         check_r_lambda(gapped, 0.2, 0.25)
 
 
-def test_a_fiber_across_a_gap_is_a_missed_fiber():
+def test_a_fiber_across_a_gap_is_a_missed_fiber(gapped_circle):
     # the fiber through angle pi of the circle meets no point of the gapped
     # target, yet its bracket changes sign across the gap: the polished root
     # keeps a residual of about gap / 2 and must not count as found
@@ -441,7 +413,7 @@ def test_a_fiber_across_a_gap_is_a_missed_fiber():
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e3])
-def test_root_tolerances_scale_with_the_curve(scale):
+def test_root_tolerances_scale_with_the_curve(scale, gapped_circle):
     # both root tolerances count sample spacings: a dilation keeps the
     # failing chart node and the missed fiber, and the intact circle passes
     with pytest.raises(InsufficientSamplingError,

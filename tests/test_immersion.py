@@ -427,20 +427,16 @@ def test_sphere_newton_fill_matches_closed_form():
     newton.evaluator = copy.copy(sphere.evaluator)
     newton.evaluator.graph_heights = None
     newton._patch_store = {}
-    poles = [0, len(sphere) - 1]
-    ids = [q for q in range(len(sphere)) if q not in poles]
-    closed = check_r_lambda(sphere, 0.2, 0.25, sample_ids=ids)
-    solved = check_r_lambda(newton, 0.2, 0.25, sample_ids=ids)
-    assert np.nanmax(np.abs(solved.lambdas - closed.lambdas)) <= 1e-12
-    for q in ids:
+    # the poles too: the lon/lat chart is singular there, so their nodes
+    # start from the poles' mesh neighbours
+    closed = check_r_lambda(sphere, 0.2, 0.25)
+    solved = check_r_lambda(newton, 0.2, 0.25)
+    assert np.max(np.abs(solved.lambdas - closed.lambdas)) <= 1e-12
+    for q in range(len(sphere)):
         a = sphere._patch_store[(0.2, 0.25, "tangent")][q][0]
         b = newton._patch_store[(0.2, 0.25, "tangent")][q][0]
         assert np.nanmax(np.abs(a.u - b.u)) <= 1e-12
         assert np.nanmax(np.abs(a._du - b._du)) <= 1e-12
-    # the lon/lat chart is singular at the poles, where Newton cannot start
-    for q in poles:
-        with pytest.raises(NotAGraphError):
-            extract_graph_patch(newton, q, sphere.tangent_plane(q), 0.2)
 
 
 def test_batched_surface_check_matches_single_patches(torus):
@@ -458,10 +454,15 @@ def test_batched_surface_check_matches_single_patches(torus):
 
 
 def test_failing_row_of_a_surface_block_fails_alone():
-    # without its closed form the sphere's north pole does not converge;
-    # its block neighbours are built and stored all the same
+    # without its closed form, and with a Jacobian ten times too large on
+    # the polar cap above 87 degrees, Newton at the north pole crawls and
+    # does not converge in its 40 steps; its block neighbours, whose nodes
+    # stay below 86.6 degrees, are built and stored all the same
     sphere = make_shape("sphere", {"radius": 1.0}, "24x12")
     sphere.evaluator.graph_heights = None
+    jacobian, cap = sphere.evaluator.jacobian, math.radians(87.0)
+    sphere.evaluator.jacobian = lambda t: jacobian(t) * np.where(
+        t[..., 1] < cap, 1.0, 10.0)[..., None, None]
     pole = len(sphere) - 1
     ids = [pole - 3, pole - 1, pole, 100]
     with pytest.raises(NotAGraphError) as info:
@@ -474,6 +475,278 @@ def test_failing_row_of_a_surface_block_fails_alone():
         assert err is None
         single = extract_graph_patch(sphere, q, patch.plane, 0.2)
         assert np.nanmax(np.abs(patch.u - single.u)) <= 1e-14
+
+
+def test_check_takes_one_component_pass_per_block(lipimm_calls):
+    # the setup reads its components from one window pass per block of
+    # rows, and asks q_component for none
+    circle = make_shape("circle", {"radius": 1.0}, 1024)
+    passes = lipimm_calls(immersion_mod._cycle_components)
+    singles = lipimm_calls(immersion_mod.q_component)
+    assert check_r_lambda(circle, 0.2, 0.25).passed
+    assert passes.calls == math.ceil(len(circle) / immersion_mod._PASS_ROWS)
+    assert singles.calls == 0
+
+
+# ---------------------------------------------------------------------------
+# the block setup of patch fills against the former per-sample loop
+
+
+def reference_fold(proj, positions, step, base_id, member_ids):
+    """The former one-sample fold scan: raises at the first fold."""
+    order = np.argsort(proj[:, 0], kind="stable")
+    p = proj[order]
+    close, far = 0.5 * step, 4.0 * step
+    for off in range(1, len(member_ids)):
+        gap = p[off:, 0] - p[:-off, 0]
+        if np.min(gap) >= close:
+            break
+        cand = np.nonzero(gap < close)[0]
+        dp = p[cand + off] - p[cand]
+        if proj.shape[1] > 1:
+            cand = cand[np.einsum("ij,ij->i", dp, dp) < close * close]
+        if len(cand) == 0:
+            continue
+        first, second = order[cand], order[cand + off]
+        da = positions[second] - positions[first]
+        bad = np.einsum("ij,ij->i", da, da) > far * far
+        if np.any(bad):
+            i, j = first[np.argmax(bad)], second[np.argmax(bad)]
+            raise NotAGraphError(
+                f"projection folds near sample {base_id}: members "
+                f"{member_ids[i]} and {member_ids[j]} overlap in the chart "
+                f"while {np.linalg.norm(positions[j] - positions[i]):.2e} "
+                "apart in R^n")
+
+
+def reference_brackets(f, q, members, proj, x_nodes):
+    """The former one-sample bracket pass."""
+    t_q = f.params[q]
+    period = f.evaluator.period
+    t_members = t_q + (f.params[members] - t_q + period / 2) % period - period / 2
+    order = np.argsort(t_members)
+    t_sorted = t_members[order]
+    p_sorted = proj[order, 0]
+    dp = np.diff(p_sorted)
+    if np.all(dp > 0):
+        sign = 1.0
+    elif np.all(dp < 0):
+        sign = -1.0
+    else:
+        raise NotAGraphError(
+            f"projection is not monotone along the component of sample {q}")
+    spacing = period / len(f)
+    idx = np.searchsorted(sign * p_sorted, sign * x_nodes)
+    lo = t_sorted[np.maximum(idx - 1, 0)]
+    hi = t_sorted[np.minimum(idx, len(t_sorted) - 1)]
+    lo = np.where(idx == 0, t_sorted[0] - 2 * spacing, lo)
+    hi = np.where(idx == len(t_sorted), t_sorted[-1] + 2 * spacing, hi)
+    return lo, hi
+
+
+def reference_patches(f, ids, plane_of, r):
+    """The former ``_analytic_patches``: plane, component, fold scan and
+    brackets sample by sample, then the same batched solve."""
+    im = immersion_mod
+    m, k, ev = f.m, f.n - f.m, f.evaluator
+    step, axis, x_grid, in_disk = im._chart_grid(m, r)
+    nodes = x_grid[in_disk]
+    valid = in_disk.reshape((len(axis),) * m)
+    outcomes = [None] * len(ids)
+    rows = []
+    for i, q in enumerate(ids):
+        try:
+            plane = plane_of(q)
+            members = q_component(f, q, plane, r)
+            proj = (f.positions[members] - f.positions[q]) @ plane.frame
+            if len(members) > 1:
+                reference_fold(proj, f.positions[members], step, q, members)
+            rows.append((i, q, plane, members, proj, None if m == 2 else
+                         reference_brackets(f, q, members, proj, nodes[:, 0])))
+        except im._SAMPLE_ERRORS as exc:
+            outcomes[i] = (None, exc)
+    if not rows:
+        return outcomes
+    index, base, planes, members, projs, brackets = zip(*rows)
+    f_q = f.positions[list(base)]
+    frames = np.stack([plane.frame for plane in planes])
+    isometries = EuclideanIsometry.embeddings(f_q, frames)
+    n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
+    residual_tol = im.CURVE_RESIDUAL_SPACINGS * f.sample_spacing
+    for a in range(0, len(base), im._SOLVE_ROWS[m]):
+        b = slice(a, a + im._SOLVE_ROWS[m])
+        js = range(a, min(b.stop, len(base)))
+        if m == 1:
+            lo, hi = map(np.stack, zip(*brackets[b]))
+            on_disk, failed, res_max = im._solve_curve_rows(
+                ev, f_q[b], frames[b, :, 0], n_frames[b], lo, hi, nodes[:, 0])
+        else:
+            gaps = [nodes[:, None, :] - projs[j] for j in js]
+            t = np.stack([f.params[members[j]][np.argmin(
+                np.einsum("tmi,tmi->tm", gap, gap), axis=1)]
+                for j, gap in zip(js, gaps)])
+            on_disk, failed = im._fill_surface_rows(ev, f_q[b], frames[b],
+                                                    n_frames[b], t, nodes)
+        u = np.full((len(js), len(x_grid), k), np.nan)
+        u[:, in_disk] = on_disk
+        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
+        u = u.reshape((len(js),) + valid.shape + (k,))
+        if m == 1:
+            lams, du = im._lambda_on_curve_grid(u, step)
+        else:
+            lams, du = im._lambda_on_surface_grid(
+                u, np.broadcast_to(valid, u.shape[:-1]), step)
+        for s, j in enumerate(js):
+            q = base[j]
+            if failed[s] and m == 1:
+                outcomes[index[j]] = (None, InsufficientSamplingError(
+                    f"patch at sample {q} is not resolved out to its rim"))
+            elif m == 1 and not res_max[s] <= residual_tol:
+                outcomes[index[j]] = (None, InsufficientSamplingError(
+                    f"patch at sample {q} has a chart node the curve does not "
+                    f"reach (residual {res_max[s]:.1e})"))
+            elif failed[s]:
+                outcomes[index[j]] = (None, NotAGraphError(
+                    f"grid fill did not converge on the patch at sample {q}"))
+            elif off_center[s]:
+                outcomes[index[j]] = (None, NotAGraphError(
+                    f"patch at {q} does not pass through f(q)"))
+            else:
+                heights = (f.positions[members[j]] - f_q[j]) @ n_frames[j]
+                patch = im.GraphPatch(q, planes[j], isometries[j], r, axis,
+                                      u[s], float(lams[s]), members[j],
+                                      projs[j], heights, m, k, step,
+                                      mask=valid if m == 2 else None)
+                patch._du = du[s]
+                outcomes[index[j]] = (patch, None)
+    return outcomes
+
+
+def plane_lookup(f, ids, rule, r, lam=0.25):
+    """The planes at ``ids`` as ``graph_patches`` resolves them."""
+    if rule == "tangent":
+        return dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    try:
+        return dict(zip(ids, f.best_fit_planes(ids, delta(1, r, lam)))).__getitem__
+    except InsufficientSamplingError:
+        return functools.partial(plane_for, f, rule=rule, r=r, lam=lam)
+
+
+def assert_same_outcomes(f, ids, plane_of, r):
+    """``_analytic_patches`` equals the per-sample reference bit for bit,
+    and names the same error; returns the errors."""
+    got = _analytic_patches(f, ids, plane_of, r)
+    want = reference_patches(f, ids, plane_of, r)
+    for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
+        assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+        if ref is None:
+            continue
+        assert (patch.base, patch.radius, patch.m, patch.k, patch.grid_step,
+                patch.lambda_measured) == (ref.base, ref.radius, ref.m, ref.k,
+                                           ref.grid_step, ref.lambda_measured)
+        assert (patch.mask is None) == (ref.mask is None)
+        for a, b in [(patch.plane.frame, ref.plane.frame),
+                     (patch.isometry.rotation, ref.isometry.rotation),
+                     (patch.isometry.translation, ref.isometry.translation),
+                     (patch.x_nodes, ref.x_nodes), (patch.u, ref.u),
+                     (patch._du, ref._du),
+                     (patch.member_samples, ref.member_samples),
+                     (patch.member_proj, ref.member_proj),
+                     (patch.member_heights, ref.member_heights),
+                     (patch.mask, ref.mask)]:
+            a, b = np.asarray(a), np.asarray(b)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype,
+                                                       b.tobytes())
+    return [err for _, err in got if err is not None]
+
+
+@pytest.mark.parametrize("rule", PLANE_RULES)
+@pytest.mark.parametrize("name, params, samples, r", [
+    ("circle", {"radius": 1.0}, 512, 0.2),
+    ("ellipse", {"a": 1.0, "b": 0.6}, 512, 0.1),
+    ("circle3d", {"radius": 1.0, "tilt": 0.2}, 512, 0.2),
+    ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}, 512, 0.1),
+    ("rounded-rectangle", {"width": 2.0, "height": 1.5,
+                           "corner_radius": 0.5}, 512, 0.1),
+    ("torus", {"R": 2.0, "r": 0.5}, "16x32", 0.1),
+    ("sphere", {"radius": 1.0}, "24x12", 0.2),
+])
+def test_block_setup_matches_the_per_sample_loop(name, params, samples, r,
+                                                 rule):
+    f = make_shape(name, params, samples)
+    ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
+    assert_same_outcomes(f, ids, plane_lookup(f, ids, rule, r), r)
+
+
+def tilted_planes(f, angles):
+    """Planes tilted off the tangent line by ``angles[q % len(angles)]``."""
+    def plane_of(q):
+        tangent = f.evaluator.tangent_frame(f.params[q]).reshape(f.n, 1)
+        frame = np.linalg.qr(np.column_stack([tangent, np.eye(f.n)]))[0]
+        angle = angles[q % len(angles)]
+        return line(math.cos(angle) * frame[:, 0] + math.sin(angle) * frame[:, 1])
+    return plane_of
+
+
+def duplicated_circle(samples, at):
+    """The unit circle with sample ``at`` given twice."""
+    ev = make_shape("circle", {"radius": 1.0}, 8).evaluator
+    params = np.arange(samples) * (2 * math.pi / samples)
+    params = np.insert(params, at, params[at])
+    n = len(params)
+    return SampledImmersion(1, 2, ev.point(params), params=params, evaluator=ev,
+                            neighbors=[((i - 1) % n, (i + 1) % n)
+                                       for i in range(n)])
+
+
+def test_block_setup_names_each_samples_first_error(gapped_circle):
+    # folds at the tips of a thin ellipse; a sparse circle over planes
+    # tilted by 1 rad (not monotone), pi/2 (a fold) or not at all, mixed in
+    # one block; a duplicated sample (not monotone); and the 1e-3 gap,
+    # whose nodes the curve does not reach
+    thin = make_shape("ellipse", {"a": 1.0, "b": 0.05}, 512)
+    sparse = make_shape("circle", {"radius": 1.0}, 64)
+    twice = duplicated_circle(256, 10)
+    gapped = gapped_circle(512, 1e-3)
+    errors = []
+    for f, plane_of, r in [
+            (thin, None, 0.2), (sparse, tilted_planes(sparse, [0.0, 1.0,
+                                                               math.pi / 2]), 0.2),
+            (twice, None, 0.2), (gapped, None, 0.2)]:
+        ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
+        for rule in PLANE_RULES if plane_of is None else ["given"]:
+            errors += assert_same_outcomes(
+                f, ids, plane_of or plane_lookup(f, ids, rule, r), r)
+    kinds = {str(err).split(" sample")[0] for err in errors}
+    assert kinds == {"projection folds near",
+                     "projection is not monotone along the component of",
+                     "patch at"}
+
+
+def test_raw_fold_scan_matches_the_per_sample_scan():
+    # a polyline near an astroid: charts at its rounded cusps fold, the
+    # others build or see too few samples; extract_graph_patch scans one row
+    t = np.linspace(0, 2 * np.pi, 3000, endpoint=False)
+    pts = np.column_stack([np.cos(t) ** 3 + 0.1 * np.cos(t),
+                           np.sin(t) ** 3 + 0.1 * np.sin(t)])
+    raw = immersion_from_points(pts)
+    r, folds, built = 0.2, 0, 0
+    for q in range(0, 750, 6):
+        plane = line(pts[q + 1] - pts[q - 1])
+        members = q_component(raw, q, plane, r)
+        proj = (pts[members] - pts[q]) @ plane.frame
+        try:
+            reference_fold(proj, pts[members], r / 64, q, members)
+            want = None
+        except NotAGraphError as exc:
+            want, folds = str(exc), folds + 1
+        try:
+            extract_graph_patch(raw, q, plane, r)
+            got, built = None, built + 1
+        except (NotAGraphError, InsufficientSamplingError) as exc:
+            got = str(exc)
+        assert got == want if want else not str(got).startswith("projection")
+    assert folds >= 40 and built >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ from lipimm.grassmann import (
     orthonormalize,
     sphere_angle,
 )
-from lipimm.immersion import EuclideanIsometry, GraphPatch, extract_graph_patch
+from lipimm.immersion import (
+    EuclideanIsometry,
+    GraphPatch,
+    _bilinear,
+    extract_graph_patch,
+)
 from lipimm.karcher import karcher_mean
 from lipimm.nets import DeltaNet, build_net
 from lipimm.normals import (
@@ -456,6 +461,30 @@ def test_direction_field_on_sphere(sphere_net):
     # the averaged direction of a sphere is radial
     dots = np.abs(np.einsum("ij,ij->i", field.T, sphere.positions))
     assert np.min(dots) > 0.99
+
+
+def test_surface_normals_inpaint_only_when_a_nan_cell_is_read(sphere_net,
+                                                              lipimm_calls):
+    # the field reads each chart at its center, where no cell is NaN; a
+    # point near the rim reads NaN cells and gets the normal of the
+    # inpainted grid, bit for bit, from one inpainting per patch
+    inpaint = normals_mod._inpaint
+    inpaints = lipimm_calls(inpaint)
+    direction_field(sphere_net.f, sphere_net)
+    assert inpaints.calls == 0
+    patch = sphere_net.patch(0)
+    field = unit_normal_patch(patch)
+    pts = patch.radius * np.array([[0.0, 0.0], [0.3, -0.2], [0.999, 0.0],
+                                   [0.0, -0.999], [0.7, 0.7]])
+    du = _bilinear(patch.x_nodes, inpaint(patch._du[:, :, 0, :]), pts)
+    normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    want = normal @ patch.isometry.rotation.T
+    assert np.array_equal(field.at(pts[:2]), want[:2])
+    assert inpaints.calls == 0
+    assert np.array_equal(field.at(pts), want)
+    assert np.array_equal(field.at(pts[2:]), want[2:])
+    assert inpaints.calls == 1
 
 
 def test_angle_bound_check_self(circle_field, circle):
