@@ -23,7 +23,7 @@ from .errors import (
     NonTransversalError,
 )
 from ._util import bracketed_newton, rounding_floor
-from .grassmann import complement_frames, hausdorff_of, sphere_angle_matrix
+from .grassmann import complement_frames, worst_image_hausdorff
 from .immersion import (
     GraphSystem,
     SampledImmersion,
@@ -94,16 +94,9 @@ def _sample_normals_codim1(f: SampledImmersion) -> np.ndarray:
 
 def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
     """Worst per-chart Hausdorff distance between chart direction images."""
-    worst = 0.0
-    for j in range(len(net1)):
-        a = vec1[net1.members(j, 1)]
-        b = vec2[net2.members(j, 1)]
-        plus, minus = sphere_angle_matrix(a, b), sphere_angle_matrix(a, -b)
-        # lines: nearer chord angle to b or -b, exactly 0 on identical lines
-        d = hausdorff_of(np.minimum(plus, minus)) if lines else \
-            min(hausdorff_of(plus), hausdorff_of(minus))
-        worst = max(worst, d)
-    return worst
+    return worst_image_hausdorff(
+        vec1, [members[1] for members in net1.member_sets],
+        vec2, [members[1] for members in net2.member_sets], lines=lines)
 
 
 def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
@@ -159,18 +152,17 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     """
     ev = f2.evaluator
     period = ev.period
-    n_samples = len(anchors)
-    lo = np.empty(n_samples)
-    hi = np.empty(n_samples)
     spacing = period / len(f2)
-    for row in range(n_samples):
-        j = int(chart[row])
-        members = net2.members(j, 1)
-        q_j = int(net2.points[j])
-        t_q = f2.params[q_j]
-        t_m = t_q + (f2.params[members] - t_q + period / 2) % period - period / 2
-        lo[row] = np.min(t_m) - 2 * spacing
-        hi[row] = np.max(t_m) + 2 * spacing
+    # each chart's bracket: its delta_1-members' parameters unwrapped around
+    # t_q, widened by two spacings
+    sets = [members[1] for members in net2.member_sets]
+    counts = np.array([len(ids) for ids in sets])
+    t_q = np.repeat(f2.params[net2.points], counts)
+    t_m = (t_q + (f2.params[np.concatenate(sets)] - t_q + period / 2) % period
+           - period / 2)
+    starts = np.cumsum(counts) - counts
+    lo = (np.minimum.reduceat(t_m, starts) - 2 * spacing)[chart]
+    hi = (np.maximum.reduceat(t_m, starts) + 2 * spacing)[chart]
 
     def residual(points):
         return np.einsum("ij,ij->i", points - anchors, constraints)

@@ -297,6 +297,76 @@ def hausdorff_of(dist: np.ndarray) -> float:
                float(np.max(np.min(dist, axis=0))))
 
 
+# angle entries per block of image pairs: a few 2 MB arrays at a time,
+# whatever the number and widths of the pairs
+HAUSDORFF_BLOCK = 1 << 18
+
+
+def worst_image_hausdorff(a, a_sets, b, b_sets, *, lines: bool) -> float:
+    """Worst Hausdorff distance over pairs of unit-vector images, free of the
+    sign of b.  Pair i is the rows ``a[a_sets[i]]`` and ``b[b_sets[i]]``,
+    each at least one row.
+
+    With ``lines`` every angle is the nearer of those to b and -b (images of
+    lines), else a pair takes the smaller of its Hausdorff distances to b and
+    to -b.  Blocks of pairs are padded into stacks of at most
+    ``HAUSDORFF_BLOCK`` angle entries, both signs in one call; padding is
+    +inf in the minima and left out of the maxima.  Every pair's value is
+    ``hausdorff_of`` over its ``sphere_angle_matrix`` bit for bit, and the
+    values fold with a left ``max`` from 0, which passes over a NaN.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a_counts = np.array([len(ids) for ids in a_sets])
+    b_counts = np.array([len(ids) for ids in b_sets])
+    rows = max(1, HAUSDORFF_BLOCK // (2 * a_counts.max() * b_counts.max()))
+    worst = 0.0
+    for s in range(0, len(a_sets), rows):
+        va, ma = _padded_rows(a, a_sets[s:s + rows], a_counts[s:s + rows])
+        vb, mb = _padded_rows(b, b_sets[s:s + rows], b_counts[s:s + rows])
+        # (pair, sign, a row, b row) angles, as sphere_angle_matrix forms them
+        ang = difference_norms(va[:, None, :, None, :],
+                               np.stack([vb, -vb], axis=1)[:, :, None])
+        ang /= 2.0
+        ang = 2.0 * np.arcsin(np.clip(ang, 0.0, 1.0, out=ang), out=ang)
+        np.copyto(ang, np.inf, where=~(ma[:, None, :, None] & mb[:, None, None, :]))
+        if lines:
+            ang = np.minimum(ang[:, :1], ang[:, 1:])
+        from_a = np.where(ma[:, None], ang.min(axis=3), -np.inf).max(axis=2)
+        from_b = np.where(mb[:, None], ang.min(axis=2), -np.inf).max(axis=2)
+        # max(from_a, from_b), then min(plus, minus), as Python orders NaN
+        h = np.where(from_b > from_a, from_b, from_a)
+        h = h[:, 0] if lines else np.where(h[:, 1] < h[:, 0], h[:, 1], h[:, 0])
+        for d in h.tolist():
+            worst = max(worst, d)
+    return worst
+
+
+def difference_norms(a, b) -> np.ndarray:
+    """``np.linalg.norm(a - b, axis=-1)`` over the broadcast of a and b, bit
+    for bit, summed one coordinate at a time: ``add.reduce`` sums fewer than
+    8 terms from the left, but calls its loop once per output, and the norm
+    keeps three copies of the differences."""
+    if a.shape[-1] >= 8:  # a pairwise sum
+        diff = a - b
+        return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    total = a[..., 0] - b[..., 0]
+    total *= total
+    for k in range(1, a.shape[-1]):
+        diff = a[..., k] - b[..., k]
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
+
+
+def _padded_rows(vectors, sets, counts):
+    """The rows ``vectors[ids]`` of each index array in ``sets`` as an
+    (S, W, n) stack padded with zeros, and its (S, W) mask of real rows."""
+    valid = np.arange(counts.max()) < counts[:, None]
+    stack = np.zeros(valid.shape + vectors.shape[1:])
+    stack[valid] = vectors[np.concatenate(sets)]
+    return stack, valid
+
+
 def hausdorff_distance(a: SpherePointSet, b: SpherePointSet) -> float:
     """Hausdorff distance of finite sphere point sets under the angular metric."""
     return hausdorff_of(sphere_angle_matrix(a.points, b.points))

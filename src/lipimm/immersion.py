@@ -29,6 +29,7 @@ from .grassmann import (
     Subspace,
     _orthonormal_frames,
     complement_frames,
+    difference_norms,
     orthonormalize_all,
 )
 from ._util import bracketed_newton, max_quotient, rounding_floor, unchecked
@@ -1211,17 +1212,24 @@ class GraphSystem:
 
 
 def graph_system_distance(g1: GraphSystem, g2: GraphSystem) -> float:
-    """Sum over patches of ||R - R~||_op + |T - T~| + ||u - u~||_C0."""
+    """Sum over patches of ||R - R~||_op + |T - T~| + ||u - u~||_C0.
+
+    Each term is one pass over the stack of patches, and the sum runs in
+    patch order, so the total is that of a patch-by-patch loop bit for bit.
+    """
     if len(g1) != len(g2) or g1.grids.shape != g2.grids.shape \
             or g1.radius != g2.radius:
         raise DimensionMismatchError("graph systems have mismatched shapes")
-    total = 0.0
-    for a, b, ua, ub in zip(g1.isometries, g2.isometries, g1.grids, g2.grids):
-        rot = float(np.linalg.norm(a.rotation - b.rotation, 2))
-        tra = float(np.linalg.norm(a.translation - b.translation))
-        sup = float(np.nanmax(np.linalg.norm(ua - ub, axis=-1)))
-        total += rot + tra + sup
-    return total
+    rot = (np.stack([a.rotation for a in g1.isometries])
+           - np.stack([b.rotation for b in g2.isometries]))
+    tra = (np.stack([a.translation for a in g1.isometries])
+           - np.stack([b.translation for b in g2.isometries]))
+    rot = np.max(np.linalg.svd(rot, compute_uv=False), axis=-1)
+    # a row times a column is the dot product the norm of one vector takes
+    tra = np.sqrt((tra[:, None, :] @ tra[:, :, None])[:, 0, 0])
+    sup = np.nanmax(difference_norms(g1.grids, g2.grids).reshape(len(g1), -1),
+                    axis=1)
+    return float(np.cumsum(rot + tra + sup)[-1])
 
 
 @dataclass

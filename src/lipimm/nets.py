@@ -25,9 +25,7 @@ from .immersion import (
     extract_graph_patch,
     graph_patches,
     passes_stored_check,
-    plane_for,
     planes_for,
-    q_components,
 )
 
 
@@ -153,22 +151,23 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
             raise InvariantViolationError(
                 f"immersion fails the local-graph check at (r={r}, lambda={lam}): "
                 f"worst slope {report.worst_lambda:.6f} at sample {report.worst_sample}")
-    stored = None
+    ids = range(len(f))
     if verify_immersion:  # the passing check stored every sample's plane
-        stored = graph_patches(f, range(len(f)), r, lam, plane_rule)
+        planes = [patch.plane for patch in graph_patches(f, ids, r, lam,
+                                                         plane_rule)]
+    else:
+        planes = planes_for(f, ids, plane_rule, r, lam)
+    ladders = component_ladders(
+        f, np.arange(len(f)), np.stack([plane.frame for plane in planes]),
+        [delta(iota, r, lam) for iota in range(level + 2)])
     covered = np.zeros(len(f), dtype=bool)
     points = []
-    planes = []
-    member_sets = []
-    while not np.all(covered):
-        q = int(np.argmin(covered))  # lowest uncovered sample id
-        plane = (plane_for(f, q, plane_rule, r, lam) if stored is None
-                 else stored[q].plane)
-        points.append(q)
-        planes.append(plane)
-        member_sets.append(_ladder(f, r, lam, level, q, plane))
-        covered[member_sets[-1][level]] = True  # U_{delta_level, q}
-        covered[q] = True  # q covers itself even at degenerate resolution
+    for q in ids:  # the lowest uncovered id: ids below q are covered
+        if not covered[q]:
+            points.append(q)
+            covered[ladders[q][level]] = True  # U_{delta_level, q}
+    planes = [planes[q] for q in points]
+    member_sets = [ladders[q] for q in points]
 
     net = DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
                    member_sets, plane_rule)
@@ -195,14 +194,6 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
         f, points, np.stack([plane.frame for plane in planes]),
         [delta(iota, r, lam) for iota in range(level + 2)])
     return DeltaNet(f, r, lam, level, points, planes, member_sets, plane_rule)
-
-
-def _ladder(f: SampledImmersion, r: float, lam: float, level: int, q: int,
-            plane) -> list:
-    """U_{delta_iota, q} over ``plane`` for iota = 0..level+1, from one
-    traversal."""
-    return q_components(f, q, plane,
-                        [delta(iota, r, lam) for iota in range(level + 2)])
 
 
 def _assert_separation(net: DeltaNet):

@@ -29,8 +29,7 @@ from .grassmann import (
     Subspace,
     complement_frames,
     geodesic_distances,
-    hausdorff_of,
-    sphere_angle_matrix,
+    worst_image_hausdorff,
 )
 from .karcher import DiracMixture, karcher_means
 from .immersion import GraphPatch, SampledImmersion, planes_for
@@ -446,26 +445,34 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     ids = list(range(len(net)) if chart_ids is None else chart_ids)
     same = net_other is net
 
-    worst_h = 0.0
     worst_angle = 0.0
+    images = []
     for j, patch, other in zip(ids, net.patches(ids), net_other.patches(ids)):
         img_self = unit_normal_patch(patch).at_samples(net.members(j, 1))
         img_other = img_self if same else \
             unit_normal_patch(other).at_samples(net_other.members(j, 1))
-        if not same:
-            # Hausdorff distance between (closures of) the chart normal
-            # images, insensitive to the overall sign choice of either chart
-            # normal; an image is at distance exactly 0 from itself
-            worst_h = max(worst_h, min(
-                hausdorff_of(sphere_angle_matrix(img_self, img_other)),
-                hausdorff_of(sphere_angle_matrix(img_self, -img_other))))
+        images.append((img_self, img_other))
         sample_ids, _, t_vals = field.chart_field(j)
         dots = np.abs(t_vals @ img_other.T)  # span-level angle: sign free
         ang = float(np.max(np.arccos(np.clip(dots, 0.0, 1.0))))
         worst_angle = max(worst_angle, ang)
+    # Hausdorff distance between (closures of) the chart normal images,
+    # insensitive to the overall sign choice of either chart normal; an
+    # image is at distance exactly 0 from itself
+    worst_h = 0.0
+    if not same and images:
+        a, b = zip(*images)
+        worst_h = worst_image_hausdorff(*_stacked(a), *_stacked(b),
+                                        lines=False)
     pre_ok = worst_h < bound_h
     return AngleBoundReport(gamma, pre_ok, worst_h, bound_h, worst_angle,
                             bool(pre_ok and worst_angle <= gamma + 1e-12))
+
+
+def _stacked(arrays):
+    """Arrays concatenated, with the row ids of each."""
+    ends = np.cumsum([len(x) for x in arrays])
+    return np.concatenate(arrays), np.split(np.arange(ends[-1]), ends[:-1])
 
 
 @dataclass

@@ -18,11 +18,18 @@ from lipimm.correspond import (
     verify_bijectivity,
 )
 import lipimm.correspond as correspond_mod
+import lipimm.grassmann as grassmann_mod
 import lipimm.immersion as immersion_mod
 import lipimm.nets as nets_mod
 from lipimm.errors import ClosenessError, InputError, InsufficientSamplingError
-from lipimm.immersion import check_r_lambda, graph_system_distance
-from lipimm.nets import build_net
+from lipimm.grassmann import hausdorff_of, sphere_angle_matrix
+from lipimm.immersion import (
+    EuclideanIsometry,
+    GraphSystem,
+    check_r_lambda,
+    graph_system_distance,
+)
+from lipimm.nets import DeltaNet, build_net
 from lipimm.normals import (
     NormalMeasureField,
     angle_bound_check,
@@ -232,6 +239,111 @@ def test_closeness_report_thresholds(circle, circle_net):
     assert rep.hausdorff_ok
     # 2048 charts each contributing ~1e-3 make the strict graph gauge fail
     assert rep.graph_distance > rep.graph_threshold
+
+
+def _chart_hausdorff_loop(net1, net2, vec1, vec2, lines):
+    """The chart-by-chart gauge that ``_chart_hausdorff`` stacks."""
+    worst = 0.0
+    for j in range(len(net1)):
+        a = vec1[net1.members(j, 1)]
+        b = vec2[net2.members(j, 1)]
+        plus, minus = sphere_angle_matrix(a, b), sphere_angle_matrix(a, -b)
+        d = hausdorff_of(np.minimum(plus, minus)) if lines else \
+            min(hausdorff_of(plus), hausdorff_of(minus))
+        worst = max(worst, d)
+    return worst
+
+
+def _graph_distance_loop(g1, g2):
+    """The patch-by-patch sum that ``graph_system_distance`` stacks."""
+    total = 0.0
+    for a, b, ua, ub in zip(g1.isometries, g2.isometries, g1.grids, g2.grids):
+        rot = float(np.linalg.norm(a.rotation - b.rotation, 2))
+        tra = float(np.linalg.norm(a.translation - b.translation))
+        sup = float(np.nanmax(np.linalg.norm(ua - ub, axis=-1)))
+        total += rot + tra + sup
+    return total
+
+
+def _gauge_pair(kind):
+    """Two nearby immersions, a level-5 net on the first, its transfer to
+    the second, and each immersion's chart direction vectors."""
+    if kind == "circle":
+        f = make_shape("circle", {"radius": 1.0}, 1024)
+        g = make_shape("circle", {"radius": 1.001}, 1024)
+        vectors = correspond_mod._sample_normals_codim1
+    else:  # two members of the codim2-family
+        f, g = [make_shape("circle3d", {"radius": radius, "tilt": 0.2}, 512)
+                for radius in (1.5, 1.25)]
+        vectors = lambda h: h.evaluator.tangent_frame(h.params)  # noqa: E731
+    net = build_net(f, 0.2, 0.25, 5)
+    return f, g, net, transfer_net(net, g), vectors(f), vectors(g)
+
+
+@pytest.mark.parametrize("kind", ["circle", "circle3d"])
+def test_stacked_gauges_equal_the_chart_loops(kind):
+    f, g, net, net2, vec1, vec2 = _gauge_pair(kind)
+    for lines in (False, True):
+        assert _chart_hausdorff(net, net2, vec1, vec2, lines) == \
+            _chart_hausdorff_loop(net, net2, vec1, vec2, lines)
+    g1, g2 = graph_system(net), graph_system(net2)
+    assert graph_system_distance(g1, g2) == _graph_distance_loop(g1, g2)
+    assert graph_system_distance(g2, g1) == _graph_distance_loop(g2, g1)
+    # moved translations, whose norms the dot product of each vector gives;
+    # a NaN grid cell is passed over in its patch's sup
+    rng = np.random.default_rng(7)
+    g3 = dataclasses.replace(g2, grids=g2.grids.copy(), isometries=[
+        EuclideanIsometry(i.rotation,
+                          i.translation + rng.normal(0, 0.01, f.n))
+        for i in g2.isometries])
+    g3.grids[3, :5] = np.nan
+    assert graph_system_distance(g1, g3) == _graph_distance_loop(g1, g3)
+    # one patch at a time, where the sum rounds no term away
+    for j in range(0, len(g1), 5):
+        one = [GraphSystem(g.isometries[j:j + 1], g.grids[j:j + 1],
+                           g.x_nodes, g.radius) for g in (g1, g3)]
+        assert graph_system_distance(*one) == _graph_distance_loop(*one)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chart_hausdorff_on_ragged_charts(monkeypatch, n):
+    # one-member charts next to wide ones, in blocks of a few charts each
+    rng = np.random.default_rng(n)
+    f = make_shape("circle", {"radius": 1.0}, 256)
+    vec1, vec2 = (rng.standard_normal((256, n)) for _ in range(2))
+    vec1 /= np.linalg.norm(vec1, axis=1, keepdims=True)
+    vec2 /= np.linalg.norm(vec2, axis=1, keepdims=True)
+    vec2[:128] = vec1[:128] + 1e-3 * vec2[:128]  # near pairs and far pairs
+    vec2[200] = np.nan  # a NaN chart value is passed over by the fold
+    sizes1 = [1, 40, 1, 1, 3, 60, 1, 17, 2, 1, 33, 1]
+    sizes2 = [1, 1, 50, 1, 7, 60, 2, 1, 1, 25, 33, 1]
+
+    def ragged(sizes):
+        sets = [[np.array([j]), np.sort(rng.choice(256, size, replace=False))]
+                for j, size in enumerate(sizes)]
+        sets[9][1][0] = 200
+        return DeltaNet(f, 0.2, 0.25, 0, np.arange(len(sizes)),
+                        [None] * len(sizes), sets)
+
+    net1, net2 = ragged(sizes1), ragged(sizes2)
+    for block in (1 << 18, 30000, 1):  # all, 4 and 1 charts a block
+        monkeypatch.setattr(grassmann_mod, "HAUSDORFF_BLOCK", block)
+        for lines in (False, True):
+            assert _chart_hausdorff(net1, net2, vec1, vec2, lines) == \
+                _chart_hausdorff_loop(net1, net2, vec1, vec2, lines)
+
+
+def test_chart_hausdorff_on_wide_charts():
+    # circle 4096 at level 5: 69 delta_1-members a chart, 4096 charts, in
+    # blocks bounded by HAUSDORFF_BLOCK angle entries
+    f = make_shape("circle", {"radius": 1.0}, 4096)
+    g = make_shape("circle", {"radius": 1.001}, 4096)
+    net = build_net(f, 0.2, 0.25, 5, verify_immersion=False)
+    net2 = transfer_net(net, g)
+    assert max(len(net.members(j, 1)) for j in range(len(net))) == 69
+    vec1, vec2 = (correspond_mod._sample_normals_codim1(h) for h in (f, g))
+    assert _chart_hausdorff(net, net2, vec1, vec2, False) == \
+        _chart_hausdorff_loop(net, net2, vec1, vec2, False)
 
 
 def test_transfer_net_keeps_the_plane_rule():

@@ -13,6 +13,7 @@ from lipimm.grassmann import (
     SpherePointSet,
     Subspace,
     complement_frames,
+    difference_norms,
     exp_map,
     geodesic_distance,
     geodesic_distances,
@@ -276,3 +277,15 @@ def test_import_leaves_scipy_linalg_unloaded():
          "import sys, lipimm; print('scipy.linalg' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
+def test_difference_norms_equal_the_norm_of_differences(n):
+    # below 8 coordinates add.reduce sums from the left, from 8 on pairwise
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((5, 1, 40, n)) * 10.0 ** rng.integers(-8, 3, (5, 1, 40, n))
+    b = rng.standard_normal((1, 3, 40, n))
+    b[0, 0, :7] = a[0, 0, :7]  # identical rows are at distance exactly 0
+    want = np.linalg.norm(a - b, axis=-1)
+    assert np.array_equal(difference_norms(a, b), want)
+    assert np.all(difference_norms(a, b)[0, 0, :7] == 0.0)

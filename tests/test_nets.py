@@ -5,8 +5,14 @@ import pytest
 
 from lipimm.errors import InputError
 from lipimm.grassmann import orthonormalize
-from lipimm.immersion import check_r_lambda, delta
-from lipimm.nets import build_net, verify_net_bounds
+from lipimm.immersion import (
+    check_r_lambda,
+    delta,
+    graph_patches,
+    plane_for,
+    q_component,
+)
+from lipimm.nets import DeltaNet, build_net, verify_net_bounds
 from lipimm.shapes import make_shape
 
 
@@ -181,26 +187,49 @@ def test_plane_rule_is_tangent_or_best_fit():
             build_net(f, 0.2, 0.25, 1, rule)
 
 
-@pytest.mark.parametrize("shape, samples, r, level", [
-    ("circle", 1024, 0.2, 5),
+def _per_point_greedy(f, r, lam, level, plane_rule, verify):
+    """The greedy net as a loop over net points: the lowest uncovered id,
+    its plane, then one ``q_component`` call per radius of its ladder."""
+    covered = np.zeros(len(f), dtype=bool)
+    points, planes, ladders = [], [], []
+    while not np.all(covered):
+        q = int(np.argmin(covered))
+        plane = (graph_patches(f, [q], r, lam, plane_rule)[0].plane if verify
+                 else plane_for(f, q, plane_rule, r, lam))
+        ladder = [q_component(f, q, plane, delta(iota, r, lam))
+                  for iota in range(level + 2)]
+        points.append(q)
+        planes.append(plane)
+        ladders.append(ladder)
+        covered[ladder[level]] = True
+        covered[q] = True
+    return DeltaNet(f, r, lam, level, np.array(points), planes, ladders,
+                    plane_rule)
+
+
+@pytest.mark.parametrize("shape, samples, r, level, plane_rule, verify", [
+    pytest.param("circle", 1024, 0.2, 5, "tangent", True,
+                 id="circle-1024-0.2-5"),
+    pytest.param("circle3d", 512, 0.2, 5, "tangent", True,
+                 id="circle3d-512-0.2-5"),
     # r = 0.6 fails the check, but its delta_0-patches hold 34 samples on
     # average where r = 0.1 gives 3
-    ("torus", "16x32", 0.6, 2),
+    pytest.param("torus", "16x32", 0.6, 2, "tangent", False,
+                 id="torus-16x32-0.6-2"),
+    # r = 0.3 fails the check; every plane comes from best_fit_planes
+    pytest.param("circle", 1024, 0.3, 2, "best-fit", False,
+                 id="circle-1024-0.3-2-best-fit-unverified"),
 ])
-def test_ladder_net_equals_net_of_single_radius_components(monkeypatch, shape,
-                                                           samples, r, level):
-    # one traversal per net point must give the net that one q_component
-    # call per radius gives
-    from lipimm import nets
-    from lipimm.immersion import q_component
-
+def test_ladder_net_equals_net_of_single_radius_components(
+        shape, samples, r, level, plane_rule, verify):
+    # one component pass over all samples must give the net that the greedy
+    # loop over net points, one q_component call per radius, gives
     f = make_shape(shape, {}, samples)
-    verify = shape == "circle"
-    net = build_net(f, r, 0.25, level, verify_immersion=verify)
-    monkeypatch.setattr(nets, "q_components", lambda f, q, plane, radii: [
-        q_component(f, q, plane, rho) for rho in radii])
-    reference = build_net(f, r, 0.25, level, verify_immersion=verify)
+    net = build_net(f, r, 0.25, level, plane_rule, verify_immersion=verify)
+    reference = _per_point_greedy(f, r, 0.25, level, plane_rule, verify)
     assert np.array_equal(net.points, reference.points)
+    for plane, expected in zip(net.planes, reference.planes):
+        assert np.array_equal(plane.frame, expected.frame)
     for ladder, expected in zip(net.member_sets, reference.member_sets):
         assert len(ladder) == level + 2
         assert all(np.array_equal(a, b) for a, b in zip(ladder, expected))

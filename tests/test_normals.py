@@ -15,8 +15,10 @@ from lipimm.errors import (
 from lipimm.grassmann import (
     geodesic_distance,
     geodesic_distances,
+    hausdorff_of,
     orthonormalize,
     sphere_angle,
+    sphere_angle_matrix,
 )
 from lipimm.immersion import (
     EuclideanIsometry,
@@ -498,11 +500,21 @@ def test_angle_bound_check_self(circle_field, circle):
 
 def test_angle_bound_check_nearby_circle(circle, circle_net, circle_field):
     other = make_shape("circle", {"radius": 1.01}, 4096)
-    report = angle_bound_check(circle_field, other,
-                               chart_ids=range(0, 4096, 32))
+    ids = range(0, 4096, 32)
+    report = angle_bound_check(circle_field, other, chart_ids=ids)
     assert report.precondition_ok
     assert report.holds
     assert report.worst_angle < report.gamma
+    # the stacked precondition is the chart-by-chart gauge bit for bit
+    net_other = transfer_net(circle_net, other)
+    worst = 0.0
+    for j, own, moved in zip(ids, circle_net.patches(ids),
+                             net_other.patches(ids)):
+        a = unit_normal_patch(own).at_samples(circle_net.members(j, 1))
+        b = unit_normal_patch(moved).at_samples(net_other.members(j, 1))
+        worst = max(worst, min(hausdorff_of(sphere_angle_matrix(a, b)),
+                               hausdorff_of(sphere_angle_matrix(a, -b))))
+    assert report.worst_hausdorff == worst > 0.0
 
 
 def test_field_lipschitz_regression(circle_field):
