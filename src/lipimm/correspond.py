@@ -168,8 +168,9 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
         return np.einsum("ij,ij->i", points - anchors, constraints)
 
     def residual_slope(theta):
-        return (residual(ev.point(theta)),
-                np.einsum("ij,ij->i", ev.jacobian(theta), constraints))
+        points, velocity = ev.point_jacobian(theta)
+        return (residual(points),
+                np.einsum("ij,ij->i", velocity, constraints))
 
     r_lo = residual(ev.point(lo))
     r_hi = residual(ev.point(hi))

@@ -42,6 +42,9 @@ _SOLVE_ROWS = {1: 256, 2: 15}
 # rows per block of a whole-immersion pass (seed balls, components,
 # quotients), which keeps its padded (rows, members, n) stacks a few MB
 _PASS_ROWS = 256
+# (row, id) keys of a block of rows in one stacked mesh traversal, which
+# bounds its (rows * N) seen flags to 1 MB
+_MESH_KEYS = 2 ** 20
 # failures that fail one sample of a check; any other error aborts the check
 _SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
@@ -175,7 +178,7 @@ class SampledImmersion:
                                     axis=1), axis=1)
             self._id_cycle = np.array_equal(self._indices.reshape(-1, 2), ends)
         if not self._id_cycle and len(
-                _frontier_bfs(self._indptr, self._indices, 0)) < n_samples:
+                _stacked_bfs(self, np.array([0]), 1)) < n_samples:
             raise InputError("adjacency is not connected (one closed manifold only)")
         if self.evaluator is not None and self.params is not None:
             recon = self.evaluator.point(self.params)
@@ -359,22 +362,23 @@ def q_components(f: SampledImmersion, q: int, plane: Subspace,
 def component_ladders(f: SampledImmersion, bases, frames,
                       radii) -> list[list[np.ndarray]]:
     """``q_components`` at every base q of the (S,) ``bases`` over its frame
-    in the (S, n, m) ``frames``: on an id cycle one window pass per block of
-    rows, on any other adjacency one frontier BFS per row."""
+    in the (S, n, m) ``frames``, one pass per block of rows: on an id cycle
+    a window pass, on any other adjacency one stacked frontier BFS."""
     radii2 = [rho * rho for rho in radii]
     # the traversal's ball; a NaN radius has an empty ball and a component {q}
     reach2 = max((r2 for r2 in radii2 if r2 == r2), default=0.0)
     radii2 = np.array(radii2, dtype=float)
-    if not f._id_cycle:
-        return [_graph_components(f, q, frame, radii2, reach2)
-                for q, frame in zip(bases.tolist(), frames)]
     ladders = []
-    for a in range(0, len(bases), _PASS_ROWS):
-        left, right = _cycle_components(f, bases[a:a + _PASS_ROWS],
-                                        frames[a:a + _PASS_ROWS], radii2, reach2)
+    rows = _PASS_ROWS if f._id_cycle else max(1, _MESH_KEYS // len(f))
+    for a in range(0, len(bases), rows):
+        qs, block = bases[a:a + rows], frames[a:a + rows]
+        if not f._id_cycle:
+            ladders += _mesh_components(f, qs, block, radii2, reach2)
+            continue
+        left, right = _cycle_components(f, qs, block, radii2, reach2)
         ladders += [[_run_ids(q - b + 1, b + c - 1, len(f)) for b, c in zip(*lr)]
-                    for q, *lr in zip(bases[a:a + _PASS_ROWS].tolist(),
-                                      left.T.tolist(), right.T.tolist())]
+                    for q, *lr in zip(qs.tolist(), left.T.tolist(),
+                                      right.T.tolist())]
     return ladders
 
 
@@ -390,13 +394,10 @@ def _padded_components(f, bases, frames, rho):
 
 
 def _squared_projections(f, qs, frames, ids):
-    """|pi(f(p) - f(q))|^2 for the samples ``ids`` (W,) of a base q over its
-    (n, m) frame, or for the (S, W) samples of (S,) bases over (S, n, m)
-    frames, row for row as the projection of all samples would give them."""
-    if ids.shape[-1] == 1:  # a one-row product takes another BLAS path
-        return _squared_projections(f, qs, frames,
-                                    np.repeat(ids, 2, axis=-1))[..., :1]
-    proj = (f.positions[ids] - f.positions[qs][..., None, :]) @ frames
+    """|pi(f(p) - f(q))|^2 for the (S, W) samples ``ids`` of (S,) bases over
+    their (S, n, m) ``frames``: each row's product is the BLAS product the
+    projection of all samples would take, bit for bit, for W = 1 too."""
+    proj = (f.positions[ids] - f.positions[qs][:, None, :]) @ frames
     proj = proj.reshape(-1, proj.shape[-1])
     return np.einsum("ij,ij->i", proj, proj).reshape(ids.shape)
 
@@ -451,54 +452,76 @@ def _run_ids(start, length, n):
     return ids if 0 <= start and start + length <= n else np.sort(ids % n)
 
 
-def _graph_components(f, q, frame, radii2, reach2):
-    """``q_components`` over the CSR adjacency by frontier BFS.
+def _mesh_components(f, qs, frames, radii2, reach2):
+    """``q_components`` of the (S,) bases ``qs`` over their (S, n, m)
+    ``frames`` on the CSR adjacency, as one frontier BFS over the keys
+    row * N + id of all rows (``_stacked_bfs``).
 
-    The BFS at the largest radius projects each neighbor it reaches once.
-    Each smaller radius, largest first, runs a BFS without projections
-    inside the component of the radius before it.
+    The BFS at the largest radius projects each key it reaches once,
+    against its row's frame, in one stacked product per step.  Each smaller
+    radius, largest first, runs a BFS without projections inside the
+    component of the radius before it, for the rows it cuts.
     """
-    d2 = np.empty(len(f))
-    d2[q] = 0.0
+    n, rows = len(f), np.arange(len(qs))
+    sources = rows * n + qs
+    d2_parts = [np.zeros(len(qs))]
 
-    def project(ids):
-        d2[ids] = _squared_projections(f, q, frame, ids)
-        return d2[ids] < reach2
+    def project(keys):
+        row, ids = np.divmod(keys, n)
+        d2 = _squared_projections(f, qs[row], frames[row], ids[:, None])[:, 0]
+        inside = d2 < reach2
+        d2_parts.append(d2[inside])
+        return inside
 
-    members = _frontier_bfs(f._indptr, f._indices, q, project)
+    keys = _stacked_bfs(f, sources, len(qs), project)
+    order = np.argsort(keys)
+    keys, d2 = keys[order], np.concatenate(d2_parts)[order]
     out = [None] * len(radii2)
     for i in np.argsort(-radii2, kind="stable"):
-        inside = d2[members] < radii2[i]
-        if np.count_nonzero(inside) <= 1:  # q alone, or no ball at all
-            members = np.array([q], dtype=int)
-        elif not np.all(inside):
-            allowed = np.zeros(len(f), dtype=bool)
-            allowed[members[inside]] = True
-            members = _frontier_bfs(f._indptr, f._indices, q,
+        row = keys // n
+        inside = d2 < radii2[i]
+        held = np.bincount(row[inside], minlength=len(qs))
+        alone = held <= 1  # q alone, or no ball at all
+        cut = ~alone & (held < np.bincount(row, minlength=len(qs)))
+        if np.any(alone | cut):
+            allowed = np.zeros(len(qs) * n, dtype=bool)
+            allowed[keys[inside & cut[row]]] = True
+            cut_keys = _stacked_bfs(f, sources[cut], len(qs),
                                     allowed.__getitem__)
-        out[i] = members
-    return out
+            kept = np.sort(np.concatenate(
+                [keys[~(alone | cut)[row]], sources[alone], cut_keys]))
+            keys, d2 = kept, d2[np.searchsorted(keys, kept)]
+        # each row's ids, a slice of the ascending keys
+        ids, cuts = keys % n, np.searchsorted(keys, rows * n).tolist()
+        out[i] = [ids[a:b] for a, b in zip(cuts, cuts[1:] + [len(ids)])]
+    return [list(ladder) for ladder in zip(*out)]
 
 
-def _frontier_bfs(indptr, indices, q, admit=None):
-    """Sorted ids reached from q over the CSR adjacency (indptr, indices).
+def _stacked_bfs(f, sources, n_rows, admit=None):
+    """Keys row * N + id reached over f's CSR adjacency from the source keys,
+    at most one per row, in the order reached: the BFS of every row in one
+    frontier.
 
-    Each BFS step gathers the unseen neighbors of the frontier as one sorted
-    array and keeps those ``admit`` accepts (all without ``admit``); admit
-    sees every sample at most once.
+    Each step gathers the neighbors of all frontier keys at once, keeps the
+    unseen ones once each (one ``np.unique``) and of those the keys
+    ``admit`` accepts (all without ``admit``); admit sees every key at most
+    once.
     """
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
-    seen[q] = True
-    frontier = np.array([q], dtype=int)
-    parts = [frontier]
+    n, indptr = len(f), f._indptr
+    seen = np.zeros(n_rows * n, dtype=bool)
+    seen[sources] = True
+    frontier, parts = sources, [sources]
     while len(frontier):
-        reached = np.concatenate([indices[a:b] for a, b in zip(
-            indptr[frontier].tolist(), indptr[frontier + 1].tolist())])
+        row, ids = np.divmod(frontier, n)
+        start, count = indptr[ids], indptr[ids + 1] - indptr[ids]
+        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(
+            count.sum())
+        reached = np.repeat(row * n, count) + f._indices[at]
         reached = np.unique(reached[~seen[reached]])
         seen[reached] = True
         frontier = reached if admit is None else reached[admit(reached)]
         parts.append(frontier)
-    return np.sort(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -649,11 +672,13 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
 
-    def residual(points):
-        return np.matmul(points - f_q, e_col)[..., 0] - x_nodes
+    def residual(points):  # points becomes points - f_q
+        points -= f_q
+        return np.matmul(points, e_col)[..., 0] - x_nodes
 
     def residual_slope(t):
-        return residual(ev.point(t)), np.matmul(ev.jacobian(t), e_col)[..., 0]
+        points, velocity = ev.point_jacobian(t)
+        return residual(points), np.matmul(velocity, e_col)[..., 0]
 
     r_lo = residual(ev.point(lo))
     r_hi = residual(ev.point(hi))
@@ -669,9 +694,8 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
     t = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
                          rounding_floor(f_q))
     points = ev.point(t)
-    # NaN counts as the largest residual
-    return (np.matmul(points - f_q, n_frames), unresolved,
-            np.max(np.abs(residual(points)), axis=1))
+    res = np.max(np.abs(residual(points)), axis=1)  # NaN counts as largest
+    return np.matmul(points, n_frames), unresolved, res
 
 
 def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
@@ -681,10 +705,11 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
     The evaluator's closed-form ``graph_heights`` fills each row it can.
     The other rows solve (ev.point(t) - f_q[s]) . e_frames[s] = targets by
     Newton from the (S, T, 2) parameters ``t``, with the 2x2 Jacobian E^T J
-    inverted in closed form; a row steps until its residual is below 1e-13,
+    inverted in closed form; each step reads points and Jacobians from one
+    ``point_jacobian`` call.  A row steps until its residual is below 1e-13,
     at most 40 times, and fails if it stays above 1e-9.
     """
-    closed_form = getattr(ev, "graph_heights", None)
+    closed_form = ev.graph_heights
     heights = np.empty((len(t), len(targets), n_frames.shape[-1]))
     newton = []
     for s in range(len(t)):
@@ -698,14 +723,14 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
     pts = np.empty(t.shape[:-1] + (f_q.shape[-1],))
     active = np.arange(len(t))
     for _ in range(40):
-        pts[active] = ev.point(t[active])
+        pts[active], jac = ev.point_jacobian(t[active])
         res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
         going = ~(np.max(np.abs(res), axis=(1, 2)) < 1e-13)  # NaN keeps going
         active, res = active[going], res[going]
         if not len(active):
             break
         # per node a = J^T E, the transpose of the residual's Jacobian E^T J
-        jac_t = np.swapaxes(ev.jacobian(t[active]), -1, -2)
+        jac_t = np.swapaxes(jac, -1, -2)[going]
         a = np.matmul(jac_t.reshape(len(active), -1, f_q.shape[-1]),
                       e_frames[active]).reshape(res.shape + (2,))
         det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
@@ -830,10 +855,11 @@ def _component_patches(f, bases, planes, members, counts, r):
                 outcomes[j] = (None, NotAGraphError(
                     f"patch at {q} does not pass through f(q)"))
             else:
+                # copies: views would keep the block's padded arrays alive
                 patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
-                                   float(lams[s]), members[j, :c], proj[j, :c],
-                                   heights[i, :c], m, k, step,
-                                   mask=valid if m == 2 else None)
+                                   float(lams[s]), members[j, :c].copy(),
+                                   proj[j, :c].copy(), heights[i, :c].copy(),
+                                   m, k, step, mask=valid if m == 2 else None)
                 patch._du = du[s]
                 outcomes[j] = (patch, None)
     return outcomes

@@ -1,8 +1,9 @@
 """Catalog of analytic closed curves and surfaces, plus manifest/CSV loading.
 
-Every catalog shape carries an evaluator (parameter -> point with first
-derivatives) so local graphs can be resampled analytically.  Raw point data
-(JSON ``points`` arrays or CSV rows) produces immersions without evaluators.
+Every catalog shape carries an ``Evaluator`` (parameter -> point and first
+derivatives, from one function per shape) so local graphs can be resampled
+analytically.  Raw point data (JSON ``points`` arrays or CSV rows) produces
+immersions without evaluators.
 """
 
 from __future__ import annotations
@@ -20,47 +21,37 @@ from .immersion import SampledImmersion
 TWO_PI = 2.0 * math.pi
 
 
-class CurveEvaluator:
-    """Closed curve t in [0, period) -> R^n with analytic first derivative."""
+class Evaluator:
+    """A closed curve (m = 1, t in [0, period)) or surface (m = 2,
+    t = (u, v)) in R^n with its analytic first derivatives.
 
-    m = 1
+    ``point_jacobian(t)`` returns new arrays of the points and the
+    Jacobians, from one evaluation of the sines and cosines they share: a curve's Jacobian is
+    its (..., n) velocity, a surface's is (..., n, 2).  ``point`` and
+    ``jacobian`` are its two halves.  ``graph_heights``, where given, fills
+    a surface patch in closed form.
+    """
 
-    def __init__(self, n, period, point_fn, velocity_fn):
+    def __init__(self, n, m, point_jacobian, period=None, graph_heights=None):
         self.n = n
+        self.m = m
         self.period = period
-        self._point = point_fn
-        self._velocity = velocity_fn
+        self._point_jacobian = point_jacobian
+        self.graph_heights = graph_heights
+
+    def point_jacobian(self, t):
+        return self._point_jacobian(np.asarray(t, dtype=float))
 
     def point(self, t):
-        return self._point(np.asarray(t, dtype=float))
+        return self._point_jacobian(np.asarray(t, dtype=float))[0]
 
     def jacobian(self, t):
-        return self._velocity(np.asarray(t, dtype=float))
+        return self._point_jacobian(np.asarray(t, dtype=float))[1]
 
     def tangent_frame(self, t):
-        v = self.jacobian(t)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
-class SurfaceEvaluator:
-    """Closed surface (u, v) -> R^3 with analytic Jacobian."""
-
-    m = 2
-
-    def __init__(self, n, point_fn, jacobian_fn, graph_heights_fn=None):
-        self.n = n
-        self._point = point_fn
-        self._jacobian = jacobian_fn
-        self.graph_heights = graph_heights_fn  # optional closed-form fill
-
-    def point(self, t):
-        return self._point(np.asarray(t, dtype=float))
-
-    def jacobian(self, t):
-        return self._jacobian(np.asarray(t, dtype=float))
-
-    def tangent_frame(self, t):
-        jac = self.jacobian(np.asarray(t, dtype=float))
+        jac = self.jacobian(t)
+        if self.m == 1:
+            return jac / np.linalg.norm(jac, axis=-1, keepdims=True)
         q, _ = np.linalg.qr(jac)
         return q
 
@@ -68,53 +59,46 @@ class SurfaceEvaluator:
 def _circle_evaluator(radius, center=(0.0, 0.0)):
     center = np.asarray(center, dtype=float)
 
-    def point(t):
-        return center + radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
+    def point_velocity(t):
+        cos, sin = np.cos(t), np.sin(t)
+        return (center + radius * np.stack([cos, sin], axis=-1),
+                radius * np.stack([-sin, cos], axis=-1))
 
-    def velocity(t):
-        return radius * np.stack([-np.sin(t), np.cos(t)], axis=-1)
-
-    return CurveEvaluator(2, TWO_PI, point, velocity)
+    return Evaluator(2, 1, point_velocity, TWO_PI)
 
 
 def _ellipse_evaluator(a, b):
-    def point(t):
-        return np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+    def point_velocity(t):
+        cos, sin = np.cos(t), np.sin(t)
+        return (np.stack([a * cos, b * sin], axis=-1),
+                np.stack([-a * sin, b * cos], axis=-1))
 
-    def velocity(t):
-        return np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
-
-    return CurveEvaluator(2, TWO_PI, point, velocity)
+    return Evaluator(2, 1, point_velocity, TWO_PI)
 
 
 def _circle3d_evaluator(radius, tilt):
     ct, st = math.cos(tilt), math.sin(tilt)
 
-    def point(t):
-        return radius * np.stack([np.cos(t), np.sin(t) * ct, np.sin(t) * st],
-                                 axis=-1)
+    def point_velocity(t):
+        cos, sin = np.cos(t), np.sin(t)
+        return (radius * np.stack([cos, sin * ct, sin * st], axis=-1),
+                radius * np.stack([-sin, cos * ct, cos * st], axis=-1))
 
-    def velocity(t):
-        return radius * np.stack([-np.sin(t), np.cos(t) * ct, np.cos(t) * st],
-                                 axis=-1)
-
-    return CurveEvaluator(3, TWO_PI, point, velocity)
+    return Evaluator(3, 1, point_velocity, TWO_PI)
 
 
 def _torus_knot_evaluator(p, q, big_radius, tube_radius):
-    def point(t):
-        w = big_radius + tube_radius * np.cos(q * t)
-        return np.stack([w * np.cos(p * t), w * np.sin(p * t),
-                         tube_radius * np.sin(q * t)], axis=-1)
+    def point_velocity(t):
+        cos_p, sin_p = np.cos(p * t), np.sin(p * t)
+        cos_q, sin_q = np.cos(q * t), np.sin(q * t)
+        w = big_radius + tube_radius * cos_q
+        dw = -tube_radius * q * sin_q
+        return (np.stack([w * cos_p, w * sin_p, tube_radius * sin_q], axis=-1),
+                np.stack([dw * cos_p - w * p * sin_p,
+                          dw * sin_p + w * p * cos_p,
+                          tube_radius * q * cos_q], axis=-1))
 
-    def velocity(t):
-        w = big_radius + tube_radius * np.cos(q * t)
-        dw = -tube_radius * q * np.sin(q * t)
-        return np.stack([dw * np.cos(p * t) - w * p * np.sin(p * t),
-                         dw * np.sin(p * t) + w * p * np.cos(p * t),
-                         tube_radius * q * np.cos(q * t)], axis=-1)
-
-    return CurveEvaluator(3, TWO_PI, point, velocity)
+    return Evaluator(3, 1, point_velocity, TWO_PI)
 
 
 def _rounded_rectangle_evaluator(width, height, corner_radius):
@@ -139,46 +123,39 @@ def _rounded_rectangle_evaluator(width, height, corner_radius):
         ("a", np.array([-sx, -sy]), math.pi),
     ]
 
-    def evaluate(t, want_velocity):
+    def point_velocity(t):
         t = np.mod(t, period)
         idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, 7)
-        out = np.zeros(t.shape + (2,))
+        point, velocity = np.zeros(t.shape + (2,)), np.zeros(t.shape + (2,))
         for i, (kind, a, b) in enumerate(pieces):
             sel = idx == i
             if not np.any(sel):
                 continue
             s = t[sel] - starts[i]
             if kind == "s":
-                out[sel] = b[None, :] if want_velocity else a[None, :] + s[..., None] * b[None, :]
+                point[sel] = a[None, :] + s[..., None] * b[None, :]
+                velocity[sel] = b[None, :]
             else:
                 ang = b + s / rc
-                if want_velocity:
-                    out[sel] = np.stack([-np.sin(ang), np.cos(ang)], axis=-1)
-                else:
-                    out[sel] = a[None, :] + rc * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        return out
+                cos, sin = np.cos(ang), np.sin(ang)
+                point[sel] = a[None, :] + rc * np.stack([cos, sin], axis=-1)
+                velocity[sel] = np.stack([-sin, cos], axis=-1)
+        return point, velocity
 
-    return CurveEvaluator(2, period,
-                          lambda t: evaluate(t, False),
-                          lambda t: evaluate(t, True))
+    return Evaluator(2, 1, point_velocity, period)
 
 
 def _sphere_evaluator(radius):
-    def point(t):
-        lon, lat = t[..., 0], t[..., 1]
-        return radius * np.stack([np.cos(lat) * np.cos(lon),
-                                  np.cos(lat) * np.sin(lon),
-                                  np.sin(lat)], axis=-1)
-
-    def jacobian(t):
-        lon, lat = t[..., 0], t[..., 1]
-        d_lon = radius * np.stack([-np.cos(lat) * np.sin(lon),
-                                   np.cos(lat) * np.cos(lon),
-                                   np.zeros_like(lon)], axis=-1)
-        d_lat = radius * np.stack([-np.sin(lat) * np.cos(lon),
-                                   -np.sin(lat) * np.sin(lon),
-                                   np.cos(lat)], axis=-1)
-        return np.stack([d_lon, d_lat], axis=-1)
+    def point_jacobian(t):
+        cos_lon, sin_lon = np.cos(t[..., 0]), np.sin(t[..., 0])
+        cos_lat, sin_lat = np.cos(t[..., 1]), np.sin(t[..., 1])
+        point = radius * np.stack([cos_lat * cos_lon, cos_lat * sin_lon,
+                                   sin_lat], axis=-1)
+        d_lon = radius * np.stack([-cos_lat * sin_lon, cos_lat * cos_lon,
+                                   np.zeros_like(cos_lon)], axis=-1)
+        d_lat = radius * np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon,
+                                   cos_lat], axis=-1)
+        return point, np.stack([d_lon, d_lat], axis=-1)
 
     def graph_heights(origin, e_frame, n_frame, x_targets):
         # point = origin + x.e + u.n on the sphere |p| = radius; quadratic in u
@@ -190,11 +167,11 @@ def _sphere_evaluator(radius):
         u = -b + math.copysign(1.0, b) * np.sqrt(disc)
         return u[:, None]
 
-    ev = SurfaceEvaluator(3, point, jacobian, graph_heights)
+    ev = Evaluator(3, 2, point_jacobian, graph_heights=graph_heights)
 
     def tangent_frame(t):
         # complement of the radial direction; regular at the poles
-        p = point(np.asarray(t, dtype=float)) / radius
+        p = point_jacobian(np.asarray(t, dtype=float))[0] / radius
         eye = np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3))
         q, _ = np.linalg.qr(np.concatenate([p[..., None], eye], axis=-1))
         return q[..., 1:3]
@@ -204,13 +181,7 @@ def _sphere_evaluator(radius):
 
 
 def _torus_evaluator(big_radius, tube_radius):
-    def point(t):
-        u, v = t[..., 0], t[..., 1]
-        w = big_radius + tube_radius * np.cos(v)
-        return np.stack([w * np.cos(u), w * np.sin(u),
-                         tube_radius * np.sin(v)], axis=-1)
-
-    def jacobian(t):
+    def point_jacobian(t):
         cos_u, sin_u = np.cos(t[..., 0]), np.sin(t[..., 0])
         cos_v, sin_v = np.cos(t[..., 1]), np.sin(t[..., 1])
         w = big_radius + tube_radius * cos_v
@@ -218,9 +189,10 @@ def _torus_evaluator(big_radius, tube_radius):
         jac[..., 0, 0], jac[..., 1, 0] = -w * sin_u, w * cos_u
         jac[..., 1] = tube_radius * np.stack(
             [-sin_v * cos_u, -sin_v * sin_u, cos_v], axis=-1)
-        return jac
+        return (np.stack([w * cos_u, w * sin_u, tube_radius * sin_v], axis=-1),
+                jac)
 
-    return SurfaceEvaluator(3, point, jacobian)
+    return Evaluator(3, 2, point_jacobian)
 
 
 def _closed_curve_immersion(evaluator, n_samples):

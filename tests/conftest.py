@@ -20,11 +20,12 @@ class CallCounter:
 
 @pytest.fixture
 def evaluator_calls(monkeypatch):
-    """Counter of the ``point`` and ``jacobian`` calls of an evaluator:
-    ``counter = evaluator_calls(ev)``, then read ``counter.calls``."""
+    """Counter of the ``point``, ``jacobian`` and ``point_jacobian`` calls
+    of an evaluator: ``counter = evaluator_calls(ev)``, then read
+    ``counter.calls``."""
     def instrument(ev):
         counter = CallCounter()
-        for name in ("point", "jacobian"):
+        for name in ("point", "jacobian", "point_jacobian"):
             monkeypatch.setattr(ev, name, counter.wrap(getattr(ev, name)))
         return counter
     return instrument
@@ -80,24 +81,19 @@ def gapped_circle():
     ``scale`` with its angles (pi - gap/2, pi + gap/2) skipped.  The
     parameter runs at a rate 1 - gap/(2 pi) and jumps the gap at pi."""
     from lipimm.immersion import SampledImmersion
-    from lipimm.shapes import CurveEvaluator
+    from lipimm.shapes import Evaluator
 
     def make(samples, gap, scale=1.0):
         rate = 1.0 - gap / (2 * math.pi)
 
-        def angle(t):
+        def point_velocity(t):
             t = np.mod(t, 2 * math.pi)
-            return rate * t + gap * (t >= math.pi)
+            a = rate * t + gap * (t >= math.pi)
+            cos, sin = np.cos(a), np.sin(a)
+            return (scale * np.stack([cos, sin], axis=-1),
+                    scale * rate * np.stack([-sin, cos], axis=-1))
 
-        def point(t):
-            a = angle(t)
-            return scale * np.stack([np.cos(a), np.sin(a)], axis=-1)
-
-        def velocity(t):
-            a = angle(t)
-            return scale * rate * np.stack([-np.sin(a), np.cos(a)], axis=-1)
-
-        ev = CurveEvaluator(2, 2 * math.pi, point, velocity)
+        ev = Evaluator(2, 1, point_velocity, 2 * math.pi)
         params = np.arange(samples) * (2 * math.pi / samples)
         return SampledImmersion(
             1, 2, ev.point(params), params=params, evaluator=ev,

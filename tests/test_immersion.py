@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lipimm.immersion as immersion_mod
 from lipimm.errors import InputError, InsufficientSamplingError, NotAGraphError
-from lipimm.grassmann import orthonormalize, random_subspace
+from lipimm.grassmann import Subspace, orthonormalize, random_subspace
 from lipimm.immersion import (
     PLANE_RULES,
     EuclideanIsometry,
@@ -28,7 +28,7 @@ from lipimm.immersion import (
     q_component,
     q_components,
 )
-from lipimm.shapes import SurfaceEvaluator, immersion_from_points, make_shape
+from lipimm.shapes import Evaluator, immersion_from_points, make_shape
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +214,113 @@ def test_disconnected_input_rejected():
         SampledImmersion(m=1, n=3, positions=pts, neighbors=neighbors)
 
 
+def test_disconnected_mesh_rejected():
+    # two tori side by side as one triangulation: its one-row traversal from
+    # sample 0 reaches only the first
+    torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "8x8")
+    pts = np.vstack([torus.positions, torus.positions + [6.0, 0.0, 0.0]])
+    faces = np.vstack([torus.faces, torus.faces + len(torus)])
+    with pytest.raises(InputError, match="not connected"):
+        SampledImmersion(2, 3, pts, faces=faces)
+
+
+def per_row_components(f, q, frame, radii):
+    """``q_components`` of a mesh by one frontier BFS per row: project each
+    sample reached at the largest radius once, then cut each smaller
+    radius, largest first, by a BFS inside the component before it."""
+    def bfs(admit):
+        seen = np.zeros(len(f), dtype=bool)
+        seen[q] = True
+        frontier = np.array([q])
+        parts = [frontier]
+        while len(frontier):
+            reached = np.concatenate([f.neighbors(p) for p in frontier])
+            reached = np.unique(reached[~seen[reached]])
+            seen[reached] = True
+            frontier = reached[admit(reached)]
+            parts.append(frontier)
+        return np.sort(np.concatenate(parts))
+
+    radii2 = np.array([rho * rho for rho in radii], dtype=float)
+    reach2 = max((r2 for r2 in radii2.tolist() if r2 == r2), default=0.0)
+    d2 = np.empty(len(f))
+    d2[q] = 0.0
+
+    def project(ids):
+        # as the former per-row code: a one-row product is taken as two
+        rel = f.positions[ids if len(ids) > 1 else np.repeat(ids, 2)] \
+            - f.positions[q]
+        proj = (rel @ frame)[:len(ids)]
+        d2[ids] = np.einsum("ij,ij->i", proj, proj)
+        return d2[ids] < reach2
+
+    members = bfs(project)
+    out = [None] * len(radii)
+    for i in np.argsort(-radii2, kind="stable"):
+        inside = d2[members] < radii2[i]
+        if np.count_nonzero(inside) <= 1:
+            members = np.array([q])
+        elif not np.all(inside):
+            allowed = np.zeros(len(f), dtype=bool)
+            allowed[members[inside]] = True
+            members = bfs(allowed.__getitem__)
+        out[i] = members
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def mesh_shape(name):
+    if name == "raw torus":
+        torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "16x32")
+        return immersion_from_points(torus.positions, m=2, faces=torus.faces)
+    shape, samples = name.split()
+    return make_shape(shape, {}, samples)
+
+
+MESH_RADII = ([0.1], [0.1, 0.05, 0.02, 0.01], [0.3, 0.2], [0.5, 0.0, math.nan])
+
+
+@pytest.mark.parametrize("name", ["torus 16x32", "torus 64x64",
+                                  "sphere 16x32", "raw torus"])
+def test_stacked_mesh_traversal_matches_the_per_row_bfs(name, lipimm_calls):
+    # every row's ladder equals its own BFS's, id for id; the 64x64 torus
+    # runs all 4096 rows, so its traversal takes several blocks of rows
+    f = mesh_shape(name)
+    ids = np.arange(len(f))
+    planes = (f.tangent_planes(ids) if f.evaluator is not None
+              else f.best_fit_planes(ids, 0.3))
+    frames = np.stack([plane.frame for plane in planes])
+    blocks = lipimm_calls(immersion_mod._mesh_components)
+    for radii in MESH_RADII:
+        ladders = component_ladders(f, ids, frames, radii)
+        for q, ladder in zip(ids, ladders):
+            reference = per_row_components(f, q, frames[q], radii)
+            assert len(ladder) == len(radii)
+            for members, expected in zip(ladder, reference):
+                assert np.array_equal(members, expected)
+    rows = immersion_mod._MESH_KEYS // len(f)
+    assert blocks.calls == len(MESH_RADII) * -(-len(f) // rows)
+    assert (blocks.calls > len(MESH_RADII)) == (len(f) == 4096)
+
+
+def test_mesh_component_leaves_out_the_far_side_of_the_tube():
+    # at radius 0.5 the tangent disk of the torus's outer equator also
+    # holds the inner side of the tube, which the mesh does not connect
+    # to q: the component is a strict part of the projected ball
+    f = mesh_shape("torus 16x32")
+    ids = np.arange(len(f))
+    frames = np.stack([plane.frame for plane in f.tangent_planes(ids)])
+    cut = 0
+    for q, [members] in zip(ids, component_ladders(f, ids, frames, [0.5])):
+        proj = (f.positions - f.positions[q]) @ frames[q]
+        ball = np.flatnonzero(np.einsum("ij,ij->i", proj, proj) < 0.25)
+        assert np.all(np.isin(members, ball))
+        cut += len(members) < len(ball)
+        assert np.array_equal(members,
+                              reference_component(f, q, Subspace(frames[q]), 0.5))
+    assert cut > 0
+
+
 def test_malformed_adjacency_rejected():
     torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "8x8")
     faces = torus.faces.copy()
@@ -328,13 +435,14 @@ def test_check_raises_first_failure_in_id_order(circle):
 def test_curve_check_makes_few_evaluator_calls_per_block(evaluator_calls,
                                                         per_call):
     # bracketed Newton from the secant point: two bracket ends, about three
-    # Newton iterations of a point and a slope, and the points at the roots
+    # Newton iterations of one fused point and slope call, and the points
+    # at the roots
     circle = make_shape("circle", {"radius": 1.0}, 1024)
     counter = evaluator_calls(circle.evaluator)
     blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
     check_r_lambda(circle, 0.2, 0.25)
     assert len(blocks) == 4  # 256 rows each
-    assert max(blocks) <= 12
+    assert max(blocks) <= 8  # at most 5 Newton iterations
     assert counter.calls <= sum(blocks) + 1  # and one for the tangent frames
 
 
@@ -393,8 +501,12 @@ def sheared(torus):
     samples, over a chart that is not conformal."""
     ev = torus.evaluator
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
-    chart = SurfaceEvaluator(3, lambda t: ev.point(t @ shear.T),
-                             lambda t: ev.jacobian(t @ shear.T) @ shear)
+
+    def point_jacobian(t):
+        point, jacobian = ev.point_jacobian(t @ shear.T)
+        return point, jacobian @ shear
+
+    chart = Evaluator(3, 2, point_jacobian)
     return SampledImmersion(2, 3, torus.positions, faces=torus.faces,
                             params=torus.params @ np.linalg.inv(shear).T,
                             evaluator=chart)
@@ -405,14 +517,14 @@ def test_sheared_torus_patches_build_in_few_newton_steps(torus):
     # a chart far from conformal needs a few steps per patch, not 40
     f = sheared(torus)
     ids = list(range(0, len(f), 8))
-    planes = f.tangent_planes(ids)  # tangent frames call the Jacobian too
-    calls = []
-    jacobian = f.evaluator.jacobian
-    f.evaluator.jacobian = lambda t: calls.append(1) or jacobian(t)
+    planes = f.tangent_planes(ids)
+    calls = []  # one fused point and Jacobian call per Newton step
+    point_jacobian = f.evaluator.point_jacobian
+    f.evaluator.point_jacobian = lambda t: calls.append(1) or point_jacobian(t)
     lams = [extract_graph_patch(f, q, plane, 0.1).lambda_measured
             for q, plane in zip(ids, planes)]
-    f.evaluator.jacobian = jacobian
-    assert len(calls) <= 5 * len(ids)
+    f.evaluator.point_jacobian = point_jacobian
+    assert len(ids) <= len(calls) <= 5 * len(ids)
     # the same surface: every patch builds, with the catalog torus's slopes
     report = check_r_lambda(f, 0.1, 0.25)
     reference = check_r_lambda(torus, 0.1, 0.25)
@@ -460,9 +572,14 @@ def test_failing_row_of_a_surface_block_fails_alone():
     # stay below 86.6 degrees, are built and stored all the same
     sphere = make_shape("sphere", {"radius": 1.0}, "24x12")
     sphere.evaluator.graph_heights = None
-    jacobian, cap = sphere.evaluator.jacobian, math.radians(87.0)
-    sphere.evaluator.jacobian = lambda t: jacobian(t) * np.where(
-        t[..., 1] < cap, 1.0, 10.0)[..., None, None]
+    point_jacobian, cap = sphere.evaluator.point_jacobian, math.radians(87.0)
+
+    def steep_cap(t):
+        point, jacobian = point_jacobian(t)
+        return point, jacobian * np.where(t[..., 1] < cap, 1.0,
+                                          10.0)[..., None, None]
+
+    sphere.evaluator.point_jacobian = steep_cap
     pole = len(sphere) - 1
     ids = [pole - 3, pole - 1, pole, 100]
     with pytest.raises(NotAGraphError) as info:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from lipimm.errors import InputError
+from lipimm.immersion import check_r_lambda
 from lipimm.shapes import (
     immersion_from_manifest,
     immersion_from_points,
@@ -184,3 +186,67 @@ def test_volume_and_spacing_match_the_edge_loop(name, params, samples):
         raw = immersion_from_points(shape.positions[::-1])
         assert (raw.volume, raw.sample_spacing) == \
             _looped_volume_and_spacing(raw)
+
+
+CATALOG = [
+    ("circle", {"radius": 1.3, "center": (0.4, -2.0)}, 64),
+    ("ellipse", {"a": 1.0, "b": 0.6}, 64),
+    ("rounded-rectangle", {"width": 2.0, "height": 1.5,
+                           "corner_radius": 0.5}, 64),
+    ("circle3d", {"radius": 1.0, "tilt": 0.2}, 64),
+    ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}, 64),
+    ("sphere", {"radius": 1.3}, "8x6"),
+    ("torus", {"R": 2.0, "r": 0.5}, "8x8"),
+]
+
+
+@pytest.mark.parametrize("name, params, samples", CATALOG)
+def test_jacobian_matches_central_differences(name, params, samples):
+    ev = make_shape(name, params, samples).evaluator
+    rng = np.random.default_rng(7)
+    if ev.m == 1:
+        t = rng.uniform(0.0, ev.period, 200)
+    else:  # latitudes off the sphere's poles
+        t = np.column_stack([rng.uniform(0.0, 2 * math.pi, 200),
+                             rng.uniform(-1.4, 1.4, 200)])
+    point, jacobian = ev.point_jacobian(t)
+    assert np.array_equal(point, ev.point(t))
+    assert np.array_equal(jacobian, ev.jacobian(t))
+    columns = jacobian[..., None] if ev.m == 1 else jacobian
+    h = 1e-6
+    for j, step in enumerate(h * np.eye(ev.m)):
+        step = step[0] if ev.m == 1 else step
+        central = (ev.point(t + step) - ev.point(t - step)) / (2 * h)
+        assert np.max(np.abs(central - columns[..., j])) <= 1e-6
+
+
+@pytest.mark.parametrize("name, params, samples, r, lam, worst, digest", [
+    ("circle", {"radius": 1.0}, 512, 0.2, 0.25, "0.2041220127571447",
+     "5794fb1b72e70c0b"),
+    ("ellipse", {"a": 1.0, "b": 0.6}, 512, 0.1, 1.0, "0.28719705678015073",
+     "f9c7bc23ccb9e29c"),
+    ("rounded-rectangle", {"width": 2.0, "height": 1.5, "corner_radius": 0.5},
+     1000, 0.1, 1.0, "0.20412201275721964", "fb461e566debb9d6"),
+    ("circle3d", {"radius": 1.0, "tilt": 0.2}, 512, 0.2, 0.25,
+     "0.20412201275715525", "eb7e2a4c040cb258"),
+    ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}, 1024, 0.1, 1.0,
+     "0.05821358850980529", "0689b2faa101f486"),
+    ("sphere", {"radius": 1.0}, "24x12", 0.2, 0.25, "0.20158834816954105",
+     "19154f8df5b18839"),
+    ("sphere, Newton fill", {"radius": 1.0}, "24x12", 0.2, 0.25,
+     "0.20158834816957547", "19154f8df5b18839"),
+    ("torus", {"R": 2.0, "r": 0.5}, "16x32", 0.1, 0.25, "0.19202219008601748",
+     "3d1fc51fcf5de993"),
+])
+def test_evaluator_bits_and_worst_slope_are_pinned(name, params, samples, r,
+                                                    lam, worst, digest):
+    # a change in the order of an evaluator's operations moves the last bit
+    # of some points or Jacobians (the digest of both at the samples), and
+    # through the roots the worst slope
+    f = make_shape(name.split(",")[0], params, samples)
+    point, jacobian = f.evaluator.point_jacobian(f.params)
+    assert hashlib.sha256(point.tobytes() + jacobian.tobytes()).hexdigest()[
+        :16] == digest
+    if name.endswith("Newton fill"):
+        f.evaluator.graph_heights = None
+    assert repr(check_r_lambda(f, r, lam).worst_lambda) == worst

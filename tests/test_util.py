@@ -130,10 +130,10 @@ def test_a_bracket_without_sign_change_is_flagged():
 def test_rounded_rectangle_block_stops_well_under_the_cap(evaluator_calls,
                                                           per_call):
     # a stop relative to |t| cycled at the last bit of this block's roots
-    # and ran all its iterations; 12 evaluator calls are at most 4 of them
+    # and ran all its iterations; 8 evaluator calls are at most 5 of them
     f = make_shape("rounded-rectangle", {}, 2048)
     counter = evaluator_calls(f.evaluator)
     blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
     check_r_lambda(f, 0.1, 1.0, sample_ids=range(256))
     assert len(blocks) == 1
-    assert blocks[0] <= 12 < 2 * NEWTON_ITERATIONS
+    assert blocks[0] <= 8 < NEWTON_ITERATIONS
