@@ -7,8 +7,8 @@ through a base sample of the preimage of a ball under projection to a chosen
 m-plane, written as a graph u: B_r -> R^k over that plane, with the measured
 sup-norm of Du.  The derivative norm is the column norm
 ||Du|| = (sum_j |d_j u|^2)^(1/2).  Each immersion keeps one patch store:
-a patch is built once per (r, lambda, plane rule) and sample, by the check
-or by the first net, field or correspondence that asks for it.
+a patch is built once per sample and ``_store_key``, by the check or by
+the first net, field or correspondence that asks for it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class SampledImmersion:
         self.params = None if params is None else np.asarray(params, dtype=float)
         self.evaluator = evaluator
         self.faces = None if faces is None else np.asarray(faces, dtype=int)
-        self._patch_store = {}  # (r, lambda, rule) -> {id: (patch, error)}
+        self._patch_store = {}  # _store_key -> {id: (patch, error)}
 
         n_samples = len(self.positions)
         if neighbors is None:
@@ -187,6 +188,20 @@ class SampledImmersion:
         # curves must be plain cycles
         if self.m == 1 and np.any(degree != 2):
             raise InputError("m=1 adjacency must be a single cycle")
+
+    @cached_property
+    def _simplices(self):
+        """Corners (m + 1, F) of the edges or faces, and the CSR (ptr, ids)
+        of those at each sample: at i, ids[ptr[i]:ptr[i + 1]]."""
+        if self.m == 2 and self.faces is None:
+            raise InputError("raw surface samples need faces")
+        rows = np.repeat(np.arange(len(self)), np.diff(self._indptr))
+        corners = np.stack([rows, self._indices])[:, rows < self._indices] \
+            if self.m == 1 else np.ascontiguousarray(self.faces.T)
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(
+            corners.ravel(), minlength=len(self)))])
+        return corners, ptr, np.argsort(corners.T.ravel(),
+                                        kind="stable") // (self.m + 1)
 
     def _edge_lengths(self, stop):
         """|f(i) - f(j)| of the CSR edges (i, j) with i < ``stop``, in CSR
@@ -344,14 +359,8 @@ def q_component(f: SampledImmersion, q: int, plane: Subspace, rho: float) -> np.
 
 def q_components(f: SampledImmersion, q: int, plane: Subspace,
                  radii) -> list[np.ndarray]:
-    """U_{rho,q} over ``plane`` for every rho in ``radii``, from one traversal.
-
-    The traversal runs at the largest radius and projects only the samples
-    it reaches: on an id cycle a window of ids around q, on any other
-    adjacency a frontier BFS.  Every smaller radius is cut from that
-    component and its stored projections, since the components are nested.
-    Each result equals ``q_component`` at its radius, sorted by id.
-    """
+    """U_{rho,q} over ``plane`` for every rho in ``radii``, each sorted by
+    id, from one ``component_ladders`` traversal at the largest radius."""
     if q < 0 or q >= len(f):
         raise InputError(f"sample id {q} out of range")
     if plane.k != f.m or plane.n != f.n:
@@ -497,6 +506,13 @@ def _mesh_components(f, qs, frames, radii2, reach2):
     return [list(ladder) for ladder in zip(*out)]
 
 
+def _csr_rows(ptr, ids):
+    """Positions of the entries of CSR rows ``ids``, and each row's length."""
+    count = ptr[ids + 1] - ptr[ids]
+    return (np.repeat(ptr[ids] - np.cumsum(count) + count, count)
+            + np.arange(count.sum()), count)
+
+
 def _stacked_bfs(f, sources, n_rows, admit=None):
     """Keys row * N + id reached over f's CSR adjacency from the source keys,
     at most one per row, in the order reached: the BFS of every row in one
@@ -507,15 +523,13 @@ def _stacked_bfs(f, sources, n_rows, admit=None):
     ``admit`` accepts (all without ``admit``); admit sees every key at most
     once.
     """
-    n, indptr = len(f), f._indptr
+    n = len(f)
     seen = np.zeros(n_rows * n, dtype=bool)
     seen[sources] = True
     frontier, parts = sources, [sources]
     while len(frontier):
         row, ids = np.divmod(frontier, n)
-        start, count = indptr[ids], indptr[ids + 1] - indptr[ids]
-        at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(
-            count.sum())
+        at, count = _csr_rows(f._indptr, ids)
         reached = np.repeat(row * n, count) + f._indices[at]
         reached = np.unique(reached[~seen[reached]])
         seen[reached] = True
@@ -746,13 +760,11 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
     return heights, failed
 
 
-def _analytic_patches(f, ids, plane_of, r):
-    """Graph patches of an immersion with an evaluator: ``plane_of(q)``
-    gives the plane at base sample q, and each block of ``_PASS_ROWS``
-    samples with a plane takes one ``_padded_components`` pass and one
-    ``_component_patches`` build.  Returns one (patch, error) pair per id,
-    the error being what ``extract_graph_patch`` raises there.
-    """
+def _block_patches(f, ids, plane_of, r):
+    """(patch, error) at every sample of ``ids``, the error being what
+    ``extract_graph_patch`` raises there, over the planes ``plane_of(q)``:
+    one ``_padded_components`` pass and one ``_component_patches`` build
+    per block of ``_PASS_ROWS`` samples with a plane."""
     outcomes, rows, planes = [None] * len(ids), [], []
     for i, q in enumerate(ids):
         try:
@@ -773,17 +785,16 @@ def _analytic_patches(f, ids, plane_of, r):
 
 def _component_patches(f, bases, planes, members, counts, r):
     """(patch, error) of every row of the padded (S, W) components
-    ``members`` with ``counts`` members, at ``bases`` over their ``planes``.
-
-    One batched projection, one fold scan and, on a curve, one bracket pass
-    serve all rows; a fold error comes before a bracket error.  The solve
-    and the slope scan run per block of ``_SOLVE_ROWS`` rows: bracketed
-    Newton on a curve, every root's residual checked against
-    ``CURVE_RESIDUAL_SPACINGS`` sample spacings, and ``_fill_surface_rows``
-    on a surface from each node's nearest member, or from that member's
-    nearest mesh neighbour where E^T J is singular (a lon/lat pole).
-    """
+    ``members`` with ``counts`` members, at ``bases`` over their ``planes``:
+    one batched projection and fold scan (a fold error comes first), then
+    the fill and the slope scan per block of ``_SOLVE_ROWS`` rows.  With an
+    evaluator a curve takes bracketed Newton (residuals within
+    ``CURVE_RESIDUAL_SPACINGS`` sample spacings) and a surface
+    ``_fill_surface_rows`` from each node's nearest member, or that
+    member's nearest mesh neighbour where E^T J is singular; raw samples
+    take ``_fill_simplex_rows``."""
     m, k, ev = f.m, f.n - f.m, f.evaluator
+    analytic = ev is not None and f.params is not None
     step, axis, x_grid, in_disk = _chart_grid(m, r)
     nodes = x_grid[in_disk]
     valid = in_disk.reshape((len(axis),) * m)
@@ -792,11 +803,18 @@ def _component_patches(f, bases, planes, members, counts, r):
     rel = f.positions[members] - f_q[:, None]
     proj = rel @ frames
     errors = _detect_fold(f, bases, members, counts, proj, step)
-    if m == 1:
+    if not analytic and m == 1:  # members must reach the rim to a grid step
+        low, high = proj[..., 0].min(axis=1), proj[..., 0].max(axis=1)
+        errors = [fold or (InsufficientSamplingError(
+            f"samples cover [{a:.4f}, {b:.4f}] of the requested chart at "
+            f"sample {q}") if a > step - r or b < r - step else None)
+            for fold, q, a, b in zip(errors, bases.tolist(), low.tolist(),
+                                     high.tolist())]
+    elif m == 1:
         lo, hi, bent = _curve_brackets(f, bases, members, counts, proj,
                                        nodes[:, 0])
         errors = [fold or other for fold, other in zip(errors, bent)]
-    else:  # E^T J at every member, |det| against its squared entries
+    elif analytic:  # E^T J at every member, |det| against its squared entries
         etj = np.swapaxes(frames, 1, 2)[:, None] @ ev.jacobian(f.params[members])
         singular = np.abs(etj[..., 0, 0] * etj[..., 1, 1] - etj[..., 0, 1] * etj[
             ..., 1, 0]) <= 1e-8 * np.sum(etj * etj, axis=(-2, -1))
@@ -810,14 +828,24 @@ def _component_patches(f, bases, planes, members, counts, r):
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
     heights = rel[keep] @ n_frames
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
-    # rows are independent; blocks of rows keep the solver's arrays in cache
+    # rows are independent; blocks of rows keep the fill's arrays in cache
     for a in range(0, len(keep), _SOLVE_ROWS[m]):
         b = slice(a, a + _SOLVE_ROWS[m])
         js = keep[b]
-        if m == 1:
+        qs = bases[js].tolist()
+        if not analytic:
+            on_disk, fill_errors = _fill_simplex_rows(
+                f, bases[js], frames[js], n_frames[b], members[js],
+                counts[js], r)
+        elif m == 1:
             on_disk, failed, res_max = _solve_curve_rows(
                 ev, f_q[js], frames[js, :, 0], n_frames[b], lo[js], hi[js],
                 nodes[:, 0])
+            fill_errors = [InsufficientSamplingError(
+                f"patch at sample {q} is not resolved out to its rim" if fail
+                else f"patch at sample {q} has a chart node the curve does not"
+                f" reach (residual {res:.1e})") if fail or not res <= residual_tol
+                else None for q, fail, res in zip(qs, failed, res_max.tolist())]
         else:
             w = np.max(counts[js])  # the block's own padded width
             gap = nodes[:, None] - proj_in[js, None, :w]
@@ -832,37 +860,97 @@ def _component_patches(f, bases, planes, members, counts, r):
                     np.einsum("tki,tki->tk", gap, gap), axis=1)]]
             on_disk, failed = _fill_surface_rows(ev, f_q[js], frames[js],
                                                  n_frames[b], t, nodes)
+            fill_errors = [NotAGraphError(
+                f"grid fill did not converge on the patch at sample {q}")
+                if fail else None for q, fail in zip(qs, failed.tolist())]
         u = np.full((len(js), len(x_grid), k), np.nan)
         u[:, in_disk] = on_disk
         off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
         u = u.reshape((len(js),) + valid.shape + (k,))
-        lams, du = (_lambda_on_curve_grid(u, step) if m == 1 else
-                    _lambda_on_surface_grid(
-                        u, np.broadcast_to(valid, u.shape[:-1]), step))
+        lams, du = _lambda_on_grid(u, np.broadcast_to(valid, u.shape[:-1]),
+                                   step, m)
         for s, (i, j) in enumerate(zip(range(a, a + len(js)), js.tolist())):
-            q, c = int(bases[j]), int(counts[j])
-            if failed[s] and m == 1:
-                outcomes[j] = (None, InsufficientSamplingError(
-                    f"patch at sample {q} is not resolved out to its rim"))
-            elif m == 1 and not res_max[s] <= residual_tol:
-                outcomes[j] = (None, InsufficientSamplingError(
-                    f"patch at sample {q} has a chart node the curve does not "
-                    f"reach (residual {res_max[s]:.1e})"))
-            elif failed[s]:
-                outcomes[j] = (None, NotAGraphError(
-                    f"grid fill did not converge on the patch at sample {q}"))
-            elif off_center[s]:
-                outcomes[j] = (None, NotAGraphError(
-                    f"patch at {q} does not pass through f(q)"))
-            else:
-                # copies: views would keep the block's padded arrays alive
-                patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
-                                   float(lams[s]), members[j, :c].copy(),
-                                   proj[j, :c].copy(), heights[i, :c].copy(),
-                                   m, k, step, mask=valid if m == 2 else None)
-                patch._du = du[s]
-                outcomes[j] = (patch, None)
+            q, c = qs[s], int(counts[j])
+            outcomes[j] = (None, fill_errors[s] or (NotAGraphError(
+                f"patch at {q} does not pass through f(q)") if off_center[s]
+                else None))
+            if outcomes[j][1] is not None:
+                continue
+            # copies: views would keep the block's padded arrays alive
+            patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
+                               float(lams[s]), members[j, :c].copy(),
+                               proj[j, :c].copy(), heights[i, :c].copy(),
+                               m, k, step, mask=valid if m == 2 else None)
+            patch._du = du[s]
+            outcomes[j] = (patch, None)
     return outcomes
+
+
+def _fill_simplex_rows(f, bases, frames, n_frames, members, counts, r):
+    """Heights (S, T, k) over the T disk nodes of the chart B_r of the
+    polygon or triangle mesh through raw samples, and each row's
+    InsufficientSamplingError or None.  A node takes the barycentric mix of
+    the corner heights of the first edge or face that covers it in the
+    chart among those at the row's component (on a surface, and at its
+    mesh neighbours: faces past the rim reach into the disk), trying the
+    nodes of each bounding box.  One of rank < m in the chart covers
+    nothing; a bare disk node fails its row."""
+    (corners, ptr, star), n, s_rows = f._simplices, len(f), len(bases)
+    step, axis, x_grid, in_disk = _chart_grid(f.m, r)
+    m, g, n_simplices = f.m, len(axis), corners.shape[1]
+    row = np.repeat(np.arange(s_rows), counts)
+    ids = members[np.arange(members.shape[1]) < counts[:, None]]
+    # distinct keys by a sort (return_index): np.unique's hash is far slower
+    if m == 2:  # and their mesh neighbours
+        at, held = _csr_rows(f._indptr, ids)
+        row, ids = np.divmod(np.unique(np.concatenate(
+            [row * n + ids, np.repeat(row * n, held) + f._indices[at]]),
+            return_index=True)[0], n)
+    at, held = _csr_rows(ptr, ids)
+    row, simplex = np.divmod(np.unique(np.repeat(row, held) * n_simplices
+                                       + star[at], return_index=True)[0],
+                             n_simplices)
+    # corner c of simplex p lies at x[c, p] in the chart, z[c, p] above it
+    rel = np.take(f.positions, np.take(corners, simplex, axis=1), axis=0) \
+        - np.take(f.positions[bases], row, axis=0)
+    x = np.einsum("cpn,pnm->cpm", rel, np.take(frames, row, axis=0))
+    z = np.einsum("cpn,pnk->cpk", rel, np.take(n_frames, row, axis=0))
+    # the weights of corners 1..m at a point y are (y - x[0]) @ adj / det,
+    # with e @ adj = det I, so that trace(e @ adj) = m det
+    e = np.moveaxis(x[1:] - x[0], 0, 1)
+    adj = np.ones_like(e) if m == 1 else \
+        np.swapaxes(e[:, ::-1, ::-1], 1, 2) * [[1, -1], [-1, 1]]
+    det = np.einsum("pij,pji->p", e, adj) / m
+    solid = np.abs(det) > 1e-12 * np.sum(e * e, axis=(1, 2)) ** (m / 2)
+    # the grid nodes of every bounding box, those on its sides whatever the
+    # rounding, at flat grid indices (the last axis runs fastest)
+    lo = np.maximum(np.ceil((x.min(axis=0) + r) / step - 1e-6), 0).astype(int)
+    span = np.maximum(np.minimum(np.floor((x.max(axis=0) + r) / step + 1e-6),
+                                 g - 1) + 1 - lo, 0).astype(int)
+    per = np.where(solid, np.prod(span, axis=1), 0)
+    cand = np.repeat(np.arange(len(row)), per)
+    rest = np.arange(len(cand)) - np.repeat(np.cumsum(per) - per, per)
+    node = np.take(lo[:, -1], cand) + rest % np.take(span[:, -1], cand)
+    if m == 2:
+        node += (np.take(lo[:, 0], cand) + rest // np.take(span[:, 1], cand)) * g
+    w = np.ascontiguousarray(np.einsum(  # (m, Q): fast sums over m
+        "qi,qij->jq", np.take(x_grid, node, axis=0) - np.take(x[0], cand, 0),
+        np.take(adj, cand, axis=0))) / np.take(det, cand)
+    inside = np.flatnonzero((w.min(axis=0) >= -1e-12)
+                            & (w.sum(axis=0) <= 1.0 + 1e-12))
+    # the first covering simplex of every (row, node)
+    cover, first = np.unique(row[cand[inside]] * len(x_grid) + node[inside],
+                             return_index=True)
+    pick = inside[first]
+    s = cand[pick]
+    heights = np.full((s_rows * len(x_grid), z.shape[-1]), np.nan)
+    heights[cover] = z[0, s] + np.einsum("jq,jqk->qk", w[:, pick],
+                                         z[1:, s] - z[0, s])
+    heights = heights.reshape(s_rows, len(x_grid), -1)[:, in_disk]
+    return heights, [None if not bare.any() else InsufficientSamplingError(
+        f"chart node {x_grid[in_disk][np.argmax(bare)].round(4).tolist()} "
+        f"of the patch at sample {q} lies on no edge or face near it")
+        for q, bare in zip(bases.tolist(), np.isnan(heights[..., 0]))]
 
 
 def _chart_grid(m, r):
@@ -872,20 +960,6 @@ def _chart_grid(m, r):
     x_grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
     in_disk = np.einsum("ij,ij->i", x_grid, x_grid) <= r * r * (1 + 1e-12)
     return r / cells, axis, x_grid, in_disk
-
-
-def _interp_curve_grid(q, proj, heights, x_nodes, step):
-    order = np.argsort(proj)
-    p_sorted = proj[order]
-    h_sorted = heights[order]
-    keep = np.concatenate([[True], np.diff(p_sorted) > 1e-14])
-    p_sorted, h_sorted = p_sorted[keep], h_sorted[keep]
-    if p_sorted[0] > x_nodes[0] + step or p_sorted[-1] < x_nodes[-1] - step:
-        raise InsufficientSamplingError(
-            f"samples cover [{p_sorted[0]:.4f}, {p_sorted[-1]:.4f}] of the "
-            f"requested chart at sample {q}")
-    return np.stack([np.interp(x_nodes, p_sorted, h_sorted[:, j])
-                     for j in range(h_sorted.shape[1])], axis=-1)
 
 
 def _derivative_1d(u, step):
@@ -898,114 +972,53 @@ def _derivative_1d(u, step):
     return du
 
 
-def _lambda_on_curve_grid(u, step):
-    """Slope sup_x ||Du(x)|| of (..., G, k) graph values, one per grid."""
-    du = _derivative_1d(u, step)
-    return np.max(np.linalg.norm(du, axis=-1), axis=-1), du
-
-
 def _derivative_2d_axis(u, valid, step, axis):
     """Derivative along grid axis 0 or 1 of (..., G, G, k) values on
     (..., G, G) masks: central inside, one-sided at the rim."""
     u = np.moveaxis(u, axis - 3, 0)
     v = np.moveaxis(valid, axis - 2, 0)
-    g = u.shape[0]
     pad_u = np.full((2,) + u.shape[1:], np.nan)
     pad_v = np.zeros((2,) + v.shape[1:], dtype=bool)
     up = np.concatenate([pad_u, np.where(v[..., None], u, np.nan), pad_u])
     vp = np.concatenate([pad_v, v, pad_v])
-    i = np.arange(2, g + 2)
-    central = vp[i - 1] & vp[i + 1]
-    fwd2 = vp[i + 1] & vp[i + 2]
-    bwd2 = vp[i - 1] & vp[i - 2]
-    fwd1 = vp[i + 1]
-    bwd1 = vp[i - 1]
-    with np.errstate(invalid="ignore"):
-        d_central = (up[i + 1] - up[i - 1]) / (2 * step)
-        d_fwd2 = (-3 * up[i] + 4 * up[i + 1] - up[i + 2]) / (2 * step)
-        d_bwd2 = (3 * up[i] - 4 * up[i - 1] + up[i - 2]) / (2 * step)
-        d_fwd1 = (up[i + 1] - up[i]) / step
-        d_bwd1 = (up[i] - up[i - 1]) / step
+    i = np.arange(2, u.shape[0] + 2)
     du = np.full_like(u, np.nan)
-    for cond, val in [(bwd1, d_bwd1), (fwd1, d_fwd1), (bwd2, d_bwd2),
-                      (fwd2, d_fwd2), (central, d_central)]:
-        du = np.where((cond & v)[..., None], val, du)
+    # the stencils the mask allows, later ones winning: one-sided of order
+    # 1, then 2, then central
+    with np.errstate(invalid="ignore"):
+        for ok, val in [
+                (vp[i - 1], (up[i] - up[i - 1]) / step),
+                (vp[i + 1], (up[i + 1] - up[i]) / step),
+                (vp[i - 1] & vp[i - 2],
+                 (3 * up[i] - 4 * up[i - 1] + up[i - 2]) / (2 * step)),
+                (vp[i + 1] & vp[i + 2],
+                 (-3 * up[i] + 4 * up[i + 1] - up[i + 2]) / (2 * step)),
+                (vp[i - 1] & vp[i + 1], (up[i + 1] - up[i - 1]) / (2 * step))]:
+            du = np.where((ok & v)[..., None], val, du)
     return np.moveaxis(du, 0, axis - 3)
 
 
-def _lambda_on_surface_grid(u, valid, step):
-    """Slopes sup ||Du|| of (..., G, G, k) graph values, one per grid."""
-    d0 = _derivative_2d_axis(u, valid, step, axis=0)
-    d1 = _derivative_2d_axis(u, valid, step, axis=1)
-    norm_sq = np.sum(d0 * d0, axis=-1) + np.sum(d1 * d1, axis=-1)
-    lam = np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan), axis=(-2, -1)))
-    return lam, np.stack([d0, d1], axis=-1)
+def _lambda_on_grid(u, valid, step, m):
+    """Slopes sup ||Du|| of (..., G^m, k) graph values on (..., G^m) masks,
+    one per grid, and Du: (..., G, k) on a curve, (..., G, G, k, 2) else."""
+    ds = [_derivative_1d(u, step)] if m == 1 else [
+        _derivative_2d_axis(u, valid, step, axis) for axis in (0, 1)]
+    norm_sq = sum(np.sum(d * d, axis=-1) for d in ds)
+    lam = np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan),
+                            axis=tuple(range(-m, 0))))
+    return lam, ds[0] if m == 1 else np.stack(ds, axis=-1)
 
 
 def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
                         r: float) -> GraphPatch:
-    """Extract the local graph of f over ``plane`` through f(q) on B_r.
-
-    The component comes from ``q_component``.  Immersions with an analytic
-    evaluator go through the block setup and solve that ``check_r_lambda``
-    runs, here with a single row; raw samples share its fold scan.
-    """
-    members = q_component(f, q, plane, r)
-    one = (np.array([q]), members[None], np.array([len(members)]))
-    if f.evaluator is not None and f.params is not None:
-        [(patch, err)] = _component_patches(f, one[0], [plane], *one[1:], r)
-        if err is not None:
-            raise err
-        return patch
-    cells = GRID_CELLS_PER_RADIUS[f.m]
-    step, axis, x_grid, in_disk = _chart_grid(f.m, r)
-    [isometry] = EuclideanIsometry.embeddings(f.positions[q][None],
-                                              plane.frame[None])
-    rel = f.positions[members] - f.positions[q]
-    proj = rel @ plane.frame
-    heights = rel @ isometry.rotation[:, f.m:]
-    [err] = _detect_fold(f, *one, proj[None], step)
+    """Extract the local graph of f over ``plane`` through f(q) on B_r: its
+    ``q_component``, then the one-row block build ``check_r_lambda`` runs."""
+    members = q_component(f, q, plane, r)[None]
+    [(patch, err)] = _component_patches(f, np.array([q]), [plane], members,
+                                        np.array([members.shape[1]]), r)
     if err is not None:
         raise err
-    if f.m == 1:
-        if len(members) < 4:
-            raise InsufficientSamplingError(
-                f"only {len(members)} samples in the patch at {q}")
-        u, valid = _interp_curve_grid(q, proj[:, 0], heights, axis, step), None
-    else:
-        u = _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step)
-        u = u.reshape((len(axis), len(axis), -1))
-        valid = in_disk.reshape(u.shape[:2])
-    if np.max(np.abs(u[(cells,) * f.m])) > 1e-9:
-        raise NotAGraphError(f"patch at {q} does not pass through f(q)")
-    lam, du = (_lambda_on_curve_grid(u, step) if f.m == 1 else
-               _lambda_on_surface_grid(u, valid, step))
-    patch = GraphPatch(q, plane, isometry, r, axis, u, float(lam), members,
-                       proj, heights, f.m, f.n - f.m, step, mask=valid)
-    patch._du = du
     return patch
-
-
-def _interp_surface_grid(f, q, proj, heights, x_grid, in_disk, step):
-    from scipy.interpolate import LinearNDInterpolator
-
-    if len(proj) < 6:
-        raise InsufficientSamplingError(
-            f"only {len(proj)} samples in the patch at {q}")
-    interp = LinearNDInterpolator(proj, heights)
-    u = np.full((len(x_grid), heights.shape[1]), np.nan)
-    u[in_disk] = interp(x_grid[in_disk])
-    hole = in_disk & np.any(np.isnan(u), axis=1)
-    if np.any(hole):
-        # the convex hull of the members clips the rim; a one-cell ring of
-        # unreachable nodes is tolerated and excluded from the slope scan
-        dist_to_rim = np.linalg.norm(x_grid[hole], axis=1)
-        r = np.max(np.linalg.norm(x_grid[in_disk], axis=1))
-        if np.any(dist_to_rim < r - 2 * step):
-            raise InsufficientSamplingError(
-                f"interior chart nodes unreachable at sample {q}")
-        in_disk[hole] = False
-    return u
 
 
 def plane_for(f: SampledImmersion, q: int, rule, r: float,
@@ -1042,41 +1055,29 @@ class CheckReport:
                 "plane_rule": self.plane_rule}
 
 
+def _store_key(r, lam, plane_rule):
+    """What a patch depends on: a best-fit plane on lambda through its seed
+    radius delta_1, a tangent plane not at all."""
+    return (r, plane_rule, delta(1, r, lam)) if plane_rule == "best-fit" \
+        else (r, plane_rule)
+
+
 def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
                   plane_rule) -> list[GraphPatch]:
-    """The patches at sample ids from f's patch store, where each is built
-    once per (r, lambda, plane rule) and sample.
-
-    The misses are built in one pass: the best-fit rule resolves their
-    planes from one ``best_fit_planes`` pass, and under the tangent rule an
-    immersion with an evaluator resolves them from one evaluator call; one
-    batched solve fills their grids, while raw point clouds extract one
-    patch per sample.  The first failure in ``ids`` order is raised with its
-    type and a ``sample {q}:`` prefix.
-    """
-    store = f._patch_store.setdefault((r, lam, plane_rule), {})
+    """The patches at sample ids from f's patch store, one per sample and
+    ``_store_key``; the misses take one ``_block_patches`` pass, over planes
+    resolved in one pass, or plane by plane if one fails.  The first failure
+    in ``ids`` order is raised with its type and a ``sample {q}:`` prefix."""
+    store = f._patch_store.setdefault(_store_key(r, lam, plane_rule), {})
     missing = [q for q in dict.fromkeys(ids) if q not in store]
-    analytic = f.evaluator is not None and f.params is not None
-
-    def plane_of(q):
-        return plane_for(f, q, plane_rule, r, lam)
-
-    if missing and plane_rule == "best-fit":
-        try:
-            plane_of = dict(zip(missing, f.best_fit_planes(
-                missing, delta(1, r, lam)))).__getitem__
-        except InsufficientSamplingError:
-            pass  # plane by plane, so that a failing sample fails alone
-    elif missing and plane_rule == "tangent" and analytic:
-        plane_of = dict(zip(missing, f.tangent_planes(missing))).__getitem__
-    if not analytic:
-        for q in missing:
-            try:
-                store[q] = (extract_graph_patch(f, q, plane_of(q), r), None)
-            except _SAMPLE_ERRORS as exc:
-                store[q] = (None, exc)
-    elif missing:
-        store.update(zip(missing, _analytic_patches(f, missing, plane_of, r)))
+    if missing:
+        plane_of = partial(plane_for, f, rule=plane_rule, r=r, lam=lam)
+        try:  # one pass, else plane by plane: a failing sample fails alone
+            plane_of = dict(zip(missing, planes_for(
+                f, missing, plane_rule, r, lam))).__getitem__
+        except _SAMPLE_ERRORS:
+            pass
+        store.update(zip(missing, _block_patches(f, missing, plane_of, r)))
     for q in ids:
         if store[q][1] is not None:
             raise type(store[q][1])(f"sample {q}: {store[q][1]}")
@@ -1108,7 +1109,7 @@ def passes_stored_check(f: SampledImmersion, r: float, lam: float,
                         plane_rule) -> bool:
     """Whether f's patch store holds a patch with slope <= lambda at every
     sample, so that ``check_r_lambda`` would pass without building one."""
-    store = f._patch_store.get((r, lam, plane_rule), {})
+    store = f._patch_store.get(_store_key(r, lam, plane_rule), {})
     return all(q in store and store[q][1] is None
                and store[q][0].lambda_measured <= lam for q in range(len(f)))
 
@@ -1280,10 +1281,8 @@ def patch_intersection_check(f: SampledImmersion, p: int, q: int, rho: float,
     worst = float(np.max(dist) / bound) if len(dist) else 0.0
     distance_ok = bool(np.all(dist < bound))
 
-    plane_p = f.tangent_plane(p)
-    dp = q_component(f, p, plane_p, d)
+    dp = q_component(f, p, f.tangent_plane(p), d)
     applicable = bool(np.intersect1d(dq, dp).size)
-    missing = []
-    if applicable:
-        missing = sorted(set(dp.tolist()) - set(members_q.tolist()))
+    missing = sorted(set(dp.tolist()) - set(members_q.tolist())) \
+        if applicable else []
     return IntersectReport(distance_ok, worst, applicable, not missing, missing)

@@ -198,14 +198,16 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
 
 def _assert_separation(net: DeltaNet):
     """Net points must have pairwise-disjoint delta_{level+1}-patches."""
-    owner = np.full(len(net.f), -1, dtype=int)
-    for j in range(len(net)):
-        for p in net.member_sets[j][net.level + 1]:
-            if owner[p] >= 0:
-                raise InvariantViolationError(
-                    f"net points {owner[p]} and {j} share sample {p} in their "
-                    f"delta_{net.level + 1}-patches")
-            owner[p] = j
+    sets = [members[net.level + 1] for members in net.member_sets]
+    flat = np.concatenate(sets)
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    first = np.full(len(net.f), len(flat))  # each sample's first position
+    np.minimum.at(first, flat, np.arange(len(flat)))
+    # the first position, in net order, whose sample an earlier one holds
+    for i in np.flatnonzero(first[flat] < np.arange(len(flat)))[:1]:
+        raise InvariantViolationError(
+            f"net points {owner[first[flat[i]]]} and {owner[i]} share sample "
+            f"{flat[i]} in their delta_{net.level + 1}-patches")
 
 
 @dataclass
@@ -229,10 +231,8 @@ def verify_net_bounds(net: DeltaNet) -> NetBoundsReport:
     """Certify |Q| <= delta_{l+1}^{-m} vol and the multiplicity bound."""
     f = net.f
     size_bound = net.delta(net.level + 1) ** (-f.m) * f.volume
-    counts = np.zeros(len(f), dtype=int)
-    for j in range(len(net)):
-        counts[net.member_sets[j][2]] += 1
-    worst = int(np.max(counts))
+    worst = int(np.max(np.bincount(np.concatenate(
+        [members[2] for members in net.member_sets]), minlength=len(f))))
     mult_bound = (3.0 * (1.0 + net.lam)) ** ((net.level + 1) * f.m)
     return NetBoundsReport(len(net), size_bound, len(net) <= size_bound,
                            worst, mult_bound, worst <= mult_bound)

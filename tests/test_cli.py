@@ -228,3 +228,22 @@ def test_normals_command(circle_manifest, tmp_path):
     assert field["min_S_norm"] >= field["S_lower_bound"]
     assert field["overlap_span_max"] <= 1e-9
     assert field["angle_check"]["holds"]
+
+
+def test_raw_torus_manifest_check_ends_in_a_typed_error(tmp_path, capsys):
+    # the 32x64 torus as raw points and faces, over best-fit planes: a
+    # sample of it folds, which the check reports without a traceback
+    from lipimm.shapes import make_shape
+
+    torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "32x64")
+    manifest = tmp_path / "torus.json"
+    manifest.write_text(json.dumps({"m": 2, "n": 3,
+                                    "points": torus.positions.tolist(),
+                                    "faces": torus.faces.tolist()}))
+    code = main(["check", "--manifest", str(manifest), "--r", "0.3",
+                 "--lambda", "0.5", "--plane-rule", "best-fit",
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert (code, err.startswith("conclusion violated: sample ")) == (1, True) \
+        or (code, err.startswith("error: sample ")) == (2, True)
+    assert "Traceback" not in err

@@ -366,7 +366,7 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     f = make_shape("circle", {"radius": 1.0}, 512)
     g = make_shape("circle", {"radius": 1.001}, 512)
     built = {}
-    real = immersion_mod._analytic_patches
+    real = immersion_mod._block_patches
 
     def recording(shape, ids, plane_of, r):
         outcomes = real(shape, ids, plane_of, r)
@@ -374,13 +374,13 @@ def test_consumers_read_the_checked_patches(monkeypatch):
                       for q, (patch, _) in zip(ids, outcomes)})
         return outcomes
 
-    monkeypatch.setattr(immersion_mod, "_analytic_patches", recording)
+    monkeypatch.setattr(immersion_mod, "_block_patches", recording)
     for shape in (f, g):
         assert check_r_lambda(shape, 0.2, 0.25).passed
     assert len(built) == 1024
     # from here on no patch may be built, and no check run again
     calls = []
-    for module, name in [(immersion_mod, "_analytic_patches"),
+    for module, name in [(immersion_mod, "_block_patches"),
                          (immersion_mod, "extract_graph_patch"),
                          (nets_mod, "check_r_lambda")]:
         monkeypatch.setattr(module, name,

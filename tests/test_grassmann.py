@@ -269,14 +269,28 @@ def test_stack_rows_equal_their_batch_of_one_calls():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
+    # lipimm imports no scipy, neither on import nor when raw curve and
+    # surface samples fill their patches
     src = str(Path(lipimm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, lipimm; print('scipy.linalg' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = "\n".join([
+        "import sys, lipimm",
+        "from lipimm.shapes import immersion_from_points",
+        "c = lipimm.make_shape('circle', {}, 2048)",
+        "t = lipimm.make_shape('torus', {}, '32x64')",
+        "raw = immersion_from_points(t.positions, m=2, faces=t.faces)",
+        "assert lipimm.check_r_lambda(immersion_from_points(c.positions),",
+        "                             0.2, 1.0, 'best-fit').passed",
+        "lipimm.extract_graph_patch(raw, 0, t.tangent_plane(0), 0.2)",
+        "try:",  # samples fold over their best-fit planes after the fill
+        "    lipimm.check_r_lambda(raw, 0.2, 1.0, 'best-fit')",
+        "except lipimm.LipimmError:",
+        "    pass",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])

@@ -8,14 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lipimm.immersion as immersion_mod
-from lipimm.errors import InputError, InsufficientSamplingError, NotAGraphError
+from lipimm.errors import (
+    InputError,
+    InsufficientSamplingError,
+    LipimmError,
+    NotAGraphError,
+)
 from lipimm.grassmann import Subspace, orthonormalize, random_subspace
 from lipimm.immersion import (
     PLANE_RULES,
+    CheckReport,
     EuclideanIsometry,
     GraphSystem,
     SampledImmersion,
-    _analytic_patches,
+    _block_patches,
     _padded_components,
     check_r_lambda,
     check_r_lambda_function,
@@ -25,6 +31,7 @@ from lipimm.immersion import (
     graph_system_distance,
     patch_intersection_check,
     plane_for,
+    planes_for,
     q_component,
     q_components,
 )
@@ -466,7 +473,7 @@ def test_batched_check_matches_single_patches(name, params):
         else:
             def plane_of(q):
                 return plane_for(shape, q, rule, 0.1, 1.0)
-        outcomes = _analytic_patches(shape, ids, plane_of, 0.1)
+        outcomes = _block_patches(shape, ids, plane_of, 0.1)
         for q, (batched, err) in zip(ids, outcomes):
             assert err is None
             single = extract_graph_patch(shape, q, batched.plane, 0.1)
@@ -545,15 +552,15 @@ def test_sphere_newton_fill_matches_closed_form():
     solved = check_r_lambda(newton, 0.2, 0.25)
     assert np.max(np.abs(solved.lambdas - closed.lambdas)) <= 1e-12
     for q in range(len(sphere)):
-        a = sphere._patch_store[(0.2, 0.25, "tangent")][q][0]
-        b = newton._patch_store[(0.2, 0.25, "tangent")][q][0]
+        a = sphere._patch_store[(0.2, "tangent")][q][0]
+        b = newton._patch_store[(0.2, "tangent")][q][0]
         assert np.nanmax(np.abs(a.u - b.u)) <= 1e-12
         assert np.nanmax(np.abs(a._du - b._du)) <= 1e-12
 
 
 def test_batched_surface_check_matches_single_patches(torus):
     report = check_r_lambda(torus, 0.1, 0.25)
-    store = torus._patch_store[(0.1, 0.25, "tangent")]
+    store = torus._patch_store[(0.1, "tangent")]
     for q in (0, 37, 200, 311, 511):
         batched = store[q][0]
         single = extract_graph_patch(torus, q, batched.plane, 0.1)
@@ -585,7 +592,7 @@ def test_failing_row_of_a_surface_block_fails_alone():
     with pytest.raises(NotAGraphError) as info:
         check_r_lambda(sphere, 0.2, 0.25, sample_ids=ids)
     assert str(info.value).startswith(f"sample {pole}:")
-    store = sphere._patch_store[(0.2, 0.25, "tangent")]
+    store = sphere._patch_store[(0.2, "tangent")]
     assert store[pole][0] is None
     for q in (pole - 3, pole - 1, 100):
         patch, err = store[q]
@@ -662,7 +669,7 @@ def reference_brackets(f, q, members, proj, x_nodes):
 
 
 def reference_patches(f, ids, plane_of, r):
-    """The former ``_analytic_patches``: plane, component, fold scan and
+    """The former ``_block_patches``: plane, component, fold scan and
     brackets sample by sample, then the same batched solve."""
     im = immersion_mod
     m, k, ev = f.m, f.n - f.m, f.evaluator
@@ -708,11 +715,8 @@ def reference_patches(f, ids, plane_of, r):
         u[:, in_disk] = on_disk
         off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
         u = u.reshape((len(js),) + valid.shape + (k,))
-        if m == 1:
-            lams, du = im._lambda_on_curve_grid(u, step)
-        else:
-            lams, du = im._lambda_on_surface_grid(
-                u, np.broadcast_to(valid, u.shape[:-1]), step)
+        lams, du = im._lambda_on_grid(
+            u, np.broadcast_to(valid, u.shape[:-1]), step, m)
         for s, j in enumerate(js):
             q = base[j]
             if failed[s] and m == 1:
@@ -750,9 +754,9 @@ def plane_lookup(f, ids, rule, r, lam=0.25):
 
 
 def assert_same_outcomes(f, ids, plane_of, r):
-    """``_analytic_patches`` equals the per-sample reference bit for bit,
+    """``_block_patches`` equals the per-sample reference bit for bit,
     and names the same error; returns the errors."""
-    got = _analytic_patches(f, ids, plane_of, r)
+    got = _block_patches(f, ids, plane_of, r)
     want = reference_patches(f, ids, plane_of, r)
     for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
         assert (type(err), str(err)) == (type(ref_err), str(ref_err))
@@ -864,6 +868,129 @@ def test_raw_fold_scan_matches_the_per_sample_scan():
             got = str(exc)
         assert got == want if want else not str(got).startswith("projection")
     assert folds >= 40 and built >= 40
+
+
+# ---------------------------------------------------------------------------
+# raw samples: the fill from the polygon or triangle mesh they define
+
+
+def raw_copy(f):
+    """f's samples and adjacency without its evaluator."""
+    return immersion_from_points(f.positions, m=f.m,
+                                 faces=f.faces if f.m == 2 else None)
+
+
+def raw_fill_errors(f, r, every, rule):
+    """Largest |lambda - lambda_raw| and sup |u - u_raw| over all grid nodes,
+    rim included, of the patches at every ``every``-th sample of f and of its
+    raw copy, both over the plane f resolves there."""
+    raw, ids = raw_copy(f), list(range(0, len(f), every))
+    slopes, heights = [], []
+    for q, plane in zip(ids, planes_for(f, ids, rule, r, 0.25)):
+        exact, pl = (extract_graph_patch(g, q, plane, r) for g in (f, raw))
+        assert np.array_equal(np.isnan(exact.u), np.isnan(pl.u))
+        slopes.append(abs(exact.lambda_measured - pl.lambda_measured))
+        heights.append(np.nanmax(np.abs(exact.u - pl.u)))
+    return max(slopes), max(heights)
+
+
+@pytest.mark.parametrize("name, params, rule, r, samples, bounds", [
+    # (samples, largest |d lambda|, largest sup |d u|) at two resolutions;
+    # measured: circle 1.4e-5, 3.0e-7 and 8.1e-7, 7.5e-8; ellipse 1.5e-4,
+    # 3.4e-7 and 3.6e-5, 8.5e-8
+    ("circle", {"radius": 1.0}, "best-fit", 0.2, (4096, 8192),
+     ((2e-5, 4e-7), (2e-6, 1e-7))),
+    ("ellipse", {"a": 1.0, "b": 0.6}, "best-fit", 0.2, (4096, 8192),
+     ((2e-4, 4e-7), (5e-5, 1e-7))),
+    # measured: torus 0.045, 0.021 and 0.040, 5.6e-3; sphere 0.16, 4.3e-3
+    # and 0.069, 1.1e-3
+    ("torus", {"R": 2.0, "r": 0.5}, "tangent", 0.2, ("32x16", "64x32"),
+     ((0.05, 0.025), (0.05, 7e-3))),
+    ("sphere", {"radius": 1.0}, "tangent", 0.2, ("48x24", "96x48"),
+     ((0.17, 5e-3), (0.08, 1.3e-3))),
+])
+def test_raw_fill_converges_to_the_analytic_fill(name, params, rule, r,
+                                                 samples, bounds):
+    # the piecewise-linear fill of raw samples against the solved graph over
+    # the same planes: heights agree to O(h^2), rim nodes included, and
+    # slopes to within the stated bounds
+    errors = []
+    for size, (slope_bound, height_bound) in zip(samples, bounds):
+        f = make_shape(name, params, size)
+        slope, height = raw_fill_errors(f, r, max(1, len(f) // 32), rule)
+        assert slope <= slope_bound and height <= height_bound
+        errors.append((slope, height))
+    (coarse_slope, coarse_height), (fine_slope, fine_height) = errors
+    assert coarse_height >= 3 * fine_height
+    if name == "ellipse":
+        assert coarse_slope >= 3 * fine_slope
+
+
+def test_raw_circle_fails_where_the_analytic_circle_fails():
+    # the fill lerps on the edges that cross the rim instead of holding the
+    # outermost member's height: the raw circle fails at (0.2, 0.2) with the
+    # analytic slope, 0.204124 up to grid error
+    circle = make_shape("circle", {"radius": 1.0}, 4096)
+    analytic = check_r_lambda(circle, 0.2, 0.2, "best-fit")
+    raw = check_r_lambda(raw_copy(circle), 0.2, 0.2, "best-fit")
+    assert not analytic.passed and not raw.passed
+    assert abs(raw.worst_lambda - analytic.worst_lambda) <= 2e-5
+
+
+def test_raw_mesh_check_fails_with_a_typed_error():
+    # sample 9 of the fine torus folds over its best-fit plane; no sample
+    # may end the check in an untyped error
+    torus = raw_copy(make_shape("torus", {"R": 2.0, "r": 0.5}, "64x128"))
+    try:
+        report = check_r_lambda(torus, 0.2, 0.5, "best-fit")
+    except LipimmError as exc:
+        assert str(exc).startswith("sample ")
+    else:
+        assert isinstance(report, CheckReport)
+
+
+def test_mesh_fill_reaches_the_rim_past_the_component():
+    # at sample 14763 of the 192x96 sphere a rim node of the chart lies
+    # beyond the faces with a corner in the component: between the chord of
+    # two outside vertices and the rim.  The faces at the component's mesh
+    # neighbours cover it (measured: 2.0e-4 in height, 0.016 in slope)
+    sphere = make_shape("sphere", {"radius": 1.0}, "192x96")
+    plane = sphere.tangent_plane(14763)
+    exact, pl = (extract_graph_patch(f, 14763, plane, 0.2)
+                 for f in (sphere, raw_copy(sphere)))
+    assert np.array_equal(np.isnan(exact.u), np.isnan(pl.u))
+    assert np.nanmax(np.abs(exact.u - pl.u)) <= 3e-4
+    assert abs(exact.lambda_measured - pl.lambda_measured) <= 0.02
+
+
+def test_component_without_rank_covers_no_chart_node():
+    # the torus seen edge-on at sample 0: the faces at its component
+    # project onto a segment of the chart, so no face covers a disk node
+    torus = raw_copy(make_shape("torus", {"R": 2.0, "r": 0.5}, "16x32"))
+    normal = torus.positions[0] / np.linalg.norm(torus.positions[0])
+    plane = orthonormalize(np.column_stack([normal, [0.0, 0.0, 1.0]]))
+    with pytest.raises(InsufficientSamplingError, match="lies on no edge"):
+        extract_graph_patch(torus, 0, plane, 0.1)
+
+
+def test_tangent_patches_do_not_depend_on_lambda(lipimm_calls):
+    # a tangent patch is keyed by (r, rule): a second lambda reads the store
+    def circle():
+        return make_shape("circle", {"radius": 1.0}, 512)
+
+    fresh = [check_r_lambda(circle(), 0.2, lam) for lam in (0.25, 0.5)]
+    shared = circle()
+    builds = lipimm_calls(immersion_mod._block_patches)
+    reports = [check_r_lambda(shared, 0.2, lam) for lam in (0.25, 0.5)]
+    assert builds.calls == 1
+    for report, want in zip(reports, fresh):
+        assert (report.passed, report.worst_lambda, report.worst_sample) == \
+            (want.passed, want.worst_lambda, want.worst_sample)
+        assert np.array_equal(report.lambdas, want.lambdas)
+    # a best-fit patch depends on lambda through its seed radius delta_1
+    for lam in (0.25, 0.5):
+        check_r_lambda(shared, 0.2, lam, "best-fit")
+    assert builds.calls == 3
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lipimm.errors import InputError
+from lipimm.errors import InputError, InvariantViolationError
 from lipimm.grassmann import orthonormalize
 from lipimm.immersion import (
     check_r_lambda,
@@ -12,7 +12,13 @@ from lipimm.immersion import (
     plane_for,
     q_component,
 )
-from lipimm.nets import DeltaNet, build_net, verify_net_bounds
+from lipimm.nets import (
+    DeltaNet,
+    _assert_separation,
+    _net_on,
+    build_net,
+    verify_net_bounds,
+)
 from lipimm.shapes import make_shape
 
 
@@ -239,3 +245,38 @@ def test_ladder_net_equals_net_of_single_radius_components(
     for iota in range(level + 1):
         for j in range(len(net)):
             assert np.array_equal(net.z_set(iota, j), reference.z_set(iota, j))
+
+
+def _first_shared_sample(net):
+    """The former point-by-point separation loop: the first (earlier point,
+    point, sample) in net order whose sample an earlier point holds."""
+    owner = {}
+    for j, members in enumerate(net.member_sets):
+        for p in members[net.level + 1].tolist():
+            if p in owner:
+                return owner[p], j, p
+            owner[p] = j
+    return None
+
+
+@pytest.mark.parametrize("points", [[0, 1], [0, 200, 201], [5, 400, 2, 4],
+                                    [5, 400, 6]])
+def test_separation_names_the_first_shared_sample(points):
+    # net points this close have overlapping delta_2-patches at level 1; the
+    # error names the pair and sample the loop over net points meets first
+    f = make_shape("circle", {"radius": 1.0}, 512)
+    net = _net_on(f, 0.2, 0.25, 1, points, f.tangent_planes(points),
+                  "tangent")
+    earlier, later, sample = _first_shared_sample(net)
+    with pytest.raises(InvariantViolationError) as info:
+        _assert_separation(net)
+    assert str(info.value) == (
+        f"net points {earlier} and {later} share sample {sample} in their "
+        "delta_2-patches")
+
+
+def test_separated_points_pass_the_separation_check():
+    f = make_shape("circle", {"radius": 1.0}, 512)
+    net = build_net(f, 0.2, 0.25, 2)
+    assert _first_shared_sample(net) is None
+    _assert_separation(net)
