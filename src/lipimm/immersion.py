@@ -519,9 +519,8 @@ def _stacked_bfs(f, sources, n_rows, admit=None):
     frontier.
 
     Each step gathers the neighbors of all frontier keys at once, keeps the
-    unseen ones once each (one ``np.unique``) and of those the keys
-    ``admit`` accepts (all without ``admit``); admit sees every key at most
-    once.
+    unseen ones once each (one sort) and of those the keys ``admit``
+    accepts (all without ``admit``); admit sees every key at most once.
     """
     n = len(f)
     seen = np.zeros(n_rows * n, dtype=bool)
@@ -531,7 +530,8 @@ def _stacked_bfs(f, sources, n_rows, admit=None):
         row, ids = np.divmod(frontier, n)
         at, count = _csr_rows(f._indptr, ids)
         reached = np.repeat(row * n, count) + f._indices[at]
-        reached = np.unique(reached[~seen[reached]])
+        # distinct keys by a sort (return_index): np.unique's hash is slower
+        reached = np.unique(reached[~seen[reached]], return_index=True)[0]
         seen[reached] = True
         frontier = reached if admit is None else reached[admit(reached)]
         parts.append(frontier)
@@ -712,7 +712,16 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
     return np.matmul(points, n_frames), unresolved, res
 
 
-def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
+def _fill_stops(f_q):
+    """Residual stops of the patch fills at the (S, n) points f_q: 1e-13,
+    or 1e-14 |f_q| where that is larger, as the rounding of points grows
+    with |f_q|.  A surface Newton row stops below its stop and fails 1e4
+    stops off; a patch whose height at the chart centre is 1e4 stops off
+    does not pass through f(q)."""
+    return np.maximum(1e-13, 1e-14 * np.max(np.abs(f_q), axis=-1))
+
+
+def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
     """Graph heights (S, T, k) of every row s over the chart nodes
     ``targets``, and an (S,) flag for rows whose fill did not converge.
 
@@ -720,8 +729,9 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
     The other rows solve (ev.point(t) - f_q[s]) . e_frames[s] = targets by
     Newton from the (S, T, 2) parameters ``t``, with the 2x2 Jacobian E^T J
     inverted in closed form; each step reads points and Jacobians from one
-    ``point_jacobian`` call.  A row steps until its residual is below 1e-13,
-    at most 40 times, and fails if it stays above 1e-9.
+    ``point_jacobian`` call.  A row steps until its largest |residual| is
+    below ``stop[s]``, at most 40 times, and fails if it stays 1e4 times
+    above it.  Rows step together, without gathers, until one stops.
     """
     closed_form = ev.graph_heights
     heights = np.empty((len(t), len(targets), n_frames.shape[-1]))
@@ -733,31 +743,57 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets):
             newton.append(s)
         else:
             heights[s] = h
+    failed = np.zeros(len(heights), dtype=bool)
+    if not newton:
+        return heights, failed
     f_q, e_frames, t = f_q[newton, None], e_frames[newton], t[newton]
+    stop = stop[newton]
     pts = np.empty(t.shape[:-1] + (f_q.shape[-1],))
-    active = np.arange(len(t))
+    active = slice(None)  # every row, without gathers, until one stops
     for _ in range(40):
         pts[active], jac = ev.point_jacobian(t[active])
         res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
-        going = ~(np.max(np.abs(res), axis=(1, 2)) < 1e-13)  # NaN keeps going
-        active, res = active[going], res[going]
-        if not len(active):
-            break
-        # per node a = J^T E, the transpose of the residual's Jacobian E^T J
-        jac_t = np.swapaxes(jac, -1, -2)[going]
-        a = np.matmul(jac_t.reshape(len(active), -1, f_q.shape[-1]),
-                      e_frames[active]).reshape(res.shape + (2,))
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        t[active] -= np.stack([a[..., 1, 1] * res[..., 0] - a[..., 1, 0] * res[..., 1],
-                               a[..., 0, 0] * res[..., 1] - a[..., 0, 1] * res[..., 0]],
-                              axis=-1) / det[..., None]
-    pts[active] = ev.point(t[active])  # rows still stepping after 40 steps
-    res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
+        # a NaN residual keeps its row going
+        going = ~(np.max(np.abs(res), axis=(1, 2)) < stop[active])
+        if not going.all():
+            active = np.arange(len(t))[active][going]
+            if not len(active):
+                break
+            res, jac = res[going], jac[going]
+        # per node J^T E, the transpose of the residual's Jacobian E^T J
+        a = np.matmul(np.swapaxes(jac, -1, -2).reshape(
+            len(res), -1, f_q.shape[-1]), e_frames[active]).reshape(
+                res.shape + (2,))
+        t[active] -= _solve2(np.swapaxes(a, -1, -2), res)
+    else:  # rows still stepping after 40 steps
+        pts[active] = ev.point(t[active])
+        res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
+        going = ~(np.max(np.abs(res), axis=(1, 2)) <= 1e4 * stop[active])
+        active = np.arange(len(t))[active][going]
     heights[newton] = np.matmul(pts - f_q, n_frames[newton])
-    failed = np.zeros(len(heights), dtype=bool)
-    failed[np.asarray(newton, dtype=int)[active]] = \
-        ~(np.max(np.abs(res), axis=(1, 2)) <= 1e-9)
+    failed[np.asarray(newton)[active]] = True
     return heights, failed
+
+
+def _det2(a):
+    """Determinants of a stack of 2x2 matrices."""
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def _solve2(a, b):
+    """x with a x = b, for stacks of 2x2 matrices a and 2-vectors b, by
+    the adjugate of a; inf or NaN where a is singular."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1],
+                         a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]],
+                        axis=-1) / _det2(a)[..., None]
+
+
+def _tangent_steps(t, etj, d):
+    """Parameters t + (E^T J)^-1 d: one Newton step from the parameters t
+    of members with the 2x2 Jacobians ``etj`` of their chart projections,
+    toward the chart offsets d."""
+    return t + _solve2(etj, d)
 
 
 def _block_patches(f, ids, plane_of, r):
@@ -790,14 +826,17 @@ def _component_patches(f, bases, planes, members, counts, r):
     the fill and the slope scan per block of ``_SOLVE_ROWS`` rows.  With an
     evaluator a curve takes bracketed Newton (residuals within
     ``CURVE_RESIDUAL_SPACINGS`` sample spacings) and a surface
-    ``_fill_surface_rows`` from each node's nearest member, or that
-    member's nearest mesh neighbour where E^T J is singular; raw samples
-    take ``_fill_simplex_rows``."""
+    ``_fill_surface_rows`` from one ``_tangent_steps`` step past each
+    node's nearest member, with the E^T J of the member's singularity test,
+    or from that member's nearest mesh neighbour where E^T J is singular;
+    raw samples take ``_fill_simplex_rows``.  A surface's slope scan takes
+    the stencils of one ``_stencil_plan`` of its chart grid."""
     m, k, ev = f.m, f.n - f.m, f.evaluator
     analytic = ev is not None and f.params is not None
     step, axis, x_grid, in_disk = _chart_grid(m, r)
     nodes = x_grid[in_disk]
     valid = in_disk.reshape((len(axis),) * m)
+    plan = _stencil_plan(valid) if m == 2 else None
     frames = np.stack([plane.frame for plane in planes])
     f_q = f.positions[bases]
     rel = f.positions[members] - f_q[:, None]
@@ -816,10 +855,10 @@ def _component_patches(f, bases, planes, members, counts, r):
         errors = [fold or other for fold, other in zip(errors, bent)]
     elif analytic:  # E^T J at every member, |det| against its squared entries
         etj = np.swapaxes(frames, 1, 2)[:, None] @ ev.jacobian(f.params[members])
-        singular = np.abs(etj[..., 0, 0] * etj[..., 1, 1] - etj[..., 0, 1] * etj[
-            ..., 1, 0]) <= 1e-8 * np.sum(etj * etj, axis=(-2, -1))
-        proj_in = np.where((np.arange(members.shape[1]) < counts[:, None])[
-            ..., None], proj, np.inf)  # padding is nearest to no node
+        singular = np.abs(_det2(etj)) <= 1e-8 * np.sum(etj * etj, axis=(-2, -1))
+        # |p|^2 of each member's projection p; padding is nearest to no node
+        proj_sq = np.where(np.arange(members.shape[1]) < counts[:, None],
+                           np.einsum("swi,swi->sw", proj, proj), np.inf)
     outcomes = [(None, err) for err in errors]
     keep = np.flatnonzero([err is None for err in errors])
     if not len(keep):
@@ -828,6 +867,7 @@ def _component_patches(f, bases, planes, members, counts, r):
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
     heights = rel[keep] @ n_frames
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
+    stops = _fill_stops(f_q)
     # rows are independent; blocks of rows keep the fill's arrays in cache
     for a in range(0, len(keep), _SOLVE_ROWS[m]):
         b = slice(a, a + _SOLVE_ROWS[m])
@@ -848,9 +888,13 @@ def _component_patches(f, bases, planes, members, counts, r):
                 else None for q, fail, res in zip(qs, failed, res_max.tolist())]
         else:
             w = np.max(counts[js])  # the block's own padded width
-            gap = nodes[:, None] - proj_in[js, None, :w]
-            near = np.argmin(np.einsum("stwi,stwi->stw", gap, gap), axis=2)
-            t = f.params[np.take_along_axis(members[js], near, axis=1)]
+            # each node's nearest member p, by |p|^2 - 2 x.p, and one Newton
+            # step from it
+            near = np.argmin(proj_sq[js, None, :w] - 2 * np.matmul(
+                nodes, np.swapaxes(proj[js, :w], 1, 2)), axis=2)
+            nearest = (js[:, None], near)
+            t = _tangent_steps(f.params[members[nearest]], etj[nearest],
+                               nodes - proj[nearest])
             for s, p in zip(*np.nonzero(singular[js, :w])):
                 # the parameters of the member's nearest mesh neighbour
                 at, nb = near[s] == p, f.neighbors(members[js[s], p])
@@ -859,16 +903,18 @@ def _component_patches(f, bases, planes, members, counts, r):
                 t[s, at] = f.params[nb[np.argmin(
                     np.einsum("tki,tki->tk", gap, gap), axis=1)]]
             on_disk, failed = _fill_surface_rows(ev, f_q[js], frames[js],
-                                                 n_frames[b], t, nodes)
+                                                 n_frames[b], t, nodes,
+                                                 stops[js])
             fill_errors = [NotAGraphError(
                 f"grid fill did not converge on the patch at sample {q}")
                 if fail else None for q, fail in zip(qs, failed.tolist())]
         u = np.full((len(js), len(x_grid), k), np.nan)
         u[:, in_disk] = on_disk
-        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
+        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > \
+            1e4 * stops[js]
+        lams, du = _lambda_on_grid(u, step, plan)
         u = u.reshape((len(js),) + valid.shape + (k,))
-        lams, du = _lambda_on_grid(u, np.broadcast_to(valid, u.shape[:-1]),
-                                   step, m)
+        du = du.reshape(u.shape + du.shape[3:])
         for s, (i, j) in enumerate(zip(range(a, a + len(js)), js.tolist())):
             q, c = qs[s], int(counts[j])
             outcomes[j] = (None, fill_errors[s] or (NotAGraphError(
@@ -972,41 +1018,56 @@ def _derivative_1d(u, step):
     return du
 
 
-def _derivative_2d_axis(u, valid, step, axis):
-    """Derivative along grid axis 0 or 1 of (..., G, G, k) values on
-    (..., G, G) masks: central inside, one-sided at the rim."""
-    u = np.moveaxis(u, axis - 3, 0)
-    v = np.moveaxis(valid, axis - 2, 0)
-    pad_u = np.full((2,) + u.shape[1:], np.nan)
-    pad_v = np.zeros((2,) + v.shape[1:], dtype=bool)
-    up = np.concatenate([pad_u, np.where(v[..., None], u, np.nan), pad_u])
-    vp = np.concatenate([pad_v, v, pad_v])
-    i = np.arange(2, u.shape[0] + 2)
-    du = np.full_like(u, np.nan)
-    # the stencils the mask allows, later ones winning: one-sided of order
-    # 1, then 2, then central
-    with np.errstate(invalid="ignore"):
-        for ok, val in [
-                (vp[i - 1], (up[i] - up[i - 1]) / step),
-                (vp[i + 1], (up[i + 1] - up[i]) / step),
-                (vp[i - 1] & vp[i - 2],
-                 (3 * up[i] - 4 * up[i - 1] + up[i - 2]) / (2 * step)),
-                (vp[i + 1] & vp[i + 2],
-                 (-3 * up[i] + 4 * up[i + 1] - up[i + 2]) / (2 * step)),
-                (vp[i - 1] & vp[i + 1], (up[i + 1] - up[i - 1]) / (2 * step))]:
-            du = np.where((ok & v)[..., None], val, du)
-    return np.moveaxis(du, 0, axis - 3)
+# the derivative stencils along a grid axis, in the order they win at a
+# node: the offsets (in steps along the axis) whose nodes each one reads,
+# and the derivative at node i from u(d), the values d steps from i
+_STENCILS = [
+    ((-1, 1), lambda u, step: (u(1) - u(-1)) / (2 * step)),
+    ((1, 2), lambda u, step: (-3 * u(0) + 4 * u(1) - u(2)) / (2 * step)),
+    ((-1, -2), lambda u, step: (3 * u(0) - 4 * u(-1) + u(-2)) / (2 * step)),
+    ((1,), lambda u, step: (u(1) - u(0)) / step),
+    ((-1,), lambda u, step: (u(0) - u(-1)) / step),
+]
 
 
-def _lambda_on_grid(u, valid, step, m):
-    """Slopes sup ||Du|| of (..., G^m, k) graph values on (..., G^m) masks,
-    one per grid, and Du: (..., G, k) on a curve, (..., G, G, k, 2) else."""
-    ds = [_derivative_1d(u, step)] if m == 1 else [
-        _derivative_2d_axis(u, valid, step, axis) for axis in (0, 1)]
+def _stencil_plan(valid):
+    """The stencil of every node of a (G, G) grid mask, per grid axis:
+    (axis, flat offset of one step, stencil, flat indices of the valid
+    nodes that take it).  A node takes the first of ``_STENCILS`` whose
+    nodes are all valid: central inside, one-sided at the rim."""
+    g = len(valid)
+    pad = np.pad(valid, 2)
+    plan = []
+    for axis, unit in ((0, g), (1, 1)):
+        ok = {d: np.roll(pad, -d, axis)[2:-2, 2:-2].ravel()
+              for d in range(-2, 3)}
+        free = ok[0]  # valid nodes without a stencil yet
+        for needs, stencil in _STENCILS:
+            take = free & np.logical_and.reduce([ok[d] for d in needs])
+            free = free & ~take
+            plan.append((axis, unit, stencil, np.flatnonzero(take)))
+    return plan
+
+
+def _derivative_2d(u, plan, step):
+    """Du: (S, G*G, k, 2) of (S, G*G, k) values on a grid with the stencil
+    ``plan``; NaN at nodes without a stencil."""
+    du = np.full(u.shape + (2,), np.nan)
+    with np.errstate(invalid="ignore"):  # rows that did not converge
+        for axis, unit, stencil, i in plan:
+            du[..., axis][:, i] = stencil(lambda d: u[:, i + d * unit], step)
+    return du
+
+
+def _lambda_on_grid(u, step, plan=None):
+    """Slopes sup ||Du|| of (S, G, k) curve values, or of (S, G*G, k)
+    surface values with the stencil ``plan`` of their grid, one per row,
+    and Du: (S, G, k) on a curve, (S, G*G, k, 2) else."""
+    du = _derivative_1d(u, step) if plan is None else \
+        _derivative_2d(u, plan, step)
+    ds = [du] if plan is None else [du[..., 0], du[..., 1]]
     norm_sq = sum(np.sum(d * d, axis=-1) for d in ds)
-    lam = np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan),
-                            axis=tuple(range(-m, 0))))
-    return lam, ds[0] if m == 1 else np.stack(ds, axis=-1)
+    return np.sqrt(np.nanmax(norm_sq, axis=-1)), du
 
 
 def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,

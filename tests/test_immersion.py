@@ -668,9 +668,47 @@ def reference_brackets(f, q, members, proj, x_nodes):
     return lo, hi
 
 
+def reference_derivative_2d_axis(u, valid, step, axis):
+    """The former derivative along grid axis 0 or 1 of (..., G, G, k)
+    values on (..., G, G) masks: five full ``np.where`` passes."""
+    u = np.moveaxis(u, axis - 3, 0)
+    v = np.moveaxis(valid, axis - 2, 0)
+    pad_u = np.full((2,) + u.shape[1:], np.nan)
+    pad_v = np.zeros((2,) + v.shape[1:], dtype=bool)
+    up = np.concatenate([pad_u, np.where(v[..., None], u, np.nan), pad_u])
+    vp = np.concatenate([pad_v, v, pad_v])
+    i = np.arange(2, u.shape[0] + 2)
+    du = np.full_like(u, np.nan)
+    # the stencils the mask allows, later ones winning: one-sided of order
+    # 1, then 2, then central
+    with np.errstate(invalid="ignore"):
+        for ok, val in [
+                (vp[i - 1], (up[i] - up[i - 1]) / step),
+                (vp[i + 1], (up[i + 1] - up[i]) / step),
+                (vp[i - 1] & vp[i - 2],
+                 (3 * up[i] - 4 * up[i - 1] + up[i - 2]) / (2 * step)),
+                (vp[i + 1] & vp[i + 2],
+                 (-3 * up[i] + 4 * up[i + 1] - up[i + 2]) / (2 * step)),
+                (vp[i - 1] & vp[i + 1], (up[i + 1] - up[i - 1]) / (2 * step))]:
+            du = np.where((ok & v)[..., None], val, du)
+    return np.moveaxis(du, 0, axis - 3)
+
+
+def reference_lambda_on_grid(u, valid, step, m):
+    """The former slope scan of (..., G^m, k) values on (..., G^m) masks:
+    slopes and Du, (..., G, k) on a curve and (..., G, G, k, 2) else."""
+    ds = [immersion_mod._derivative_1d(u, step)] if m == 1 else [
+        reference_derivative_2d_axis(u, valid, step, axis) for axis in (0, 1)]
+    norm_sq = sum(np.sum(d * d, axis=-1) for d in ds)
+    lam = np.sqrt(np.nanmax(np.where(valid, norm_sq, np.nan),
+                            axis=tuple(range(-m, 0))))
+    return lam, ds[0] if m == 1 else np.stack(ds, axis=-1)
+
+
 def reference_patches(f, ids, plane_of, r):
     """The former ``_block_patches``: plane, component, fold scan and
-    brackets sample by sample, then the same batched solve."""
+    brackets sample by sample, surface fills from each node's nearest
+    member, then the same batched solve and the former slope scan."""
     im = immersion_mod
     m, k, ev = f.m, f.n - f.m, f.evaluator
     step, axis, x_grid, in_disk = im._chart_grid(m, r)
@@ -709,13 +747,15 @@ def reference_patches(f, ids, plane_of, r):
             t = np.stack([f.params[members[j]][np.argmin(
                 np.einsum("tmi,tmi->tm", gap, gap), axis=1)]
                 for j, gap in zip(js, gaps)])
-            on_disk, failed = im._fill_surface_rows(ev, f_q[b], frames[b],
-                                                    n_frames[b], t, nodes)
+            on_disk, failed = im._fill_surface_rows(
+                ev, f_q[b], frames[b], n_frames[b], t, nodes,
+                im._fill_stops(f_q[b]))
         u = np.full((len(js), len(x_grid), k), np.nan)
         u[:, in_disk] = on_disk
-        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > 1e-9
+        off_center = np.max(np.abs(u[:, len(x_grid) // 2]), axis=1) > \
+            1e4 * im._fill_stops(f_q[b])
         u = u.reshape((len(js),) + valid.shape + (k,))
-        lams, du = im._lambda_on_grid(
+        lams, du = reference_lambda_on_grid(
             u, np.broadcast_to(valid, u.shape[:-1]), step, m)
         for s, j in enumerate(js):
             q = base[j]
@@ -818,6 +858,123 @@ def duplicated_circle(samples, at):
     return SampledImmersion(1, 2, ev.point(params), params=params, evaluator=ev,
                             neighbors=[((i - 1) % n, (i + 1) % n)
                                        for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# the surface fill's arithmetic: one stencil plan per chart grid, Newton
+# from each member's tangent step, and stops that scale with the chart
+
+
+@pytest.mark.parametrize("mask", ["disk", "random"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_stencil_plan_matches_the_five_pass_scan(mask, k):
+    # Du and the slopes from the plan equal the former np.where chain bit
+    # for bit on a stack of rows that are NaN off the mask, one of them
+    # with a NaN node inside it as well
+    step, axis, _, in_disk = immersion_mod._chart_grid(2, 0.3)
+    g = len(axis)
+    rng = np.random.default_rng(k)
+    valid = in_disk.reshape(g, g) if mask == "disk" else \
+        rng.random((g, g)) < 0.7
+    u = rng.normal(size=(5, g * g, k))
+    u[:, ~valid.ravel()] = np.nan
+    u[0, np.flatnonzero(valid)[len(u[0]) // 4]] = np.nan
+    lams, du = immersion_mod._lambda_on_grid(
+        u, step, immersion_mod._stencil_plan(valid))
+    want_lams, want_du = reference_lambda_on_grid(
+        u.reshape(5, g, g, k), np.broadcast_to(valid, (5, g, g)), step, 2)
+    assert lams.tobytes() == want_lams.tobytes()
+    assert du.reshape(want_du.shape).tobytes() == want_du.tobytes()
+
+
+def node_evaluations(ev, monkeypatch):
+    """A one-item list that counts the parameter points ``ev`` evaluates,
+    over every call of its ``_point_jacobian``."""
+    count, point_jacobian = [0], ev._point_jacobian
+
+    def counting(t):
+        count[0] += math.prod(np.shape(t)[:-1])
+        return point_jacobian(t)
+    monkeypatch.setattr(ev, "_point_jacobian", counting)
+    return count
+
+
+TORUS = ("torus", {"R": 2.0, "r": 0.5})
+SPHERE = ("sphere", {"radius": 1.0})
+
+
+@pytest.mark.parametrize("name, params, samples, every, r", [
+    *[(*TORUS, samples, 1, r) for samples in ("16x32", "32x64")
+      for r in (0.1, 0.2, 0.3)],
+    *[(*TORUS, "64x64", 4, r) for r in (0.1, 0.2, 0.3)],
+    (*TORUS, "16x32", 1, 0.5),  # near-singular E^T J at the tube's sides
+    *[(*SPHERE, samples, 1, r) for samples in ("24x12", "48x24")
+      for r in (0.15, 0.2, 0.3)],
+])
+def test_tangent_step_starts_keep_every_outcome(name, params, samples,
+                                                every, r, monkeypatch):
+    # Newton from one tangent step past each node's nearest member: no row
+    # changes its error, every torus patch keeps its bytes, and the sphere
+    # without its closed form moves by rounding only
+    f = make_shape(name, params, samples)
+    f.evaluator.graph_heights = None
+    ids = list(range(0, len(f), every))
+    plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    got = _block_patches(f, ids, plane_of, r)
+    monkeypatch.setattr(immersion_mod, "_tangent_steps",
+                        lambda t, etj, d: t)  # start at the member
+    want = _block_patches(f, ids, plane_of, r)
+    for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
+        assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+        if ref is None:
+            continue
+        if name == "torus":
+            assert patch.lambda_measured == ref.lambda_measured
+            assert patch.u.tobytes() == ref.u.tobytes()
+            assert patch._du.tobytes() == ref._du.tobytes()
+        else:
+            assert abs(patch.lambda_measured - ref.lambda_measured) <= 1e-13
+            assert np.nanmax(np.abs(patch.u - ref.u)) <= 1e-13
+
+
+def test_torus_check_evaluation_budget(monkeypatch):
+    # 1,455,776 node evaluations from tangent-step starts (3.57 per disk
+    # node of the 512 patches), against 1,863,840 from the members
+    f = make_shape(*TORUS, "16x32")
+    count = node_evaluations(f.evaluator, monkeypatch)
+    assert check_r_lambda(f, 0.1, 0.25).passed
+    assert count[0] <= 1_500_000
+
+
+def dilated(f, s):
+    """s f: the same samples, faces and parameters, with every point and
+    Jacobian of the evaluator scaled by s."""
+    ev = copy.copy(f.evaluator)
+    point_jacobian = ev._point_jacobian
+    ev._point_jacobian = lambda t: tuple(s * a for a in point_jacobian(t))
+    return SampledImmersion(f.m, f.n, s * f.positions, faces=f.faces,
+                            params=f.params, evaluator=ev)
+
+
+@pytest.mark.parametrize("name, params, samples, r", [
+    (*TORUS, "16x32", 0.1), (*SPHERE, "24x12", 0.2)])
+def test_surface_check_is_invariant_under_dilation(name, params, samples, r,
+                                                   monkeypatch):
+    # s f checked at (s r, lambda) has the verdict and worst slope of f,
+    # and at s = 1e3 its Newton fill does the work of f's: the stops grow
+    # with |f(q)| (at s = 1e3 every row took 40 steps, at 1e6 one failed)
+    f = make_shape(name, params, samples)
+    f.evaluator.graph_heights = None  # the sphere's is for its own radius
+    reports, counts = {}, {}
+    for s in (1.0, 1e-3, 1e3, 1e6):
+        g = dilated(f, s)
+        count = node_evaluations(g.evaluator, monkeypatch)
+        reports[s] = check_r_lambda(g, s * r, 0.25)
+        counts[s] = count[0]
+    for s, report in reports.items():
+        assert report.passed == reports[1.0].passed
+        assert abs(report.worst_lambda - reports[1.0].worst_lambda) <= 1e-9
+    assert counts[1e3] <= 1.25 * counts[1.0]
 
 
 def test_block_setup_names_each_samples_first_error(gapped_circle):
