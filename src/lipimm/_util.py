@@ -61,15 +61,20 @@ def bisect(residual, lo, hi, r_lo, iters: int):
     """Halve every bracket [lo, hi] ``iters`` times, keeping the sign change.
 
     ``r_lo`` is ``residual(lo)``; the brackets are arrays narrowed at once,
-    one ``residual`` call per step.  Returns the final (lo, hi).
+    one ``residual`` call per step.  Returns the final (lo, hi), early once
+    a step leaves every bracket as it was: each later step would evaluate
+    the same midpoints again and keep them as they are.
     """
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         r_mid = residual(mid)
         take_low = (r_mid > 0) == (r_lo > 0)
-        lo = np.where(take_low, mid, lo)
+        new_lo = np.where(take_low, mid, lo)
         r_lo = np.where(take_low, r_mid, r_lo)
-        hi = np.where(take_low, hi, mid)
+        new_hi = np.where(take_low, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return lo, hi
 
 
@@ -96,20 +101,23 @@ def unchecked(cls, **fields):
 
 
 def halton(count: int, dim: int, *, offset: int = 0) -> np.ndarray:
-    """Low-discrepancy Halton points in [0, 1)^dim, deterministic for a seed offset."""
+    """Low-discrepancy Halton points in [0, 1)^dim, deterministic for a seed offset.
+
+    The digits of the indices n are n - b floor(n / b) in float64, exact
+    below 2^53; every index runs through the digit count of the largest.
+    """
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     if dim > len(primes):
         raise ValueError("halton helper supports up to 10 dimensions")
-    idx = np.arange(offset + 1, offset + count + 1)
+    idx = np.arange(offset + 1, offset + count + 1, dtype=float)
     out = np.empty((count, dim))
     for d in range(dim):
-        base = primes[d]
-        n = idx.astype(np.int64)
+        base, n, denom = primes[d], idx, 1.0
         value = np.zeros(count)
-        denom = np.ones(count)
-        while np.any(n > 0):
+        while denom <= offset + count:  # a digit of the largest index left
+            quotient = np.floor(n / base)
             denom *= base
-            value += (n % base) / denom
-            n //= base
+            value += (n - base * quotient) / denom
+            n = quotient
         out[:, d] = value
     return out

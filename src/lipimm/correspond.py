@@ -12,7 +12,7 @@ correspondence is exact to round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -201,6 +201,9 @@ class Correspondence:
     line_residual_max: float     # worst off-fiber component (definitional)
     chart_consistency_max: float  # worst disagreement between covering charts
     closeness: ClosenessReport
+    # the chart quotients of f2 . phi over all charts, once asked for
+    _quotients: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
     def max_displacement(self) -> float:
         return float(np.max(self.fiber_offsets))
@@ -377,12 +380,18 @@ class ReparametrizedLipschitzReport:
 
 
 def reparametrized_lipschitz(c: Correspondence, j: int) -> ReparametrizedLipschitzReport:
-    """Chart-Lipschitz constant of the reparametrized target f2 . phi."""
+    """Chart-Lipschitz constant of the reparametrized target f2 . phi:
+    chart j of one ``chart_quotients`` call over all charts, kept by the
+    correspondence."""
     net = c.net
-    pts = c.phi_points[net.members(j, 3)]
+    net._point(j)
+    if c._quotients is None:
+        ids = net.member_stack(3)[0]
+        c._quotients = net.chart_quotients(
+            range(len(net)), lambda a, b: np.linalg.norm(
+                c.phi_points[ids[a]] - c.phi_points[ids[b]], axis=-1))
     cb = constants(c.source.m, net.lam, net.r)
-    emp = net.chart_quotient(
-        j, lambda a, b: np.linalg.norm(pts[a] - pts[b], axis=1))
+    emp = float(c._quotients[j])
     return ReparametrizedLipschitzReport(emp, cb.Lambda, cb.Lambda_sharp,
                                          emp <= cb.Lambda,
                                          emp <= cb.Lambda_sharp, j)

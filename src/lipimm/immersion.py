@@ -372,23 +372,40 @@ def component_ladders(f: SampledImmersion, bases, frames,
                       radii) -> list[list[np.ndarray]]:
     """``q_components`` at every base q of the (S,) ``bases`` over its frame
     in the (S, n, m) ``frames``, one pass per block of rows: on an id cycle
-    a window pass, on any other adjacency one stacked frontier BFS."""
+    a window pass (``cycle_runs``), whose runs are slices of one flat id
+    array, on any other adjacency one stacked frontier BFS."""
     radii2 = [rho * rho for rho in radii]
     # the traversal's ball; a NaN radius has an empty ball and a component {q}
     reach2 = max((r2 for r2 in radii2 if r2 == r2), default=0.0)
     radii2 = np.array(radii2, dtype=float)
+    if f._id_cycle:
+        start, length = cycle_runs(f, bases, frames, radii2, reach2)
+        ends = np.cumsum(length).tolist()
+        ids = _run_stack(start.reshape(-1), length.reshape(-1), len(f))
+        runs = [ids[b - c:b] for b, c in zip(ends, length.reshape(-1).tolist())]
+        return [runs[a:a + len(radii2)]
+                for a in range(0, len(runs), len(radii2))]
     ladders = []
-    rows = _PASS_ROWS if f._id_cycle else max(1, _MESH_KEYS // len(f))
+    rows = max(1, _MESH_KEYS // len(f))
     for a in range(0, len(bases), rows):
-        qs, block = bases[a:a + rows], frames[a:a + rows]
-        if not f._id_cycle:
-            ladders += _mesh_components(f, qs, block, radii2, reach2)
-            continue
-        left, right = _cycle_components(f, qs, block, radii2, reach2)
-        ladders += [[_run_ids(q - b + 1, b + c - 1, len(f)) for b, c in zip(*lr)]
-                    for q, *lr in zip(qs.tolist(), left.T.tolist(),
-                                      right.T.tolist())]
+        ladders += _mesh_components(f, bases[a:a + rows], frames[a:a + rows],
+                                    radii2, reach2)
     return ladders
+
+
+def cycle_runs(f, bases, frames, radii2, reach2):
+    """U_{rho,q} on an id cycle for every rho^2 in ``radii2`` as the run of
+    ids start .. start + length - 1 mod N: the (S, R) starts and lengths,
+    from one ``_cycle_components`` window pass per block of rows."""
+    start = np.empty((len(bases), len(radii2)), dtype=int)
+    length = np.empty_like(start)
+    for a in range(0, len(bases), _PASS_ROWS):
+        qs = bases[a:a + _PASS_ROWS]
+        left, right = _cycle_components(f, qs, frames[a:a + _PASS_ROWS],
+                                        radii2, reach2)
+        start[a:a + len(qs)] = (qs - left + 1).T
+        length[a:a + len(qs)] = (left + right - 1).T
+    return start, length
 
 
 def _padded_components(f, bases, frames, rho):
@@ -455,10 +472,14 @@ def _cycle_components(f, qs, frames, radii2, reach2):
         half *= 2
 
 
-def _run_ids(start, length, n):
-    """The ascending ids of the run ``start + arange(length)`` mod n."""
-    ids = np.arange(start, start + length)
-    return ids if 0 <= start and start + length <= n else np.sort(ids % n)
+def _run_stack(start, length, n):
+    """The ascending ids of every run ``start + arange(length)`` mod n, one
+    after another: a run that wraps lists the ids past the wrap first."""
+    wrap = np.where(start < 0, -start, np.where(start + length > n, n - start,
+                                                0))
+    start, wrap, each = (np.repeat(v, length) for v in (start, wrap, length))
+    i = np.arange(len(each)) - np.repeat(np.cumsum(length) - length, length)
+    return (start + (i + wrap) % each) % n
 
 
 def _mesh_components(f, qs, frames, radii2, reach2):
@@ -585,7 +606,10 @@ class GraphPatch:
         return self.isometry.apply(np.hstack([x, u]))
 
 
-def _bilinear(axis, grid, pts):
+def _bilinear(axis, grid, pts, chart=None):
+    """Bilinear values of ``grid`` over the square grid ``axis`` at points
+    ``pts``; with ``chart``, of the stacked grids grid[chart[i]] at pts[i]."""
+    lead = () if chart is None else (chart,)
     step = axis[1] - axis[0]
     ij = (pts - axis[0]) / step
     i0 = np.clip(np.floor(ij).astype(int), 0, len(axis) - 2)
@@ -595,7 +619,7 @@ def _bilinear(axis, grid, pts):
         for dj in (0, 1):
             w = (frac[:, 0] if di else 1 - frac[:, 0]) * \
                 (frac[:, 1] if dj else 1 - frac[:, 1])
-            out += w[:, None] * grid[i0[:, 0] + di, i0[:, 1] + dj]
+            out += w[:, None] * grid[lead + (i0[:, 0] + di, i0[:, 1] + dj)]
     return out
 
 
@@ -673,7 +697,8 @@ def _curve_brackets(f, bases, members, counts, proj, x_nodes):
     return lo, hi, errors
 
 
-def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
+def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
+                      residual_tol=np.inf):
     """Graph heights (ev.point(t) - f_q[s]) . n_frames[s] over the chart
     nodes of every row s, at the roots t of (ev.point(t) - f_q[s]) .
     e_vecs[s] = x_nodes.
@@ -681,7 +706,9 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
     ``lo`` and ``hi`` are (S, G) parameter brackets, solved by bracketed
     Newton from their secant points.  Returns the (S, G, k) heights, an
     (S,) flag for rows with a bracket that straddles no root, and the (S,)
-    largest |residual| of each row's roots.
+    largest |residual| of each row's roots.  A bracket end solves its node
+    within 1e-12, or 1e-14 |f_q| where that is larger (the rounding of
+    points), but never beyond the ``residual_tol`` a root must meet.
     """
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
@@ -698,10 +725,12 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes):
     r_hi = residual(ev.point(hi))
     # a bracket endpoint may already solve the node (e.g. the base sample at
     # x = 0); collapse those brackets instead of testing the sign product
-    hit_hi = np.abs(r_hi) <= 1e-12
+    hit = np.minimum(np.maximum(1e-12, 1e-14 * np.max(np.abs(f_q), axis=-1)),
+                     residual_tol)
+    hit_hi = np.abs(r_hi) <= hit
     lo = np.where(hit_hi, hi, lo)
     r_lo = np.where(hit_hi, r_hi, r_lo)
-    hit_lo = np.abs(r_lo) <= 1e-12
+    hit_lo = np.abs(r_lo) <= hit
     hi = np.where(hit_lo, lo, hi)
     r_hi = np.where(hit_lo, r_lo, r_hi)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
@@ -731,7 +760,8 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
     inverted in closed form; each step reads points and Jacobians from one
     ``point_jacobian`` call.  A row steps until its largest |residual| is
     below ``stop[s]``, at most 40 times, and fails if it stays 1e4 times
-    above it.  Rows step together, without gathers, until one stops.
+    above it, or at once when its parameters turn non-finite, which no step
+    can undo.  Rows step together, without gathers, until one stops.
     """
     closed_form = ev.graph_heights
     heights = np.empty((len(t), len(targets), n_frames.shape[-1]))
@@ -749,8 +779,16 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
     f_q, e_frames, t = f_q[newton, None], e_frames[newton], t[newton]
     stop = stop[newton]
     pts = np.empty(t.shape[:-1] + (f_q.shape[-1],))
+    lost = np.zeros(len(t), dtype=bool)  # rows that cannot converge
     active = slice(None)  # every row, without gathers, until one stops
     for _ in range(40):
+        finite = np.isfinite(t[active]).all(axis=(1, 2))
+        if not finite.all():  # non-finite parameters cannot converge
+            active = np.arange(len(t))[active]
+            lost[active[~finite]] = True
+            active = active[finite]
+            if not len(active):
+                break
         pts[active], jac = ev.point_jacobian(t[active])
         res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
         # a NaN residual keeps its row going
@@ -771,7 +809,8 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
         going = ~(np.max(np.abs(res), axis=(1, 2)) <= 1e4 * stop[active])
         active = np.arange(len(t))[active][going]
     heights[newton] = np.matmul(pts - f_q, n_frames[newton])
-    failed[np.asarray(newton)[active]] = True
+    lost[active] = True
+    failed[np.asarray(newton)[lost]] = True
     return heights, failed
 
 
@@ -880,7 +919,7 @@ def _component_patches(f, bases, planes, members, counts, r):
         elif m == 1:
             on_disk, failed, res_max = _solve_curve_rows(
                 ev, f_q[js], frames[js, :, 0], n_frames[b], lo[js], hi[js],
-                nodes[:, 0])
+                nodes[:, 0], residual_tol)
             fill_errors = [InsufficientSamplingError(
                 f"patch at sample {q} is not resolved out to its rim" if fail
                 else f"patch at sample {q} has a chart node the curve does not"

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, InvariantViolationError
-from ._util import max_quotient
 from .immersion import (
     PLANE_RULES,
     SampledImmersion,
     check_r_lambda,
     component_ladders,
+    cycle_runs,
     delta,
     extract_graph_patch,
     graph_patches,
@@ -42,6 +42,7 @@ class DeltaNet:
     member_sets: list                       # member_sets[j][iota] = ids of U_{delta_iota, q_j}
     plane_rule: str = "tangent"
     _patches: dict = field(default_factory=dict)
+    _stacks: dict = field(default_factory=dict)
     _cover_index: dict = field(default_factory=dict)
     _z_cache: dict = field(default_factory=dict)
 
@@ -67,17 +68,45 @@ class DeltaNet:
         rel = self.f.positions[sample_ids] - self.f.positions[self._point(j)]
         return rel @ self.planes[j].frame
 
-    def chart_quotient(self, j: int, distances) -> float:
-        """``max_quotient`` of d(v_a, v_b) over |x_a - x_b|, for the pairs of
-        chart j's delta_3-members in chart coordinates x; ``distances(a, b)``
-        gives d for member rows a, b and is not called below two members."""
-        ids = self.members(j, 3)
-        if len(ids) < 2:
-            return 0.0
-        x = self.chart_coords(j, ids)
-        a, b = np.triu_indices(len(ids), k=1)
-        return max_quotient(distances(a, b),
-                            np.linalg.norm(x[a] - x[b], axis=1))
+    def member_stack(self, iota: int):
+        """The delta_iota-member ids of every chart, one after another in
+        chart order, and the (len + 1,) offsets of each chart's rows."""
+        if iota not in self._stacks:
+            sets = [members[iota] for members in self.member_sets]
+            offsets = np.zeros(len(sets) + 1, dtype=int)
+            np.cumsum([len(ids) for ids in sets], out=offsets[1:])
+            self._stacks[iota] = (np.concatenate(
+                sets + [np.empty(0, dtype=int)]), offsets)
+        return self._stacks[iota]
+
+    def chart_quotients(self, js, distances) -> np.ndarray:
+        """For every chart j of ``js``, ``max_quotient`` of d(v_a, v_b) over
+        |x_a - x_b|, for the pairs a < b of its delta_3-members in chart
+        coordinates x; 0.0 below two members.  ``distances(a, b)`` gives d
+        for arrays of rows of ``member_stack(3)``.
+
+        Charts of one member count are one stacked pass, which forms each
+        chart's coordinates, pairs and quotients as the chart alone would,
+        bit for bit.
+        """
+        js = np.asarray(js, dtype=int)
+        ids, offsets = self.member_stack(3)
+        counts = np.diff(offsets)[js]
+        frames = np.stack([plane.frame for plane in self.planes])
+        out = np.zeros(len(js))
+        for count in set(counts.tolist()) - {0, 1}:
+            at = np.flatnonzero(counts == count)
+            rows = offsets[js[at], None] + np.arange(count)
+            x = (self.f.positions[ids[rows]]
+                 - self.f.positions[self.points[js[at]], None]) @ frames[js[at]]
+            a, b = np.triu_indices(count, k=1)
+            dx = np.linalg.norm(x[:, a] - x[:, b], axis=-1)
+            keep = dx > 1e-14
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quotients = np.where(keep, distances(rows[:, a], rows[:, b])
+                                     / dx, -np.inf)
+            out[at] = np.where(keep.any(axis=1), quotients.max(axis=1), 0.0)
+        return out
 
     def patch(self, j: int):
         """Graph patch of radius r over planes[j], kept by the net."""
@@ -94,13 +123,14 @@ class DeltaNet:
                              self.lam, self.plane_rule)
 
     def cover_index(self, iota: int) -> list:
-        """For every sample p, the net indices j with p in U_{delta_iota, q_j}."""
+        """For every sample p, the net indices j with p in U_{delta_iota, q_j},
+        ascending: one stable sort of ``member_stack(iota)`` by sample."""
         if iota not in self._cover_index:
-            lists = [[] for _ in range(len(self.f))]
-            for j in range(len(self.points)):
-                for p in self.member_sets[j][iota]:
-                    lists[p].append(j)
-            self._cover_index[iota] = [np.asarray(v, dtype=int) for v in lists]
+            ids, offsets = self.member_stack(iota)
+            owner = np.repeat(np.arange(len(self.points)), np.diff(offsets))
+            ends = np.cumsum(np.bincount(ids, minlength=len(self.f)))
+            self._cover_index[iota] = np.split(
+                owner[np.argsort(ids, kind="stable")], ends[:-1])
         return self._cover_index[iota]
 
     def z_set(self, iota: int, j: int) -> np.ndarray:
@@ -111,10 +141,8 @@ class DeltaNet:
         key = (iota, j)
         if key not in self._z_cache:
             cover = self.cover_index(iota)
-            hits = {j}
-            for p in self.member_sets[j][iota]:
-                hits.update(cover[p].tolist())
-            self._z_cache[key] = np.asarray(sorted(hits), dtype=int)
+            self._z_cache[key] = np.unique(np.concatenate(
+                [[j]] + [cover[p] for p in self.member_sets[j][iota]]))
         return self._z_cache[key]
 
     def z_of_point(self, p: int) -> np.ndarray:
@@ -157,22 +185,44 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
                                                          plane_rule)]
     else:
         planes = planes_for(f, ids, plane_rule, r, lam)
-    ladders = component_ladders(
-        f, np.arange(len(f)), np.stack([plane.frame for plane in planes]),
-        [delta(iota, r, lam) for iota in range(level + 2)])
-    covered = np.zeros(len(f), dtype=bool)
-    points = []
-    for q in ids:  # the lowest uncovered id: ids below q are covered
-        if not covered[q]:
-            points.append(q)
-            covered[ladders[q][level]] = True  # U_{delta_level, q}
+    frames = np.stack([plane.frame for plane in planes])
+    radii = [delta(iota, r, lam) for iota in range(level + 2)]
+    if f._id_cycle:  # the picks from the runs U_{delta_level, q}, then ladders
+        points = _cycle_picks(*cycle_runs(f, np.arange(len(f)), frames,
+                                          np.array([radii[level] ** 2]),
+                                          radii[level] ** 2), len(f))
+        member_sets = component_ladders(f, np.array(points, dtype=int),
+                                        frames[points], radii)
+    else:
+        ladders = component_ladders(f, np.arange(len(f)), frames, radii)
+        covered = np.zeros(len(f), dtype=bool)
+        points = []
+        for q in ids:  # the lowest uncovered id: ids below q are covered
+            if not covered[q]:
+                points.append(q)
+                covered[ladders[q][level]] = True  # U_{delta_level, q}
+        member_sets = [ladders[q] for q in points]
     planes = [planes[q] for q in points]
-    member_sets = [ladders[q] for q in points]
 
     net = DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
                    member_sets, plane_rule)
     _assert_separation(net)
     return net
+
+
+def _cycle_picks(start, length, n):
+    """The greedy net points on an id cycle, lowest uncovered id first, from
+    each sample's (S, 1) run start .. start + length - 1 mod n.  Runs hold
+    their base, so an id past the run of the last point is covered only by
+    a run that wraps below id 0; ids from ``end`` on are."""
+    start, length = start[:, 0].tolist(), length[:, 0].tolist()
+    points, q, end = [], 0, n
+    while q < end:
+        points.append(q)
+        if start[q] < 0:
+            end = min(end, n + start[q])
+        q = start[q] + length[q]
+    return points
 
 
 def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
@@ -198,9 +248,8 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
 
 def _assert_separation(net: DeltaNet):
     """Net points must have pairwise-disjoint delta_{level+1}-patches."""
-    sets = [members[net.level + 1] for members in net.member_sets]
-    flat = np.concatenate(sets)
-    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    flat, offsets = net.member_stack(net.level + 1)
+    owner = np.repeat(np.arange(len(net)), np.diff(offsets))
     first = np.full(len(net.f), len(flat))  # each sample's first position
     np.minimum.at(first, flat, np.arange(len(flat)))
     # the first position, in net order, whose sample an earlier one holds
@@ -231,8 +280,8 @@ def verify_net_bounds(net: DeltaNet) -> NetBoundsReport:
     """Certify |Q| <= delta_{l+1}^{-m} vol and the multiplicity bound."""
     f = net.f
     size_bound = net.delta(net.level + 1) ** (-f.m) * f.volume
-    worst = int(np.max(np.bincount(np.concatenate(
-        [members[2] for members in net.member_sets]), minlength=len(f))))
+    worst = int(np.max(np.bincount(net.member_stack(2)[0],
+                                   minlength=len(f))))
     mult_bound = (3.0 * (1.0 + net.lam)) ** ((net.level + 1) * f.m)
     return NetBoundsReport(len(net), size_bound, len(net) <= size_bound,
                            worst, mult_bound, worst <= mult_bound)

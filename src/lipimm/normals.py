@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     InputError,
     InvariantViolationError,
+    LipimmError,
     RegimeError,
     WellDefinednessError,
 )
@@ -32,7 +33,13 @@ from .grassmann import (
     worst_image_hausdorff,
 )
 from .karcher import DiracMixture, karcher_means
-from .immersion import GraphPatch, SampledImmersion, planes_for
+from .immersion import (
+    GraphPatch,
+    SampledImmersion,
+    _bilinear,
+    _csr_rows,
+    planes_for,
+)
 from .nets import DeltaNet, _net_on
 
 RAMP_WIDTH = 0.25  # cutoff slope plateau 1/(1 - RAMP_WIDTH) = 4/3
@@ -165,38 +172,102 @@ class PatchNormalField:
             raise DimensionMismatchError(
                 "unit normal fields require codimension one")
         self.patch = patch
-        du = patch._du  # (G, 1) for m=1; (G, G, 1, 2) for m=2
-        # (G, 1): du/dx, or (G, G, 2), inpainted once ``at`` reads a NaN cell
-        self._du_grid = du[:, 0][:, None] if patch.m == 1 else du[:, :, 0, :]
-        self._inpainted = None
+        self._inpainted = None  # a surface's Du grid, once a NaN cell is read
 
     def at(self, x) -> np.ndarray:
         """Unit normals at chart coordinates x (vectorized)."""
-        p = self.patch
-        if p.m == 1:
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            du = np.interp(xs, p.x_nodes, self._du_grid[:, 0])[:, None]
-        else:
-            from .immersion import _bilinear
-            du = _bilinear(p.x_nodes, self._du_grid, np.atleast_2d(x))
-            if not np.all(np.isfinite(du)):  # inpainting keeps finite cells
-                if self._inpainted is None:
-                    self._inpainted = _inpaint(self._du_grid)
-                du = _bilinear(p.x_nodes, self._inpainted, np.atleast_2d(x))
-        graph_normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
-        graph_normal /= np.linalg.norm(graph_normal, axis=1, keepdims=True)
-        return graph_normal @ self.patch.isometry.rotation.T
+        x = np.asarray(x, dtype=float).reshape(-1, self.patch.m)
+        count = np.array([len(x)])
+        return _unit_normals([self.patch], count, _chart_slopes(
+            [self.patch], count, x, self._inpainted_grid))
+
+    def _inpainted_grid(self, patch):
+        if self._inpainted is None:
+            self._inpainted = _inpaint(patch._du[:, :, 0, :])
+        return self._inpainted
 
     def at_samples(self, sample_ids) -> np.ndarray:
-        p = self.patch
-        lookup = {int(s): i for i, s in enumerate(p.member_samples)}
-        rows = [lookup[int(s)] for s in sample_ids]
-        proj = p.member_proj[rows]
-        return self.at(proj[:, 0] if p.m == 1 else proj)
+        """Unit normals at member samples: a one-chart ``chart_normals``."""
+        return chart_normals([self.patch], [sample_ids])[0]
 
     def at_center(self) -> np.ndarray:
-        x0 = 0.0 if self.patch.m == 1 else np.zeros((1, 2))
-        return self.at(x0)[0]
+        return self.at(np.zeros(self.patch.m))[0]
+
+
+def chart_normals(patches, sample_ids):
+    """The unit normals nu_j of every chart j = ``patches[j]`` at its member
+    samples ``sample_ids[j]``, stacked in chart order, and each chart's row
+    count: ``PatchNormalField.at_samples`` of every chart, in one pass.
+    The patches share one radius, so their chart nodes are one grid.
+
+    Each sample's stored chart coordinates are found by one
+    ``searchsorted`` over the keys j * N + id of the patches' ascending
+    member ids.
+    """
+    if len({p.radius for p in patches}) > 1:
+        raise InputError("chart normals are stacked over patches of one radius")
+    counts = np.array([len(ids) for ids in sample_ids], dtype=int)
+    ids = np.concatenate([np.asarray(s, dtype=int).reshape(-1)
+                          for s in sample_ids] + [np.empty(0, dtype=int)])
+    members = [p.member_samples for p in patches]
+    held = np.array([len(m) for m in members], dtype=int)
+    flat = np.concatenate(members)
+    n = 1 + max(int(flat.max()), int(ids.max(initial=0)))
+    keys = np.repeat(np.arange(len(patches)) * n, held) + flat
+    wanted = np.repeat(np.arange(len(patches)) * n, counts) + ids
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    missing = keys[at] != wanted
+    if np.any(missing):
+        i = int(np.argmax(missing))
+        raise InputError(f"sample {ids[i]} is not a member of the patch at "
+                         f"sample {patches[wanted[i] // n].base}")
+    x = np.concatenate([p.member_proj for p in patches])[at]
+    return _unit_normals(patches, counts, _chart_slopes(patches, counts, x)), \
+        counts
+
+
+def _chart_slopes(patches, counts, x, inpainted=None):
+    """Du of chart ``patches[j]`` at the next counts[j] rows of the (R, m)
+    chart coordinates x, for all charts at once: on curves by ``np.interp``'s
+    formula over the shared nodes, on surfaces bilinear, from the grid
+    ``inpainted(patch)`` (``_inpaint`` by default) of a chart where a row
+    reads a NaN cell."""
+    chart = np.repeat(np.arange(len(patches)), counts)
+    xp = patches[0].x_nodes
+    if patches[0].m == 1:
+        fp = np.stack([p._du[:, 0] for p in patches])
+        x = x[:, 0]
+        j = np.clip(np.searchsorted(xp, x, "right") - 1, 0, len(xp) - 2)
+        left, right = fp[chart, j], fp[chart, j + 1]
+        slope = (right - left) / (xp[j + 1] - xp[j])
+        du = np.where(x == xp[j], left, slope * (x - xp[j]) + left)
+        du = np.where(x >= xp[-1], fp[chart, -1],
+                      np.where(x < xp[0], fp[chart, 0], du))
+        return du[:, None]
+    grids = np.stack([p._du[:, :, 0, :] for p in patches])
+    du = _bilinear(xp, grids, x, chart)
+    bad = ~np.all(np.isfinite(du), axis=1)
+    for j in np.unique(chart[bad]).tolist():  # inpainting keeps finite cells
+        rows = chart == j
+        du[rows] = _bilinear(xp, _inpaint(grids[j]) if inpainted is None
+                             else inpainted(patches[j]), x[rows])
+    return du
+
+
+def _unit_normals(patches, counts, du):
+    """The graph normals (-Du, 1) / |(-Du, 1)| of the rows ``du``, counts[j]
+    rows per chart, through chart j's isometry; charts with one row count
+    share one stacked product, which is each chart's own product bit for
+    bit."""
+    normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    rotations = np.stack([p.isometry.rotation for p in patches])
+    starts = np.cumsum(counts) - counts
+    for count in set(counts.tolist()) - {0}:
+        same = np.flatnonzero(counts == count)
+        rows = starts[same, None] + np.arange(count)
+        normal[rows] = normal[rows] @ np.swapaxes(rotations[same], 1, 2)
+    return normal
 
 
 def _inpaint(grid):
@@ -232,8 +303,8 @@ def normal_sign_alignment(f: SampledImmersion, net: DeltaNet, j: int, k: int) ->
     shared = np.intersect1d(net.members(j, 1), net.members(k, 1))
     if len(shared) == 0:
         raise InputError(f"charts {j} and {k} do not meet at delta_1 scale")
-    nu_j, nu_k = (unit_normal_patch(patch).at_samples(shared)
-                  for patch in net.patches([j, k]))
+    nu_j, nu_k = np.split(chart_normals(net.patches([j, k]),
+                                        [shared, shared])[0], 2)
     dots = np.einsum("ij,ij->i", nu_j, nu_k)
     if np.all(dots > 0):
         return 1
@@ -261,6 +332,7 @@ class DirectionField:
         self.overlap_span_max = overlap_max
         self._ids, self._S, self._T = ids, s_vals, t_vals
         self._offsets = offsets
+        self._quotients = None           # T's chart quotients, all charts
 
     def chart_field(self, j: int):
         """Chart j's delta_3-member ids with their S and T values."""
@@ -294,7 +366,8 @@ def _chart_sums(f: SampledImmersion, net: DeltaNet, js: np.ndarray,
     rows, ks, g = _cutoff_atoms(f, net, ids)
     patches = net.patches()
     w = np.stack([p.normal_frame()[:, 0] for p in patches])
-    centers = np.stack([unit_normal_patch(p).at_center() for p in patches])
+    # each chart's normal at its center, its base sample at x = 0
+    centers = chart_normals(patches, [[p.base] for p in patches])[0]
     counts = np.bincount(rows, minlength=len(ids))
     starts = np.cumsum(counts) - counts
     dots = np.empty(len(ks))
@@ -355,10 +428,8 @@ def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
     if net.level < 4:
         raise InputError("direction field needs a net of level >= 4 "
                          "(a delta_4-net) for the lower bound on |S|")
-    members = [net.members(j, 3) for j in range(len(net))]
-    offsets = np.cumsum([0] + [len(ids) for ids in members])
+    ids, offsets = net.member_stack(3)
     js = np.repeat(np.arange(len(net)), np.diff(offsets))
-    ids = np.concatenate(members + [np.empty(0, dtype=int)])
     s_vals, failure = _chart_sums(f, net, js, ids)
     norms = np.linalg.norm(s_vals, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -442,37 +513,43 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     gamma = math.pi / 4 + 0.5 * math.atan(lam)
     bound_h = math.pi / 4 - 0.5 * math.atan(lam)
     net_other = net if f_other is field.f else transfer_net(net, f_other)
-    ids = list(range(len(net)) if chart_ids is None else chart_ids)
+    ids = np.array(list(range(len(net)) if chart_ids is None else chart_ids),
+                   dtype=int)
     same = net_other is net
-
-    worst_angle = 0.0
-    images = []
-    for j, patch, other in zip(ids, net.patches(ids), net_other.patches(ids)):
-        img_self = unit_normal_patch(patch).at_samples(net.members(j, 1))
-        img_other = img_self if same else \
-            unit_normal_patch(other).at_samples(net_other.members(j, 1))
-        images.append((img_self, img_other))
-        sample_ids, _, t_vals = field.chart_field(j)
-        dots = np.abs(t_vals @ img_other.T)  # span-level angle: sign free
-        ang = float(np.max(np.arccos(np.clip(dots, 0.0, 1.0))))
-        worst_angle = max(worst_angle, ang)
+    if not len(ids):
+        return AngleBoundReport(gamma, True, 0.0, bound_h, 0.0, True)
+    images = [chart_normals(n.patches(ids), [n.members(j, 1) for j in ids])
+              for n in ((net,) if same else (net, net_other))]
+    img_other, counts = images[-1]
+    # |T . nu| (span-level angles: sign free) of each chart's delta_3-member
+    # rows of T and its delta_1 images, one stacked product per shape
+    t_counts, t_starts = np.diff(field._offsets)[ids], field._offsets[ids]
+    starts = np.cumsum(counts) - counts
+    shapes = t_counts * (counts.max() + 1) + counts
+    dots = []
+    for shape in np.unique(shapes).tolist():
+        at = np.flatnonzero(shapes == shape)
+        t_vals = field._T[t_starts[at, None] + np.arange(t_counts[at[0]])]
+        nu = img_other[starts[at, None] + np.arange(counts[at[0]])]
+        dots.append(np.abs(t_vals @ np.swapaxes(nu, 1, 2)).reshape(-1))
+    worst_angle = float(np.max(np.arccos(np.clip(np.concatenate(dots), 0.0,
+                                                 1.0))))
     # Hausdorff distance between (closures of) the chart normal images,
     # insensitive to the overall sign choice of either chart normal; an
     # image is at distance exactly 0 from itself
     worst_h = 0.0
-    if not same and images:
-        a, b = zip(*images)
-        worst_h = worst_image_hausdorff(*_stacked(a), *_stacked(b),
-                                        lines=False)
+    if not same:
+        (a, a_counts), (b, b_counts) = images
+        worst_h = worst_image_hausdorff(a, _row_sets(a_counts), b,
+                                        _row_sets(b_counts), lines=False)
     pre_ok = worst_h < bound_h
     return AngleBoundReport(gamma, pre_ok, worst_h, bound_h, worst_angle,
                             bool(pre_ok and worst_angle <= gamma + 1e-12))
 
 
-def _stacked(arrays):
-    """Arrays concatenated, with the row ids of each."""
-    ends = np.cumsum([len(x) for x in arrays])
-    return np.concatenate(arrays), np.split(np.arange(ends[-1]), ends[:-1])
+def _row_sets(counts):
+    """The row ids of consecutive blocks of ``counts`` rows."""
+    return np.split(np.arange(np.sum(counts)), np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -488,12 +565,17 @@ class LipschitzReport:
 
 
 def field_lipschitz_check(field: DirectionField, j: int) -> LipschitzReport:
-    """Empirical chart-Lipschitz constant of T against [3(1+lam)]^(6m+4)/r."""
+    """Empirical chart-Lipschitz constant of T against [3(1+lam)]^(6m+4)/r:
+    chart j of one ``chart_quotients`` call over all charts, kept by the
+    field."""
     net = field.net
-    t_vals = field.chart_field(j)[2]
+    net._point(j)
+    if field._quotients is None:
+        field._quotients = net.chart_quotients(
+            range(len(net)),
+            lambda a, b: np.linalg.norm(field._T[a] - field._T[b], axis=-1))
     bound = (3.0 * (1.0 + net.lam)) ** (6 * net.f.m + 4) / net.r
-    emp = net.chart_quotient(
-        j, lambda a, b: np.linalg.norm(t_vals[a] - t_vals[b], axis=1))
+    emp = float(field._quotients[j])
     return LipschitzReport(emp, bound, emp <= bound, j)
 
 
@@ -518,6 +600,7 @@ class NormalMeasureField:
             np.stack([plane.frame for plane in tangents]))
         self._means = np.empty(self._sample_frames.shape)
         self._solved = np.zeros(len(f), dtype=bool)
+        self._quotients = None  # N's chart quotients, all charts
         self.support_bound = math.pi / 12
 
     def _mixtures(self, ids: np.ndarray):
@@ -624,17 +707,31 @@ def averaged_normal_N(f: SampledImmersion, net: DeltaNet, q: int) -> Subspace:
 
 
 def n_lipschitz_check(nfield: NormalMeasureField, j: int) -> LipschitzReport:
-    """Empirical chart-Lipschitz constant of N against 4^(12m+6)/r.
-
-    The means are computed only on a chart with at least two members.
-    """
+    """Empirical chart-Lipschitz constant of N against 4^(12m+6)/r: chart j
+    of one ``chart_quotients`` call over all charts, kept by the field.
+    Where a mean fails, chart j takes a call of its own, which raises only
+    for a failure at its own members."""
     net = nfield.net
-    ids = net.members(j, 3)
+    net._point(j)
     bound = 4.0 ** (12 * nfield.f.m + 6) / net.r
-
-    def distances(a, b):
-        means = nfield.means(ids)
-        return geodesic_distances(means[a], means[b])
-
-    emp = net.chart_quotient(j, distances)
+    if nfield._quotients is None:
+        try:
+            nfield._quotients = _n_quotients(nfield, range(len(net)))
+        except LipimmError:
+            emp = float(_n_quotients(nfield, [j])[0])
+            return LipschitzReport(emp, bound, emp <= bound, j)
+    emp = float(nfield._quotients[j])
     return LipschitzReport(emp, bound, emp <= bound, j)
+
+
+def _n_quotients(nfield: NormalMeasureField, js) -> np.ndarray:
+    """N's chart quotients of the charts ``js``, with the means at the
+    members of those with at least two members solved as one stack."""
+    ids, offsets = nfield.net.member_stack(3)
+    js = np.asarray(js, dtype=int)
+    rows = _csr_rows(offsets, js[np.diff(offsets)[js] >= 2])[0]
+    means = np.empty((len(ids),) + nfield._means.shape[1:])
+    if len(rows):
+        means[rows] = nfield.means(ids[rows])
+    return nfield.net.chart_quotients(
+        js, lambda a, b: geodesic_distances(means[a], means[b]))

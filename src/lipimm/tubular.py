@@ -201,15 +201,17 @@ def _segment_distances(p1, d1, p2, d2, eps1, eps2):
         s_star = np.where(np.abs(cross) > 1e-300, cd1 / cross, np.inf)
     crossing = (np.abs(t_star) < eps1) & (np.abs(s_star) < eps2)
 
-    def point_to_segment(q, p, d, eps):
+    def squared_to_segment(q, p, d, eps):
         along = np.clip(np.einsum("ij,ij->i", q - p, d), -eps, eps)
-        return np.linalg.norm(q - p - along[:, None] * d, axis=1)
+        rej = q - p - along[:, None] * d
+        return np.add.reduce(rej * rej, axis=1)  # np.linalg.norm's sum
 
-    ends = [point_to_segment(p1 + e1 * eps1 * d1, p2, d2, eps2)
+    ends = [squared_to_segment(p1 + e1 * eps1 * d1, p2, d2, eps2)
             for e1 in (-1.0, 1.0)]
-    ends += [point_to_segment(p2 + e2 * eps2 * d2, p1, d1, eps1)
+    ends += [squared_to_segment(p2 + e2 * eps2 * d2, p1, d1, eps1)
              for e2 in (-1.0, 1.0)]
-    dist = np.min(np.stack(ends), axis=0)
+    # one sqrt of the least: sqrt is monotone and correctly rounded
+    dist = np.sqrt(np.min(np.stack(ends), axis=0))
     return np.where(crossing, 0.0, dist), crossing
 
 

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -944,6 +945,26 @@ def test_torus_check_evaluation_budget(monkeypatch):
     count = node_evaluations(f.evaluator, monkeypatch)
     assert check_r_lambda(f, 0.1, 0.25).passed
     assert count[0] <= 1_500_000
+
+
+def test_diverged_surface_rows_are_evaluated_no_more(monkeypatch):
+    # over best-fit planes of radius 0.1 (whose seeds lie on one tube
+    # circle) 256 rows of torus 16x32 cannot converge; a row fails at the
+    # step its parameters turn non-finite, so the evaluator never sees them
+    # (it warned of invalid values in cos and sin) and evaluates 8,672,896
+    # nodes instead of 9,182,976
+    f = make_shape(*TORUS, "16x32")
+    ids = list(range(len(f)))
+    planes = f.best_fit_planes(ids, 0.1)
+    count = node_evaluations(f.evaluator, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = immersion_mod._block_patches(f, ids, planes.__getitem__,
+                                                0.1)
+    errors = [str(err) for _, err in outcomes if err is not None]
+    assert len(errors) == 256
+    assert all(e.startswith("grid fill did not converge") for e in errors)
+    assert count[0] <= 8_800_000
 
 
 def dilated(f, s):

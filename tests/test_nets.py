@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from lipimm._util import max_quotient
+from lipimm.correspond import build_correspondence, reparametrized_lipschitz
 from lipimm.errors import InputError, InvariantViolationError
-from lipimm.grassmann import orthonormalize
+from lipimm.grassmann import geodesic_distances, orthonormalize
 from lipimm.immersion import (
     check_r_lambda,
     delta,
@@ -18,6 +20,12 @@ from lipimm.nets import (
     _net_on,
     build_net,
     verify_net_bounds,
+)
+from lipimm.normals import (
+    NormalMeasureField,
+    direction_field,
+    field_lipschitz_check,
+    n_lipschitz_check,
 )
 from lipimm.shapes import make_shape
 
@@ -280,3 +288,96 @@ def test_separated_points_pass_the_separation_check():
     net = build_net(f, 0.2, 0.25, 2)
     assert _first_shared_sample(net) is None
     _assert_separation(net)
+
+
+def reference_cover_index(net, iota):
+    """The former nested loop: every chart's members appended in chart
+    order."""
+    lists = [[] for _ in range(len(net.f))]
+    for j in range(len(net.points)):
+        for p in net.member_sets[j][iota]:
+            lists[p].append(j)
+    return [np.asarray(v, dtype=int) for v in lists]
+
+
+def reference_z_set(net, cover, iota, j):
+    hits = {j}
+    for p in net.member_sets[j][iota]:
+        hits.update(cover[p].tolist())
+    return np.asarray(sorted(hits), dtype=int)
+
+
+@pytest.mark.parametrize("shape, samples, r, levels", [
+    ("circle", 1024, 0.2, (1, 2, 5)), ("torus", "16x32", 0.1, (1, 2))])
+def test_cover_index_and_z_sets_match_the_nested_loops(shape, samples, r,
+                                                       levels):
+    f = make_shape(shape, {}, samples)
+    for level in levels:
+        net = build_net(f, r, 0.25, level)
+        for iota in range(level + 2):
+            cover = reference_cover_index(net, iota)
+            got = net.cover_index(iota)
+            assert len(got) == len(cover)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, cover))
+            if iota <= level:
+                for j in range(len(net)):
+                    assert net.z_set(iota, j).tobytes() == \
+                        reference_z_set(net, cover, iota, j).tobytes()
+
+
+def reference_chart_quotient(net, j, distances):
+    """The former one-chart quotient: chart j's delta_3-members in chart
+    coordinates, their pairs a < b, and ``max_quotient`` of
+    ``distances(a, b)`` over |x_a - x_b|, for member rows a, b."""
+    ids = net.members(j, 3)
+    if len(ids) < 2:
+        return 0.0
+    x = net.chart_coords(j, ids)
+    a, b = np.triu_indices(len(ids), k=1)
+    return max_quotient(distances(a, b), np.linalg.norm(x[a] - x[b], axis=1))
+
+
+def test_lipschitz_views_equal_the_one_chart_quotients():
+    # T, f2 . phi and N: each chart's view of the one all-chart call is the
+    # chart's own quotient, bit for bit
+    f = make_shape("circle", {"radius": 1.0}, 2048)
+    net = build_net(f, 0.2, 0.25, 5)
+    field = direction_field(f, net)
+    corr = build_correspondence(
+        f, make_shape("circle", {"radius": 1.001}, 2048), net, field)
+    for j in range(len(net)):
+        t_vals = field.chart_field(j)[2]
+        pts = corr.phi_points[net.members(j, 3)]
+        assert field_lipschitz_check(field, j).empirical == \
+            reference_chart_quotient(net, j, lambda a, b: np.linalg.norm(
+                t_vals[a] - t_vals[b], axis=1))
+        assert reparametrized_lipschitz(corr, j).empirical == \
+            reference_chart_quotient(net, j, lambda a, b: np.linalg.norm(
+                pts[a] - pts[b], axis=1))
+    assert {len(net.members(j, 3)) for j in range(len(net))} == {3}
+    tilted = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 2048)
+    net = build_net(tilted, 0.2, 0.25, 5)
+    nfield, alone = (NormalMeasureField(tilted, net) for _ in range(2))
+    for j in range(0, len(net), 8):
+        means = alone.means(net.members(j, 3))
+        assert n_lipschitz_check(nfield, j).empirical == \
+            reference_chart_quotient(net, j, lambda a, b: geodesic_distances(
+                means[a], means[b]))
+    assert {len(net.members(j, 3)) for j in range(len(net))} == {3}
+
+
+def test_n_lipschitz_raises_only_for_a_failure_at_its_own_members():
+    # chart k's normal turned a quarter turn: the mixtures that hold it fail,
+    # so the all-chart call fails; a chart with such a member raises, one
+    # without gives its own quotient
+    tilted = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 2048)
+    net = build_net(tilted, 0.2, 0.25, 5)
+    nfield, clean = (NormalMeasureField(tilted, net) for _ in range(2))
+    k = int(net.cover_index(2)[100][0])
+    nfield._chart_frames[k] = nfield._sample_frames[612]
+    near = next(j for j in range(len(net)) if 100 in net.members(j, 3))
+    with pytest.raises(InvariantViolationError, match="at or beyond pi/12"):
+        n_lipschitz_check(nfield, near)
+    assert n_lipschitz_check(nfield, 1000).empirical == \
+        n_lipschitz_check(clean, 1000).empirical > 0.0
+    assert nfield._quotients is None

@@ -33,6 +33,7 @@ from lipimm.normals import (
     angle_bound_check,
     averaged_normal_N,
     averaged_vector_S,
+    chart_normals,
     constants,
     cutoff_g,
     direction_field,
@@ -252,22 +253,17 @@ def test_sign_alignment_mixed_signs_is_coherence_error(circle, monkeypatch):
     net = build_net(circle, 0.2, 0.25, 5)
     import lipimm.normals as normals_mod
 
-    real = normals_mod.unit_normal_patch
+    real = normals_mod.chart_normals
 
-    class Corrupted:
-        def __init__(self, inner):
-            self.inner = inner
+    def corrupted(patches, sample_ids):
+        # every other normal of chart 1 flipped
+        out, counts = real(patches, sample_ids)
+        for patch, rows in zip(patches, normals_mod._row_sets(counts)):
+            if patch.base == int(net.points[1]):
+                out[rows[::2]] = -out[rows[::2]]
+        return out, counts
 
-        def at_samples(self, ids):
-            out = self.inner.at_samples(ids)
-            out[::2] = -out[::2]
-            return out
-
-    def fake(patch):
-        field = real(patch)
-        return Corrupted(field) if patch.base == int(net.points[1]) else field
-
-    monkeypatch.setattr(normals_mod, "unit_normal_patch", fake)
+    monkeypatch.setattr(normals_mod, "chart_normals", corrupted)
     with pytest.raises(CoherenceViolationError):
         normals_mod.normal_sign_alignment(circle, net, 0, 1)
 
@@ -381,22 +377,23 @@ def _field_error(monkeypatch, net, failures):
             cover[at] = np.array([at + 20])
         else:
             refs[int(net.points[at])] = kind
-    real_cover, real_normal = net.cover_index, normals_mod.unit_normal_patch
+    real_cover, real_normals = net.cover_index, normals_mod._unit_normals
 
-    def normal(patch):
-        field = real_normal(patch)
-        nu = field.at_center()
-        t = np.array([-nu[1], nu[0]])
-        if refs.get(patch.base) == "angle":
-            field.at_center = lambda: math.cos(0.5) * nu + math.sin(0.5) * t
-        elif refs.get(patch.base) == "span":
-            field.at_center = lambda: 1e6 * (nu + 100.0 * t)
-        return field
+    def normals(patches, counts, du):
+        # the field's reference normals: one row per chart, at its center
+        out = real_normals(patches, counts, du)
+        for nu, patch in zip(out, patches):
+            t = np.array([-nu[1], nu[0]])
+            if refs.get(patch.base) == "angle":
+                nu[:] = math.cos(0.5) * nu + math.sin(0.5) * t
+            elif refs.get(patch.base) == "span":
+                nu[:] = 1e6 * (nu + 100.0 * t)
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(net, "cover_index",
                   lambda iota: cover if iota == 2 else real_cover(iota))
-        m.setattr(normals_mod, "unit_normal_patch", normal)
+        m.setattr(normals_mod, "_unit_normals", normals)
         with pytest.raises(Exception) as info:
             direction_field(net.f, net)
     return type(info.value), str(info.value)
@@ -515,6 +512,74 @@ def test_angle_bound_check_nearby_circle(circle, circle_net, circle_field):
         worst = max(worst, min(hausdorff_of(sphere_angle_matrix(a, b)),
                                hausdorff_of(sphere_angle_matrix(a, -b))))
     assert report.worst_hausdorff == worst > 0.0
+
+
+def reference_normals_at(patch, x):
+    """The former one-patch normals of a curve chart: np.interp of Du at
+    chart coordinates x, the graph normal, the patch isometry."""
+    du = np.interp(x, patch.x_nodes, patch._du[:, 0])[:, None]
+    normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    return normal @ patch.isometry.rotation.T
+
+
+def reference_at_samples(patch, sample_ids):
+    """The former ``at_samples``: a dict of the patch's member rows."""
+    lookup = {int(s): i for i, s in enumerate(patch.member_samples)}
+    rows = [lookup[int(s)] for s in sample_ids]
+    return reference_normals_at(patch, patch.member_proj[rows, 0])
+
+
+@pytest.mark.parametrize("shape, params, r, lam, rule, target", [
+    ("circle", {}, 0.2, 0.25, "tangent", None),
+    ("circle", {}, 0.2, 0.25, "tangent", {"radius": 1.001}),
+    ("ellipse", {"a": 1.0, "b": 0.6}, 0.1, 0.5, "best-fit", None),
+])
+def test_stacked_chart_normals_match_each_patch(shape, params, r, lam, rule,
+                                                target):
+    # the normal images of every chart at its delta_1-members, and at its
+    # center, are the one-patch normals bit for bit; onto a target, its
+    # transferred net's images, and the worst angle the chart loop finds
+    f = make_shape(shape, params, 1024)
+    net = build_net(f, r, lam, 5, rule)
+    field = direction_field(f, net)
+    on = net if target is None else transfer_net(
+        net, make_shape(shape, dict(params, **target), 1024))
+    patches = on.patches()
+    members = [on.members(j, 1) for j in range(len(on))]
+    got, counts = chart_normals(patches, members)
+    want = [reference_at_samples(p, m) for p, m in zip(patches, members)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert counts.tolist() == [len(m) for m in members]
+    ones = np.ones(len(patches), dtype=int)
+    centers = normals_mod._unit_normals(patches, ones, normals_mod._chart_slopes(
+        patches, ones, np.zeros((len(patches), 1))))
+    assert centers.tobytes() == np.concatenate(
+        [reference_normals_at(p, np.zeros(1)) for p in patches]).tobytes()
+    worst = 0.0
+    for j, images in enumerate(want):
+        dots = np.abs(field.chart_field(j)[2] @ images.T)
+        worst = max(worst, float(np.max(np.arccos(np.clip(dots, 0.0, 1.0)))))
+    assert angle_bound_check(field, on.f).worst_angle == worst
+
+
+def test_stacked_surface_normals_inpaint_each_chart(sphere_net):
+    # every member of every patch, rim included, where rows read NaN cells
+    # of the slope grid: each chart's rows as its own field gives them
+    patches = sphere_net.patches()
+    got, _ = chart_normals(patches, [p.member_samples for p in patches])
+    want = [unit_normal_patch(p).at(p.member_proj) for p in patches]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert any(not np.isfinite(_bilinear(p.x_nodes, p._du[:, :, 0, :],
+                                         p.member_proj)).all()
+               for p in patches)
+
+
+def test_chart_normals_name_a_sample_outside_the_patch(circle_net):
+    patch = circle_net.patch(0)
+    outside = int(patch.member_samples[-1]) + 1
+    with pytest.raises(InputError, match=f"sample {outside} is not a member"):
+        chart_normals([patch], [[outside]])
 
 
 def test_field_lipschitz_regression(circle_field):

@@ -10,6 +10,7 @@ from lipimm.normals import constants, direction_field
 from lipimm.shapes import make_shape
 from lipimm.tubular import (
     ChartField,
+    _segment_distances,
     chart_direction_field,
     fiber_intersection,
     inclusion_probe,
@@ -210,3 +211,41 @@ def test_separation_full_radius(circle, pipeline):
     tf = chart_direction_field(field, 77)
     rep = separation_check(patch, tf, cb.gamma, 20000, rho=delta(3, 0.2, 0.25))
     assert rep.holds
+
+
+def reference_segment_distances(p1, d1, p2, d2, eps1, eps2):
+    """The four end-to-segment distances as norms, then their minimum."""
+    delta_ = p2 - p1
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    cd2 = delta_[:, 0] * d2[:, 1] - delta_[:, 1] * d2[:, 0]
+    cd1 = delta_[:, 0] * d1[:, 1] - delta_[:, 1] * d1[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(np.abs(cross) > 1e-300, cd2 / cross, np.inf)
+        s_star = np.where(np.abs(cross) > 1e-300, cd1 / cross, np.inf)
+    crossing = (np.abs(t_star) < eps1) & (np.abs(s_star) < eps2)
+
+    def point_to_segment(q, p, d, eps):
+        along = np.clip(np.einsum("ij,ij->i", q - p, d), -eps, eps)
+        return np.linalg.norm(q - p - along[:, None] * d, axis=1)
+
+    ends = [point_to_segment(p1 + e * eps1 * d1, p2, d2, eps2)
+            for e in (-1.0, 1.0)]
+    ends += [point_to_segment(p2 + e * eps2 * d2, p1, d1, eps1)
+             for e in (-1.0, 1.0)]
+    return np.where(crossing, 0.0, np.min(np.stack(ends), axis=0)), crossing
+
+
+def test_segment_distances_take_one_sqrt_of_the_least_square():
+    # sqrt is monotone and correctly rounded: the root of the least squared
+    # distance is the least distance, bit for bit; parallel pairs included
+    rng = np.random.default_rng(11)
+    p1, p2 = rng.normal(size=(2, 100_000, 2))
+    d1, d2 = rng.normal(size=(2, 100_000, 2))
+    d2[:1000] = d1[:1000]
+    d1 /= np.linalg.norm(d1, axis=1, keepdims=True)
+    d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
+    got = _segment_distances(p1, d1, p2, d2, 0.3, 0.7)
+    want = reference_segment_distances(p1, d1, p2, d2, 0.3, 0.7)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+    assert 0 < np.count_nonzero(want[1]) < len(p1)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from lipimm._util import (
     NEWTON_ITERATIONS,
     bisect,
     bracketed_newton,
+    halton,
     rounding_floor,
 )
 from lipimm.grassmann import orthonormalize
@@ -137,3 +139,62 @@ def test_rounded_rectangle_block_stops_well_under_the_cap(evaluator_calls,
     check_r_lambda(f, 0.1, 1.0, sample_ids=range(256))
     assert len(blocks) == 1
     assert blocks[0] <= 8 < NEWTON_ITERATIONS
+
+
+def reference_halton(count, dim, offset=0):
+    """The former Halton loop: int64 digits by % and //, while any index
+    has digits left."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    idx = np.arange(offset + 1, offset + count + 1)
+    out = np.empty((count, dim))
+    for d in range(dim):
+        base = primes[d]
+        n = idx.astype(np.int64)
+        value = np.zeros(count)
+        denom = np.ones(count)
+        while np.any(n > 0):
+            denom *= base
+            value += (n % base) / denom
+            n //= base
+        out[:, d] = value
+    return out
+
+
+@pytest.mark.parametrize("count, dim, offset", [
+    (100_000, 2, 0), (10_000, 3, 42), (20_000, 2, 7), (1_000, 3, 999),
+    (7, 2, 0), (100_000, 10, 5), (0, 2, 3), (1, 1, 0)])
+def test_halton_matches_the_integer_digit_loop(count, dim, offset):
+    assert halton(count, dim, offset=offset).tobytes() == \
+        reference_halton(count, dim, offset).tobytes()
+
+
+def reference_bisect(residual, lo, hi, r_lo, iters):
+    """Bisection through all ``iters`` steps."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        r_mid = residual(mid)
+        take_low = (r_mid > 0) == (r_lo > 0)
+        lo = np.where(take_low, mid, lo)
+        r_lo = np.where(take_low, r_mid, r_lo)
+        hi = np.where(take_low, hi, mid)
+    return lo, hi
+
+
+def test_bisection_returns_at_its_fixed_point():
+    # brackets about 2 wide around roots in (-1.2, 1.2) reach adjacent
+    # floats within 64 halvings; the steps after that change nothing, so
+    # the early return gives the bytes of all 80 steps
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-0.9, 0.9, 1000)
+    lo, hi = np.arcsin(c) - rng.uniform(0, 1, 1000), np.full(1000, 1.6)
+    calls = []
+
+    def residual(t):
+        calls.append(1)
+        return np.sin(t) - c
+
+    got = bisect(residual, lo, hi, np.sin(lo) - c, 80)
+    steps = len(calls)
+    want = reference_bisect(residual, lo, hi, np.sin(lo) - c, 80)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert steps < 70
