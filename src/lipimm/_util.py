@@ -33,6 +33,8 @@ def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor):
     the step would leave the bracket.  An element stops once its step is at
     most its ``floor``, with that step taken, or after ``NEWTON_ITERATIONS``.
     A bracket without a sign change drifts to an end; callers flag it.
+    Returns the roots and where the last ``residual_slope`` call was at
+    them: there the caller's last evaluation holds their points.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         t = lo - r_lo * (hi - lo) / (r_hi - r_lo)
@@ -50,11 +52,12 @@ def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor):
         inside = ((new > lo) & (new < hi)) | (new == t)
         np.copyto(new, 0.5 * (lo + hi), where=~inside)
         done = np.abs(new - t) <= floor
+        moved = active & (new != t)  # NaN too
         np.copyto(t, new, where=active)
         active &= ~done
         if not active.any():
             break
-    return t
+    return t, ~moved
 
 
 def bisect(residual, lo, hi, r_lo, iters: int):

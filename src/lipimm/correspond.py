@@ -147,8 +147,9 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     ``constraints`` is one unit vector per sample, orthogonal to its fiber;
     transversality makes the residual strictly monotone on the chart, so
     bracketed Newton over the delta_1-member parameter bracket finds the
-    unique root.  Returns the roots and a flag per sample: its bracket
-    changed sign and the root's residual is at most ``fiber_residual_tol``.
+    unique root.  Returns the roots, their points and a flag per sample:
+    its bracket changed sign and the root's residual is at most
+    ``fiber_residual_tol``.
     """
     ev = f2.evaluator
     period = ev.period
@@ -169,18 +170,23 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
 
     def residual_slope(theta):
         points, velocity = ev.point_jacobian(theta)
+        last[:] = [points]
         return (residual(points),
                 np.einsum("ij,ij->i", velocity, constraints))
 
+    last = []
     r_lo = residual(ev.point(lo))
     r_hi = residual(ev.point(hi))
     ok = r_lo * r_hi <= 0
-    theta = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
-                             rounding_floor(anchors))
+    theta, held = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                                   rounding_floor(anchors))
+    # the roots' points, from the last Newton evaluation where it was at them
+    points = last[0]
+    points[~held] = ev.point(theta[~held])
     # a sign change without a root (the target jumps across the fiber)
     # leaves a residual: that fiber missed
-    ok &= np.abs(residual(ev.point(theta))) <= fiber_residual_tol(f2)
-    return theta, ok
+    ok &= np.abs(residual(points)) <= fiber_residual_tol(f2)
+    return theta, points, ok
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +266,13 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
             proj_field.means(range(n_samples)))[:, :, 0])
         second_chart = _covering_chart(net, 1)
 
-    theta, ok = _project_to_curve(f2, net2, chart, anchors, constraints)
+    theta, points, ok = _project_to_curve(f2, net2, chart, anchors,
+                                          constraints)
     if not np.all(ok):
         missing = int(np.count_nonzero(~ok))
         raise ClosenessError(
             f"{missing} fibers missed the target charts; the immersions are "
             f"not close enough for the projection")
-    points = f2.evaluator.point(theta)
     offsets = np.linalg.norm(points - anchors, axis=1)
     line_residual = float(np.max(np.abs(
         np.einsum("ij,ij->i", points - anchors, constraints))))
@@ -274,10 +280,9 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
     # chart independence: recompute through a second covering chart
     has_second = second_chart >= 0
     if np.any(has_second):
-        theta2, ok2 = _project_to_curve(f2, net2, second_chart[has_second],
-                                        anchors[has_second],
-                                        constraints[has_second])
-        pts2 = f2.evaluator.point(theta2)
+        _, pts2, ok2 = _project_to_curve(f2, net2, second_chart[has_second],
+                                         anchors[has_second],
+                                         constraints[has_second])
         consistency = float(np.max(np.where(
             ok2, np.linalg.norm(points[has_second] - pts2, axis=1), 0.0)))
     else:

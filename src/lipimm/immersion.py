@@ -664,10 +664,11 @@ def _detect_fold(f, bases, members, counts, proj, step):
 
 
 def _curve_brackets(f, bases, members, counts, proj, x_nodes):
-    """(S, G) parameter brackets (lo, hi) of every chart node of the curve
-    patches over padded (S, W) ``members``, and each row's NotAGraphError
-    or None.  The projection must be strictly monotone in the parameter
-    along the component, so member parameters bracket every node.
+    """Brackets of every chart node of the curve patches over padded (S, W)
+    ``members``: (S, W + 2) ends (each row's sorted member parameters
+    between two rim ends), the (S, G) indices of each node's lower and upper
+    end, and each row's NotAGraphError or None.  The projection must be
+    strictly monotone along the component, so members bracket every node.
     """
     # unwrap periodic parameters into a contiguous window around q
     t_q = f.params[bases][:, None]
@@ -680,49 +681,65 @@ def _curve_brackets(f, bases, members, counts, proj, x_nodes):
     dp = np.diff(p_sorted, axis=1)
     rising = np.all((dp > 0) | pad[:, 1:], axis=1)
     monotone = rising | np.all((dp < 0) | pad[:, 1:], axis=1)
-    sign = np.where(rising, 1.0, -1.0)
     errors = [None if ok else NotAGraphError(
         f"projection is not monotone along the component of sample {q}")
         for q, ok in zip(bases.tolist(), monotone.tolist())]
+    # the members below each node, as the sorted row's searchsorted counts
+    # them: on a rising row those with p < x, on a falling one those with
+    # p > x; all rows' members are placed among the nodes by one search
+    s, w = np.nonzero(~pad)
+    up = rising[s]
+    at = np.empty(len(s), dtype=np.intp)
+    at[up] = np.searchsorted(x_nodes, p_sorted[s[up], w[up]], side="right")
+    at[~up] = np.searchsorted(x_nodes, p_sorted[s[~up], w[~up]], side="left")
+    g = len(x_nodes)
+    below = np.bincount(s * (g + 1) + at, minlength=len(bases) * (g + 1))
+    below = np.cumsum(below.reshape(len(bases), g + 1)[:, :g], axis=1)
+    idx = np.where(rising[:, None], below, counts[:, None] - below)
     # member parameters bracket every node; extend two sample spacings at the
-    # rim, where the true graph continues just beyond the outermost member
+    # rim, where the true graph continues just beyond the outermost member;
+    # past the upper rim end a row's padding holds finite parameters
     spacing = period / len(f)
-    idx = np.stack([np.searchsorted(s * p[:c], s * x_nodes) for s, p, c in
-                    zip(sign.tolist(), p_sorted, counts.tolist())])
-    last = counts[:, None] - 1
-    lo = np.take_along_axis(t_sorted, np.maximum(idx - 1, 0), axis=1)
-    hi = np.take_along_axis(t_sorted, np.minimum(idx, last), axis=1)
-    lo = np.where(idx == 0, lo - 2 * spacing, lo)
-    hi = np.where(idx > last, hi + 2 * spacing, hi)
-    return lo, hi, errors
+    rows = np.arange(len(bases))
+    ends = np.concatenate([t_sorted[:, :1] - 2 * spacing, t_sorted,
+                           t_sorted[:, -1:]], axis=1)
+    ends[rows, counts + 1] = t_sorted[rows, counts - 1] + 2 * spacing
+    return ends, idx, idx + 1, errors
 
 
-def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
+def _solve_curve_rows(ev, f_q, e_vecs, n_frames, ends, i_lo, i_hi, x_nodes,
                       residual_tol=np.inf):
     """Graph heights (ev.point(t) - f_q[s]) . n_frames[s] over the chart
     nodes of every row s, at the roots t of (ev.point(t) - f_q[s]) .
     e_vecs[s] = x_nodes.
 
-    ``lo`` and ``hi`` are (S, G) parameter brackets, solved by bracketed
-    Newton from their secant points.  Returns the (S, G, k) heights, an
-    (S,) flag for rows with a bracket that straddles no root, and the (S,)
-    largest |residual| of each row's roots.  A bracket end solves its node
-    within 1e-12, or 1e-14 |f_q| where that is larger (the rounding of
-    points), but never beyond the ``residual_tol`` a root must meet.
+    Row s brackets its nodes by ends[s, i_lo[s]] and ends[s, i_hi[s]] of
+    the (S, E) parameters ``ends``, each evaluated once; bracketed Newton
+    solves them from their secant points, and a root takes its point from
+    the last Newton evaluation where that was at it.  Returns the (S, G, k)
+    heights, an (S,) flag for rows with a bracket that straddles no root,
+    and the (S,) largest |residual| of each row's roots.  A bracket end
+    solves its node within 1e-12, or 1e-14 |f_q| where that is larger (the
+    rounding of points), but never beyond the ``residual_tol`` it must meet.
     """
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
+    last = []
 
-    def residual(points):  # points becomes points - f_q
-        points -= f_q
-        return np.matmul(points, e_col)[..., 0] - x_nodes
+    def along(v):  # the component along e_vecs[s] of (S, ., n) vectors
+        return np.matmul(v, e_col)[..., 0]
 
     def residual_slope(t):
+        last.clear()  # the previous points, freed before the next
         points, velocity = ev.point_jacobian(t)
-        return residual(points), np.matmul(velocity, e_col)[..., 0]
+        points -= f_q
+        last.append(points)
+        return along(points) - x_nodes, along(velocity)
 
-    r_lo = residual(ev.point(lo))
-    r_hi = residual(ev.point(hi))
+    r_ends = along(ev.point(ends) - f_q)
+    lo, hi = (np.take_along_axis(ends, i, axis=1) for i in (i_lo, i_hi))
+    r_lo, r_hi = (np.take_along_axis(r_ends, i, axis=1) - x_nodes
+                  for i in (i_lo, i_hi))
     # a bracket endpoint may already solve the node (e.g. the base sample at
     # x = 0); collapse those brackets instead of testing the sign product
     hit = np.minimum(np.maximum(1e-12, 1e-14 * np.max(np.abs(f_q), axis=-1)),
@@ -734,10 +751,12 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
     hi = np.where(hit_lo, lo, hi)
     r_hi = np.where(hit_lo, r_lo, r_hi)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
-    t = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
-                         rounding_floor(f_q))
-    points = ev.point(t)
-    res = np.max(np.abs(residual(points)), axis=1)  # NaN counts as largest
+    t, held = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                               rounding_floor(f_q))
+    points = last[0]
+    s, g = np.nonzero(~held)
+    points[s, g] = ev.point(t[s, g]) - f_q[s, 0]
+    res = np.max(np.abs(along(points) - x_nodes), axis=1)  # NaN: largest
     return np.matmul(points, n_frames), unresolved, res
 
 
@@ -889,8 +908,8 @@ def _component_patches(f, bases, planes, members, counts, r):
             for fold, q, a, b in zip(errors, bases.tolist(), low.tolist(),
                                      high.tolist())]
     elif m == 1:
-        lo, hi, bent = _curve_brackets(f, bases, members, counts, proj,
-                                       nodes[:, 0])
+        ends, i_lo, i_hi, bent = _curve_brackets(f, bases, members, counts,
+                                                 proj, nodes[:, 0])
         errors = [fold or other for fold, other in zip(errors, bent)]
     elif analytic:  # E^T J at every member, |det| against its squared entries
         etj = np.swapaxes(frames, 1, 2)[:, None] @ ev.jacobian(f.params[members])
@@ -917,9 +936,10 @@ def _component_patches(f, bases, planes, members, counts, r):
                 f, bases[js], frames[js], n_frames[b], members[js],
                 counts[js], r)
         elif m == 1:
+            w = np.max(counts[js]) + 2  # ends past the block's rims: padding
             on_disk, failed, res_max = _solve_curve_rows(
-                ev, f_q[js], frames[js, :, 0], n_frames[b], lo[js], hi[js],
-                nodes[:, 0], residual_tol)
+                ev, f_q[js], frames[js, :, 0], n_frames[b], ends[js, :w],
+                i_lo[js], i_hi[js], nodes[:, 0], residual_tol)
             fill_errors = [InsufficientSamplingError(
                 f"patch at sample {q} is not resolved out to its rim" if fail
                 else f"patch at sample {q} has a chart node the curve does not"

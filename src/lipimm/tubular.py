@@ -165,9 +165,10 @@ class ChartField:
 
     def at(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.stack([np.interp(x, self.xs, self.vectors[:, j])
-                        for j in range(self.vectors.shape[1])], axis=-1)
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
+        comps = [np.interp(x, self.xs, v) for v in self.vectors.T]
+        # np.linalg.norm's sum over two components, without its slow reduce
+        norm = np.sqrt(sum(c * c for c in comps))
+        return np.stack(comps, axis=-1) / norm[:, None]
 
 
 def chart_direction_field(field, j: int) -> ChartField:
@@ -204,7 +205,8 @@ def _segment_distances(p1, d1, p2, d2, eps1, eps2):
     def squared_to_segment(q, p, d, eps):
         along = np.clip(np.einsum("ij,ij->i", q - p, d), -eps, eps)
         rej = q - p - along[:, None] * d
-        return np.add.reduce(rej * rej, axis=1)  # np.linalg.norm's sum
+        # np.linalg.norm's sum, in component order
+        return rej[:, 0] * rej[:, 0] + rej[:, 1] * rej[:, 1]
 
     ends = [squared_to_segment(p1 + e1 * eps1 * d1, p2, d2, eps2)
             for e1 in (-1.0, 1.0)]

@@ -6,14 +6,18 @@ import pytest
 
 
 class CallCounter:
-    """Counts the calls of the functions it has wrapped."""
+    """Counts the calls of the functions it has wrapped and, where a wrap
+    is given ``params``, the sum of ``params(*args)`` over its calls."""
 
     def __init__(self):
         self.calls = 0
+        self.params = 0
 
-    def wrap(self, fn):
+    def wrap(self, fn, params=None):
         def counting(*args, **kwargs):
             self.calls += 1
+            if params is not None:
+                self.params += params(*args)
             return fn(*args, **kwargs)
         return counting
 
@@ -21,12 +25,17 @@ class CallCounter:
 @pytest.fixture
 def evaluator_calls(monkeypatch):
     """Counter of the ``point``, ``jacobian`` and ``point_jacobian`` calls
-    of an evaluator: ``counter = evaluator_calls(ev)``, then read
-    ``counter.calls``."""
+    of an evaluator and of the parameters they evaluate:
+    ``counter = evaluator_calls(ev)``, then read ``counter.calls`` and
+    ``counter.params``."""
     def instrument(ev):
         counter = CallCounter()
+
+        def params(t):  # a surface parameter is a pair
+            return np.size(t) // ev.m
         for name in ("point", "jacobian", "point_jacobian"):
-            monkeypatch.setattr(ev, name, counter.wrap(getattr(ev, name)))
+            monkeypatch.setattr(ev, name, counter.wrap(getattr(ev, name),
+                                                       params))
         return counter
     return instrument
 

@@ -15,6 +15,7 @@ from lipimm.errors import (
     LipimmError,
     NotAGraphError,
 )
+from lipimm._util import bracketed_newton, rounding_floor
 from lipimm.grassmann import Subspace, orthonormalize, random_subspace
 from lipimm.immersion import (
     PLANE_RULES,
@@ -442,16 +443,28 @@ def test_check_raises_first_failure_in_id_order(circle):
 
 def test_curve_check_makes_few_evaluator_calls_per_block(evaluator_calls,
                                                         per_call):
-    # bracketed Newton from the secant point: two bracket ends, about three
-    # Newton iterations of one fused point and slope call, and the points
-    # at the roots
+    # bracketed Newton from the secant point: one call for the bracket ends,
+    # three Newton iterations of one fused point and slope call, and the
+    # points at the roots that the last iteration moved
     circle = make_shape("circle", {"radius": 1.0}, 1024)
     counter = evaluator_calls(circle.evaluator)
     blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
     check_r_lambda(circle, 0.2, 0.25)
     assert len(blocks) == 4  # 256 rows each
-    assert max(blocks) <= 8  # at most 5 Newton iterations
+    assert max(blocks) <= 5
     assert counter.calls <= sum(blocks) + 1  # and one for the tangent frames
+
+
+def test_curve_check_evaluates_few_parameters_per_chart_node(
+        evaluator_calls):
+    # each row's ~67 bracket ends once, three Newton iterations over its
+    # 129 nodes, and again only the roots the last iteration moved: 6.01
+    # evaluations per node when each node evaluated its own two ends and
+    # every root again
+    circle = make_shape("circle", {"radius": 1.0}, 1024)
+    counter = evaluator_calls(circle.evaluator)
+    check_r_lambda(circle, 0.2, 0.25)
+    assert counter.params <= 3.7 * len(circle) * 129
 
 
 @pytest.mark.parametrize("name, params", [
@@ -741,8 +754,12 @@ def reference_patches(f, ids, plane_of, r):
         js = range(a, min(b.stop, len(base)))
         if m == 1:
             lo, hi = map(np.stack, zip(*brackets[b]))
+            # a (lo, hi) pair as bracket ends with the indices of each half
+            g = np.broadcast_to(np.arange(lo.shape[1]), lo.shape)
             on_disk, failed, res_max = im._solve_curve_rows(
-                ev, f_q[b], frames[b, :, 0], n_frames[b], lo, hi, nodes[:, 0])
+                ev, f_q[b], frames[b, :, 0], n_frames[b],
+                np.concatenate([lo, hi], axis=1), g, g + lo.shape[1],
+                nodes[:, 0])
         else:
             gaps = [nodes[:, None, :] - projs[j] for j in js]
             t = np.stack([f.params[members[j]][np.argmin(
@@ -838,6 +855,117 @@ def test_block_setup_matches_the_per_sample_loop(name, params, samples, r,
     f = make_shape(name, params, samples)
     ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
     assert_same_outcomes(f, ids, plane_lookup(f, ids, rule, r), r)
+
+
+def reference_curve_brackets(f, bases, members, counts, proj, x_nodes):
+    """The former bracket pass: (S, G) brackets (lo, hi) from one
+    ``searchsorted`` per row, and whether each row rises."""
+    t_q = f.params[bases][:, None]
+    period = f.evaluator.period
+    t_members = t_q + (f.params[members] - t_q + period / 2) % period - period / 2
+    pad = np.arange(members.shape[1]) >= counts[:, None]
+    order = np.argsort(np.where(pad, np.inf, t_members), axis=1, kind="stable")
+    t_sorted = np.take_along_axis(t_members, order, axis=1)
+    p_sorted = np.take_along_axis(proj[..., 0], order, axis=1)
+    rising = np.all((np.diff(p_sorted, axis=1) > 0) | pad[:, 1:], axis=1)
+    sign = np.where(rising, 1.0, -1.0)
+    spacing = period / len(f)
+    idx = np.stack([np.searchsorted(s * p[:c], s * x_nodes) for s, p, c in
+                    zip(sign.tolist(), p_sorted, counts.tolist())])
+    last = counts[:, None] - 1
+    lo = np.take_along_axis(t_sorted, np.maximum(idx - 1, 0), axis=1)
+    hi = np.take_along_axis(t_sorted, np.minimum(idx, last), axis=1)
+    lo = np.where(idx == 0, lo - 2 * spacing, lo)
+    hi = np.where(idx > last, hi + 2 * spacing, hi)
+    return lo, hi, rising
+
+
+def reference_solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
+                               residual_tol):
+    """The former curve fill: both ends of every bracket evaluated, and
+    the points at the roots evaluated again."""
+    f_q = f_q[:, None, :]
+    e_col = e_vecs[:, :, None]
+
+    def residual(points):
+        points -= f_q
+        return np.matmul(points, e_col)[..., 0] - x_nodes
+
+    def residual_slope(t):
+        points, velocity = ev.point_jacobian(t)
+        return residual(points), np.matmul(velocity, e_col)[..., 0]
+
+    r_lo = residual(ev.point(lo))
+    r_hi = residual(ev.point(hi))
+    hit = np.minimum(np.maximum(1e-12, 1e-14 * np.max(np.abs(f_q), axis=-1)),
+                     residual_tol)
+    hit_hi = np.abs(r_hi) <= hit
+    lo = np.where(hit_hi, hi, lo)
+    r_lo = np.where(hit_hi, r_hi, r_lo)
+    hit_lo = np.abs(r_lo) <= hit
+    hi = np.where(hit_lo, lo, hi)
+    r_hi = np.where(hit_lo, r_lo, r_hi)
+    unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
+    t, _ = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                            rounding_floor(f_q))
+    points = ev.point(t)
+    res = np.max(np.abs(residual(points)), axis=1)
+    return np.matmul(points, n_frames), unresolved, res
+
+
+@pytest.mark.parametrize("rule", PLANE_RULES)
+@pytest.mark.parametrize("name, params, r", [
+    ("circle", {"radius": 1.0}, 0.2),
+    ("ellipse", {"a": 1.0, "b": 0.6}, 0.1),
+    ("circle3d", {"radius": 1.0, "tilt": 0.2}, 0.2),
+    ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}, 0.1),
+    ("rounded-rectangle", {"width": 2.0, "height": 1.5,
+                           "corner_radius": 0.5}, 0.1),
+])
+def test_bracket_ends_fill_as_the_bracket_pairs(name, params, r, rule):
+    # the ends evaluated once per row and gathered, and the roots' points
+    # from the last Newton step, against both ends of every bracket and
+    # the points at the roots evaluated again: the same bytes, on rising
+    # and falling rows and on brackets past the outermost members
+    f = make_shape(name, params, 512)
+    plane_of = plane_lookup(f, list(range(len(f))), rule, r)
+    planes = {}
+    for q in range(len(f)):
+        try:
+            planes[q] = plane_of(q).frame
+        except InsufficientSamplingError:  # too few seeds for a best fit
+            pass
+    bases = np.array(sorted(planes))
+    frames = np.stack([planes[q] for q in bases.tolist()])
+    members, counts = _padded_components(f, bases, frames, r)
+    proj = (f.positions[members] - f.positions[bases][:, None]) @ frames
+    nodes = immersion_mod._chart_grid(1, r)[2][:, 0]
+    ends, i_lo, i_hi, errors = immersion_mod._curve_brackets(
+        f, bases, members, counts, proj, nodes)
+    lo, hi, rising = reference_curve_brackets(f, bases, members, counts,
+                                              proj, nodes)
+    assert np.isfinite(ends).all()  # padding included: it is evaluated
+    keep = np.flatnonzero([err is None for err in errors])
+    assert len(keep) > len(f) // 2
+    ends, i_lo, i_hi, lo, hi, rising, counts, bases, frames = (
+        v[keep] for v in (ends, i_lo, i_hi, lo, hi, rising, counts, bases,
+                          frames))
+    assert not rising.all() if rule == "best-fit" else rising.all()
+    assert (i_lo == 0).any() and (i_hi == counts[:, None] + 1).any()
+    for got, want in [(i_lo, lo), (i_hi, hi)]:
+        assert np.take_along_axis(ends, got, axis=1).tobytes() == want.tobytes()
+    f_q = f.positions[bases]
+    isometries = EuclideanIsometry.embeddings(f_q, frames)
+    n_frames = np.stack([iso.rotation[:, 1:] for iso in isometries])
+    tol = immersion_mod.CURVE_RESIDUAL_SPACINGS * f.sample_spacing
+    rows = immersion_mod._SOLVE_ROWS[1]
+    for a in range(0, len(bases), rows):
+        b = slice(a, a + rows)
+        args = (f.evaluator, f_q[b], frames[b, :, 0], n_frames[b])
+        got = immersion_mod._solve_curve_rows(
+            *args, ends[b], i_lo[b], i_hi[b], nodes, tol)
+        want = reference_solve_curve_rows(*args, lo[b], hi[b], nodes, tol)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def tilted_planes(f, angles):
@@ -1046,6 +1174,37 @@ def test_raw_fold_scan_matches_the_per_sample_scan():
             got = str(exc)
         assert got == want if want else not str(got).startswith("projection")
     assert folds >= 40 and built >= 40
+
+
+@pytest.mark.parametrize("chart_dims", [1, 2])
+@pytest.mark.parametrize("gap, apart, folds", [
+    (0.5 * (1 - 1e-9), 4.0 * (1 + 1e-9), True),
+    (0.5 * (1 + 1e-9), 4.0 * (1 + 1e-9), False),
+    (0.5 * (1 - 1e-9), 4.0 * (1 - 1e-9), False),
+    (0.5 * (1 + 1e-9), 4.0 * (1 - 1e-9), False),
+])
+def test_fold_thresholds_are_half_a_cell_and_four_cells(gap, apart, folds,
+                                                        chart_dims):
+    # members 1 and 2 sit ``gap`` grid cells apart in the chart and
+    # ``apart`` cells apart in R^3; a fold needs both gap < 0.5 and
+    # apart > 4, just inside either threshold.  In a 2-d chart the gap is
+    # the length of (0.3 gap, 0.95394 gap), whose first coordinate alone
+    # is well below half a cell
+    step = 0.01
+    positions = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                          [0.0, 0.0, 1.0 + apart * step]])
+    first = (1.0 if chart_dims == 1 else 0.3) * gap * step
+    proj = np.zeros((1, 3, chart_dims))
+    proj[0, :, 0] = [-20 * step, 0.0, first]
+    if chart_dims == 2:
+        proj[0, 2, 1] = math.sqrt((gap * step) ** 2 - first ** 2)
+    f = type("Samples", (), {"positions": positions})
+    [error] = immersion_mod._detect_fold(f, [7], np.array([[0, 1, 2]]),
+                                         np.array([3]), proj, step)
+    assert (error is not None) == folds
+    if folds:
+        assert str(error).startswith(
+            "projection folds near sample 7: members 1 and 2 overlap")
 
 
 # ---------------------------------------------------------------------------

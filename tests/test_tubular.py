@@ -237,7 +237,8 @@ def reference_segment_distances(p1, d1, p2, d2, eps1, eps2):
 
 def test_segment_distances_take_one_sqrt_of_the_least_square():
     # sqrt is monotone and correctly rounded: the root of the least squared
-    # distance is the least distance, bit for bit; parallel pairs included
+    # distance is the least distance, bit for bit; parallel pairs included.
+    # Each square is the two components' sum that np.linalg.norm takes
     rng = np.random.default_rng(11)
     p1, p2 = rng.normal(size=(2, 100_000, 2))
     d1, d2 = rng.normal(size=(2, 100_000, 2))
@@ -249,3 +250,18 @@ def test_segment_distances_take_one_sqrt_of_the_least_square():
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
     assert 0 < np.count_nonzero(want[1]) < len(p1)
+
+
+def test_chart_field_normalizes_by_the_norm_of_its_components():
+    # the squares summed in order equal np.linalg.norm's reduce over the
+    # two components bit for bit, at nodes, between them and past the ends
+    rng = np.random.default_rng(12)
+    xs = np.sort(rng.uniform(-0.2, 0.2, 40))
+    vectors = rng.normal(size=(40, 2))
+    field = ChartField(xs, vectors / np.linalg.norm(vectors, axis=1,
+                                                    keepdims=True))
+    x = np.concatenate([xs, rng.uniform(-0.25, 0.25, 100_000)])
+    out = np.stack([np.interp(x, field.xs, field.vectors[:, j])
+                    for j in range(2)], axis=-1)
+    want = out / np.linalg.norm(out, axis=-1, keepdims=True)
+    assert field.at(x).tobytes() == want.tobytes()

@@ -59,9 +59,10 @@ def test_roots_match_a_long_bisection(name, shape_param, samples, base,
     proj = (f.positions[members] - f.positions[q]) @ plane.frame
     x_nodes = np.linspace(-radius, radius, 129)
     # the bracket pass over one row
-    [lo], [hi], [err] = _curve_brackets(f, np.array([q]), members[None],
-                                        np.array([len(members)]), proj[None],
-                                        x_nodes)
+    ends, i_lo, i_hi, [err] = _curve_brackets(
+        f, np.array([q]), members[None], np.array([len(members)]), proj[None],
+        x_nodes)
+    [lo], [hi] = (np.take_along_axis(ends, i, axis=1) for i in (i_lo, i_hi))
     if err is not None:  # the tilted line folds the component
         reject()
     f_q, e = f.positions[q], plane.frame[:, 0]
@@ -73,8 +74,8 @@ def test_roots_match_a_long_bisection(name, shape_param, samples, base,
         return residual(t), f.evaluator.jacobian(t) @ e
 
     r_lo, r_hi = residual(lo), residual(hi)
-    t = bracketed_newton(residual_slope, lo.copy(), hi.copy(), r_lo.copy(),
-                         r_hi, rounding_floor(f_q))
+    t, _ = bracketed_newton(residual_slope, lo.copy(), hi.copy(),
+                            r_lo.copy(), r_hi, rounding_floor(f_q))
     ref_lo, ref_hi = bisect(residual, lo, hi, r_lo, 200)
     straddle = r_lo * r_hi <= 0
     assert np.count_nonzero(straddle) >= 127  # at most the two rim nodes
@@ -91,7 +92,8 @@ def test_a_bracket_end_that_is_a_root_stays_the_root():
         return np.sin(t), np.cos(t)
 
     lo, hi = np.array([0.0, -1.0, 3.0]), np.array([1.0, 0.0, 3.5])
-    t = bracketed_newton(residual_slope, lo, hi, np.sin(lo), np.sin(hi), 1e-15)
+    t, _ = bracketed_newton(residual_slope, lo, hi, np.sin(lo), np.sin(hi),
+                            1e-15)
     assert t[0] == 0.0 and t[1] == 0.0
     assert abs(t[2] - math.pi) <= 4.5e-16
     assert len(calls) <= 4
@@ -106,9 +108,24 @@ def test_each_root_stops_on_its_own():
         c = targets[rows]
         lo, hi = np.zeros(len(rows)), np.full(len(rows), 1.5)
         return bracketed_newton(lambda t: (np.sin(t) - c, np.cos(t)), lo, hi,
-                                -c, np.sin(hi) - c, floors[rows])
+                                -c, np.sin(hi) - c, floors[rows])[0]
 
     assert solve([0, 1, 2]).tolist() == [solve([i])[0] for i in range(3)]
+
+
+def test_held_roots_are_where_the_last_call_was():
+    # the third root takes a step in the last iteration, so the last call
+    # is not at it; the other two end where that call evaluated them
+    c, floors = np.array([0.1, 0.5, 0.9]), np.array([1e-3, 1e-15, 1e-15])
+    calls = []
+
+    def residual_slope(t):
+        calls.append(t.copy())
+        return np.sin(t) - c, np.cos(t)
+
+    t, held = bracketed_newton(residual_slope, np.zeros(3), np.full(3, 1.5),
+                               -c, np.sin(1.5) - c, floors)
+    assert held.tolist() == (calls[-1] == t).tolist() == [True, True, False]
 
 
 def test_a_bracket_without_sign_change_is_flagged():
@@ -122,8 +139,11 @@ def test_a_bracket_without_sign_change_is_flagged():
     f_q = np.array([[1.0, 0.0], [1.0, 0.0]])
     e_vecs = np.array([[0.0, 1.0], [0.0, 1.0]])
     n_frames = np.array([[[-1.0], [0.0]], [[-1.0], [0.0]]])
-    heights, unresolved, res_max = _solve_curve_rows(ev, f_q, e_vecs, n_frames,
-                                                     lo, hi, x_nodes)
+    # a (lo, hi) pair as bracket ends with the indices of each half
+    ends, g = np.concatenate([lo, hi], axis=1), np.arange(len(x_nodes))
+    heights, unresolved, res_max = _solve_curve_rows(
+        ev, f_q, e_vecs, n_frames, ends, np.stack([g, g]),
+        np.stack([g, g]) + len(g), x_nodes)
     assert unresolved.tolist() == [False, True]
     assert res_max[0] <= 1e-15 and res_max[1] > 1e-3
     assert np.max(np.abs(heights[0, :, 0] - (1 - np.cos(roots)))) <= 1e-15
