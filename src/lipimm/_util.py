@@ -106,21 +106,24 @@ def unchecked(cls, **fields):
 def halton(count: int, dim: int, *, offset: int = 0) -> np.ndarray:
     """Low-discrepancy Halton points in [0, 1)^dim, deterministic for a seed offset.
 
-    The digits of the indices n are n - b floor(n / b) in float64, exact
-    below 2^53; every index runs through the digit count of the largest.
+    The digits n - b floor(n / b) of the indices n are exact in float64
+    below 2^53; in base 2 their sum is n's 64 bits reversed, times 2^-64.
     """
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     if dim > len(primes):
         raise ValueError("halton helper supports up to 10 dimensions")
     idx = np.arange(offset + 1, offset + count + 1, dtype=float)
+    v = idx.astype(np.uint64).byteswap()  # reversed: bytes, then bits
+    for s in (4, 2, 1):  # under the masks 0x0F0F.., 0x3333.., 0x5555..
+        v = (v >> s) & (m := (2 ** 64 - 1) // (2 ** s + 1)) | (v & m) << s
     out = np.empty((count, dim))
-    for d in range(dim):
+    for d in range(dim):  # base 2 takes the reversed bits, then frees them
         base, n, denom = primes[d], idx, 1.0
-        value = np.zeros(count)
-        while denom <= offset + count:  # a digit of the largest index left
+        v = v * 2.0 ** -64 if d == 0 else np.zeros(count)
+        while d and denom <= offset + count:  # a digit of the largest left
             quotient = np.floor(n / base)
             denom *= base
-            value += (n - base * quotient) / denom
+            v += (n - base * quotient) / denom
             n = quotient
-        out[:, d] = value
+        out[:, d] = v
     return out

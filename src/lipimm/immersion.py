@@ -776,14 +776,14 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
     The evaluator's closed-form ``graph_heights`` fills each row it can.
     The other rows solve (ev.point(t) - f_q[s]) . e_frames[s] = targets by
     Newton from the (S, T, 2) parameters ``t``, with the 2x2 Jacobian E^T J
-    inverted in closed form; each step reads points and Jacobians from one
-    ``point_jacobian`` call.  A row steps until its largest |residual| is
-    below ``stop[s]``, at most 40 times, and fails if it stays 1e4 times
-    above it, or at once when its parameters turn non-finite, which no step
-    can undo.  Rows step together, without gathers, until one stops.
+    inverted in closed form; each step reads points and Jacobians, in any
+    layout, from one ``point_jacobian`` call.  A row steps until its largest
+    |residual| is below ``stop[s]``, at most 40 times, and fails if it stays
+    1e4 times above it, or at once when its parameters turn non-finite or
+    too coarse to resolve that bound.  Rows step without copies.
     """
     closed_form = ev.graph_heights
-    heights = np.empty((len(t), len(targets), n_frames.shape[-1]))
+    heights = np.zeros((len(t), len(targets), n_frames.shape[-1]))  # 0: failed
     newton = []
     for s in range(len(t)):
         h = None if closed_form is None else closed_form(
@@ -797,61 +797,65 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
         return heights, failed
     f_q, e_frames, t = f_q[newton, None], e_frames[newton], t[newton]
     stop = stop[newton]
-    pts = np.empty(t.shape[:-1] + (f_q.shape[-1],))
-    lost = np.zeros(len(t), dtype=bool)  # rows that cannot converge
-    active = slice(None)  # every row, without gathers, until one stops
-    for _ in range(40):
-        finite = np.isfinite(t[active]).all(axis=(1, 2))
-        if not finite.all():  # non-finite parameters cannot converge
-            active = np.arange(len(t))[active]
-            lost[active[~finite]] = True
-            active = active[finite]
-            if not len(active):
+    rows = np.arange(len(t))  # the rows still stepping
+    for i in range(41):  # after 40 steps a row passes within 1e4 stops
+        active = slice(None) if len(rows) == len(t) else rows  # no copies
+        # the largest |t| of each row, at flat index k; no step undoes inf/NaN
+        k = np.argmax(np.abs(t[active]).reshape(len(rows), -1), axis=1)
+        big = np.abs(t[active].reshape(len(k), -1)[np.arange(len(k)), k])
+        if not (finite := np.isfinite(big)).all():
+            failed[np.take(newton, rows[~finite])] = True
+            active, rows, k, big = (v[finite] for v in (rows, rows, k, big))
+            if not len(rows):
                 break
-        pts[active], jac = ev.point_jacobian(t[active])
-        res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
-        # a NaN residual keeps its row going
-        going = ~(np.max(np.abs(res), axis=(1, 2)) < stop[active])
-        if not going.all():
-            active = np.arange(len(t))[active][going]
-            if not len(active):
-                break
-            res, jac = res[going], jac[going]
+        pts, jac = ev.point_jacobian(t[active])
+        res = np.matmul(pts - f_q[active], e_frames[active]) - targets
         # per node J^T E, the transpose of the residual's Jacobian E^T J
         a = np.matmul(np.swapaxes(jac, -1, -2).reshape(
-            len(res), -1, f_q.shape[-1]), e_frames[active]).reshape(
+            len(rows), -1, f_q.shape[-1]), e_frames[active]).reshape(
                 res.shape + (2,))
-        t[active] -= _solve2(np.swapaxes(a, -1, -2), res)
-    else:  # rows still stepping after 40 steps
-        pts[active] = ev.point(t[active])
-        res = np.matmul(pts[active] - f_q[active], e_frames[active]) - targets
-        going = ~(np.max(np.abs(res), axis=(1, 2)) <= 1e4 * stop[active])
-        active = np.arange(len(t))[active][going]
-    heights[newton] = np.matmul(pts - f_q, n_frames[newton])
-    lost[active] = True
-    failed[np.asarray(newton)[lost]] = True
+        err = np.max(np.abs(res), axis=(1, 2))  # NaN keeps a row going
+        done = (err < stop[active]) | (i == 40) & (err <= 1e4 * stop[active])
+        # a row fails where a unit in the last place of its largest |t| moves
+        # that node's residual past the failure bound: no step brings it back
+        move = np.max(np.abs(a.reshape(len(k), -1, 2)[np.arange(len(k)), k]),
+                      axis=-1) * np.spacing(big)
+        fail = ~done & ((i == 40) | (move > 1e4 * stop[active]))
+        if (stops := done | fail).any():
+            failed[np.take(newton, rows[fail])] = True
+            at = np.take(newton, rows[done])
+            heights[at] = np.matmul(pts[done] - f_q[rows[done]], n_frames[at])
+            active = rows = rows[~stops]
+            if not len(rows):
+                break
+            res, a = res[~stops], a[~stops]
+        t[active] -= _solve2((a[..., 0, 0], a[..., 1, 0], a[..., 0, 1],
+                              a[..., 1, 1]), (res[..., 0], res[..., 1]))
+        del pts, jac, res, a  # before the next evaluation
     return heights, failed
 
 
 def _det2(a):
-    """Determinants of a stack of 2x2 matrices."""
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    """Determinants of 2x2 matrices given by their entries a00, a01, a10, a11."""
+    return a[0] * a[3] - a[1] * a[2]
 
 
 def _solve2(a, b):
-    """x with a x = b, for stacks of 2x2 matrices a and 2-vectors b, by
-    the adjugate of a; inf or NaN where a is singular."""
+    """x with a x = b by the adjugate, in one (..., 2) array, for 2x2 a as
+    ``_det2`` takes them and b = (b0, b1); inf or NaN where a is singular."""
+    out = np.empty(np.shape(b[0]) + (2,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.stack([a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1],
-                         a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]],
-                        axis=-1) / _det2(a)[..., None]
+        np.divide(a[3] * b[0] - a[1] * b[1], det := _det2(a), out=out[..., 0])
+        np.divide(a[0] * b[1] - a[2] * b[0], det, out=out[..., 1])
+    return out
 
 
-def _tangent_steps(t, etj, d):
-    """Parameters t + (E^T J)^-1 d: one Newton step from the parameters t
-    of members with the 2x2 Jacobians ``etj`` of their chart projections,
-    toward the chart offsets d."""
-    return t + _solve2(etj, d)
+def _tangent_steps(near, nodes):
+    """Parameters t + (E^T J)^-1 (x - p): one Newton step to the chart nodes
+    x from their nearest members, whose taken (8, S, T) scalars ``near``
+    are E^T J's entries, the chart projection p and the parameters t."""
+    return np.moveaxis(near[6:], 0, -1) + _solve2(
+        near, (nodes[:, 0] - near[4], nodes[:, 1] - near[5]))
 
 
 def _block_patches(f, ids, plane_of, r):
@@ -913,7 +917,11 @@ def _component_patches(f, bases, planes, members, counts, r):
         errors = [fold or other for fold, other in zip(errors, bent)]
     elif analytic:  # E^T J at every member, |det| against its squared entries
         etj = np.swapaxes(frames, 1, 2)[:, None] @ ev.jacobian(f.params[members])
-        singular = np.abs(_det2(etj)) <= 1e-8 * np.sum(etj * etj, axis=(-2, -1))
+        # (8, S W) rows of each member's E^T J, projection and parameters
+        scalars = np.dstack([etj.reshape(members.shape + (4,)), proj,
+                             f.params[members]]).reshape(-1, 8).T.copy()
+        singular = np.abs(_det2(scalars)).reshape(members.shape) <= \
+            1e-8 * np.sum(etj * etj, axis=(-2, -1))
         # |p|^2 of each member's projection p; padding is nearest to no node
         proj_sq = np.where(np.arange(members.shape[1]) < counts[:, None],
                            np.einsum("swi,swi->sw", proj, proj), np.inf)
@@ -951,9 +959,8 @@ def _component_patches(f, bases, planes, members, counts, r):
             # step from it
             near = np.argmin(proj_sq[js, None, :w] - 2 * np.matmul(
                 nodes, np.swapaxes(proj[js, :w], 1, 2)), axis=2)
-            nearest = (js[:, None], near)
-            t = _tangent_steps(f.params[members[nearest]], etj[nearest],
-                               nodes - proj[nearest])
+            t = _tangent_steps(np.take(scalars, near + members.shape[1] *
+                                       js[:, None], axis=1), nodes)
             for s, p in zip(*np.nonzero(singular[js, :w])):
                 # the parameters of the member's nearest mesh neighbour
                 at, nb = near[s] == p, f.neighbors(members[js[s], p])

@@ -27,7 +27,7 @@ class Evaluator:
 
     ``point_jacobian(t)`` returns new arrays of the points and the
     Jacobians, from one evaluation of the sines and cosines they share: a curve's Jacobian is
-    its (..., n) velocity, a surface's is (..., n, 2).  ``point`` and
+    its (..., n) velocity, a surface's (..., n, 2) in any layout.  ``point`` and
     ``jacobian`` are its two halves.  ``graph_heights``, where given, fills
     a surface patch in closed form.
     """
@@ -155,7 +155,7 @@ def _sphere_evaluator(radius):
                                    np.zeros_like(cos_lon)], axis=-1)
         d_lat = radius * np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon,
                                    cos_lat], axis=-1)
-        return point, np.stack([d_lon, d_lat], axis=-1)
+        return point, np.swapaxes(np.stack([d_lon, d_lat], axis=-2), -1, -2)
 
     def graph_heights(origin, e_frame, n_frame, x_targets):
         # point = origin + x.e + u.n on the sphere |p| = radius; quadratic in u
@@ -185,12 +185,12 @@ def _torus_evaluator(big_radius, tube_radius):
         cos_u, sin_u = np.cos(t[..., 0]), np.sin(t[..., 0])
         cos_v, sin_v = np.cos(t[..., 1]), np.sin(t[..., 1])
         w = big_radius + tube_radius * cos_v
-        jac = np.zeros(t.shape[:-1] + (3, 2))
-        jac[..., 0, 0], jac[..., 1, 0] = -w * sin_u, w * cos_u
-        jac[..., 1] = tube_radius * np.stack(
+        jac = np.zeros(t.shape[:-1] + (2, 3))  # returned transposed
+        jac[..., 0, 0], jac[..., 0, 1] = -w * sin_u, w * cos_u
+        jac[..., 1, :] = tube_radius * np.stack(
             [-sin_v * cos_u, -sin_v * sin_u, cos_v], axis=-1)
         return (np.stack([w * cos_u, w * sin_u, tube_radius * sin_v], axis=-1),
-                jac)
+                np.swapaxes(jac, -1, -2))
 
     return Evaluator(3, 2, point_jacobian)
 

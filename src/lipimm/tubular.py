@@ -305,8 +305,8 @@ def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
     u_star = np.interp(x_star, patch.x_nodes, patch.u[:, 0])
     t_chart = (rot.T @ t_field.at(x_star).T).T
     t_val = (z[:, 0] - x_star) * t_chart[:, 0] + (z[:, 1] - u_star) * t_chart[:, 1]
-    recon = np.column_stack([x_star, u_star]) + t_val[:, None] * t_chart
-    hit = bracketed & (np.linalg.norm(recon - z, axis=1) < 1e-10) \
+    gap = np.column_stack([x_star, u_star]) + t_val[:, None] * t_chart - z
+    hit = bracketed & (np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2) < 1e-10) \
         & (np.abs(t_val) < params.epsilon)
     reached = int(np.count_nonzero(hit))
     worst = float(np.max(np.abs(t_val[hit]))) if reached else math.inf
@@ -343,10 +343,10 @@ def separation_check(patch: GraphPatch, t_field: ChartField, gamma: float,
     t_chart = (patch.isometry.rotation.T @ t_field.at(y).T).T
     w = np.column_stack([x - y, ux - uy])
     along = np.einsum("ij,ij->i", w, t_chart)
-    dist = np.linalg.norm(w - along[:, None] * t_chart, axis=1)
+    rej = w - along[:, None] * t_chart  # normed by np.linalg.norm's sum
     base = np.abs(x - y)
     good = base > 1e-14
-    ratios = dist[good] / base[good]
+    ratios = np.sqrt(rej[:, 0] ** 2 + rej[:, 1] ** 2)[good] / base[good]
     min_ratio = float(np.min(ratios)) if np.any(good) else math.inf
     cg = math.cos(gamma)
     return SeparationReport(min_ratio, cg, min_ratio >= cg - 1e-9,

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1044,15 +1045,22 @@ def test_tangent_step_starts_keep_every_outcome(name, params, samples,
                                                 every, r, monkeypatch):
     # Newton from one tangent step past each node's nearest member: no row
     # changes its error, every torus patch keeps its bytes, and the sphere
-    # without its closed form moves by rounding only
+    # without its closed form moves by rounding only.  The member start
+    # takes more node evaluations, so the patch below does replace the start
     f = make_shape(name, params, samples)
     f.evaluator.graph_heights = None
     ids = list(range(0, len(f), every))
     plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    count = node_evaluations(f.evaluator, monkeypatch)
     got = _block_patches(f, ids, plane_of, r)
-    monkeypatch.setattr(immersion_mod, "_tangent_steps",
-                        lambda t, etj, d: t)  # start at the member
+    tangent_count, count[0] = count[0], 0
+    monkeypatch.setattr(immersion_mod, "_tangent_steps",  # at the member
+                        lambda near, nodes: np.moveaxis(near[6:], 0, -1).copy())
     want = _block_patches(f, ids, plane_of, r)
+    assert count[0] > tangent_count
+    if (name, samples, r) == ("torus", "16x32", 0.1):
+        # the check's 1,455,776 and 1,863,840, less its 512 plane evaluations
+        assert (tangent_count, count[0]) == (1_455_264, 1_863_328)
     for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
         assert (type(err), str(err)) == (type(ref_err), str(ref_err))
         if ref is None:
@@ -1066,6 +1074,79 @@ def test_tangent_step_starts_keep_every_outcome(name, params, samples,
             assert np.nanmax(np.abs(patch.u - ref.u)) <= 1e-13
 
 
+def reference_solve2(a, b):
+    """The former stacked 2x2 solve: both adjugate components stacked, then
+    divided by the determinant."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.stack([a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1],
+                         a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]],
+                        axis=-1) / det[..., None]
+
+
+def reference_tangent_starts(f, bases, planes, members, counts, r):
+    """The former tangent-step start of every fill block of one
+    ``_component_patches`` call: each node's nearest member gathered by
+    (row, member) index pairs, then one ``reference_solve2``."""
+    im = immersion_mod
+    step, _, x_grid, in_disk = im._chart_grid(2, r)
+    nodes = x_grid[in_disk]
+    frames = np.stack([plane.frame for plane in planes])
+    proj = (f.positions[members] - f.positions[bases][:, None]) @ frames
+    keep = np.flatnonzero([err is None for err in im._detect_fold(
+        f, bases, members, counts, proj, step)])
+    etj = np.swapaxes(frames, 1, 2)[:, None] @ \
+        f.evaluator.jacobian(f.params[members])
+    proj_sq = np.where(np.arange(members.shape[1]) < counts[:, None],
+                       np.einsum("swi,swi->sw", proj, proj), np.inf)
+    starts = []
+    for a in range(0, len(keep), im._SOLVE_ROWS[2]):
+        js = keep[a:a + im._SOLVE_ROWS[2]]
+        w = np.max(counts[js])
+        near = np.argmin(proj_sq[js, None, :w] - 2 * np.matmul(
+            nodes, np.swapaxes(proj[js, :w], 1, 2)), axis=2)
+        nearest = (js[:, None], near)
+        starts.append(f.params[members[nearest]] + reference_solve2(
+            etj[nearest], nodes - proj[nearest]))
+    return starts
+
+
+@pytest.mark.parametrize("name, params, samples, every, r", [
+    *[(*TORUS, samples, 1, 0.1) for samples in ("16x32", "32x64")],
+    (*TORUS, "64x64", 4, 0.1),
+    (*TORUS, "16x32", 1, 0.5),  # near-singular E^T J at the tube's sides
+    (*SPHERE, "24x12", 1, 0.2),
+])
+def test_flat_take_starts_equal_the_gathered_starts(name, params, samples,
+                                                    every, r, monkeypatch):
+    # the start takes each node's member scalars by one flat index and
+    # solves in components: the former gathers and stacked solve, byte for
+    # byte, at every node of every block (singular members included)
+    f = make_shape(name, params, samples)
+    f.evaluator.graph_heights = None
+    ids = list(range(0, len(f), every))
+    plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    calls, starts = [], []
+    component_patches = immersion_mod._component_patches
+    tangent_steps = immersion_mod._tangent_steps
+
+    def recording_components(*args):
+        calls.append(args)
+        return component_patches(*args)
+
+    def recording_starts(near, nodes):
+        starts.append(tangent_steps(near, nodes))
+        return starts[-1].copy()
+    monkeypatch.setattr(immersion_mod, "_component_patches",
+                        recording_components)
+    monkeypatch.setattr(immersion_mod, "_tangent_steps", recording_starts)
+    _block_patches(f, ids, plane_of, r)
+    want = [t for args in calls for t in reference_tangent_starts(*args)]
+    assert len(starts) == len(want) > 0
+    assert all(got.tobytes() == ref.tobytes()
+               for got, ref in zip(starts, want, strict=True))
+
+
 def test_torus_check_evaluation_budget(monkeypatch):
     # 1,455,776 node evaluations from tangent-step starts (3.57 per disk
     # node of the 512 patches), against 1,863,840 from the members
@@ -1075,12 +1156,30 @@ def test_torus_check_evaluation_budget(monkeypatch):
     assert count[0] <= 1_500_000
 
 
+def test_torus_check_traced_peak():
+    # the surface fill holds no per-node gathers, and frees each step's
+    # points and Jacobians before the next evaluation: the check of torus
+    # 16x32 at (0.1, 0.25) peaks at 16.0 MiB of traced allocations. The
+    # bound is 17.0 MiB, the peak of a fill with per-node gathers, + 0.25
+    f = make_shape(*TORUS, "16x32")
+    tracemalloc.start()
+    try:
+        check_r_lambda(f, 0.1, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.25 * 2 ** 20
+
+
 def test_diverged_surface_rows_are_evaluated_no_more(monkeypatch):
     # over best-fit planes of radius 0.1 (whose seeds lie on one tube
-    # circle) 256 rows of torus 16x32 cannot converge; a row fails at the
-    # step its parameters turn non-finite, so the evaluator never sees them
-    # (it warned of invalid values in cos and sin) and evaluates 8,672,896
-    # nodes instead of 9,182,976
+    # circle) 256 rows of torus 16x32 cannot converge: their plane holds
+    # the surface normal, and the first step throws their parameters to
+    # |t| ~ 1e13, where one unit in the last place moves a point by ~1e-3.
+    # Such a row fails at its next evaluation (1,212,976 node evaluations)
+    # instead of stepping 40 times until its parameters turn non-finite
+    # (8,672,896), and the evaluator never sees non-finite parameters (it
+    # warned of invalid values in cos and sin)
     f = make_shape(*TORUS, "16x32")
     ids = list(range(len(f)))
     planes = f.best_fit_planes(ids, 0.1)
@@ -1092,7 +1191,7 @@ def test_diverged_surface_rows_are_evaluated_no_more(monkeypatch):
     errors = [str(err) for _, err in outcomes if err is not None]
     assert len(errors) == 256
     assert all(e.startswith("grid fill did not converge") for e in errors)
-    assert count[0] <= 8_800_000
+    assert count[0] <= 1_250_000
 
 
 def dilated(f, s):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lipimm.errors import DimensionMismatchError, InputError, NonTransversalError
+from lipimm._util import halton
 from lipimm.immersion import delta, extract_graph_patch
 from lipimm.nets import build_net
 from lipimm.normals import constants, direction_field
@@ -211,6 +212,40 @@ def test_separation_full_radius(circle, pipeline):
     tf = chart_direction_field(field, 77)
     rep = separation_check(patch, tf, cb.gamma, 20000, rho=delta(3, 0.2, 0.25))
     assert rep.holds
+
+
+def reference_separation_ratio(patch, t_field, gamma, pairs, rho, seed=42):
+    """The least ratio of ``separation_check``, its distances normed by
+    np.linalg.norm."""
+    pts = halton(pairs, 2, offset=seed)
+    x, y = (2 * pts[:, 0] - 1) * rho, (2 * pts[:, 1] - 1) * rho
+    ux = np.interp(x, patch.x_nodes, patch.u[:, 0])
+    uy = np.interp(y, patch.x_nodes, patch.u[:, 0])
+    t_chart = (patch.isometry.rotation.T @ t_field.at(y).T).T
+    w = np.column_stack([x - y, ux - uy])
+    along = np.einsum("ij,ij->i", w, t_chart)
+    dist = np.linalg.norm(w - along[:, None] * t_chart, axis=1)
+    good = np.abs(x - y) > 1e-14
+    return float(np.min(dist[good] / np.abs(x - y)[good]))
+
+
+def test_probe_norms_are_numpys_two_component_norm(circle, pipeline):
+    # the separation and inclusion probes norm their (N, 2) rows as the
+    # squares summed in order: np.linalg.norm's reduce, bit for bit, in the
+    # least separation ratio of three charts, and on rows of every scale,
+    # the inclusion probe's 1e-10 hit bound among them
+    net, field, cb, params = pipeline
+    for j in (0, 77, 1024):
+        patch = net.patch(j)
+        tf = chart_direction_field(field, j)
+        rep = separation_check(patch, tf, cb.gamma, 20000, rho=params.rho)
+        assert rep.min_ratio == reference_separation_ratio(
+            patch, tf, cb.gamma, 20000, params.rho)
+    rng = np.random.default_rng(13)
+    for scale in (1e-300, 1e-12, 1e-10, 1e-6, 1.0, 1e6, 1e150):
+        v = rng.normal(size=(20_000, 2)) * scale
+        assert np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2).tobytes() == \
+            np.linalg.norm(v, axis=1).tobytes()
 
 
 def reference_segment_distances(p1, d1, p2, d2, eps1, eps2):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import lipimm.immersion as immersion_mod
@@ -41,6 +41,11 @@ SHAPES = {
        radius=st.floats(0.02, 0.2),
        tilt=st.floats(-0.3, 0.3),
        normal=st.floats(0.0, 2 * math.pi))
+# the rim node x = -0.2 lies where the corner arc meets the vertical side:
+# its residual is flat to 2e-13 across the bracket, and Newton and
+# bisection both reach a residual of 0.0 at parameters 3.2e-11 apart
+@example(name="rounded-rectangle", shape_param=0.0, samples=512, base=0.0,
+         radius=0.2, tilt=-1e-12, normal=0.0)
 def test_roots_match_a_long_bisection(name, shape_param, samples, base,
                                       radius, tilt, normal):
     # the chart nodes of one patch, over a line tilted off the tangent
@@ -80,7 +85,14 @@ def test_roots_match_a_long_bisection(name, shape_param, samples, base,
     straddle = r_lo * r_hi <= 0
     assert np.count_nonzero(straddle) >= 127  # at most the two rim nodes
     bound = 4e-15 * (1 + np.max(np.abs(f_q)))
-    assert np.max(np.abs(t - 0.5 * (ref_lo + ref_hi))[straddle]) <= bound
+    # a simple root, |r'| >= 1/16, is fixed to the bound: a unit in the last
+    # place of 1 + |f_q| in the residual moves it by less.  Where the
+    # residual is flatter the floats fix no root that closely, and the
+    # residual at the root is held to what a slope of 1/16 gives instead
+    r_t, slope = residual_slope(t)
+    simple = straddle & (np.abs(slope) >= 1 / 16)
+    assert np.max(np.abs(t - 0.5 * (ref_lo + ref_hi))[simple]) <= bound
+    assert np.max(np.abs(r_t)[straddle & ~simple], initial=0.0) <= bound / 16
 
 
 def test_a_bracket_end_that_is_a_root_stays_the_root():
@@ -182,7 +194,8 @@ def reference_halton(count, dim, offset=0):
 
 @pytest.mark.parametrize("count, dim, offset", [
     (100_000, 2, 0), (10_000, 3, 42), (20_000, 2, 7), (1_000, 3, 999),
-    (7, 2, 0), (100_000, 10, 5), (0, 2, 3), (1, 1, 0)])
+    (7, 2, 0), (100_000, 10, 5), (0, 2, 3), (1, 1, 0),
+    (1_000, 3, 2 ** 32 - 500), (100, 2, 2 ** 40 + 3)])
 def test_halton_matches_the_integer_digit_loop(count, dim, offset):
     assert halton(count, dim, offset=offset).tobytes() == \
         reference_halton(count, dim, offset).tobytes()
