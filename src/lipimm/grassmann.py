@@ -117,7 +117,7 @@ class SpherePointSet:
 def _check_orthonormal(frames: np.ndarray):
     """Raise unless every (n, k) frame in the stack has orthonormal columns."""
     gram = np.swapaxes(frames, -1, -2) @ frames
-    if np.max(np.abs(gram - np.eye(frames.shape[-1]))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(frames.shape[-1])), initial=0.0) > 1e-10:
         raise DegenerateFrameError("frame columns are not orthonormal")
 
 
@@ -370,21 +370,3 @@ def _padded_rows(vectors, sets, counts):
 def hausdorff_distance(a: SpherePointSet, b: SpherePointSet) -> float:
     """Hausdorff distance of finite sphere point sets under the angular metric."""
     return hausdorff_of(sphere_angle_matrix(a.points, b.points))
-
-
-def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Uniform-ish random point of G_{n,k} from a Gaussian matrix."""
-    return orthonormalize(rng.standard_normal((n, k)))
-
-
-def random_tangent(base: Subspace, rng: np.random.Generator,
-                   norm: float | None = None) -> GrassmannTangent:
-    """Random tangent at ``base``, optionally rescaled to a given norm."""
-    raw = rng.standard_normal(base.frame.shape)
-    delta = raw - base.frame @ (base.frame.T @ raw)
-    if norm is not None:
-        d = np.linalg.norm(delta)
-        if d < 1e-15:
-            raise DegenerateFrameError("degenerate random tangent")
-        delta = delta * (norm / d)
-    return GrassmannTangent(base, delta)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +46,6 @@ _PASS_ROWS = 256
 # (row, id) keys of a block of rows in one stacked mesh traversal, which
 # bounds its (rows * N) seen flags to 1 MB
 _MESH_KEYS = 2 ** 20
-# failures that fail one sample of a check; any other error aborts the check
-_SAMPLE_ERRORS = (NotAGraphError, InsufficientSamplingError, InputError)
 COINCIDENCE_TOL = 1e-9  # distinct points closer than this in R^n coincide
 # largest |<f(t) - f(q), e> - x| of a chart node's root, in sample spacings
 CURVE_RESIDUAL_SPACINGS = 1e-7
@@ -247,36 +245,34 @@ class SampledImmersion:
         frames = np.asarray(frames, dtype=float)
         return orthonormalize_all(frames.reshape(len(ids), self.n, self.m))
 
-    def best_fit_plane(self, q: int, radius: float) -> Subspace:
-        return self.best_fit_planes([q], radius)[0]
-
-    def best_fit_planes(self, ids, radius: float) -> list[Subspace]:
-        """Principal m-planes of the local patch members within ``radius``
-        at the samples ``ids``, in passes over blocks of rows.
+    def best_fit_planes(self, ids, radius: float) -> list[tuple]:
+        """(plane, error) at the samples ``ids``, in passes over blocks of
+        rows: the principal m-plane of the patch members within ``radius``.
 
         The samples within 2 ``radius`` of f(q) (``_ball_blocks``) seed the
         plane at q, and the component U_{radius,q} over it refines it.
-        Frames are sign-canonicalized so the result is deterministic.  The
-        first id whose seed ball holds at most m samples raises.
+        Frames are sign-canonicalized so the result is deterministic.  A
+        seed ball with at most m samples gives its sample an
+        InsufficientSamplingError; the others take the same stacked SVDs.
         """
         ids = _checked_ids(self, ids)
-        frames = np.empty((len(ids), self.n, self.m))
+        outcomes = []
         for a, ptr, seeds in _ball_blocks(self.positions, ids, 2.0 * radius):
             counts = np.diff(ptr)
-            thin = counts <= self.m
-            if np.any(thin):
-                raise InsufficientSamplingError(
-                    f"not enough samples near {ids[a + np.argmax(thin)]} "
-                    "for a best-fit plane")
-            qs = ids[a:a + len(counts)]
-            plane = _principal_frames(self, qs, seeds, ptr, counts)
+            rows = np.flatnonzero(counts > self.m)
+            qs = ids[a + rows]
+            plane = _principal_frames(self, qs, seeds, ptr[rows], counts[rows])
             members, size = _padded_components(self, qs, plane, radius)
             refine = np.nonzero(size > self.m)[0]
             plane[refine] = _principal_frames(
                 self, qs[refine], members.reshape(-1),
                 refine * members.shape[1], size[refine])
-            frames[a:a + len(counts)] = plane
-        return [unchecked(Subspace, frame=frame) for frame in frames]
+            planes, block = iter(plane), ids[a:a + len(counts)].tolist()
+            outcomes += [(unchecked(Subspace, frame=next(planes)), None)
+                         if c > self.m else (None, InsufficientSamplingError(
+                             f"not enough samples near {q} for a best-fit "
+                             "plane")) for q, c in zip(block, counts.tolist())]
+        return outcomes
 
 
 def _checked_ids(f, ids):
@@ -299,8 +295,6 @@ def _principal_frames(f, bases, flat, starts, counts):
                - f.positions[bases[rows], None])
         raw[rows] = np.swapaxes(
             np.linalg.svd(rel, full_matrices=False)[2][:, :f.m], 1, 2)
-    if not len(raw):
-        return raw
     # canonical sign: the dominant entry of every column positive
     lead = np.take_along_axis(raw, np.argmax(np.abs(raw), axis=1)[:, None], 1)
     return _orthonormal_frames(np.where(lead < 0, -raw, raw))
@@ -412,8 +406,8 @@ def _padded_components(f, bases, frames, rho):
     """U_{rho,q} of every base q over its frame in the (S, n, m) ``frames``,
     padded with q to an (S, W) id array, and the (S,) member counts."""
     comps = [ladder[0] for ladder in component_ladders(f, bases, frames, [rho])]
-    counts = np.array([len(c) for c in comps])
-    ids = np.repeat(bases[:, None], np.max(counts), axis=1)
+    counts = np.array([len(c) for c in comps], dtype=int)
+    ids = np.repeat(bases[:, None], np.max(counts, initial=1), axis=1)
     for row, comp in zip(ids, comps):
         row[:len(comp)] = comp
     return ids, counts
@@ -572,7 +566,6 @@ class GraphPatch:
     lambda_measured: float
     member_samples: np.ndarray
     member_proj: np.ndarray
-    member_heights: np.ndarray
     m: int
     k: int
     grid_step: float
@@ -590,13 +583,6 @@ class GraphPatch:
                             for j in range(self.k)], axis=-1)
             return out if x.ndim else out[0]
         return _bilinear(self.x_nodes, self.u, np.atleast_2d(x))
-
-    def du_at(self, x) -> np.ndarray:
-        if self.m != 1:
-            raise NotImplementedError("du_at is provided for curves only")
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.stack([np.interp(xs, self.x_nodes, self._du[:, j])
-                         for j in range(self.k)], axis=-1)
 
     def ambient(self, x) -> np.ndarray:
         """Map chart coordinates to R^n points on the graph."""
@@ -858,18 +844,15 @@ def _tangent_steps(near, nodes):
         near, (nodes[:, 0] - near[4], nodes[:, 1] - near[5]))
 
 
-def _block_patches(f, ids, plane_of, r):
+def _block_patches(f, ids, plane_outcomes, r):
     """(patch, error) at every sample of ``ids``, the error being what
-    ``extract_graph_patch`` raises there, over the planes ``plane_of(q)``:
-    one ``_padded_components`` pass and one ``_component_patches`` build
-    per block of ``_PASS_ROWS`` samples with a plane."""
-    outcomes, rows, planes = [None] * len(ids), [], []
-    for i, q in enumerate(ids):
-        try:
-            planes.append(plane_of(q))
-            rows.append(i)
-        except _SAMPLE_ERRORS as exc:
-            outcomes[i] = (None, exc)
+    ``extract_graph_patch`` raises there, over the (plane, error)
+    ``plane_outcomes`` of ``planes_for``: a sample without a plane keeps
+    its plane's error, and the others take one ``_padded_components`` pass
+    and one ``_component_patches`` build per block of ``_PASS_ROWS``."""
+    outcomes = [(None, err) for _, err in plane_outcomes]
+    rows = [i for i, (_, err) in enumerate(plane_outcomes) if err is None]
+    planes = [plane_outcomes[i][0] for i in rows]
     bases = _checked_ids(f, [ids[i] for i in rows])
     for a in range(0, len(rows), _PASS_ROWS):
         block = slice(a, a + _PASS_ROWS)
@@ -931,7 +914,6 @@ def _component_patches(f, bases, planes, members, counts, r):
         return outcomes
     isometries = EuclideanIsometry.embeddings(f_q[keep], frames[keep])
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
-    heights = rel[keep] @ n_frames
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
     stops = _fill_stops(f_q)
     # rows are independent; blocks of rows keep the fill's arrays in cache
@@ -991,8 +973,8 @@ def _component_patches(f, bases, planes, members, counts, r):
             # copies: views would keep the block's padded arrays alive
             patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
                                float(lams[s]), members[j, :c].copy(),
-                               proj[j, :c].copy(), heights[i, :c].copy(),
-                               m, k, step, mask=valid if m == 2 else None)
+                               proj[j, :c].copy(), m, k, step,
+                               mask=valid if m == 2 else None)
             patch._du = du[s]
             outcomes[j] = (patch, None)
     return outcomes
@@ -1148,21 +1130,33 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
     return patch
 
 
-def plane_for(f: SampledImmersion, q: int, rule, r: float,
-              lam: float) -> Subspace:
-    """The plane at sample q under a rule of ``PLANE_RULES``."""
-    return planes_for(f, [q], rule, r, lam)[0]
-
-
 def planes_for(f: SampledImmersion, ids, rule, r: float,
-               lam: float) -> list[Subspace]:
-    """The planes at sample ids under a rule of ``PLANE_RULES``, resolved in
-    one pass; raises for the first id that has none."""
-    if rule == "tangent":
-        return f.tangent_planes(ids)
-    if rule == "best-fit":
-        return f.best_fit_planes(ids, delta(1, r, lam))
-    raise InputError(f"unknown plane rule {rule!r}")
+               lam: float) -> list[tuple]:
+    """(plane, error) at sample ids under a rule of ``PLANE_RULES``,
+    resolved in one pass.  An id out of range, or the tangent rule without
+    an evaluator, gives an InputError; a thin best-fit seed ball an
+    InsufficientSamplingError."""
+    if rule not in PLANE_RULES:
+        raise InputError(f"unknown plane rule {rule!r}")
+    ids = np.asarray(ids, dtype=int).reshape(-1)
+    if rule == "tangent" and (f.evaluator is None or f.params is None):
+        return [(None, InputError("tangent rule needs an analytic "
+                                  "evaluator"))] * len(ids)
+    inside = (ids >= 0) & (ids < len(f))
+    found = iter(f.best_fit_planes(ids[inside], delta(1, r, lam))
+                 if rule == "best-fit" else
+                 [(plane, None) for plane in f.tangent_planes(ids[inside])])
+    return [next(found) if ok else (None, InputError(
+        f"sample id {q} out of range"))
+        for q, ok in zip(ids.tolist(), inside.tolist())]
+
+
+def planes_of(outcomes) -> list[Subspace]:
+    """The planes of (plane, error) outcomes; raises the first error."""
+    for _, err in outcomes:
+        if err is not None:
+            raise err
+    return [plane for plane, _ in outcomes]
 
 
 @dataclass
@@ -1192,19 +1186,15 @@ def _store_key(r, lam, plane_rule):
 def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
                   plane_rule) -> list[GraphPatch]:
     """The patches at sample ids from f's patch store, one per sample and
-    ``_store_key``; the misses take one ``_block_patches`` pass, over planes
-    resolved in one pass, or plane by plane if one fails.  The first failure
-    in ``ids`` order is raised with its type and a ``sample {q}:`` prefix."""
+    ``_store_key``; the misses take one ``_block_patches`` pass over the
+    outcomes of one ``planes_for`` pass, so a sample without a plane fails
+    alone.  The first failure in ``ids`` order is raised with its type and
+    a ``sample {q}:`` prefix."""
     store = f._patch_store.setdefault(_store_key(r, lam, plane_rule), {})
     missing = [q for q in dict.fromkeys(ids) if q not in store]
     if missing:
-        plane_of = partial(plane_for, f, rule=plane_rule, r=r, lam=lam)
-        try:  # one pass, else plane by plane: a failing sample fails alone
-            plane_of = dict(zip(missing, planes_for(
-                f, missing, plane_rule, r, lam))).__getitem__
-        except _SAMPLE_ERRORS:
-            pass
-        store.update(zip(missing, _block_patches(f, missing, plane_of, r)))
+        store.update(zip(missing, _block_patches(f, missing, planes_for(
+            f, missing, plane_rule, r, lam), r)))
     for q in ids:
         if store[q][1] is not None:
             raise type(store[q][1])(f"sample {q}: {store[q][1]}")
@@ -1271,8 +1261,8 @@ def check_r_lambda_function(f: SampledImmersion, r: float,
     quotient infinite.  After ``best_fit_planes``, each block of rows takes
     one component pass and one quotient pass.
     """
-    frames = np.stack([plane.frame for plane in
-                       f.best_fit_planes(range(len(f)), delta(1, r, lam))])
+    frames = np.stack([plane.frame for plane in planes_of(
+        f.best_fit_planes(range(len(f)), delta(1, r, lam)))])
     normals = complement_frames(frames)
     quotients = np.zeros(len(f))
     violations = []

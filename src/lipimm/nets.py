@@ -26,6 +26,7 @@ from .immersion import (
     graph_patches,
     passes_stored_check,
     planes_for,
+    planes_of,
 )
 
 
@@ -145,12 +146,6 @@ class DeltaNet:
                 [[j]] + [cover[p] for p in self.member_sets[j][iota]]))
         return self._z_cache[key]
 
-    def z_of_point(self, p: int) -> np.ndarray:
-        """Net indices k with sample p in U_{delta_2, q_k}."""
-        if not 0 <= p < len(self.f):
-            raise InputError(f"sample id {p} out of range")
-        return self.cover_index(2)[p]
-
     def to_json(self, *, z_iotas=()) -> str:
         payload = {
             "level": self.level,
@@ -184,7 +179,7 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
         planes = [patch.plane for patch in graph_patches(f, ids, r, lam,
                                                          plane_rule)]
     else:
-        planes = planes_for(f, ids, plane_rule, r, lam)
+        planes = planes_of(planes_for(f, ids, plane_rule, r, lam))
     frames = np.stack([plane.frame for plane in planes])
     radii = [delta(iota, r, lam) for iota in range(level + 2)]
     if f._id_cycle:  # the picks from the runs U_{delta_level, q}, then ladders
@@ -228,7 +223,7 @@ def _cycle_picks(start, length, n):
 def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
                     points, plane_rule="tangent") -> DeltaNet:
     """Rebuild a net from serialized point ids (no greedy pass)."""
-    planes = planes_for(f, [int(q) for q in points], plane_rule, r, lam)
+    planes = planes_of(planes_for(f, points, plane_rule, r, lam))
     net = _net_on(f, r, lam, level, points, planes, plane_rule)
     _assert_separation(net)
     return net

@@ -39,6 +39,7 @@ from .immersion import (
     _bilinear,
     _csr_rows,
     planes_for,
+    planes_of,
 )
 from .nets import DeltaNet, _net_on
 
@@ -190,9 +191,6 @@ class PatchNormalField:
         """Unit normals at member samples: a one-chart ``chart_normals``."""
         return chart_normals([self.patch], [sample_ids])[0]
 
-    def at_center(self) -> np.ndarray:
-        return self.at(np.zeros(self.patch.m))[0]
-
 
 def chart_normals(patches, sample_ids):
     """The unit normals nu_j of every chart j = ``patches[j]`` at its member
@@ -291,11 +289,6 @@ def _inpaint(grid):
 def unit_normal_patch(patch: GraphPatch) -> PatchNormalField:
     """Continuous, deterministically signed unit normal over a patch."""
     return PatchNormalField(patch)
-
-
-def normal_space(f: SampledImmersion, q: int) -> Subspace:
-    """The normal k-space of the immersion at sample q."""
-    return f.tangent_plane(q).complement()
 
 
 def normal_sign_alignment(f: SampledImmersion, net: DeltaNet, j: int, k: int) -> int:
@@ -494,8 +487,8 @@ def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
     if len(f_other) != len(net.f):
         raise DimensionMismatchError(
             "companion immersion must share the sample grid")
-    ids = [int(q) for q in net.points]
-    planes = planes_for(f_other, ids, net.plane_rule, net.r, net.lam)
+    planes = planes_of(planes_for(f_other, net.points, net.plane_rule, net.r,
+                                  net.lam))
     return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
                    net.plane_rule)
 

@@ -4,6 +4,27 @@ import sys
 import numpy as np
 import pytest
 
+from lipimm.errors import DegenerateFrameError
+from lipimm.grassmann import GrassmannTangent, Subspace, orthonormalize
+
+
+def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
+    """Uniform-ish random point of G_{n,k} from a Gaussian matrix."""
+    return orthonormalize(rng.standard_normal((n, k)))
+
+
+def random_tangent(base: Subspace, rng: np.random.Generator,
+                   norm: float | None = None) -> GrassmannTangent:
+    """Random tangent at ``base``, optionally rescaled to a given norm."""
+    raw = rng.standard_normal(base.frame.shape)
+    delta = raw - base.frame @ (base.frame.T @ raw)
+    if norm is not None:
+        d = np.linalg.norm(delta)
+        if d < 1e-15:
+            raise DegenerateFrameError("degenerate random tangent")
+        delta = delta * (norm / d)
+    return GrassmannTangent(base, delta)
+
 
 class CallCounter:
     """Counts the calls of the functions it has wrapped and, where a wrap

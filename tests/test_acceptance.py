@@ -12,6 +12,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import random_subspace, random_tangent
+
 from lipimm.correspond import (
     build_correspondence,
     convergence_harness,
@@ -24,8 +26,6 @@ from lipimm.grassmann import (
     geodesic_distance,
     log_map,
     orthonormalize,
-    random_subspace,
-    random_tangent,
 )
 from lipimm.immersion import check_r_lambda, delta
 from lipimm.karcher import (

@@ -354,7 +354,7 @@ def test_transfer_net_keeps_the_plane_rule():
     moved = transfer_net(net, target)
     assert moved.plane_rule == "best-fit"
     for q, plane in zip(moved.points, moved.planes):
-        best_fit = target.best_fit_plane(int(q), net.delta(1))
+        [(best_fit, _)] = target.best_fit_planes([int(q)], net.delta(1))
         assert np.array_equal(plane.frame, best_fit.frame)
     # charts on matching planes move by about the 0.001 radius change;
     # tangent target planes against best-fit source planes read ~500
@@ -368,8 +368,8 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     built = {}
     real = immersion_mod._block_patches
 
-    def recording(shape, ids, plane_of, r):
-        outcomes = real(shape, ids, plane_of, r)
+    def recording(shape, ids, plane_outcomes, r):
+        outcomes = real(shape, ids, plane_outcomes, r)
         built.update({(id(shape), q): patch
                       for q, (patch, _) in zip(ids, outcomes)})
         return outcomes
@@ -474,7 +474,7 @@ def test_limit_graph_sandwich_property():
     from lipimm.immersion import q_component
     for rho in (0.1, 0.15, 0.2):
         for q in (0, 341, 682):
-            plane = limit.best_fit_plane(q, 0.05)
+            [(plane, _)] = limit.best_fit_planes([q], 0.05)
             members = q_component(limit, q, plane, rho)
             proj = np.sort(
                 (limit.positions[members] - limit.positions[q]) @ plane.frame[:, 0])

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_subspace, random_tangent
+
 import lipimm
 
 from lipimm.errors import CutLocusError, DegenerateFrameError, DimensionMismatchError
@@ -23,8 +25,6 @@ from lipimm.grassmann import (
     orthonormalize,
     principal_angles,
     principal_angles_all,
-    random_subspace,
-    random_tangent,
     sphere_angle,
 )
 

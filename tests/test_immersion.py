@@ -17,7 +17,7 @@ from lipimm.errors import (
     NotAGraphError,
 )
 from lipimm._util import bracketed_newton, rounding_floor
-from lipimm.grassmann import Subspace, orthonormalize, random_subspace
+from lipimm.grassmann import Subspace, orthonormalize
 from lipimm.immersion import (
     PLANE_RULES,
     CheckReport,
@@ -33,12 +33,14 @@ from lipimm.immersion import (
     extract_graph_patch,
     graph_system_distance,
     patch_intersection_check,
-    plane_for,
     planes_for,
+    planes_of,
     q_component,
     q_components,
 )
 from lipimm.shapes import Evaluator, immersion_from_points, make_shape
+
+from conftest import random_subspace
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +204,8 @@ def test_component_ladder_ends(name):
     f = component_shape(name)
     for q in (0, len(f) - 1):
         plane = (f.tangent_plane(q) if f.evaluator is not None
-                 else f.best_fit_plane(q, 4 * f.sample_spacing))
+                 else planes_of(f.best_fit_planes(
+                     [q], 4 * f.sample_spacing))[0])
         nearest = np.min(np.linalg.norm(
             (f.positions[f.neighbors(q)] - f.positions[q]) @ plane.frame, axis=1))
         diameter = np.max(np.linalg.norm(f.positions - f.positions[q], axis=1))
@@ -298,7 +301,7 @@ def test_stacked_mesh_traversal_matches_the_per_row_bfs(name, lipimm_calls):
     f = mesh_shape(name)
     ids = np.arange(len(f))
     planes = (f.tangent_planes(ids) if f.evaluator is not None
-              else f.best_fit_planes(ids, 0.3))
+              else planes_of(f.best_fit_planes(ids, 0.3)))
     frames = np.stack([plane.frame for plane in planes])
     blocks = lipimm_calls(immersion_mod._mesh_components)
     for radii in MESH_RADII:
@@ -399,7 +402,8 @@ def test_patch_center_and_tangent_conditions(circle):
     patch = extract_graph_patch(circle, 5, circle.tangent_plane(5), 0.2)
     center = len(patch.x_nodes) // 2
     assert abs(patch.u[center, 0]) < 1e-9
-    assert np.linalg.norm(patch.du_at(0.0)) < 1e-6  # Du(0) = 0 over the tangent
+    # Du(0) = 0 over the tangent
+    assert np.linalg.norm(np.interp(0.0, patch.x_nodes, patch._du[:, 0])) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +487,8 @@ def test_batched_check_matches_single_patches(name, params):
     for rule in PLANE_RULES:
         report = check_r_lambda(shape, 0.1, 1.0, rule, sample_ids=ids)
         # the batched solve as check_r_lambda calls it under each rule
-        if rule == "tangent":
-            plane_of = dict(zip(ids, shape.tangent_planes(ids))).__getitem__
-        else:
-            def plane_of(q):
-                return plane_for(shape, q, rule, 0.1, 1.0)
-        outcomes = _block_patches(shape, ids, plane_of, 0.1)
+        outcomes = _block_patches(shape, ids,
+                                  planes_for(shape, ids, rule, 0.1, 1.0), 0.1)
         for q, (batched, err) in zip(ids, outcomes):
             assert err is None
             single = extract_graph_patch(shape, q, batched.plane, 0.1)
@@ -508,8 +508,7 @@ def test_batched_check_matches_single_patches(name, params):
                     (batched.u, single.u),
                     (batched._du, single._du),
                     (batched.member_samples, single.member_samples),
-                    (batched.member_proj, single.member_proj),
-                    (batched.member_heights, single.member_heights)]:
+                    (batched.member_proj, single.member_proj)]:
                 assert a.shape == b.shape and np.array_equal(a, b)
 
 
@@ -720,7 +719,7 @@ def reference_lambda_on_grid(u, valid, step, m):
     return lam, ds[0] if m == 1 else np.stack(ds, axis=-1)
 
 
-def reference_patches(f, ids, plane_of, r):
+def reference_patches(f, ids, plane_outcomes, r):
     """The former ``_block_patches``: plane, component, fold scan and
     brackets sample by sample, surface fills from each node's nearest
     member, then the same batched solve and the former slope scan."""
@@ -731,16 +730,18 @@ def reference_patches(f, ids, plane_of, r):
     valid = in_disk.reshape((len(axis),) * m)
     outcomes = [None] * len(ids)
     rows = []
-    for i, q in enumerate(ids):
+    for i, (q, (plane, err)) in enumerate(zip(ids, plane_outcomes)):
+        if err is not None:
+            outcomes[i] = (None, err)
+            continue
         try:
-            plane = plane_of(q)
             members = q_component(f, q, plane, r)
             proj = (f.positions[members] - f.positions[q]) @ plane.frame
             if len(members) > 1:
                 reference_fold(proj, f.positions[members], step, q, members)
             rows.append((i, q, plane, members, proj, None if m == 2 else
                          reference_brackets(f, q, members, proj, nodes[:, 0])))
-        except im._SAMPLE_ERRORS as exc:
+        except (NotAGraphError, InsufficientSamplingError, InputError) as exc:
             outcomes[i] = (None, exc)
     if not rows:
         return outcomes
@@ -792,31 +793,27 @@ def reference_patches(f, ids, plane_of, r):
                 outcomes[index[j]] = (None, NotAGraphError(
                     f"patch at {q} does not pass through f(q)"))
             else:
-                heights = (f.positions[members[j]] - f_q[j]) @ n_frames[j]
                 patch = im.GraphPatch(q, planes[j], isometries[j], r, axis,
                                       u[s], float(lams[s]), members[j],
-                                      projs[j], heights, m, k, step,
+                                      projs[j], m, k, step,
                                       mask=valid if m == 2 else None)
                 patch._du = du[s]
                 outcomes[index[j]] = (patch, None)
     return outcomes
 
 
-def plane_lookup(f, ids, rule, r, lam=0.25):
-    """The planes at ``ids`` as ``graph_patches`` resolves them."""
-    if rule == "tangent":
-        return dict(zip(ids, f.tangent_planes(ids))).__getitem__
-    try:
-        return dict(zip(ids, f.best_fit_planes(ids, delta(1, r, lam)))).__getitem__
-    except InsufficientSamplingError:
-        return functools.partial(plane_for, f, rule=rule, r=r, lam=lam)
-
-
-def assert_same_outcomes(f, ids, plane_of, r):
+def assert_same_outcomes(f, ids, plane_outcomes, r):
     """``_block_patches`` equals the per-sample reference bit for bit,
     and names the same error; returns the errors."""
-    got = _block_patches(f, ids, plane_of, r)
-    want = reference_patches(f, ids, plane_of, r)
+    got = _block_patches(f, ids, plane_outcomes, r)
+    assert_same_patch_outcomes(got, reference_patches(f, ids, plane_outcomes,
+                                                      r))
+    return [err for _, err in got if err is not None]
+
+
+def assert_same_patch_outcomes(got, want):
+    """(patch, error) outcomes agree in every patch field, byte for byte,
+    and in every error's type and message."""
     for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
         assert (type(err), str(err)) == (type(ref_err), str(ref_err))
         if ref is None:
@@ -832,12 +829,10 @@ def assert_same_outcomes(f, ids, plane_of, r):
                      (patch._du, ref._du),
                      (patch.member_samples, ref.member_samples),
                      (patch.member_proj, ref.member_proj),
-                     (patch.member_heights, ref.member_heights),
                      (patch.mask, ref.mask)]:
             a, b = np.asarray(a), np.asarray(b)
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype,
                                                        b.tobytes())
-    return [err for _, err in got if err is not None]
 
 
 @pytest.mark.parametrize("rule", PLANE_RULES)
@@ -855,7 +850,7 @@ def test_block_setup_matches_the_per_sample_loop(name, params, samples, r,
                                                  rule):
     f = make_shape(name, params, samples)
     ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
-    assert_same_outcomes(f, ids, plane_lookup(f, ids, rule, r), r)
+    assert_same_outcomes(f, ids, planes_for(f, ids, rule, r, 0.25), r)
 
 
 def reference_curve_brackets(f, bases, members, counts, proj, x_nodes):
@@ -929,13 +924,12 @@ def test_bracket_ends_fill_as_the_bracket_pairs(name, params, r, rule):
     # the points at the roots evaluated again: the same bytes, on rising
     # and falling rows and on brackets past the outermost members
     f = make_shape(name, params, 512)
-    plane_of = plane_lookup(f, list(range(len(f))), rule, r)
-    planes = {}
-    for q in range(len(f)):
-        try:
-            planes[q] = plane_of(q).frame
-        except InsufficientSamplingError:  # too few seeds for a best fit
-            pass
+    outcomes = planes_for(f, list(range(len(f))), rule, r, 0.25)
+    planes = {q: plane.frame for q, (plane, err) in enumerate(outcomes)
+              if err is None}
+    # too few seeds for a best fit
+    assert all(isinstance(err, InsufficientSamplingError)
+               for _, err in outcomes if err is not None)
     bases = np.array(sorted(planes))
     frames = np.stack([planes[q] for q in bases.tolist()])
     members, counts = _padded_components(f, bases, frames, r)
@@ -1050,13 +1044,13 @@ def test_tangent_step_starts_keep_every_outcome(name, params, samples,
     f = make_shape(name, params, samples)
     f.evaluator.graph_heights = None
     ids = list(range(0, len(f), every))
-    plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    planes = planes_for(f, ids, "tangent", r, 0.25)
     count = node_evaluations(f.evaluator, monkeypatch)
-    got = _block_patches(f, ids, plane_of, r)
+    got = _block_patches(f, ids, planes, r)
     tangent_count, count[0] = count[0], 0
     monkeypatch.setattr(immersion_mod, "_tangent_steps",  # at the member
                         lambda near, nodes: np.moveaxis(near[6:], 0, -1).copy())
-    want = _block_patches(f, ids, plane_of, r)
+    want = _block_patches(f, ids, planes, r)
     assert count[0] > tangent_count
     if (name, samples, r) == ("torus", "16x32", 0.1):
         # the check's 1,455,776 and 1,863,840, less its 512 plane evaluations
@@ -1125,7 +1119,7 @@ def test_flat_take_starts_equal_the_gathered_starts(name, params, samples,
     f = make_shape(name, params, samples)
     f.evaluator.graph_heights = None
     ids = list(range(0, len(f), every))
-    plane_of = dict(zip(ids, f.tangent_planes(ids))).__getitem__
+    planes = planes_for(f, ids, "tangent", r, 0.25)
     calls, starts = [], []
     component_patches = immersion_mod._component_patches
     tangent_steps = immersion_mod._tangent_steps
@@ -1140,7 +1134,7 @@ def test_flat_take_starts_equal_the_gathered_starts(name, params, samples,
     monkeypatch.setattr(immersion_mod, "_component_patches",
                         recording_components)
     monkeypatch.setattr(immersion_mod, "_tangent_steps", recording_starts)
-    _block_patches(f, ids, plane_of, r)
+    _block_patches(f, ids, planes, r)
     want = [t for args in calls for t in reference_tangent_starts(*args)]
     assert len(starts) == len(want) > 0
     assert all(got.tobytes() == ref.tobytes()
@@ -1186,8 +1180,7 @@ def test_diverged_surface_rows_are_evaluated_no_more(monkeypatch):
     count = node_evaluations(f.evaluator, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = immersion_mod._block_patches(f, ids, planes.__getitem__,
-                                                0.1)
+        outcomes = immersion_mod._block_patches(f, ids, planes, 0.1)
     errors = [str(err) for _, err in outcomes if err is not None]
     assert len(errors) == 256
     assert all(e.startswith("grid fill did not converge") for e in errors)
@@ -1241,8 +1234,9 @@ def test_block_setup_names_each_samples_first_error(gapped_circle):
             (twice, None, 0.2), (gapped, None, 0.2)]:
         ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
         for rule in PLANE_RULES if plane_of is None else ["given"]:
-            errors += assert_same_outcomes(
-                f, ids, plane_of or plane_lookup(f, ids, rule, r), r)
+            planes = planes_for(f, ids, rule, r, 0.25) if plane_of is None \
+                else [(plane_of(q), None) for q in ids]
+            errors += assert_same_outcomes(f, ids, planes, r)
     kinds = {str(err).split(" sample")[0] for err in errors}
     assert kinds == {"projection folds near",
                      "projection is not monotone along the component of",
@@ -1322,7 +1316,7 @@ def raw_fill_errors(f, r, every, rule):
     raw copy, both over the plane f resolves there."""
     raw, ids = raw_copy(f), list(range(0, len(f), every))
     slopes, heights = [], []
-    for q, plane in zip(ids, planes_for(f, ids, rule, r, 0.25)):
+    for q, plane in zip(ids, planes_of(planes_for(f, ids, rule, r, 0.25))):
         exact, pl = (extract_graph_patch(g, q, plane, r) for g in (f, raw))
         assert np.array_equal(np.isnan(exact.u), np.isnan(pl.u))
         slopes.append(abs(exact.lambda_measured - pl.lambda_measured))
@@ -1427,6 +1421,41 @@ def test_tangent_patches_do_not_depend_on_lambda(lipimm_calls):
     for lam in (0.25, 0.5):
         check_r_lambda(shared, 0.2, lam, "best-fit")
     assert builds.calls == 3
+
+
+def test_plane_errors_keep_their_sample_prefix():
+    # a sample without a plane fails alone, named as every failure of the
+    # check is named
+    circle = make_shape("circle", {"radius": 1.0}, 256)
+    with pytest.raises(InputError) as info:
+        check_r_lambda(raw_copy(circle), 0.2, 0.25)
+    assert str(info.value) == \
+        "sample 0: tangent rule needs an analytic evaluator"
+    with pytest.raises(InputError) as info:
+        check_r_lambda(circle, 0.2, 0.25, sample_ids=[300])
+    assert str(info.value) == "sample 300: sample id 300 out of range"
+
+
+def test_one_plane_pass_fails_thin_seed_balls_alone(lipimm_calls):
+    # best-fit planes at (0.1, 0.25) on sphere 48x24: 818 of the 1,106
+    # seed balls hold at most 2 samples.  One plane pass gives those
+    # samples their error and the others their planes, and every stored
+    # outcome is that of the sample's plane resolved alone
+    f = make_shape(*SPHERE, "48x24")
+    balls = lipimm_calls(immersion_mod._ball_blocks)
+    for _ in range(2):  # the second check reads the store
+        with pytest.raises(InsufficientSamplingError) as info:
+            check_r_lambda(f, 0.1, 0.25, "best-fit")
+        assert str(info.value) == \
+            "sample 0: not enough samples near 0 for a best-fit plane"
+    assert balls.calls == 1
+    [store] = f._patch_store.values()
+    ids = list(range(len(f)))
+    alone = [planes_for(f, [q], "best-fit", 0.1, 0.25) for q in ids]
+    assert sum(err is None for [(_, err)] in alone) == 288
+    assert_same_patch_outcomes(
+        [store[q] for q in ids],
+        [_block_patches(f, [q], plane, 0.1)[0] for q, plane in zip(ids, alone)])
 
 
 # ---------------------------------------------------------------------------
@@ -1578,16 +1607,16 @@ def test_function_check_matches_the_pairwise_reference(index):
 def test_best_fit_planes_match_the_sample_by_sample_planes(name, params,
                                                            samples):
     # the stacked pass (grid-hash seed balls, SVDs grouped by member count,
-    # window components) gives every frame bit for bit, and the one-row view
-    # raises what the reference raises
+    # window components) gives every frame bit for bit, and a one-row pass
+    # gives the error the reference raises
     f = make_shape(name, params, samples)
     for radius in (2 * f.sample_spacing, 8 * f.sample_spacing):
-        planes = f.best_fit_planes(range(len(f)), radius)
+        planes = planes_of(f.best_fit_planes(range(len(f)), radius))
         for q, plane in enumerate(planes):
             assert np.array_equal(plane.frame,
                                   reference_best_fit_plane(f, q, radius).frame)
     with pytest.raises(InsufficientSamplingError, match="near 3 for"):
-        f.best_fit_plane(3, 1e-3 * f.sample_spacing)
+        planes_of(f.best_fit_planes([3], 1e-3 * f.sample_spacing))
 
 
 def _jittered(name, params, samples, seed):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_subspace, random_tangent
+
 from lipimm.errors import InadmissibleSupportError
 from lipimm.grassmann import (
     Subspace,
@@ -12,8 +14,6 @@ from lipimm.grassmann import (
     geodesic_distance,
     log_map,
     orthonormalize,
-    random_subspace,
-    random_tangent,
 )
 from lipimm.karcher import (
     DiracMixture,

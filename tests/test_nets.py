@@ -11,7 +11,8 @@ from lipimm.immersion import (
     check_r_lambda,
     delta,
     graph_patches,
-    plane_for,
+    planes_for,
+    planes_of,
     q_component,
 )
 from lipimm.nets import (
@@ -152,7 +153,7 @@ def test_z_iota0_full_when_radius_exceeds_diameter():
 def test_z_of_point_contains_own_chart(circle):
     net5 = build_net(circle, 0.2, 0.25, 5)
     for p in (0, 17, 2048):
-        z = net5.z_of_point(p)
+        z = net5.cover_index(2)[p]
         assert len(z) > 0
         assert int(net5.points[p]) == p  # degenerate level-5 net: all samples
         assert p in z
@@ -209,7 +210,7 @@ def _per_point_greedy(f, r, lam, level, plane_rule, verify):
     while not np.all(covered):
         q = int(np.argmin(covered))
         plane = (graph_patches(f, [q], r, lam, plane_rule)[0].plane if verify
-                 else plane_for(f, q, plane_rule, r, lam))
+                 else planes_of(planes_for(f, [q], plane_rule, r, lam))[0])
         ladder = [q_component(f, q, plane, delta(iota, r, lam))
                   for iota in range(level + 2)]
         points.append(q)

@@ -42,7 +42,6 @@ from lipimm.normals import (
     n_lipschitz_check,
     normal_measure,
     normal_sign_alignment,
-    normal_space,
     transfer_net,
     unit_normal_patch,
 )
@@ -227,8 +226,8 @@ def _flip_patch(patch):
         patch.base, patch.plane,
         EuclideanIsometry(-patch.isometry.rotation, patch.isometry.translation),
         patch.radius, patch.x_nodes, -patch.u[::-1], patch.lambda_measured,
-        patch.member_samples, -patch.member_proj, -patch.member_heights,
-        patch.m, patch.k, patch.grid_step)
+        patch.member_samples, -patch.member_proj, patch.m, patch.k,
+        patch.grid_step)
     flipped._du = patch._du[::-1]
     return flipped
 
@@ -302,7 +301,7 @@ def _reference_field(f, net):
     cutoff = make_cutoff(net.lam)
     patches = net.patches()
     w = np.stack([p.normal_frame()[:, 0] for p in patches])
-    nu_at_center = np.stack([unit_normal_patch(p).at_center()
+    nu_at_center = np.stack([unit_normal_patch(p).at(np.zeros(p.m))[0]
                              for p in patches])
     weights = {}
     t_global = np.zeros((len(f), f.n))
@@ -689,9 +688,10 @@ def test_averaged_normal_matches_grid_oracle(tilted, tilted_field):
 
 def test_averaged_normal_two_symmetric_atoms(tilted):
     # symmetric mixture about nu(q) averages back to nu(q)
-    from lipimm.grassmann import exp_map, log_map, random_tangent
+    from conftest import random_tangent
+    from lipimm.grassmann import exp_map, log_map
     from lipimm.karcher import DiracMixture
-    nu_q = normal_space(tilted, 0)
+    nu_q = tilted.tangent_plane(0).complement()
     rng = np.random.default_rng(3)
     v = random_tangent(nu_q, rng, norm=0.2)
     a = exp_map(nu_q, v)
