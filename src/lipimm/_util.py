@@ -1,5 +1,6 @@
 """Small shared helpers: batched root finding, the largest pairwise
-difference quotient, bulk-validated dataclass instances and Halton sequences.
+difference quotient, bulk-validated dataclass instances, Halton sequences
+and a workspace of reused arrays.
 
 ``bracketed_newton`` solves residuals with an analytic slope (Newton kept
 inside a bracket, the ``rtsafe`` of Numerical Recipes), in 2-3 iterations
@@ -8,6 +9,8 @@ roots solved with it.  ``bisect`` is for residuals without a derivative.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -89,6 +92,26 @@ def max_quotient(dv: np.ndarray, dx: np.ndarray) -> float:
     """
     keep = dx > 1e-14
     return float(np.max(dv[keep] / dx[keep])) if np.any(keep) else 0.0
+
+
+class Workspace:
+    """Float arrays reused from call to call of a loop.
+
+    ``take(name, shape)`` is a C-contiguous view of the first prod(shape)
+    entries of the buffer kept under ``name``, which is allocated only when
+    it is too small.  A stack of rows cut to its first rows therefore keeps
+    each of them where it was.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape):
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
 
 
 def unchecked(cls, **fields):

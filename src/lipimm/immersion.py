@@ -33,7 +33,13 @@ from .grassmann import (
     difference_norms,
     orthonormalize_all,
 )
-from ._util import bracketed_newton, max_quotient, rounding_floor, unchecked
+from ._util import (
+    Workspace,
+    bracketed_newton,
+    max_quotient,
+    rounding_floor,
+    unchecked,
+)
 
 GRID_CELLS_PER_RADIUS = {1: 64, 2: 16}  # m=1: 129 nodes; m=2: 33x33 nodes
 PLANE_RULES = ("tangent", "best-fit")
@@ -43,6 +49,10 @@ _SOLVE_ROWS = {1: 256, 2: 15}
 # rows per block of a whole-immersion pass (seed balls, components,
 # quotients), which keeps its padded (rows, members, n) stacks a few MB
 _PASS_ROWS = 256
+# (name, count) of the surface fill's workspace arrays that the start of a
+# block takes each node's eight member scalars into, one (S, T) array each:
+# the fill reuses them, so the start adds no arrays of its own
+_START_BUFFERS = (("etj", 4), ("res", 2), ("pairs", 2))
 # (row, id) keys of a block of rows in one stacked mesh traversal, which
 # bounds its (rows * N) seen flags to 1 MB
 _MESH_KEYS = 2 ** 20
@@ -755,18 +765,27 @@ def _fill_stops(f_q):
     return np.maximum(1e-13, 1e-14 * np.max(np.abs(f_q), axis=-1))
 
 
-def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
+def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop,
+                       work=None):
     """Graph heights (S, T, k) of every row s over the chart nodes
     ``targets``, and an (S,) flag for rows whose fill did not converge.
 
     The evaluator's closed-form ``graph_heights`` fills each row it can.
     The other rows solve (ev.point(t) - f_q[s]) . e_frames[s] = targets by
-    Newton from the (S, T, 2) parameters ``t``, with the 2x2 Jacobian E^T J
-    inverted in closed form; each step reads points and Jacobians, in any
-    layout, from one ``point_jacobian`` call.  A row steps until its largest
-    |residual| is below ``stop[s]``, at most 40 times, and fails if it stays
-    1e4 times above it, or at once when its parameters turn non-finite or
-    too coarse to resolve that bound.  Rows step without copies.
+    Newton from the (S, T, 2) parameters ``t``, which it overwrites, with
+    the 2x2 Jacobian E^T J inverted in closed form; each step reads points
+    and Jacobians, in any layout, from one ``point_jacobian`` call.  A row
+    steps until its largest |residual| is below ``stop[s]``, at most 40
+    times, and fails if it stays 1e4 times above it, or at once when its
+    parameters turn non-finite or too coarse to resolve that bound.  With
+    the evaluator's ``bound`` L, a row whose step d from t has
+    (L/2) max |d|^2 <= stop/2 stops without evaluating at t + d, at the
+    heights (f(t) + J d - f_q) . N: by Taylor's theorem they are within
+    stop/2 of those of f(t + d), and the other half of the stop covers the
+    rounding of f(t) + J d, a few units in the last place of |f_q|.  The
+    rows still stepping are the first rows of the arrays of the
+    ``Workspace`` ``work`` (a new one by default), which every step writes
+    into; the points returned by the evaluator become f(t) - f_q in place.
     """
     closed_form = ev.graph_heights
     heights = np.zeros((len(t), len(targets), n_frames.shape[-1]))  # 0: failed
@@ -781,44 +800,80 @@ def _fill_surface_rows(ev, f_q, e_frames, n_frames, t, targets, stop):
     failed = np.zeros(len(heights), dtype=bool)
     if not newton:
         return heights, failed
-    f_q, e_frames, t = f_q[newton, None], e_frames[newton], t[newton]
-    stop = stop[newton]
-    rows = np.arange(len(t))  # the rows still stepping
+    work = Workspace() if work is None else work
+    rows = np.array(newton)  # the rows still stepping, first in every array
+    if len(rows) < len(t):
+        t = t[rows]
+    f_q, e_frames, stop = f_q[rows, None], e_frames[rows], stop[rows]
+    bound = ev.bound
+    evaluate = ev.point_jacobian if ev.writes_work else \
+        lambda t, work: ev.point_jacobian(t)
+    n, shape = len(rows), t.shape[1:-1]
     for i in range(41):  # after 40 steps a row passes within 1e4 stops
-        active = slice(None) if len(rows) == len(t) else rows  # no copies
         # the largest |t| of each row, at flat index k; no step undoes inf/NaN
-        k = np.argmax(np.abs(t[active]).reshape(len(rows), -1), axis=1)
-        big = np.abs(t[active].reshape(len(k), -1)[np.arange(len(k)), k])
-        if not (finite := np.isfinite(big)).all():
-            failed[np.take(newton, rows[~finite])] = True
-            active, rows, k, big = (v[finite] for v in (rows, rows, k, big))
-            if not len(rows):
+        size = np.abs(t[:n], out=work.take("pairs", t[:n].shape))
+        size = size.reshape(n, -1)
+        k = np.argmax(size, axis=1)
+        big = size[np.arange(n), k]
+        if not (keep := np.isfinite(big)).all():
+            failed[rows[~keep]] = True
+            n, k, big = _keep_first(keep, t, f_q, e_frames, stop, rows), \
+                k[keep], big[keep]
+            if not n:
                 break
-        pts, jac = ev.point_jacobian(t[active])
-        res = np.matmul(pts - f_q[active], e_frames[active]) - targets
+        rel, jac = evaluate(t[:n], work)  # the points, less f_q in place:
+        for j in range(rel.shape[-1]):  # a length-n broadcast is slow
+            np.subtract(rel[..., j], f_q[:n, :, j], out=rel[..., j])
+        res = np.matmul(rel, e_frames[:n],
+                        out=work.take("res", (n,) + shape + (2,)))
+        res -= targets
         # per node J^T E, the transpose of the residual's Jacobian E^T J
-        a = np.matmul(np.swapaxes(jac, -1, -2).reshape(
-            len(rows), -1, f_q.shape[-1]), e_frames[active]).reshape(
-                res.shape + (2,))
-        err = np.max(np.abs(res), axis=(1, 2))  # NaN keeps a row going
-        done = (err < stop[active]) | (i == 40) & (err <= 1e4 * stop[active])
+        a = work.take("etj", res.shape + (2,))
+        np.matmul(np.swapaxes(jac, -1, -2).reshape(n, -1, rel.shape[-1]),
+                  e_frames[:n], out=a.reshape(n, -1, 2))
+        err = np.max(np.abs(res, out=work.take("pairs", res.shape)),
+                     axis=(1, 2))  # NaN keeps a row going
+        done = (err < stop[:n]) | (i == 40) & (err <= 1e4 * stop[:n])
         # a row fails where a unit in the last place of its largest |t| moves
         # that node's residual past the failure bound: no step brings it back
-        move = np.max(np.abs(a.reshape(len(k), -1, 2)[np.arange(len(k)), k]),
+        move = np.max(np.abs(a.reshape(n, -1, 2)[np.arange(n), k]),
                       axis=-1) * np.spacing(big)
-        fail = ~done & ((i == 40) | (move > 1e4 * stop[active]))
-        if (stops := done | fail).any():
-            failed[np.take(newton, rows[fail])] = True
-            at = np.take(newton, rows[done])
-            heights[at] = np.matmul(pts[done] - f_q[rows[done]], n_frames[at])
-            active = rows = rows[~stops]
-            if not len(rows):
+        fail = ~done & ((i == 40) | (move > 1e4 * stop[:n]))
+        step = _solve2((a[..., 0, 0], a[..., 1, 0], a[..., 0, 1],
+                        a[..., 1, 1]), (res[..., 0], res[..., 1]), work)
+        certified = np.zeros(n, dtype=bool)
+        if bound is not None:  # Taylor's remainder at t - step, <= stop/2
+            sq = np.square(step, out=work.take("pairs", step.shape))
+            sq = np.add(sq[..., 0], sq[..., 1],
+                        out=work.take("det", sq.shape[:-1]))
+            certified = ~done & ~fail & \
+                (bound * np.max(sq, axis=1) <= stop[:n])
+        if (stops := done | fail | certified).any():
+            failed[rows[:n][fail]] = True
+            at = rows[:n][done]
+            heights[at] = np.matmul(rel[done], n_frames[at])
+            if certified.any():  # f(t) + J d - f_q, d = -step, in place
+                at = rows[:n][certified]
+                products = work.take("pairs", (2,) + rel.shape[:-1])
+                for j in range(rel.shape[-1]):
+                    np.multiply(jac[..., j, 0], step[..., 0], out=products[0])
+                    np.multiply(jac[..., j, 1], step[..., 1], out=products[1])
+                    rel[..., j] -= np.add(*products, out=products[0])
+                heights[at] = np.matmul(rel[certified], n_frames[at])
+            n = _keep_first(~stops, t, f_q, e_frames, stop, rows, step)
+            if not n:
                 break
-            res, a = res[~stops], a[~stops]
-        t[active] -= _solve2((a[..., 0, 0], a[..., 1, 0], a[..., 0, 1],
-                              a[..., 1, 1]), (res[..., 0], res[..., 1]))
-        del pts, jac, res, a  # before the next evaluation
+        t[:n] -= step[:n]
     return heights, failed
+
+
+def _keep_first(keep, *arrays):
+    """Move the rows ``keep`` of the first len(keep) rows of each array to
+    its front, in order; return how many they are."""
+    n = int(np.count_nonzero(keep))
+    for array in arrays:
+        array[:n] = array[:len(keep)][keep]
+    return n
 
 
 def _det2(a):
@@ -826,22 +881,36 @@ def _det2(a):
     return a[0] * a[3] - a[1] * a[2]
 
 
-def _solve2(a, b):
+def _solve2(a, b, work=None):
     """x with a x = b by the adjugate, in one (..., 2) array, for 2x2 a as
-    ``_det2`` takes them and b = (b0, b1); inf or NaN where a is singular."""
-    out = np.empty(np.shape(b[0]) + (2,))
+    ``_det2`` takes them and b = (b0, b1); inf or NaN where a is singular.
+    With a ``Workspace`` ``work``, x and its temporaries are its arrays."""
+    work = Workspace() if work is None else work
+    shape = np.shape(b[0])
+    out = work.take("x", shape + (2,))
+    det, product = work.take("det", shape), work.take("pairs", shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(a[3] * b[0] - a[1] * b[1], det := _det2(a), out=out[..., 0])
-        np.divide(a[0] * b[1] - a[2] * b[0], det, out=out[..., 1])
+        np.multiply(a[0], a[3], out=det)
+        det -= np.multiply(a[1], a[2], out=product)
+        for x, (i, j, c, d) in zip((out[..., 0], out[..., 1]),
+                                   ((3, 1, 0, 1), (0, 2, 1, 0))):
+            np.multiply(a[i], b[c], out=x)  # a_i b_c - a_j b_d
+            x -= np.multiply(a[j], b[d], out=product)
+            x /= det
     return out
 
 
 def _tangent_steps(near, nodes):
     """Parameters t + (E^T J)^-1 (x - p): one Newton step to the chart nodes
-    x from their nearest members, whose taken (8, S, T) scalars ``near``
-    are E^T J's entries, the chart projection p and the parameters t."""
-    return np.moveaxis(near[6:], 0, -1) + _solve2(
-        near, (nodes[:, 0] - near[4], nodes[:, 1] - near[5]))
+    x from their nearest members, whose taken (S, T) scalars ``near``, eight
+    of them, are E^T J's entries, the chart projection p (overwritten by
+    x - p) and the parameters t."""
+    for i in (0, 1):
+        np.subtract(nodes[:, i], near[4 + i], out=near[4 + i])
+    t = _solve2(near, near[4:6])
+    for i in (0, 1):
+        t[..., i] += near[6 + i]
+    return t
 
 
 def _block_patches(f, ids, plane_outcomes, r):
@@ -916,6 +985,7 @@ def _component_patches(f, bases, planes, members, counts, r):
     n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
     stops = _fill_stops(f_q)
+    work = Workspace()  # the surface fill's arrays, reused block to block
     # rows are independent; blocks of rows keep the fill's arrays in cache
     for a in range(0, len(keep), _SOLVE_ROWS[m]):
         b = slice(a, a + _SOLVE_ROWS[m])
@@ -941,8 +1011,13 @@ def _component_patches(f, bases, planes, members, counts, r):
             # step from it
             near = np.argmin(proj_sq[js, None, :w] - 2 * np.matmul(
                 nodes, np.swapaxes(proj[js, :w], 1, 2)), axis=2)
-            t = _tangent_steps(np.take(scalars, near + members.shape[1] *
-                                       js[:, None], axis=1), nodes)
+            # each node's eight member scalars, taken into fill buffers that
+            # hold nothing until the fill runs
+            index = near + members.shape[1] * js[:, None]
+            taken = chain(*(work.take(name, (c,) + index.shape)
+                            for name, c in _START_BUFFERS))
+            t = _tangent_steps([np.take(row, index, out=out, mode="clip")
+                                for row, out in zip(scalars, taken)], nodes)
             for s, p in zip(*np.nonzero(singular[js, :w])):
                 # the parameters of the member's nearest mesh neighbour
                 at, nb = near[s] == p, f.neighbors(members[js[s], p])
@@ -952,7 +1027,8 @@ def _component_patches(f, bases, planes, members, counts, r):
                     np.einsum("tki,tki->tk", gap, gap), axis=1)]]
             on_disk, failed = _fill_surface_rows(ev, f_q[js], frames[js],
                                                  n_frames[b], t, nodes,
-                                                 stops[js])
+                                                 stops[js], work)
+            del near, index, t  # before the slope scan
             fill_errors = [NotAGraphError(
                 f"grid fill did not converge on the patch at sample {q}")
                 if fail else None for q, fail in zip(qs, failed.tolist())]

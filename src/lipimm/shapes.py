@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import InputError
 from .immersion import SampledImmersion
+from ._util import Workspace
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,17 +31,42 @@ class Evaluator:
     its (..., n) velocity, a surface's (..., n, 2) in any layout.  ``point`` and
     ``jacobian`` are its two halves.  ``graph_heights``, where given, fills
     a surface patch in closed form.
+
+    ``bound``, where given, is an L with |D^2 f(t)[d, d]| <= L |d|^2 for
+    every t and d.  By Taylor's theorem |f(t + d) - f(t) - J(t) d| is then
+    at most (L/2) |d|^2, and a surface fill stops a Newton row on that
+    bound without evaluating at its last step.  A wrapper that scales the
+    points by s scales L by s.  With ``writes_work`` the function also
+    takes a ``Workspace`` as ``point_jacobian(t, work)`` and writes its
+    points, Jacobians and temporaries there, so a Newton loop allocates
+    nothing per step; the arrays it returns are then views of ``work``,
+    overwritten by its next call.
     """
 
-    def __init__(self, n, m, point_jacobian, period=None, graph_heights=None):
+    def __init__(self, n, m, point_jacobian, period=None, graph_heights=None,
+                 bound=None, writes_work=False):
         self.n = n
         self.m = m
         self.period = period
         self._point_jacobian = point_jacobian
+        self._writer = point_jacobian if writes_work else None
         self.graph_heights = graph_heights
+        self.bound = bound
 
-    def point_jacobian(self, t):
-        return self._point_jacobian(np.asarray(t, dtype=float))
+    @property
+    def writes_work(self):
+        """Whether ``point_jacobian(t, work)`` writes into ``work``: the
+        function the evaluator was built with is in place, and no wrapper
+        is installed over this ``point_jacobian`` (a wrapper's arrays are
+        its own)."""
+        return (self._point_jacobian is self._writer
+                and "point_jacobian" not in vars(self))
+
+    def point_jacobian(self, t, work=None):
+        t = np.asarray(t, dtype=float)
+        if work is None:
+            return self._point_jacobian(t)
+        return self._point_jacobian(t, work)
 
     def point(self, t):
         return self._point_jacobian(np.asarray(t, dtype=float))[0]
@@ -146,16 +172,21 @@ def _rounded_rectangle_evaluator(width, height, corner_radius):
 
 
 def _sphere_evaluator(radius):
-    def point_jacobian(t):
-        cos_lon, sin_lon = np.cos(t[..., 0]), np.sin(t[..., 0])
-        cos_lat, sin_lat = np.cos(t[..., 1]), np.sin(t[..., 1])
-        point = radius * np.stack([cos_lat * cos_lon, cos_lat * sin_lon,
-                                   sin_lat], axis=-1)
-        d_lon = radius * np.stack([-cos_lat * sin_lon, cos_lat * cos_lon,
-                                   np.zeros_like(cos_lon)], axis=-1)
-        d_lat = radius * np.stack([-sin_lat * cos_lon, -sin_lat * sin_lon,
-                                   cos_lat], axis=-1)
-        return point, np.swapaxes(np.stack([d_lon, d_lat], axis=-2), -1, -2)
+    def point_jacobian(t, work=None):
+        work = Workspace() if work is None else work
+        point, jac, cos_lat, sin_lat, lon, product = _surface_work(t, work)
+        for i, trig in enumerate((np.cos, np.sin)):
+            trig(t[..., 0], out=lon)
+            np.multiply(radius, np.multiply(cos_lat, lon, out=product),
+                        out=point[..., i])
+            np.multiply(-radius, np.multiply(sin_lat, lon, out=product),
+                        out=jac[..., 1, i])  # d_lat
+        np.multiply(radius, sin_lat, out=point[..., 2])
+        np.negative(point[..., 1], out=jac[..., 0, 0])  # d_lon
+        jac[..., 0, 1] = point[..., 0]
+        jac[..., 0, 2] = radius * 0.0
+        np.multiply(radius, cos_lat, out=jac[..., 1, 2])
+        return point, np.swapaxes(jac, -1, -2)
 
     def graph_heights(origin, e_frame, n_frame, x_targets):
         # point = origin + x.e + u.n on the sphere |p| = radius; quadratic in u
@@ -167,7 +198,10 @@ def _sphere_evaluator(radius):
         u = -b + math.copysign(1.0, b) * np.sqrt(disc)
         return u[:, None]
 
-    ev = Evaluator(3, 2, point_jacobian, graph_heights=graph_heights)
+    # each second partial has norm at most |radius|, so |D^2 f[d, d]| is at
+    # most |radius| (|a| + |b|)^2 <= 2 |radius| |d|^2
+    ev = Evaluator(3, 2, point_jacobian, graph_heights=graph_heights,
+                   bound=2.0 * abs(radius), writes_work=True)
 
     def tangent_frame(t):
         # complement of the radial direction; regular at the poles
@@ -181,18 +215,43 @@ def _sphere_evaluator(radius):
 
 
 def _torus_evaluator(big_radius, tube_radius):
-    def point_jacobian(t):
-        cos_u, sin_u = np.cos(t[..., 0]), np.sin(t[..., 0])
-        cos_v, sin_v = np.cos(t[..., 1]), np.sin(t[..., 1])
-        w = big_radius + tube_radius * cos_v
-        jac = np.zeros(t.shape[:-1] + (2, 3))  # returned transposed
-        jac[..., 0, 0], jac[..., 0, 1] = -w * sin_u, w * cos_u
-        jac[..., 1, :] = tube_radius * np.stack(
-            [-sin_v * cos_u, -sin_v * sin_u, cos_v], axis=-1)
-        return (np.stack([w * cos_u, w * sin_u, tube_radius * sin_v], axis=-1),
-                np.swapaxes(jac, -1, -2))
+    def point_jacobian(t, work=None):
+        work = Workspace() if work is None else work
+        point, jac, cos_v, sin_v, u, w = _surface_work(t, work)
+        np.multiply(tube_radius, cos_v, out=w)
+        w += big_radius
+        np.multiply(tube_radius, sin_v, out=point[..., 2])
+        np.multiply(tube_radius, cos_v, out=jac[..., 1, 2])  # d_v
+        for i, trig in enumerate((np.cos, np.sin)):
+            trig(t[..., 0], out=u)
+            np.multiply(w, u, out=point[..., i])
+            np.multiply(-tube_radius, np.multiply(sin_v, u, out=u),
+                        out=jac[..., 1, i])
+        np.negative(point[..., 1], out=jac[..., 0, 0])  # d_u
+        jac[..., 0, 1] = point[..., 0]
+        jac[..., 0, 2] = 0.0
+        return point, np.swapaxes(jac, -1, -2)
 
-    return Evaluator(3, 2, point_jacobian)
+    # |f_uu| <= R + r, |f_uv| <= r and |f_vv| = r, so |D^2 f[d, d]| is at
+    # most (R + r) a^2 + 2 r |a b| + r b^2 <= (R + 2 r) |d|^2
+    return Evaluator(3, 2, point_jacobian,
+                     bound=abs(big_radius) + 2.0 * abs(tube_radius),
+                     writes_work=True)
+
+
+def _surface_work(t, work):
+    """A surface's (..., 3) points and (..., 2, 3) Jacobian rows, returned
+    transposed, the cos and sin of its second parameter t[..., 1], and two
+    arrays for temporaries, all in ``work``.  Each point and Jacobian entry
+    is then written by one product of contiguous factors, in the order of
+    the stacked expressions it replaces, so every bit is theirs."""
+    shape = t.shape[:-1]
+    cos_1, sin_1, *scratch = (work.take(name, shape) for name in (
+        "cos 1", "sin 1", "scratch 0", "scratch 1"))
+    np.cos(t[..., 1], out=cos_1)
+    np.sin(t[..., 1], out=sin_1)
+    return (work.take("point", shape + (3,)),
+            work.take("jacobian", shape + (2, 3)), cos_1, sin_1, *scratch)
 
 
 def _closed_curve_immersion(evaluator, n_samples):

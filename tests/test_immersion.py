@@ -1053,8 +1053,8 @@ def test_tangent_step_starts_keep_every_outcome(name, params, samples,
     want = _block_patches(f, ids, planes, r)
     assert count[0] > tangent_count
     if (name, samples, r) == ("torus", "16x32", 0.1):
-        # the check's 1,455,776 and 1,863,840, less its 512 plane evaluations
-        assert (tangent_count, count[0]) == (1_455_264, 1_863_328)
+        # the check's 1,175,232 and 1,583,296, less its 512 plane evaluations
+        assert (tangent_count, count[0]) == (1_174_720, 1_582_784)
     for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
         assert (type(err), str(err)) == (type(ref_err), str(ref_err))
         if ref is None:
@@ -1142,19 +1142,61 @@ def test_flat_take_starts_equal_the_gathered_starts(name, params, samples,
 
 
 def test_torus_check_evaluation_budget(monkeypatch):
-    # 1,455,776 node evaluations from tangent-step starts (3.57 per disk
-    # node of the 512 patches), against 1,863,840 from the members
+    # 1,175,232 node evaluations (2.88 per disk node of the 512 patches)
+    # from tangent-step starts and certified last steps, against 1,455,776
+    # (3.57) with a confirming evaluation and 1,863,840 from the members
     f = make_shape(*TORUS, "16x32")
     count = node_evaluations(f.evaluator, monkeypatch)
     assert check_r_lambda(f, 0.1, 0.25).passed
-    assert count[0] <= 1_500_000
+    disk_nodes = np.count_nonzero(immersion_mod._chart_grid(2, 0.1)[3])
+    assert count[0] <= 2.9 * len(f) * disk_nodes
+
+
+@pytest.mark.parametrize("name, params, samples, r", [
+    *[(*TORUS, samples, r) for samples in ("16x32", "32x64")
+      for r in (0.1, 0.2, 0.3)],
+    *[(*SPHERE, "24x12", r) for r in (0.1, 0.2, 0.3)],
+])
+def test_certified_last_steps_keep_every_outcome(name, params, samples, r,
+                                                 monkeypatch):
+    # with the evaluator's bound L a row stops without evaluating again once
+    # (L/2) |step|^2 is at most half its stop; without it the row evaluates
+    # at the stepped parameters to confirm.  The bound saves evaluations,
+    # every outcome and message is the same, and every height, derivative
+    # and slope agrees to 1e-12
+    f = make_shape(name, params, samples)
+    f.evaluator.graph_heights = None
+    ids = list(range(len(f)))
+    planes = planes_for(f, ids, "tangent", r, 0.25)
+    counts, point_jacobian = [], Evaluator.point_jacobian
+
+    def counting(ev, t, work=None):  # the evaluator keeps its workspace
+        counts.append(math.prod(np.shape(t)[:-1]))
+        return point_jacobian(ev, t, work)
+    monkeypatch.setattr(Evaluator, "point_jacobian", counting)
+    assert f.evaluator.bound is not None and f.evaluator.writes_work
+    got = _block_patches(f, ids, planes, r)
+    certified, counts[:] = sum(counts), []
+    f.evaluator.bound = None
+    want = _block_patches(f, ids, planes, r)
+    assert certified < sum(counts)
+    for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
+        assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+        assert (patch is None) == (ref is None)
+        if ref is None:
+            continue
+        assert abs(patch.lambda_measured - ref.lambda_measured) <= 1e-12
+        assert np.array_equal(np.isnan(patch.u), np.isnan(ref.u))
+        assert np.nanmax(np.abs(patch.u - ref.u)) <= 1e-12
+        assert np.nanmax(np.abs(patch._du - ref._du)) <= 1e-12
 
 
 def test_torus_check_traced_peak():
-    # the surface fill holds no per-node gathers, and frees each step's
-    # points and Jacobians before the next evaluation: the check of torus
-    # 16x32 at (0.1, 0.25) peaks at 16.0 MiB of traced allocations. The
-    # bound is 17.0 MiB, the peak of a fill with per-node gathers, + 0.25
+    # the surface fill holds no per-node gathers, and its Newton steps
+    # write into one workspace, which the start borrows from: the check of
+    # torus 16x32 at (0.1, 0.25) peaks at 16.5 MiB of traced allocations
+    # (16.0 with per-step arrays). The bound is 17.0 MiB, the peak of a
+    # fill with per-node gathers, + 0.25
     f = make_shape(*TORUS, "16x32")
     tracemalloc.start()
     try:
@@ -1189,10 +1231,12 @@ def test_diverged_surface_rows_are_evaluated_no_more(monkeypatch):
 
 def dilated(f, s):
     """s f: the same samples, faces and parameters, with every point and
-    Jacobian of the evaluator scaled by s."""
+    Jacobian of the evaluator, and its second-derivative bound, scaled by
+    s."""
     ev = copy.copy(f.evaluator)
     point_jacobian = ev._point_jacobian
     ev._point_jacobian = lambda t: tuple(s * a for a in point_jacobian(t))
+    ev.bound = None if ev.bound is None else s * ev.bound
     return SampledImmersion(f.m, f.n, s * f.positions, faces=f.faces,
                             params=f.params, evaluator=ev)
 

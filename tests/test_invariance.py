@@ -37,6 +37,8 @@ def moved(f, rotation, shift, roll=0, scale=1.0):
 
     ev._point_jacobian = image
     ev.graph_heights = None  # a closed form is for the shape in place
+    if ev.bound is not None:  # a rotation keeps |D^2 f|
+        ev.bound *= scale
     old = (np.arange(len(f)) - roll) % len(f)  # new sample i is old[i]
     positions = scale * (f.positions[old] @ rotation.T) + shift
     if f.m == 1:

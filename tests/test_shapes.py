@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipimm.errors import InputError
 from lipimm.immersion import check_r_lambda
@@ -220,6 +222,28 @@ def test_jacobian_matches_central_differences(name, params, samples):
         assert np.max(np.abs(central - columns[..., j])) <= 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["torus", "sphere"]), size=st.floats(0.01, 100.0),
+       ratio=st.floats(0.01, 1.0), seed=st.integers(0, 2 ** 16))
+def test_second_derivative_bound_holds(name, size, ratio, seed):
+    # Taylor's theorem with the catalog bound L: |f(t + d) - f(t) - J(t) d|
+    # is at most (L/2) |d|^2, at random parameters t and steps d of length
+    # 1e-4 to 3, on tori with tube radius up to R and spheres, up to the
+    # rounding of the points
+    params = {"R": size, "r": ratio * size} if name == "torus" else \
+        {"radius": size}
+    ev = make_shape(name, params, "8x8").evaluator
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-4.0, 4.0, (500, 2))
+    d = rng.normal(size=(500, 2))
+    d *= np.exp(rng.uniform(math.log(1e-4), math.log(3.0), (500, 1))) / \
+        np.linalg.norm(d, axis=1, keepdims=True)
+    point, jacobian = ev.point_jacobian(t)
+    remainder = ev.point(t + d) - point - np.einsum("tij,tj->ti", jacobian, d)
+    bound = 0.5 * ev.bound * np.sum(d * d, axis=1)
+    assert np.all(np.linalg.norm(remainder, axis=1) <= bound + 1e-14 * size)
+
+
 @pytest.mark.parametrize("name, params, samples, r, lam, worst, digest", [
     ("circle", {"radius": 1.0}, 512, 0.2, 0.25, "0.2041220127571447",
      "5794fb1b72e70c0b"),
@@ -234,7 +258,7 @@ def test_jacobian_matches_central_differences(name, params, samples):
     ("sphere", {"radius": 1.0}, "24x12", 0.2, 0.25, "0.20158834816954105",
      "19154f8df5b18839"),
     ("sphere, Newton fill", {"radius": 1.0}, "24x12", 0.2, 0.25,
-     "0.20158834816957547", "19154f8df5b18839"),
+     "0.20158834816959809", "19154f8df5b18839"),
     ("torus", {"R": 2.0, "r": 0.5}, "16x32", 0.1, 0.25, "0.19202219008601748",
      "3d1fc51fcf5de993"),
 ])
