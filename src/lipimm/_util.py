@@ -4,8 +4,9 @@ and a workspace of reused arrays.
 
 ``bracketed_newton`` solves residuals with an analytic slope (Newton kept
 inside a bracket, the ``rtsafe`` of Numerical Recipes), in 2-3 iterations
-on a smooth root; each root stops on its own, so it does not depend on the
-roots solved with it.  ``bisect`` is for residuals without a derivative.
+on a smooth root, or in one from an ``inverse_hermite`` start with a
+certified last step; each root stops on its own, so it does not depend on
+the roots solved with it.  ``bisect`` is for residuals without a derivative.
 """
 
 from __future__ import annotations
@@ -24,25 +25,36 @@ def rounding_floor(points: np.ndarray) -> np.ndarray:
     return 1e-15 * (1.0 + np.max(np.abs(points), axis=-1))
 
 
-def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor):
+def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor, start=None,
+                     bound=None):
     """Roots of a residual in the brackets [lo, hi] by bracketed Newton.
 
     ``residual_slope(t)`` returns the residual and its derivative at an
     array of parameters; ``r_lo`` and ``r_hi`` are the residuals at the
     bracket ends, and ``floor`` broadcasts against them.  ``lo``, ``hi``
     and ``r_lo`` are float arrays narrowed in place.  The iterates start
-    from the secant point of each bracket.  Each iteration keeps the sign
-    change in the bracket and takes the Newton step, or the midpoint where
-    the step would leave the bracket.  An element stops once its step is at
-    most its ``floor``, with that step taken, or after ``NEWTON_ITERATIONS``.
-    A bracket without a sign change drifts to an end; callers flag it.
-    Returns the roots and where the last ``residual_slope`` call was at
-    them: there the caller's last evaluation holds their points.
+    from ``start`` (overwritten), by default the secant point of each
+    bracket; a start outside its bracket, or NaN, is the bracket's
+    midpoint.  Each iteration keeps the sign change in the bracket and
+    takes the Newton step, or the midpoint where the step would leave the
+    bracket.  An element stops once its step is at most its ``floor``, with
+    that step taken, or after ``NEWTON_ITERATIONS``, or, given a ``bound``
+    L on |residual''|, on a Newton step d with (L/2) d^2 <= floor: by
+    Taylor's theorem the residual at t + d is within the floor of the
+    linearization's, which the step makes zero.  A bracket without a sign
+    change drifts to an end; callers flag it.  Returns the roots, the
+    certified step d of each root that stopped that way at the last
+    ``residual_slope`` call (else 0), and the roots to confirm by another
+    evaluation: those that call moved without a certificate.  Every other
+    root is where that call evaluated it, or d past that.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = lo - r_lo * (hi - lo) / (r_hi - r_lo)
-    t = np.where((t >= lo) & (t <= hi), t, 0.5 * (lo + hi))  # NaN too
+    if start is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            start = lo - r_lo * (hi - lo) / (r_hi - r_lo)
+    t = start
+    np.copyto(t, 0.5 * (lo + hi), where=~((t >= lo) & (t <= hi)))  # NaN too
     active = np.ones(np.shape(t), dtype=bool)
+    certified = False
     for _ in range(NEWTON_ITERATIONS):
         r, slope = residual_slope(t)
         keep_lo = (r > 0) == (r_lo > 0)
@@ -50,17 +62,53 @@ def bracketed_newton(residual_slope, lo, hi, r_lo, r_hi, floor):
         np.copyto(r_lo, r, where=keep_lo)
         np.copyto(hi, t, where=~keep_lo)
         with np.errstate(divide="ignore", invalid="ignore"):
-            new = t - r / slope
+            new = np.divide(r, slope)
+        del r, slope
+        np.subtract(t, new, out=new)
         # a step below half a unit in the last place of t keeps t
-        inside = ((new > lo) & (new < hi)) | (new == t)
-        np.copyto(new, 0.5 * (lo + hi), where=~inside)
-        done = np.abs(new - t) <= floor
+        newton = ((new > lo) & (new < hi)) | (new == t)
+        if not newton.all():
+            np.copyto(new, 0.5 * (lo + hi), where=~newton)
+        step = new - t
+        done = np.abs(step) <= floor
+        if bound is not None:
+            certified = newton & (0.5 * bound * np.square(step) <= floor)
+            done |= certified
         moved = active & (new != t)  # NaN too
         np.copyto(t, new, where=active)
         active &= ~done
         if not active.any():
             break
-    return t, ~moved
+    certified = moved & certified
+    np.copyto(step, 0.0, where=~certified)
+    return t, step, moved & ~certified
+
+
+def inverse_hermite(lo, hi, r_lo, r_hi, s_lo, s_hi):
+    """t(0) of the cubic Hermite interpolant of t(r) through (r_lo, lo) and
+    (r_hi, hi) with slopes 1/s_lo and 1/s_hi: at u = r_lo / (r_lo - r_hi),
+    lo + (hi - lo) u^2 (3 - 2u) + (r_hi - r_lo) u (1 - u) ((1 - u) / s_lo
+    - u / s_hi).  NaN or beyond the bracket where the residuals or slopes
+    do not fit one; a start for ``bracketed_newton``, which clips it."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = r_hi - r_lo
+        u = np.divide(r_lo, h)
+        np.negative(u, out=u)
+        w = np.divide(u, s_hi)
+        t = np.subtract(1.0, u)  # the slope term, in t
+        t /= s_lo
+        t -= w
+        t *= h
+        t *= u
+        t *= np.subtract(1.0, u, out=w)
+        np.multiply(u, -2.0, out=w)  # the value term, in w
+        w += 3.0
+        w *= u
+        w *= u
+        w *= np.subtract(hi, lo, out=h)
+        t += w
+        t += lo
+    return t
 
 
 def bisect(residual, lo, hi, r_lo, iters: int):

@@ -178,11 +178,11 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     r_lo = residual(ev.point(lo))
     r_hi = residual(ev.point(hi))
     ok = r_lo * r_hi <= 0
-    theta, held = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
-                                   rounding_floor(anchors))
+    theta, _, confirm = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
+                                         rounding_floor(anchors))
     # the roots' points, from the last Newton evaluation where it was at them
     points = last[0]
-    points[~held] = ev.point(theta[~held])
+    points[confirm] = ev.point(theta[confirm])
     # a sign change without a root (the target jumps across the fiber)
     # leaves a residual: that fiber missed
     ok &= np.abs(residual(points)) <= fiber_residual_tol(f2)

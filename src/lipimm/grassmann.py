@@ -55,15 +55,6 @@ class Subspace:
         return bool(np.max(np.abs(self.projector() - other.projector()))
                     <= PROJECTOR_TOL)
 
-    def complement(self) -> "Subspace":
-        """Deterministic orthonormal frame for the orthogonal complement."""
-        cached = getattr(self, "_complement", None)
-        if cached is None:
-            cached = unchecked(Subspace,
-                               frame=complement_frames(self.frame[None])[0])
-            object.__setattr__(self, "_complement", cached)
-        return cached
-
 
 @dataclass(frozen=True)
 class PrincipalAngles:
@@ -93,9 +84,6 @@ class GrassmannTangent:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.delta))
-
-    def scaled(self, c: float) -> "GrassmannTangent":
-        return GrassmannTangent(self.base, c * self.delta)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .grassmann import (
 from ._util import (
     Workspace,
     bracketed_newton,
+    inverse_hermite,
     max_quotient,
     rounding_floor,
     unchecked,
@@ -710,13 +711,15 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, ends, i_lo, i_hi, x_nodes,
     e_vecs[s] = x_nodes.
 
     Row s brackets its nodes by ends[s, i_lo[s]] and ends[s, i_hi[s]] of
-    the (S, E) parameters ``ends``, each evaluated once; bracketed Newton
-    solves them from their secant points, and a root takes its point from
-    the last Newton evaluation where that was at it.  Returns the (S, G, k)
-    heights, an (S,) flag for rows with a bracket that straddles no root,
-    and the (S,) largest |residual| of each row's roots.  A bracket end
-    solves its node within 1e-12, or 1e-14 |f_q| where that is larger (the
-    rounding of points), but never beyond the ``residual_tol`` it must meet.
+    the (S, E) parameters ``ends``, each evaluated once with its slope;
+    bracketed Newton solves them from their ends' ``inverse_hermite``
+    points, with the evaluator's ``bound``.  A root takes its point from
+    the last Newton evaluation, at t or, certified, f(t) + f'(t) d, or
+    else evaluates it again.  Returns the (S, G, k) heights, an (S,) flag
+    for rows with a bracket that straddles no root, and the (S,) largest
+    |residual| of each row's roots.  A bracket end solves its node within
+    1e-12, or 1e-14 |f_q| where that is larger (the rounding of points),
+    but never beyond the ``residual_tol`` it must meet.
     """
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
@@ -729,29 +732,43 @@ def _solve_curve_rows(ev, f_q, e_vecs, n_frames, ends, i_lo, i_hi, x_nodes,
         last.clear()  # the previous points, freed before the next
         points, velocity = ev.point_jacobian(t)
         points -= f_q
-        last.append(points)
+        last.extend((points, velocity))
         return along(points) - x_nodes, along(velocity)
 
-    r_ends = along(ev.point(ends) - f_q)
-    lo, hi = (np.take_along_axis(ends, i, axis=1) for i in (i_lo, i_hi))
-    r_lo, r_hi = (np.take_along_axis(r_ends, i, axis=1) - x_nodes
-                  for i in (i_lo, i_hi))
+    # each end's parameter, residual but for the node, and slope, taken to
+    # both ends of every bracket by one flat index
+    points, velocity = ev.point_jacobian(ends)
+    points -= f_q
+    rows = ends.shape[1] * np.arange(len(ends))[:, None]
+    flat = np.stack([i_lo, i_hi]) + rows
+    (lo, hi), (r_lo, r_hi), (s_lo, s_hi) = (
+        np.take(v.reshape(-1), flat)
+        for v in (ends, along(points), along(velocity)))
+    del points, velocity, rows, flat  # freed before Newton, as the slopes
+    r_lo -= x_nodes
+    r_hi -= x_nodes
     # a bracket endpoint may already solve the node (e.g. the base sample at
     # x = 0); collapse those brackets instead of testing the sign product
     hit = np.minimum(np.maximum(1e-12, 1e-14 * np.max(np.abs(f_q), axis=-1)),
                      residual_tol)
     hit_hi = np.abs(r_hi) <= hit
-    lo = np.where(hit_hi, hi, lo)
-    r_lo = np.where(hit_hi, r_hi, r_lo)
+    np.copyto(lo, hi, where=hit_hi)
+    np.copyto(r_lo, r_hi, where=hit_hi)
     hit_lo = np.abs(r_lo) <= hit
-    hi = np.where(hit_lo, lo, hi)
-    r_hi = np.where(hit_lo, r_lo, r_hi)
+    np.copyto(hi, lo, where=hit_lo)
+    np.copyto(r_hi, r_lo, where=hit_lo)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
-    t, held = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
-                               rounding_floor(f_q))
-    points = last[0]
-    s, g = np.nonzero(~held)
-    points[s, g] = ev.point(t[s, g]) - f_q[s, 0]
+    start = inverse_hermite(lo, hi, r_lo, r_hi, s_lo, s_hi)
+    del s_lo, s_hi
+    t, step, confirm = bracketed_newton(
+        residual_slope, lo, hi, r_lo, r_hi, rounding_floor(f_q), start,
+        ev.bound)
+    points, velocity = last  # f(t) + f'(t) d - f_q at the certified steps
+    np.add(points, np.multiply(velocity, step[..., None], out=velocity),
+           out=points, where=(step != 0)[..., None])
+    if confirm.any():
+        s, g = np.nonzero(confirm)
+        points[s, g] = ev.point(t[s, g]) - f_q[s, 0]
     res = np.max(np.abs(along(points) - x_nodes), axis=1)  # NaN: largest
     return np.matmul(points, n_frames), unresolved, res
 

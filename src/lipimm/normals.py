@@ -92,12 +92,6 @@ class CutoffSpec:
         mid = np.clip(1.0 - self._step(np.clip(s, 0.0, 1.0)), 0.0, 1.0)
         return np.where(t < self.inner, 1.0, np.where(t > 1.0, 0.0, mid))
 
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        s = (t - self.inner) / (1.0 - self.inner)
-        inside = (s > 0) & (s < 1)
-        return np.where(inside, -self._step_slope(s) / (1.0 - self.inner), 0.0)
-
     @staticmethod
     def _step(s):
         a = RAMP_WIDTH
@@ -106,13 +100,6 @@ class CutoffSpec:
         mid = v * (a / 2.0 + (s - a))
         high = v * (a / 2.0 + (1.0 - 2.0 * a)) + v * a * (0.5 - _ramp_integral((1.0 - s) / a))
         return np.where(s < a, low, np.where(s <= 1.0 - a, mid, high))
-
-    @staticmethod
-    def _step_slope(s):
-        a = RAMP_WIDTH
-        v = 1.0 / (1.0 - a)
-        return v * np.where(s < a, _bump_ramp(s / a),
-                            np.where(s <= 1.0 - a, 1.0, _bump_ramp((1.0 - s) / a)))
 
 
 def make_cutoff(lam: float) -> CutoffSpec:
@@ -187,16 +174,12 @@ class PatchNormalField:
             self._inpainted = _inpaint(patch._du[:, :, 0, :])
         return self._inpainted
 
-    def at_samples(self, sample_ids) -> np.ndarray:
-        """Unit normals at member samples: a one-chart ``chart_normals``."""
-        return chart_normals([self.patch], [sample_ids])[0]
-
 
 def chart_normals(patches, sample_ids):
     """The unit normals nu_j of every chart j = ``patches[j]`` at its member
     samples ``sample_ids[j]``, stacked in chart order, and each chart's row
-    count: ``PatchNormalField.at_samples`` of every chart, in one pass.
-    The patches share one radius, so their chart nodes are one grid.
+    count, in one pass.  The patches share one radius, so their chart nodes
+    are one grid.
 
     Each sample's stored chart coordinates are found by one
     ``searchsorted`` over the keys j * N + id of the patches' ascending

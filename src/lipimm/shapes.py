@@ -33,10 +33,11 @@ class Evaluator:
     a surface patch in closed form.
 
     ``bound``, where given, is an L with |D^2 f(t)[d, d]| <= L |d|^2 for
-    every t and d.  By Taylor's theorem |f(t + d) - f(t) - J(t) d| is then
-    at most (L/2) |d|^2, and a surface fill stops a Newton row on that
-    bound without evaluating at its last step.  A wrapper that scales the
-    points by s scales L by s.  With ``writes_work`` the function also
+    every t and d, or with J L-Lipschitz.  By Taylor's theorem
+    |f(t + d) - f(t) - J(t) d| is then at most (L/2) |d|^2, and the fills
+    stop a surface Newton row or a curve root on that bound without
+    evaluating at its last step.  A wrapper that scales the points by s
+    scales L by s.  With ``writes_work`` the function also
     takes a ``Workspace`` as ``point_jacobian(t, work)`` and writes its
     points, Jacobians and temporaries there, so a Newton loop allocates
     nothing per step; the arrays it returns are then views of ``work``,
@@ -90,7 +91,8 @@ def _circle_evaluator(radius, center=(0.0, 0.0)):
         return (center + radius * np.stack([cos, sin], axis=-1),
                 radius * np.stack([-sin, cos], axis=-1))
 
-    return Evaluator(2, 1, point_velocity, TWO_PI)
+    # |f''| = |radius|
+    return Evaluator(2, 1, point_velocity, TWO_PI, bound=abs(radius))
 
 
 def _ellipse_evaluator(a, b):
@@ -99,7 +101,8 @@ def _ellipse_evaluator(a, b):
         return (np.stack([a * cos, b * sin], axis=-1),
                 np.stack([-a * sin, b * cos], axis=-1))
 
-    return Evaluator(2, 1, point_velocity, TWO_PI)
+    # f'' = -(a cos, b sin), so |f''| <= max(|a|, |b|)
+    return Evaluator(2, 1, point_velocity, TWO_PI, bound=max(abs(a), abs(b)))
 
 
 def _circle3d_evaluator(radius, tilt):
@@ -110,7 +113,8 @@ def _circle3d_evaluator(radius, tilt):
         return (radius * np.stack([cos, sin * ct, sin * st], axis=-1),
                 radius * np.stack([-sin, cos * ct, cos * st], axis=-1))
 
-    return Evaluator(3, 1, point_velocity, TWO_PI)
+    # |f''| = |radius|, as on the plane circle it rotates
+    return Evaluator(3, 1, point_velocity, TWO_PI, bound=abs(radius))
 
 
 def _torus_knot_evaluator(p, q, big_radius, tube_radius):
@@ -124,7 +128,11 @@ def _torus_knot_evaluator(p, q, big_radius, tube_radius):
                           dw * sin_p + w * p * cos_p,
                           tube_radius * q * cos_q], axis=-1))
 
-    return Evaluator(3, 1, point_velocity, TWO_PI)
+    # f'' = (w'' - w p^2) e + 2 w' p e' + (0, 0, -r q^2 sin qt), e = (cos pt,
+    # sin pt, 0): by the triangle inequality, p^2 (R + r) + 2 |p q| r + 2 q^2 r
+    big, tube = abs(big_radius), abs(tube_radius)
+    return Evaluator(3, 1, point_velocity, TWO_PI, bound=p * p * (big + tube)
+                     + 2 * abs(p * q) * tube + 2 * q * q * tube)
 
 
 def _rounded_rectangle_evaluator(width, height, corner_radius):
@@ -168,7 +176,8 @@ def _rounded_rectangle_evaluator(width, height, corner_radius):
                 velocity[sel] = np.stack([-sin, cos], axis=-1)
         return point, velocity
 
-    return Evaluator(2, 1, point_velocity, period)
+    # unit speed, turning at 1/rc on the arcs: f' is 1/rc-Lipschitz
+    return Evaluator(2, 1, point_velocity, period, bound=1.0 / rc)
 
 
 def _sphere_evaluator(radius):

@@ -4,8 +4,14 @@ import sys
 import numpy as np
 import pytest
 
+from lipimm._util import unchecked
 from lipimm.errors import DegenerateFrameError
-from lipimm.grassmann import GrassmannTangent, Subspace, orthonormalize
+from lipimm.grassmann import (
+    GrassmannTangent,
+    Subspace,
+    complement_frames,
+    orthonormalize,
+)
 
 
 def random_subspace(n: int, k: int, rng: np.random.Generator) -> Subspace:
@@ -24,6 +30,16 @@ def random_tangent(base: Subspace, rng: np.random.Generator,
             raise DegenerateFrameError("degenerate random tangent")
         delta = delta * (norm / d)
     return GrassmannTangent(base, delta)
+
+
+def complement(plane: Subspace) -> Subspace:
+    """Deterministic orthonormal frame of the orthogonal complement."""
+    return unchecked(Subspace, frame=complement_frames(plane.frame[None])[0])
+
+
+def scaled(v: GrassmannTangent, c: float) -> GrassmannTangent:
+    """The tangent c v at v's base."""
+    return GrassmannTangent(v.base, c * v.delta)
 
 
 class CallCounter:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_subspace, random_tangent
+from conftest import complement, random_subspace, random_tangent, scaled
 
 from lipimm.correspond import (
     build_correspondence,
@@ -162,8 +162,8 @@ def test_acceptance_02_karcher_grid_oracle():
         grad = energy_gradient(p, mu)
         direction = random_tangent(p, rng, norm=1.0)
         h = 1e-5
-        fd = (energy(exp_map(p, direction.scaled(h)), mu)
-              - energy(exp_map(p, direction.scaled(-h)), mu)) / (2 * h)
+        fd = (energy(exp_map(p, scaled(direction, h)), mu)
+              - energy(exp_map(p, scaled(direction, -h)), mu)) / (2 * h)
         analytic = float(np.sum(grad.delta * direction.delta))
         worst_fd = max(worst_fd, abs(fd - analytic) / max(abs(fd), 1e-12))
     ok &= worst_fd < 1e-5
@@ -340,7 +340,7 @@ def test_acceptance_10_higher_codimension():
         mean = nfield.mean(q)
         cvec = tilted.tangent_plane(q).frame[:, 0]
         qmat, _ = np.linalg.qr(np.column_stack([cvec, np.eye(3)]))
-        atoms = np.column_stack([a.complement().frame[:, 0] for a in mu.atoms])
+        atoms = np.column_stack([complement(a).frame[:, 0] for a in mu.atoms])
         best, best_val = None, np.inf
         for rho in np.arange(0.0, 0.06, 1e-3):
             if rho == 0.0:
@@ -356,7 +356,7 @@ def test_acceptance_10_higher_codimension():
             i = int(np.argmin(vals))
             if vals[i] < best_val:
                 best_val, best = float(vals[i]), pts[i]
-        oracle = orthonormalize(best[:, None]).complement()
+        oracle = complement(orthonormalize(best[:, None]))
         worst_oracle = max(worst_oracle, geodesic_distance(mean, oracle))
     ok &= worst_oracle <= 1e-3
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_subspace, random_tangent
+from conftest import complement, random_subspace, random_tangent, scaled
 
 import lipimm
 
@@ -90,7 +90,7 @@ def test_geodesic_distance_polyline_oracle():
     d = geodesic_distance(base, target)
     steps = 1_000_000
     ts = np.linspace(0.0, 1.0, 201)  # chord sum refined by Richardson below
-    pts = [exp_map(base, v.scaled(t)) for t in ts]
+    pts = [exp_map(base, scaled(v, t)) for t in ts]
     coarse = sum(geodesic_distance(a, b) for a, b in zip(pts, pts[1:]))
     # geodesic segments are exact under the metric, so the chord sum equals d
     assert coarse == pytest.approx(d, abs=1e-6)
@@ -265,7 +265,7 @@ def test_stack_rows_equal_their_batch_of_one_calls():
         assert np.array_equal(angles[i], principal_angles(e, g).angles)
         assert distances[i] == geodesic_distance(e, g)
         assert np.array_equal(deltas[i], log_map(base, g).delta)
-        assert np.array_equal(complements[i], e.complement().frame)
+        assert np.array_equal(complements[i], complement(e).frame)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -16,7 +16,7 @@ from lipimm.errors import (
     LipimmError,
     NotAGraphError,
 )
-from lipimm._util import bracketed_newton, rounding_floor
+from lipimm._util import bracketed_newton, inverse_hermite, rounding_floor
 from lipimm.grassmann import Subspace, orthonormalize
 from lipimm.immersion import (
     PLANE_RULES,
@@ -40,7 +40,7 @@ from lipimm.immersion import (
 )
 from lipimm.shapes import Evaluator, immersion_from_points, make_shape
 
-from conftest import random_subspace
+from conftest import complement, random_subspace
 
 
 @pytest.fixture(scope="module")
@@ -448,28 +448,80 @@ def test_check_raises_first_failure_in_id_order(circle):
 
 def test_curve_check_makes_few_evaluator_calls_per_block(evaluator_calls,
                                                         per_call):
-    # bracketed Newton from the secant point: one call for the bracket ends,
-    # three Newton iterations of one fused point and slope call, and the
-    # points at the roots that the last iteration moved
+    # one call for the bracket ends and their slopes, and one fused point
+    # and slope call from the inverse Hermite points, whose Newton steps
+    # the circle's bound certifies: no root is evaluated again
     circle = make_shape("circle", {"radius": 1.0}, 1024)
     counter = evaluator_calls(circle.evaluator)
     blocks = per_call(immersion_mod, "_solve_curve_rows", counter)
     check_r_lambda(circle, 0.2, 0.25)
     assert len(blocks) == 4  # 256 rows each
-    assert max(blocks) <= 5
+    assert max(blocks) <= 2
     assert counter.calls <= sum(blocks) + 1  # and one for the tangent frames
 
 
 def test_curve_check_evaluates_few_parameters_per_chart_node(
         evaluator_calls):
-    # each row's ~67 bracket ends once, three Newton iterations over its
-    # 129 nodes, and again only the roots the last iteration moved: 6.01
-    # evaluations per node when each node evaluated its own two ends and
-    # every root again
+    # each row's ~67 bracket ends once and one Newton evaluation of its 129
+    # nodes: 1.53 per node, where the secant points with a confirming
+    # evaluation took 3.61, and each node's own two ends and its root
+    # again 6.01
     circle = make_shape("circle", {"radius": 1.0}, 1024)
     counter = evaluator_calls(circle.evaluator)
     check_r_lambda(circle, 0.2, 0.25)
-    assert counter.params <= 3.7 * len(circle) * 129
+    assert counter.params <= 1.6 * len(circle) * 129
+
+
+def test_circle3d_check_evaluates_few_parameters_per_chart_node(
+        evaluator_calls):
+    # the first member of the codimension-2 family: ~23 bracket ends per
+    # row and one Newton evaluation, 1.19 per node (3.31 before)
+    f = make_shape("circle3d", {"radius": 1.5, "tilt": 0.2}, 512)
+    counter = evaluator_calls(f.evaluator)
+    check_r_lambda(f, 0.2, 0.25)
+    assert counter.params <= 1.25 * len(f) * 129
+
+
+CURVES = [
+    ("circle", {"radius": 1.0, "center": (0.4, -2.0)}),
+    ("ellipse", {"a": 1.0, "b": 0.6}),
+    ("rounded-rectangle", {"width": 2.0, "height": 1.5, "corner_radius": 0.5}),
+    ("circle3d", {"radius": 1.0, "tilt": 0.2}),
+    ("torus-knot", {"p": 2, "q": 3, "R": 2.0, "tube": 0.5}),
+]
+
+
+@pytest.mark.parametrize("rule", PLANE_RULES)
+@pytest.mark.parametrize("r", [0.1, 0.2, 0.3])
+@pytest.mark.parametrize("name, params", CURVES)
+def test_certified_curve_fill_keeps_every_outcome(name, params, r, rule,
+                                                  evaluator_calls):
+    # with the evaluator's bound L a root whose Newton step d has
+    # (L/2) d^2 <= 1e-15 (1 + |f(q)|) takes the point f(t) + f'(t) d;
+    # without it the root is evaluated again.  The bound saves evaluations,
+    # every outcome and message is the same, every height agrees to
+    # 1e-14 (1 + |f(q)|) and every slope to that over the grid step
+    f = make_shape(name, params, 512)
+    ids = list(range(len(f)))
+    planes = planes_for(f, ids, rule, r, 0.25)
+    counter = evaluator_calls(f.evaluator)
+    got = _block_patches(f, ids, planes, r)
+    certified, counter.params = counter.params, 0
+    f.evaluator.bound = None
+    want = _block_patches(f, ids, planes, r)
+    assert certified < counter.params
+    assert any(patch is not None for patch, _ in want)
+    for (patch, err), (ref, ref_err) in zip(got, want, strict=True):
+        assert (type(err), str(err)) == (type(ref_err), str(ref_err))
+        assert (patch is None) == (ref is None)
+        if ref is None:
+            continue
+        tol = 1e-14 * (1 + np.max(np.abs(f.positions[ref.base])))
+        assert np.array_equal(np.isnan(patch.u), np.isnan(ref.u))
+        assert np.nanmax(np.abs(patch.u - ref.u)) <= tol
+        assert np.nanmax(np.abs(patch._du - ref._du)) <= tol / ref.grid_step
+        assert abs(patch.lambda_measured - ref.lambda_measured) <= \
+            tol / ref.grid_step
 
 
 @pytest.mark.parametrize("name, params", [
@@ -878,21 +930,23 @@ def reference_curve_brackets(f, bases, members, counts, proj, x_nodes):
 
 def reference_solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
                                residual_tol):
-    """The former curve fill: both ends of every bracket evaluated, and
-    the points at the roots evaluated again."""
+    """The curve fill without shared ends or a certified last step: both
+    ends of every bracket evaluated with their slopes, bracketed Newton from
+    their inverse Hermite points, and the points at the roots evaluated
+    again."""
     f_q = f_q[:, None, :]
     e_col = e_vecs[:, :, None]
 
-    def residual(points):
-        points -= f_q
-        return np.matmul(points, e_col)[..., 0] - x_nodes
+    def along(v):
+        return np.matmul(v, e_col)[..., 0]
 
     def residual_slope(t):
         points, velocity = ev.point_jacobian(t)
-        return residual(points), np.matmul(velocity, e_col)[..., 0]
+        points -= f_q
+        return along(points) - x_nodes, along(velocity)
 
-    r_lo = residual(ev.point(lo))
-    r_hi = residual(ev.point(hi))
+    r_lo, s_lo = residual_slope(lo)
+    r_hi, s_hi = residual_slope(hi)
     hit = np.minimum(np.maximum(1e-12, 1e-14 * np.max(np.abs(f_q), axis=-1)),
                      residual_tol)
     hit_hi = np.abs(r_hi) <= hit
@@ -902,10 +956,11 @@ def reference_solve_curve_rows(ev, f_q, e_vecs, n_frames, lo, hi, x_nodes,
     hi = np.where(hit_lo, lo, hi)
     r_hi = np.where(hit_lo, r_lo, r_hi)
     unresolved = np.any((r_lo * r_hi > 0) & ~hit_lo & ~hit_hi, axis=1)
-    t, _ = bracketed_newton(residual_slope, lo, hi, r_lo, r_hi,
-                            rounding_floor(f_q))
-    points = ev.point(t)
-    res = np.max(np.abs(residual(points)), axis=1)
+    t, _, _ = bracketed_newton(
+        residual_slope, lo, hi, r_lo, r_hi, rounding_floor(f_q),
+        inverse_hermite(lo, hi, r_lo, r_hi, s_lo, s_hi))
+    points = ev.point(t) - f_q
+    res = np.max(np.abs(along(points) - x_nodes), axis=1)
     return np.matmul(points, n_frames), unresolved, res
 
 
@@ -922,8 +977,11 @@ def test_bracket_ends_fill_as_the_bracket_pairs(name, params, r, rule):
     # the ends evaluated once per row and gathered, and the roots' points
     # from the last Newton step, against both ends of every bracket and
     # the points at the roots evaluated again: the same bytes, on rising
-    # and falling rows and on brackets past the outermost members
+    # and falling rows and on brackets past the outermost members.  Without
+    # the evaluator's bound no step is certified, so every root's point is
+    # one the curve evaluates
     f = make_shape(name, params, 512)
+    f.evaluator.bound = None
     outcomes = planes_for(f, list(range(len(f))), rule, r, 0.25)
     planes = {q: plane.frame for q, (plane, err) in enumerate(outcomes)
               if err is None}
@@ -1594,7 +1652,7 @@ def reference_function_check(f, r, lam):
         plane = reference_best_fit_plane(f, q, delta(1, r, lam))
         members = reference_component(f, q, plane, r)
         rel = f.positions[members] - f.positions[q]
-        proj, heights = rel @ plane.frame, rel @ plane.complement().frame
+        proj, heights = rel @ plane.frame, rel @ complement(plane).frame
         pts = f.positions[members]
         dx, dz, damb = (np.linalg.norm(a[:, None] - a[None], axis=2)
                         for a in (proj, heights, pts))

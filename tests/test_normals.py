@@ -47,6 +47,25 @@ from lipimm.normals import (
 )
 from lipimm.shapes import make_shape
 
+from conftest import complement, scaled
+
+
+def cutoff_derivative(spec, t):
+    """g'(t) of the cutoff ``spec``: the slope of its descending step, the
+    plateau profile 1/(1 - a) with its bump ramps, over [inner, 1]."""
+    t = np.asarray(t, dtype=float)
+    s = (t - spec.inner) / (1.0 - spec.inner)
+    a, ramp = normals_mod.RAMP_WIDTH, normals_mod._bump_ramp
+    slope = 1.0 / (1.0 - a) * np.where(
+        s < a, ramp(s / a), np.where(s <= 1.0 - a, 1.0, ramp((1.0 - s) / a)))
+    return np.where((s > 0) & (s < 1), -slope / (1.0 - spec.inner), 0.0)
+
+
+def member_normals(patch, sample_ids):
+    """Unit normals of a codimension-one patch at member samples: a
+    one-chart ``chart_normals``."""
+    return chart_normals([patch], [sample_ids])[0]
+
 
 @pytest.fixture(scope="module")
 def circle():
@@ -114,7 +133,7 @@ def test_cutoff_range_and_slope_bound():
         ts = np.linspace(0.0, 2.0, 100001)
         vals = cutoff_g(ts, g)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
-        der = g.derivative(ts)
+        der = cutoff_derivative(g, ts)
         assert np.all(der <= 0.0)
         assert np.min(der) >= -2.0 - 1e-9
 
@@ -124,7 +143,7 @@ def test_cutoff_derivative_matches_finite_differences():
     ts = np.linspace(0.01, 1.99, 4001)
     h = 1e-6
     fd = (g.value(ts + h) - g.value(ts - h)) / (2 * h)
-    assert np.max(np.abs(fd - g.derivative(ts))) < 5e-5
+    assert np.max(np.abs(fd - cutoff_derivative(g, ts))) < 5e-5
 
 
 def test_cutoff_monotone_and_continuous():
@@ -182,9 +201,8 @@ def test_unit_normal_flat_patch():
 
 def test_unit_normal_circle_is_radial(circle):
     patch = extract_graph_patch(circle, 0, circle.tangent_plane(0), 0.2)
-    field = unit_normal_patch(patch)
     members = patch.member_samples[::16]
-    normals = field.at_samples(members)
+    normals = member_normals(patch, members)
     radial = circle.positions[members]
     dots = np.abs(np.einsum("ij,ij->i", normals, radial))
     assert np.all(dots > 1 - 1e-6)
@@ -195,9 +213,8 @@ def test_unit_normal_circle_is_radial(circle):
 
 def test_unit_normal_orthogonal_to_tangents(circle):
     patch = extract_graph_patch(circle, 100, circle.tangent_plane(100), 0.2)
-    field = unit_normal_patch(patch)
     members = patch.member_samples[::8]
-    normals = field.at_samples(members)
+    normals = member_normals(patch, members)
     tangents = circle.evaluator.jacobian(circle.params[members])
     tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
     assert np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) < 2e-5
@@ -236,8 +253,8 @@ def test_sign_alignment_detects_negated_patch(circle, monkeypatch):
     net = build_net(circle, 0.2, 0.25, 5)
     patch = net.patch(1)
     flipped = _flip_patch(patch)
-    a = unit_normal_patch(patch).at_samples(patch.member_samples[:5])
-    b = unit_normal_patch(flipped).at_samples(patch.member_samples[:5])
+    a = member_normals(patch, patch.member_samples[:5])
+    b = member_normals(flipped, patch.member_samples[:5])
     assert np.allclose(a, -b, atol=1e-12)
     # drive the dichotomy through the alignment op itself
     real = DeltaNet.patches
@@ -506,8 +523,8 @@ def test_angle_bound_check_nearby_circle(circle, circle_net, circle_field):
     worst = 0.0
     for j, own, moved in zip(ids, circle_net.patches(ids),
                              net_other.patches(ids)):
-        a = unit_normal_patch(own).at_samples(circle_net.members(j, 1))
-        b = unit_normal_patch(moved).at_samples(net_other.members(j, 1))
+        a = member_normals(own, circle_net.members(j, 1))
+        b = member_normals(moved, net_other.members(j, 1))
         worst = max(worst, min(hausdorff_of(sphere_angle_matrix(a, b)),
                                hausdorff_of(sphere_angle_matrix(a, -b))))
     assert report.worst_hausdorff == worst > 0.0
@@ -523,7 +540,8 @@ def reference_normals_at(patch, x):
 
 
 def reference_at_samples(patch, sample_ids):
-    """The former ``at_samples``: a dict of the patch's member rows."""
+    """The former one-patch normals at member samples: a dict of the
+    patch's member rows."""
     lookup = {int(s): i for i, s in enumerate(patch.member_samples)}
     rows = [lookup[int(s)] for s in sample_ids]
     return reference_normals_at(patch, patch.member_proj[rows, 0])
@@ -665,7 +683,7 @@ def test_averaged_normal_matches_grid_oracle(tilted, tilted_field):
     cvec = tilted.tangent_plane(q).frame[:, 0]
     qq, _ = np.linalg.qr(np.column_stack([cvec, np.eye(3)]))
     e1, e2 = qq[:, 1], qq[:, 2]
-    atoms_l = np.stack([a.complement().frame[:, 0] for a in mu.atoms])
+    atoms_l = np.stack([complement(a).frame[:, 0] for a in mu.atoms])
     w = mu.weights
     best, best_val = None, np.inf
     for rho in np.arange(0.0, 0.06, 1e-3):
@@ -682,7 +700,7 @@ def test_averaged_normal_matches_grid_oracle(tilted, tilted_field):
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val, best = float(vals[i]), pts[i]
-    oracle = orthonormalize(best[:, None]).complement()
+    oracle = complement(orthonormalize(best[:, None]))
     assert geodesic_distance(mean, oracle) <= 1e-3
 
 
@@ -691,11 +709,11 @@ def test_averaged_normal_two_symmetric_atoms(tilted):
     from conftest import random_tangent
     from lipimm.grassmann import exp_map, log_map
     from lipimm.karcher import DiracMixture
-    nu_q = tilted.tangent_plane(0).complement()
+    nu_q = complement(tilted.tangent_plane(0))
     rng = np.random.default_rng(3)
     v = random_tangent(nu_q, rng, norm=0.2)
     a = exp_map(nu_q, v)
-    b = exp_map(nu_q, v.scaled(-1.0))
+    b = exp_map(nu_q, scaled(v, -1.0))
     mu = DiracMixture((a, b), np.array([0.5, 0.5]))
     mean = karcher_mean(mu, center=nu_q).mean
     assert geodesic_distance(mean, nu_q) < 1e-9

@@ -11,6 +11,7 @@ from lipimm._util import (
     bisect,
     bracketed_newton,
     halton,
+    inverse_hermite,
     rounding_floor,
 )
 from lipimm.grassmann import orthonormalize
@@ -79,8 +80,8 @@ def test_roots_match_a_long_bisection(name, shape_param, samples, base,
         return residual(t), f.evaluator.jacobian(t) @ e
 
     r_lo, r_hi = residual(lo), residual(hi)
-    t, _ = bracketed_newton(residual_slope, lo.copy(), hi.copy(),
-                            r_lo.copy(), r_hi, rounding_floor(f_q))
+    t, _, _ = bracketed_newton(residual_slope, lo.copy(), hi.copy(),
+                               r_lo.copy(), r_hi, rounding_floor(f_q))
     ref_lo, ref_hi = bisect(residual, lo, hi, r_lo, 200)
     straddle = r_lo * r_hi <= 0
     assert np.count_nonzero(straddle) >= 127  # at most the two rim nodes
@@ -104,8 +105,8 @@ def test_a_bracket_end_that_is_a_root_stays_the_root():
         return np.sin(t), np.cos(t)
 
     lo, hi = np.array([0.0, -1.0, 3.0]), np.array([1.0, 0.0, 3.5])
-    t, _ = bracketed_newton(residual_slope, lo, hi, np.sin(lo), np.sin(hi),
-                            1e-15)
+    t, _, _ = bracketed_newton(residual_slope, lo, hi, np.sin(lo),
+                               np.sin(hi), 1e-15)
     assert t[0] == 0.0 and t[1] == 0.0
     assert abs(t[2] - math.pi) <= 4.5e-16
     assert len(calls) <= 4
@@ -127,7 +128,8 @@ def test_each_root_stops_on_its_own():
 
 def test_held_roots_are_where_the_last_call_was():
     # the third root takes a step in the last iteration, so the last call
-    # is not at it; the other two end where that call evaluated them
+    # is not at it; the other two end where that call evaluated them.
+    # Without a bound no step is certified: the third is to be confirmed
     c, floors = np.array([0.1, 0.5, 0.9]), np.array([1e-3, 1e-15, 1e-15])
     calls = []
 
@@ -135,9 +137,60 @@ def test_held_roots_are_where_the_last_call_was():
         calls.append(t.copy())
         return np.sin(t) - c, np.cos(t)
 
-    t, held = bracketed_newton(residual_slope, np.zeros(3), np.full(3, 1.5),
-                               -c, np.sin(1.5) - c, floors)
-    assert held.tolist() == (calls[-1] == t).tolist() == [True, True, False]
+    t, step, confirm = bracketed_newton(
+        residual_slope, np.zeros(3), np.full(3, 1.5), -c, np.sin(1.5) - c,
+        floors)
+    assert (~confirm).tolist() == (calls[-1] == t).tolist() == \
+        [True, True, False]
+    assert not step.any()
+
+
+def test_inverse_hermite_start_is_exact_on_a_cubic_inverse():
+    # where t(r) is a cubic, the start interpolates it exactly: with t(r) =
+    # 0.3 + 2 r + r^2 / 2 + r^3 / 4 (increasing), the root r = 0 is at 0.3
+    def inverse(r):
+        return 0.3 + 2 * r + r * r / 2 + r ** 3 / 4
+
+    def inverse_slope(r):
+        return 2 + r + 0.75 * r * r
+
+    r_lo, r_hi = np.array([-0.5, -0.01, -2.0]), np.array([0.25, 0.3, 0.1])
+    calls = []
+
+    def residual_slope(t):  # records the start and stops there
+        calls.append(t.copy())
+        return np.zeros_like(t), np.ones_like(t)
+
+    lo, hi = inverse(r_lo), inverse(r_hi)
+    bracketed_newton(residual_slope, lo, hi, r_lo.copy(), r_hi, 1e-15,
+                     inverse_hermite(lo, hi, r_lo, r_hi, 1 / inverse_slope(r_lo),
+                                     1 / inverse_slope(r_hi)))
+    assert np.max(np.abs(calls[0] - 0.3)) <= 1e-15
+
+
+def test_certified_steps_stop_at_the_first_evaluation():
+    # |sin''| <= 1: from the inverse Hermite start, one evaluation certifies
+    # every Newton step, each root is that step past the evaluation, and
+    # the residual there is within the floor
+    c = np.array([-0.3, 0.1, 0.5, 0.8])
+    lo, hi = np.arcsin(c) - 0.01, np.arcsin(c) + 0.013
+    calls = []
+
+    def residual_slope(t):
+        calls.append(t.copy())
+        return np.sin(t) - c, np.cos(t)
+
+    ends = (lo, hi, np.sin(lo) - c, np.sin(hi) - c)
+    start = inverse_hermite(*ends, np.cos(lo), np.cos(hi))
+    t, step, confirm = bracketed_newton(
+        residual_slope, *(v.copy() for v in ends), 1e-15, start.copy(), 1.0)
+    assert len(calls) == 1 and not confirm.any()
+    assert np.array_equal(calls[0] + step, t)
+    assert np.max(np.abs(np.sin(t) - c)) <= 1e-15
+    # without the bound the same start evaluates again at the stepped roots
+    calls.clear()
+    bracketed_newton(residual_slope, *ends, 1e-15, start)
+    assert len(calls) == 2
 
 
 def test_a_bracket_without_sign_change_is_flagged():
