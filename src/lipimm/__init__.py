@@ -6,16 +6,11 @@ neighborhoods, and projection-built correspondences."""
 from .errors import LipimmError
 from .grassmann import (
     GrassmannTangent,
-    PrincipalAngles,
-    SpherePointSet,
     Subspace,
     exp_map,
     geodesic_distance,
-    hausdorff_distance,
     log_map,
     orthonormalize,
-    principal_angles,
-    sphere_angle,
 )
 from .karcher import (
     DiracMixture,
@@ -36,7 +31,6 @@ from .immersion import (
     delta,
     extract_graph_patch,
     graph_system_distance,
-    patch_intersection_check,
     q_component,
     q_components,
 )
@@ -47,21 +41,14 @@ from .normals import (
     DirectionField,
     NormalMeasureField,
     angle_bound_check,
-    averaged_normal_N,
-    averaged_vector_S,
     constants,
-    cutoff_g,
     direction_field,
     field_lipschitz_check,
     make_cutoff,
     n_lipschitz_check,
-    normal_measure,
-    normal_sign_alignment,
-    unit_normal_patch,
 )
 from .tubular import (
     TubeParams,
-    fiber_intersection,
     inclusion_probe,
     injectivity_probe,
     separation_check,

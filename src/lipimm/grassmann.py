@@ -57,17 +57,6 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class PrincipalAngles:
-    """Principal angles between two k-planes, ascending in [0, pi/2]."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        object.__setattr__(self, "angles", a)
-
-
-@dataclass(frozen=True)
 class GrassmannTangent:
     """Tangent vector at ``base``: an n x k array with base^T . delta = 0."""
 
@@ -84,22 +73,6 @@ class GrassmannTangent:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.delta))
-
-
-@dataclass(frozen=True)
-class SpherePointSet:
-    """A finite, nonempty set of unit vectors in R^(m+1)."""
-
-    points: np.ndarray  # (N, m+1)
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 0:
-            raise DimensionMismatchError("sphere point set must be nonempty")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise DimensionMismatchError("sphere points must be unit vectors")
-        object.__setattr__(self, "points", pts)
 
 
 def _check_orthonormal(frames: np.ndarray):
@@ -199,13 +172,6 @@ def geodesic_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(principal_angles_all(a, b), axis=-1)
 
 
-def principal_angles(e: Subspace, g: Subspace) -> PrincipalAngles:
-    """Principal angles of one pair by the Bjorck-Golub hybrid, paired as in
-    ``principal_angles_all``, of which this is a one-row view."""
-    return PrincipalAngles(
-        principal_angles_all(e.frame[None], g.frame[None])[0])
-
-
 def geodesic_distance(e: Subspace, g: Subspace) -> float:
     """Principal-angle geodesic distance (sum theta_i^2)^(1/2)."""
     return float(geodesic_distances(e.frame[None], g.frame[None])[0])
@@ -252,17 +218,6 @@ def exp_map(base: Subspace, v: GrassmannTangent) -> Subspace:
         raise DimensionMismatchError("tangent is not based at the given subspace")
     return unchecked(Subspace,
                      frame=exp_map_all(base.frame[None], v.delta[None])[0])
-
-
-def sphere_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Intrinsic (angular) distance between the directions of two vectors:
-    a one-pair ``sphere_angle_matrix``."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-15 or nv < 1e-15:
-        raise DimensionMismatchError("sphere_angle of a zero vector")
-    return float(sphere_angle_matrix((u / nu)[None], (v / nv)[None])[0, 0])
 
 
 def sphere_angle_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -354,7 +309,3 @@ def _padded_rows(vectors, sets, counts):
     stack[valid] = vectors[np.concatenate(sets)]
     return stack, valid
 
-
-def hausdorff_distance(a: SpherePointSet, b: SpherePointSet) -> float:
-    """Hausdorff distance of finite sphere point sets under the angular metric."""
-    return hausdorff_of(sphere_angle_matrix(a.points, b.points))

@@ -102,9 +102,6 @@ class EuclideanIsometry:
     def apply(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(pts) @ self.rotation.T + self.translation
 
-    def pull_back(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts) - self.translation) @ self.rotation
-
 
 def _check_rotations(rotations: np.ndarray):
     """Raise unless every (n, n) matrix in the stack lies in SO(n)."""
@@ -1281,13 +1278,22 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     """The patches at sample ids from f's patch store, one per sample and
     ``_store_key``; the misses take one ``_block_patches`` pass over the
     outcomes of one ``planes_for`` pass, so a sample without a plane fails
-    alone.  The first failure in ``ids`` order is raised with its type and
-    a ``sample {q}:`` prefix."""
+    alone.  Only the misses before the first stored or plane error in
+    ``ids`` order are built, and that plane error is stored: no later
+    sample can fail first.  The first failure in ``ids`` order is raised
+    with its type and a ``sample {q}:`` prefix."""
     store = f._patch_store.setdefault(_store_key(r, lam, plane_rule), {})
-    missing = [q for q in dict.fromkeys(ids) if q not in store]
+    stored = next((i for i, q in enumerate(ids)
+                   if q in store and store[q][1] is not None), len(ids))
+    missing = [q for q in dict.fromkeys(ids[:stored]) if q not in store]
     if missing:
-        store.update(zip(missing, _block_patches(f, missing, planes_for(
-            f, missing, plane_rule, r, lam), r)))
+        planes = planes_for(f, missing, plane_rule, r, lam)
+        cut = next((i for i, (_, err) in enumerate(planes) if err is not None),
+                   len(missing))
+        store.update(zip(missing[:cut], _block_patches(f, missing[:cut],
+                                                       planes[:cut], r)))
+        if cut < len(missing):
+            store[missing[cut]] = planes[cut]
     for q in ids:
         if store[q][1] is not None:
             raise type(store[q][1])(f"sample {q}: {store[q][1]}")
@@ -1468,31 +1474,3 @@ def graph_system_distance(g1: GraphSystem, g2: GraphSystem) -> float:
                     axis=1)
     return float(np.cumsum(rot + tra + sup)[-1])
 
-
-@dataclass
-class IntersectReport:
-    distance_bound_holds: bool
-    worst_ratio: float
-    inclusion_applicable: bool
-    inclusion_holds: bool
-    missing: list
-
-
-def patch_intersection_check(f: SampledImmersion, p: int, q: int, rho: float,
-                             lam: float) -> IntersectReport:
-    """Check |f(q) - f(x)| < (1 + lambda) rho on U_{rho,q}, and the inclusion
-    U_{delta,p} subset U_{rho,q} whenever the delta-sets of p and q meet,
-    over tangent planes."""
-    plane_q = f.tangent_plane(q)
-    d = rho / (3.0 * (1.0 + lam))
-    members_q, dq = q_components(f, q, plane_q, [rho, d])
-    dist = np.linalg.norm(f.positions[members_q] - f.positions[q], axis=1)
-    bound = (1.0 + lam) * rho
-    worst = float(np.max(dist) / bound) if len(dist) else 0.0
-    distance_ok = bool(np.all(dist < bound))
-
-    dp = q_component(f, p, f.tangent_plane(p), d)
-    applicable = bool(np.intersect1d(dq, dp).size)
-    missing = sorted(set(dp.tolist()) - set(members_q.tolist())) \
-        if applicable else []
-    return IntersectReport(distance_ok, worst, applicable, not missing, missing)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CoherenceViolationError,
     DimensionMismatchError,
     InputError,
     InvariantViolationError,
@@ -34,7 +33,6 @@ from .grassmann import (
 )
 from .karcher import DiracMixture, karcher_means
 from .immersion import (
-    GraphPatch,
     SampledImmersion,
     _bilinear,
     _csr_rows,
@@ -107,11 +105,6 @@ def make_cutoff(lam: float) -> CutoffSpec:
     return CutoffSpec(1.0 / (3.0 * (1.0 + lam)))
 
 
-def cutoff_g(t, spec: CutoffSpec):
-    """Evaluate the cutoff (vectorized); see CutoffSpec for the guarantees."""
-    return spec.value(t)
-
-
 @dataclass(frozen=True)
 class ConstantsBundle:
     m: int
@@ -147,34 +140,6 @@ def constants(m: int, lam: float, r: float) -> ConstantsBundle:
                            eps, sigma, lam_big, 2.0 * (1.0 + lam) ** 2)
 
 
-class PatchNormalField:
-    """Continuous unit normal over a codimension-one graph patch.
-
-    The normal is the graph normal (-Du, 1)/sqrt(1 + |Du|^2) carried through
-    the patch isometry; its component along the isometry's last axis is
-    positive, which fixes the sign deterministically.
-    """
-
-    def __init__(self, patch: GraphPatch):
-        if patch.k != 1:
-            raise DimensionMismatchError(
-                "unit normal fields require codimension one")
-        self.patch = patch
-        self._inpainted = None  # a surface's Du grid, once a NaN cell is read
-
-    def at(self, x) -> np.ndarray:
-        """Unit normals at chart coordinates x (vectorized)."""
-        x = np.asarray(x, dtype=float).reshape(-1, self.patch.m)
-        count = np.array([len(x)])
-        return _unit_normals([self.patch], count, _chart_slopes(
-            [self.patch], count, x, self._inpainted_grid))
-
-    def _inpainted_grid(self, patch):
-        if self._inpainted is None:
-            self._inpainted = _inpaint(patch._du[:, :, 0, :])
-        return self._inpainted
-
-
 def chart_normals(patches, sample_ids):
     """The unit normals nu_j of every chart j = ``patches[j]`` at its member
     samples ``sample_ids[j]``, stacked in chart order, and each chart's row
@@ -207,12 +172,11 @@ def chart_normals(patches, sample_ids):
         counts
 
 
-def _chart_slopes(patches, counts, x, inpainted=None):
+def _chart_slopes(patches, counts, x):
     """Du of chart ``patches[j]`` at the next counts[j] rows of the (R, m)
     chart coordinates x, for all charts at once: on curves by ``np.interp``'s
-    formula over the shared nodes, on surfaces bilinear, from the grid
-    ``inpainted(patch)`` (``_inpaint`` by default) of a chart where a row
-    reads a NaN cell."""
+    formula over the shared nodes, on surfaces bilinear, from a chart's
+    ``_inpaint`` grid where one of its rows reads a NaN cell."""
     chart = np.repeat(np.arange(len(patches)), counts)
     xp = patches[0].x_nodes
     if patches[0].m == 1:
@@ -230,8 +194,7 @@ def _chart_slopes(patches, counts, x, inpainted=None):
     bad = ~np.all(np.isfinite(du), axis=1)
     for j in np.unique(chart[bad]).tolist():  # inpainting keeps finite cells
         rows = chart == j
-        du[rows] = _bilinear(xp, _inpaint(grids[j]) if inpainted is None
-                             else inpainted(patches[j]), x[rows])
+        du[rows] = _bilinear(xp, _inpaint(grids[j]), x[rows])
     return du
 
 
@@ -267,28 +230,6 @@ def _inpaint(grid):
         fill[counts == 0] = np.nan  # isolated corners stay unfilled this pass
         out[bad] = fill[bad]
     return np.nan_to_num(out, nan=0.0)
-
-
-def unit_normal_patch(patch: GraphPatch) -> PatchNormalField:
-    """Continuous, deterministically signed unit normal over a patch."""
-    return PatchNormalField(patch)
-
-
-def normal_sign_alignment(f: SampledImmersion, net: DeltaNet, j: int, k: int) -> int:
-    """+1 / -1 dichotomy of two chart normals on their shared delta_1-samples."""
-    shared = np.intersect1d(net.members(j, 1), net.members(k, 1))
-    if len(shared) == 0:
-        raise InputError(f"charts {j} and {k} do not meet at delta_1 scale")
-    nu_j, nu_k = np.split(chart_normals(net.patches([j, k]),
-                                        [shared, shared])[0], 2)
-    dots = np.einsum("ij,ij->i", nu_j, nu_k)
-    if np.all(dots > 0):
-        return 1
-    if np.all(dots < 0):
-        return -1
-    raise CoherenceViolationError(
-        f"chart normals {j}/{k} agree on some shared samples and disagree on "
-        f"others; the sampling cannot represent a valid immersion")
 
 
 class DirectionField:
@@ -373,21 +314,6 @@ def _chart_sums(f: SampledImmersion, net: DeltaNet, js: np.ndarray,
         f"plane normal of chart {ks[own][np.argmax(angles[own])]} is "
         f"{np.max(angles[own]):.4f} rad from chart {js[i]}'s reference "
         f"normal, beyond arctan(lambda) = {arctan_lam:.4f}"))
-
-
-def averaged_vector_S(f: SampledImmersion, net: DeltaNet, q: int,
-                      reference_j: int) -> np.ndarray:
-    """The cutoff-weighted sum of sign-aligned chart-plane normals at q."""
-    if f.n != f.m + 1:
-        raise DimensionMismatchError("averaged vector field needs codimension 1")
-    if q not in set(net.members(reference_j, 3).tolist()):
-        raise InputError(f"sample {q} is not in the delta_3-patch of chart "
-                         f"{reference_j}")
-    sums, failure = _chart_sums(f, net, np.array([reference_j]),
-                                np.array([q]))
-    if failure:
-        raise failure[1]
-    return sums[0]
 
 
 def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
@@ -670,16 +596,6 @@ class NormalMeasureField:
     def mean(self, q: int) -> Subspace:
         """The averaged normal N(q): a one-sample ``means``."""
         return unchecked(Subspace, frame=self.means([q])[0])
-
-
-def normal_measure(f: SampledImmersion, net: DeltaNet, q: int) -> DiracMixture:
-    """The cutoff-weighted mixture of chart normal spaces at sample q."""
-    return NormalMeasureField(f, net).measure(q)
-
-
-def averaged_normal_N(f: SampledImmersion, net: DeltaNet, q: int) -> Subspace:
-    """Center of mass of the normal-space mixture, centered at nu(q)."""
-    return NormalMeasureField(f, net).mean(q)
 
 
 def n_lipschitz_check(nfield: NormalMeasureField, j: int) -> LipschitzReport:

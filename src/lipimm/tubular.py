@@ -1,4 +1,4 @@
-"""Tubular neighborhood sizing, fiber intersections, and probe certificates.
+"""Tubular neighborhood sizing and probe certificates.
 
 Around a codimension-one graph patch carrying a transversal unit field T, the
 fiber map F(x, t) = (x, u(x)) + t T(x) is injective for |t| < eps = cos(gamma)/L
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InputError,
-    NonTransversalError,
 )
 from ._util import bisect, halton
 from .immersion import GraphPatch
@@ -53,101 +52,6 @@ def tube_params(rho: float, lam: float, big_l: float, gamma: float) -> TubeParam
     second = math.cos(gamma) ** 2 / (2.0 * big_l * (1.0 + lam))
     branch = "half-patch" if first <= second else "curvature"
     return TubeParams(eps, min(first, second), rho, gamma, big_l, lam, branch)
-
-
-def _to_patch_coords(patch: GraphPatch, direction, anchor):
-    d = patch.isometry.rotation.T @ np.asarray(direction, dtype=float)
-    a = patch.isometry.pull_back(np.asarray(anchor, dtype=float))
-    return d, a
-
-
-def _graph_normal_dots(patch: GraphPatch, d_chart):
-    """<graph normal, direction> over the grid; codimension one only."""
-    du = patch._du  # (G, 1)
-    normals = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return normals @ d_chart
-
-
-@dataclass
-class FiberHit:
-    point: np.ndarray   # ambient R^n
-    chart_x: float
-    t: float
-
-
-def fiber_intersection(patch: GraphPatch, direction, anchor) -> FiberHit | None:
-    """Unique intersection of the line ``anchor + t direction`` with the patch.
-
-    Transversality (the direction never tangent to the graph) makes the
-    chart residual strictly monotone in t, so the root, if the line meets the
-    graph over the chart footprint at all, is unique and found by bisection.
-    """
-    if patch.k != 1 or patch.m != 1:
-        raise DimensionMismatchError(
-            "line-fiber intersection is a codimension-one curve operation")
-    d, a = _to_patch_coords(patch, direction, anchor)
-    dots = _graph_normal_dots(patch, d)
-    if np.min(np.abs(dots)) < 1e-12:
-        raise NonTransversalError(
-            "direction is tangent to the patch graph somewhere")
-    hits = _fiber_batch(patch.x_nodes, patch.u[:, 0][None, :],
-                        a[None, :], d[None, :], patch.radius)
-    t_star, x_star, ok = hits
-    if not ok[0]:
-        return None
-    point_chart = np.array([x_star[0],
-                            np.interp(x_star[0], patch.x_nodes, patch.u[:, 0])])
-    return FiberHit(patch.isometry.apply(point_chart), float(x_star[0]),
-                    float(t_star[0]))
-
-
-def _fiber_batch(x_nodes, u_rows, anchors, directions, radius):
-    """Vectorized bisection for many (anchor, direction, graph) triples.
-
-    u_rows: (B, G) graph values over shared x_nodes; anchors/directions: (B, 2)
-    in patch coordinates.  Returns (t, x, ok) arrays.
-    """
-    b = len(anchors)
-    ax, ay = anchors[:, 0], anchors[:, 1]
-    dx, dy = directions[:, 0], directions[:, 1]
-
-    # t-range keeping the chart coordinate inside the grid; near-vertical
-    # lines (dx ~ 0) stay inside for every t as long as the anchor does
-    x_lim = radius * (1.0 - 1e-12)
-    vertical = np.abs(dx) < 1e-300
-    safe_dx = np.where(vertical, 1.0, dx)
-    t_at_minus = (-x_lim - ax) / safe_dx
-    t_at_plus = (x_lim - ax) / safe_dx
-    t_lo = np.where(vertical, -np.inf, np.minimum(t_at_minus, t_at_plus))
-    t_hi = np.where(vertical, np.inf, np.maximum(t_at_minus, t_at_plus))
-    t_cap = np.abs(ay) + np.max(np.abs(u_rows), axis=1) + x_lim + 1.0
-    t_lo = np.maximum(t_lo, -t_cap)
-    t_hi = np.minimum(t_hi, t_cap)
-    outside = vertical & (np.abs(ax) >= x_lim)
-    t_hi = np.where(outside, t_lo, t_hi)  # empty interval: no footprint
-
-    rows = np.arange(b)
-
-    def residual(t):
-        x = ax + t * dx
-        u = _interp_rows(x_nodes, u_rows, x, rows)
-        return ay + t * dy - u
-
-    r_lo = residual(t_lo)
-    r_hi = residual(t_hi)
-    ok = (r_lo * r_hi <= 0) & (t_hi > t_lo)
-    lo, hi = bisect(residual, t_lo, t_hi, r_lo, BISECTION_ITERATIONS)
-    t = 0.5 * (lo + hi)
-    return t, ax + t * dx, ok
-
-
-def _interp_rows(x_nodes, u_rows, x, rows):
-    step = x_nodes[1] - x_nodes[0]
-    pos = (x - x_nodes[0]) / step
-    i0 = np.clip(np.floor(pos).astype(int), 0, len(x_nodes) - 2)
-    frac = pos - i0
-    return (1 - frac) * u_rows[rows, i0] + frac * u_rows[rows, i0 + 1]
 
 
 class ChartField:

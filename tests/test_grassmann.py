@@ -12,20 +12,18 @@ import lipimm
 
 from lipimm.errors import CutLocusError, DegenerateFrameError, DimensionMismatchError
 from lipimm.grassmann import (
-    SpherePointSet,
     Subspace,
     complement_frames,
     difference_norms,
     exp_map,
     geodesic_distance,
     geodesic_distances,
-    hausdorff_distance,
+    hausdorff_of,
     log_map,
     log_map_all,
     orthonormalize,
-    principal_angles,
     principal_angles_all,
-    sphere_angle,
+    sphere_angle_matrix,
 )
 
 
@@ -62,16 +60,18 @@ def test_orthonormalize_rank_deficient():
 
 
 def test_principal_angles_trivial_cases():
-    assert principal_angles(span(E1), span(E1)).angles == pytest.approx([0.0])
-    assert principal_angles(span(E1), span(E2)).angles == pytest.approx([np.pi / 2])
+    e1, e2 = span(E1).frame, span(E2).frame
+    assert principal_angles_all(e1, e1) == pytest.approx([0.0])
+    assert principal_angles_all(e1, e2) == pytest.approx([np.pi / 2])
     e = span(E1, E2)
     g = span(E1, (E2 + E3) / np.sqrt(2))
-    assert principal_angles(e, g).angles == pytest.approx([0.0, np.pi / 4])
+    assert principal_angles_all(e.frame, g.frame) == \
+        pytest.approx([0.0, np.pi / 4])
 
 
 def test_principal_angles_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        principal_angles(span(E1), span(E1, E2))
+        principal_angles_all(span(E1).frame, span(E1, E2).frame)
 
 
 def test_geodesic_distance_trivial():
@@ -146,25 +146,28 @@ def test_exp_map_distance_speed_consistency():
 
 
 def test_sphere_angle_basics():
-    assert sphere_angle(E1, E1) == 0.0
-    assert sphere_angle(E1, -E1) == pytest.approx(np.pi)
-    assert sphere_angle(E1, (E1 + E2) / np.sqrt(2)) == pytest.approx(np.pi / 4)
-    with pytest.raises(DimensionMismatchError):
-        sphere_angle(E1, np.zeros(3))
+    ends = np.array([E1, -E1, (E1 + E2) / np.sqrt(2)])
+    angles = sphere_angle_matrix(E1[None], ends)[0]
+    assert angles[0] == 0.0
+    assert angles[1] == pytest.approx(np.pi)
+    assert angles[2] == pytest.approx(np.pi / 4)
 
 
 def test_hausdorff_trivial_and_singletons():
-    a = SpherePointSet(np.array([E1]))
-    assert hausdorff_distance(a, a) == 0.0
-    north = np.array([0.0, 0.0, 1.0])
-    other = np.array([np.sin(0.3), 0.0, np.cos(0.3)])
-    d = hausdorff_distance(SpherePointSet(north), SpherePointSet(other))
+    a = np.array([E1])
+    assert hausdorff_of(sphere_angle_matrix(a, a)) == 0.0
+    north = np.array([[0.0, 0.0, 1.0]])
+    other = np.array([[np.sin(0.3), 0.0, np.cos(0.3)]])
+    d = hausdorff_of(sphere_angle_matrix(north, other))
     assert d == pytest.approx(0.3, abs=1e-12)
 
 
 def brute_force_hausdorff(a, b):
-    d_ab = max(min(sphere_angle(x, y) for y in b) for x in a)
-    d_ba = max(min(sphere_angle(x, y) for y in a) for x in b)
+    def angle(x, y):
+        return float(np.arccos(np.clip(x @ y, -1.0, 1.0)))
+
+    d_ab = max(min(angle(x, y) for y in b) for x in a)
+    d_ba = max(min(angle(x, y) for y in a) for x in b)
     return max(d_ab, d_ba)
 
 
@@ -174,10 +177,10 @@ def test_hausdorff_brute_force_and_shuffle():
     b = rng.standard_normal((50, 3))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    d = hausdorff_distance(SpherePointSet(a), SpherePointSet(b))
+    d = hausdorff_of(sphere_angle_matrix(a, b))
     assert d == pytest.approx(brute_force_hausdorff(a, b), abs=1e-12)
     perm = rng.permutation(50)
-    d_shuffled = hausdorff_distance(SpherePointSet(a[perm]), SpherePointSet(b))
+    d_shuffled = hausdorff_of(sphere_angle_matrix(a[perm], b))
     assert d == pytest.approx(d_shuffled, abs=1e-14)
 
 
@@ -209,8 +212,8 @@ def test_principal_angles_frame_invariance():
     g = random_subspace(5, 2, rng)
     rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     e2 = Subspace(e.frame @ rot)
-    assert np.allclose(principal_angles(e, g).angles,
-                       principal_angles(e2, g).angles, atol=1e-10)
+    assert np.allclose(principal_angles_all(e.frame, g.frame),
+                       principal_angles_all(e2.frame, g.frame), atol=1e-10)
 
 
 def test_hausdorff_metric_axioms():
@@ -219,14 +222,18 @@ def test_hausdorff_metric_axioms():
     for _ in range(12):
         pts = rng.standard_normal((rng.integers(2, 8), 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        sets.append(SpherePointSet(pts))
+        sets.append(pts)
+
+    def hausdorff(a, b):
+        return hausdorff_of(sphere_angle_matrix(a, b))
+
     for _ in range(100):
         i, j, k = rng.integers(0, len(sets), size=3)
         a, b, c = sets[i], sets[j], sets[k]
-        dab = hausdorff_distance(a, b)
-        assert dab == pytest.approx(hausdorff_distance(b, a), abs=0.0)
-        assert dab <= hausdorff_distance(a, c) + hausdorff_distance(c, b) + 1e-12
-    assert hausdorff_distance(sets[0], sets[0]) == 0.0
+        dab = hausdorff(a, b)
+        assert dab == pytest.approx(hausdorff(b, a), abs=0.0)
+        assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
+    assert hausdorff(sets[0], sets[0]) == 0.0
 
 
 def test_principal_angles_resolve_a_shared_line():
@@ -236,10 +243,10 @@ def test_principal_angles_resolve_a_shared_line():
     e = Subspace(q @ np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     g = Subspace(q @ np.array([[1.0, 0.0], [0.0, np.cos(1.0)],
                                [0.0, np.sin(1.0)]]))
-    angles = principal_angles(e, g).angles
+    angles = principal_angles_all(e.frame, g.frame)
     assert angles[0] <= 1e-14
     assert abs(angles[1] - 1.0) <= 1e-14
-    assert np.array_equal(principal_angles(g, e).angles, angles)
+    assert np.array_equal(principal_angles_all(g.frame, e.frame), angles)
 
 
 def test_stacks_of_zero_pairs_are_empty():
@@ -262,7 +269,8 @@ def test_stack_rows_equal_their_batch_of_one_calls():
     deltas = log_map_all(base.frame, g_stack)
     complements = complement_frames(e_stack)
     for i, (e, g) in enumerate(zip(es, gs)):
-        assert np.array_equal(angles[i], principal_angles(e, g).angles)
+        assert np.array_equal(angles[i], principal_angles_all(
+            e.frame[None], g.frame[None])[0])
         assert distances[i] == geodesic_distance(e, g)
         assert np.array_equal(deltas[i], log_map(base, g).delta)
         assert np.array_equal(complements[i], complement(e).frame)

@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import time
 import tracemalloc
 import warnings
 
@@ -32,7 +33,6 @@ from lipimm.immersion import (
     delta,
     extract_graph_patch,
     graph_system_distance,
-    patch_intersection_check,
     planes_for,
     planes_of,
     q_component,
@@ -1541,8 +1541,9 @@ def test_plane_errors_keep_their_sample_prefix():
 def test_one_plane_pass_fails_thin_seed_balls_alone(lipimm_calls):
     # best-fit planes at (0.1, 0.25) on sphere 48x24: 818 of the 1,106
     # seed balls hold at most 2 samples.  One plane pass gives those
-    # samples their error and the others their planes, and every stored
-    # outcome is that of the sample's plane resolved alone
+    # samples their error and the others their planes; the first failure
+    # in id order is sample 0's plane error, so the store keeps that
+    # outcome, the one of its plane resolved alone, and nothing else
     f = make_shape(*SPHERE, "48x24")
     balls = lipimm_calls(immersion_mod._ball_blocks)
     for _ in range(2):  # the second check reads the store
@@ -1555,9 +1556,43 @@ def test_one_plane_pass_fails_thin_seed_balls_alone(lipimm_calls):
     ids = list(range(len(f)))
     alone = [planes_for(f, [q], "best-fit", 0.1, 0.25) for q in ids]
     assert sum(err is None for [(_, err)] in alone) == 288
+    assert list(store) == [0]
     assert_same_patch_outcomes(
-        [store[q] for q in ids],
-        [_block_patches(f, [q], plane, 0.1)[0] for q, plane in zip(ids, alone)])
+        [store[0]], [_block_patches(f, [0], alone[0], 0.1)[0]])
+
+
+def test_patches_are_built_only_up_to_the_first_plane_error():
+    # on sphere 48x24 at (0.1, 0.25), best-fit: the samples with a plane
+    # before the first thin seed ball in id order are built, that sample's
+    # plane error is stored and raised, and no later sample is resolved
+    f = make_shape(*SPHERE, "48x24")
+    outcomes = planes_for(f, range(len(f)), "best-fit", 0.1, 0.25)
+    good = [q for q, (_, err) in enumerate(outcomes) if err is None]
+    thin = [q for q, (_, err) in enumerate(outcomes) if err is not None]
+    ids = good[:3] + [thin[5]] + good[3:6] + [thin[0]]
+    with pytest.raises(InsufficientSamplingError) as info:
+        check_r_lambda(f, 0.1, 0.25, "best-fit", sample_ids=ids)
+    assert str(info.value) == f"sample {thin[5]}: {outcomes[thin[5]][1]}"
+    [store] = f._patch_store.values()
+    assert list(store) == ids[:4]
+    assert_same_patch_outcomes(
+        [store[q] for q in ids[:4]],
+        _block_patches(f, ids[:4], [outcomes[q] for q in ids[:4]], 0.1))
+
+
+def test_a_first_plane_error_raises_before_any_patch_is_built(lipimm_calls):
+    # sphere 96x48 at (0.1, 0.25), best-fit: sample 0's seed ball is thin,
+    # so the check raises from its plane pass alone, in 0.06-0.07 s (it
+    # built the 2,688 patches with a plane first, in 0.83-1.00 s)
+    f = make_shape(*SPHERE, "96x48")
+    builds = lipimm_calls(immersion_mod._component_patches)
+    start = time.perf_counter()
+    with pytest.raises(InsufficientSamplingError) as info:
+        check_r_lambda(f, 0.1, 0.25, "best-fit")
+    assert time.perf_counter() - start < 0.3
+    assert str(info.value) == \
+        "sample 0: not enough samples near 0 for a best-fit plane"
+    assert builds.calls == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1823,20 +1858,33 @@ def test_graph_system_metric_axioms(circle):
 # patch intersection inequalities
 
 
+def intersection_sets(f, p, q, rho, lam):
+    """U_{rho,q}, U_{delta,q} and U_{delta,p} over tangent planes, with
+    delta = rho / (3 (1 + lambda)), and each member's |f(q) - f(x)| over
+    (1 + lambda) rho."""
+    d = rho / (3.0 * (1.0 + lam))
+    members_q, dq = q_components(f, q, f.tangent_planes([q])[0], [rho, d])
+    [dp] = q_components(f, p, f.tangent_planes([p])[0], [d])
+    ratios = np.linalg.norm(f.positions[members_q] - f.positions[q],
+                            axis=1) / ((1.0 + lam) * rho)
+    return members_q, dq, dp, ratios
+
+
 def test_patch_intersection_same_point(circle):
-    report = patch_intersection_check(circle, 3, 3, 0.2, 0.25)
-    assert report.distance_bound_holds
-    assert report.inclusion_applicable
-    assert report.inclusion_holds
+    members_q, dq, dp, ratios = intersection_sets(circle, 3, 3, 0.2, 0.25)
+    assert np.all(ratios < 1.0)
+    assert np.intersect1d(dq, dp).size
+    assert np.all(np.isin(dp, members_q))
 
 
 def test_patch_intersection_chord_bound(circle):
-    report = patch_intersection_check(circle, 100, 0, 0.2, 0.25)
-    assert report.distance_bound_holds
-    assert report.worst_ratio < 1.0
+    *_, ratios = intersection_sets(circle, 100, 0, 0.2, 0.25)
+    assert np.max(ratios) < 1.0
 
 
 def test_patch_intersection_random_pairs_on_torus():
+    # |f(q) - f(x)| < (1 + lambda) rho on U_{rho,q}, and U_{delta,p} lies in
+    # U_{rho,q} wherever the delta-sets of p and q meet
     torus = make_shape("torus", {"R": 2.0, "r": 0.5}, "48x24")
     rng = np.random.default_rng(1)
     applicable = 0
@@ -1844,9 +1892,10 @@ def test_patch_intersection_random_pairs_on_torus():
         p, q = rng.integers(0, len(torus), 2)
         if trial % 10 == 0:
             q = p  # delta-patches are near-singletons here: meeting pairs
-        report = patch_intersection_check(torus, int(p), int(q), 0.1, 0.25)
-        assert report.distance_bound_holds
-        if report.inclusion_applicable:
+        members_q, dq, dp, ratios = intersection_sets(torus, int(p), int(q),
+                                                      0.1, 0.25)
+        assert np.all(ratios < 1.0)
+        if np.intersect1d(dq, dp).size:
             applicable += 1
-            assert report.inclusion_holds
+            assert np.all(np.isin(dp, members_q))
     assert applicable >= 50  # the sweep must exercise the inclusion branch

@@ -6,7 +6,6 @@ import pytest
 
 import lipimm.normals as normals_mod
 from lipimm.errors import (
-    CoherenceViolationError,
     InputError,
     InvariantViolationError,
     RegimeError,
@@ -17,7 +16,6 @@ from lipimm.grassmann import (
     geodesic_distances,
     hausdorff_of,
     orthonormalize,
-    sphere_angle,
     sphere_angle_matrix,
 )
 from lipimm.immersion import (
@@ -31,19 +29,13 @@ from lipimm.nets import DeltaNet, build_net
 from lipimm.normals import (
     NormalMeasureField,
     angle_bound_check,
-    averaged_normal_N,
-    averaged_vector_S,
     chart_normals,
     constants,
-    cutoff_g,
     direction_field,
     field_lipschitz_check,
     make_cutoff,
     n_lipschitz_check,
-    normal_measure,
-    normal_sign_alignment,
     transfer_net,
-    unit_normal_patch,
 )
 from lipimm.shapes import make_shape
 
@@ -121,17 +113,17 @@ def tilted_field(tilted, tilted_net):
 
 def test_cutoff_endpoint_values():
     g = make_cutoff(0.25)
-    assert cutoff_g(0.0, g) == 1.0
-    assert cutoff_g(2.0, g) == 0.0
-    assert np.all(cutoff_g(np.linspace(0, g.inner * 0.999, 100), g) == 1.0)
-    assert np.all(cutoff_g(np.linspace(1.0 + 1e-12, 3.0, 100), g) == 0.0)
+    assert g.value(0.0) == 1.0
+    assert g.value(2.0) == 0.0
+    assert np.all(g.value(np.linspace(0, g.inner * 0.999, 100)) == 1.0)
+    assert np.all(g.value(np.linspace(1.0 + 1e-12, 3.0, 100)) == 0.0)
 
 
 def test_cutoff_range_and_slope_bound():
     for lam in (0.0, 0.25, 1.0, 4.0):
         g = make_cutoff(lam)
         ts = np.linspace(0.0, 2.0, 100001)
-        vals = cutoff_g(ts, g)
+        vals = g.value(ts)
         assert np.all((0.0 <= vals) & (vals <= 1.0))
         der = cutoff_derivative(g, ts)
         assert np.all(der <= 0.0)
@@ -149,14 +141,14 @@ def test_cutoff_derivative_matches_finite_differences():
 def test_cutoff_monotone_and_continuous():
     g = make_cutoff(0.25)
     ts = np.linspace(0.0, 1.5, 20001)
-    vals = cutoff_g(ts, g)
+    vals = g.value(ts)
     assert np.all(np.diff(vals) <= 1e-15)
     assert np.max(np.abs(np.diff(vals))) < 2.5 * (ts[1] - ts[0]) * 2.0
 
 
 def test_cutoff_rejects_negative_argument():
     with pytest.raises(InputError):
-        cutoff_g(-0.1, make_cutoff(0.25))
+        make_cutoff(0.25).value(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +185,7 @@ def test_unit_normal_flat_patch():
                        {"width": 4.0, "height": 3.0, "corner_radius": 0.5}, 4096)
     q = int(round(1.5 / shape.evaluator.period * 4096))
     patch = extract_graph_patch(shape, q, shape.tangent_plane(q), 0.1)
-    field = unit_normal_patch(patch)
-    normals = field.at(np.linspace(-0.09, 0.09, 11))
+    normals = member_normals(patch, patch.member_samples)
     expected = patch.isometry.rotation[:, 1]
     assert np.max(np.linalg.norm(normals - expected, axis=1)) < 1e-9
 
@@ -220,20 +211,20 @@ def test_unit_normal_orthogonal_to_tangents(circle):
     assert np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) < 2e-5
 
 
-def test_unit_normal_requires_codimension_one(tilted):
-    patch = extract_graph_patch(tilted, 0, tilted.tangent_plane(0), 0.2)
-    from lipimm.errors import DimensionMismatchError
-    with pytest.raises(DimensionMismatchError):
-        unit_normal_patch(patch)
-
-
 # ---------------------------------------------------------------------------
 # sign alignment
 
 
 def test_sign_alignment_self_and_adjacent(circle, circle_net):
-    assert normal_sign_alignment(circle, circle_net, 0, 0) == 1
-    assert normal_sign_alignment(circle, circle_net, 0, 1) == 1
+    # the chart normals of a chart and of its neighbor agree in sign on the
+    # delta_1-samples they share: each graph normal's last patch-frame
+    # component is positive
+    for j, k in ((0, 0), (0, 1)):
+        shared = np.intersect1d(circle_net.members(j, 1),
+                                circle_net.members(k, 1))
+        nu_j, nu_k = np.split(chart_normals(circle_net.patches([j, k]),
+                                            [shared, shared])[0], 2)
+        assert len(shared) and np.all(np.einsum("ij,ij->i", nu_j, nu_k) > 0)
 
 
 def _flip_patch(patch):
@@ -250,43 +241,26 @@ def _flip_patch(patch):
 
 
 def test_sign_alignment_detects_negated_patch(circle, monkeypatch):
+    # a chart written with the rotated-by-pi isometry has the opposite
+    # normals; S signs its plane normals against its chart's normal at the
+    # center, so that chart's S flips and its span, T up to sign, stays
     net = build_net(circle, 0.2, 0.25, 5)
     patch = net.patch(1)
     flipped = _flip_patch(patch)
     a = member_normals(patch, patch.member_samples[:5])
     b = member_normals(flipped, patch.member_samples[:5])
     assert np.allclose(a, -b, atol=1e-12)
-    # drive the dichotomy through the alignment op itself
+    field = direction_field(circle, net)
     real = DeltaNet.patches
     monkeypatch.setattr(DeltaNet, "patches", lambda self, js=None: [
-        flipped if j == 1 else p for j, p in zip(js, real(self, js))])
-    assert normal_sign_alignment(circle, net, 0, 1) == -1
-
-
-def test_sign_alignment_mixed_signs_is_coherence_error(circle, monkeypatch):
-    # honest graph normals cannot mix signs (their last patch-frame component
-    # is pinned positive); corrupt the evaluation to exercise the guard
-    net = build_net(circle, 0.2, 0.25, 5)
-    import lipimm.normals as normals_mod
-
-    real = normals_mod.chart_normals
-
-    def corrupted(patches, sample_ids):
-        # every other normal of chart 1 flipped
-        out, counts = real(patches, sample_ids)
-        for patch, rows in zip(patches, normals_mod._row_sets(counts)):
-            if patch.base == int(net.points[1]):
-                out[rows[::2]] = -out[rows[::2]]
-        return out, counts
-
-    monkeypatch.setattr(normals_mod, "chart_normals", corrupted)
-    with pytest.raises(CoherenceViolationError):
-        normals_mod.normal_sign_alignment(circle, net, 0, 1)
-
-
-def test_sign_alignment_requires_overlap(circle, circle_net):
-    with pytest.raises(InputError):
-        normal_sign_alignment(circle, circle_net, 0, 2048)
+        flipped if j == 1 else p
+        for j, p in zip(range(len(self)) if js is None else js,
+                        real(self, js))])
+    flipped_field = direction_field(circle, net)
+    for j in (0, 1, 2):
+        s_vals = field.chart_field(j)[1]
+        assert np.array_equal(flipped_field.chart_field(j)[1],
+                              -s_vals if j == 1 else s_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +270,22 @@ def test_sign_alignment_requires_overlap(circle, circle_net):
 def test_averaged_vector_lower_bound_flat():
     flat = make_shape("circle", {"radius": 2.0}, 2048)
     net = build_net(flat, 0.2, 0.25, 5)
-    s = averaged_vector_S(flat, net, 100, 100)
+    ids, s_vals, _ = direction_field(flat, net).chart_field(100)
+    s = s_vals[list(ids).index(100)]
     assert np.linalg.norm(s) >= 1.0  # aligned sum with one unit weight
 
 
 def test_averaged_vector_is_a_row_of_the_direction_field(circle, circle_net,
                                                          circle_field):
+    # S at one (chart, sample) pair is the field's row of that pair
     for j in (0, 2047, 4095):
         ids, s_vals, _ = circle_field.chart_field(j)
         for row in (0, len(ids) - 1):
-            s = averaged_vector_S(circle, circle_net, int(ids[row]), j)
-            assert np.array_equal(s, s_vals[row])
-            assert np.linalg.norm(s) >= 1 / (1 + circle_net.lam)
+            sums, failure = normals_mod._chart_sums(
+                circle, circle_net, np.array([j]), ids[row:row + 1])
+            assert failure is None
+            assert np.array_equal(sums[0], s_vals[row])
+            assert np.linalg.norm(sums[0]) >= 1 / (1 + circle_net.lam)
 
 
 def _reference_field(f, net):
@@ -318,8 +296,8 @@ def _reference_field(f, net):
     cutoff = make_cutoff(net.lam)
     patches = net.patches()
     w = np.stack([p.normal_frame()[:, 0] for p in patches])
-    nu_at_center = np.stack([unit_normal_patch(p).at(np.zeros(p.m))[0]
-                             for p in patches])
+    nu_at_center = np.concatenate([member_normals(p, [p.base])
+                                   for p in patches])
     weights = {}
     t_global = np.zeros((len(f), f.n))
     s_norm = np.zeros(len(f))
@@ -482,23 +460,27 @@ def test_surface_normals_inpaint_only_when_a_nan_cell_is_read(sphere_net,
                                                               lipimm_calls):
     # the field reads each chart at its center, where no cell is NaN; a
     # point near the rim reads NaN cells and gets the normal of the
-    # inpainted grid, bit for bit, from one inpainting per patch
+    # inpainted grid, bit for bit, from one inpainting per chart
     inpaint = normals_mod._inpaint
     inpaints = lipimm_calls(inpaint)
     direction_field(sphere_net.f, sphere_net)
     assert inpaints.calls == 0
     patch = sphere_net.patch(0)
-    field = unit_normal_patch(patch)
     pts = patch.radius * np.array([[0.0, 0.0], [0.3, -0.2], [0.999, 0.0],
                                    [0.0, -0.999], [0.7, 0.7]])
     du = _bilinear(patch.x_nodes, inpaint(patch._du[:, :, 0, :]), pts)
     normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
     want = normal @ patch.isometry.rotation.T
-    assert np.array_equal(field.at(pts[:2]), want[:2])
+
+    def normals_at(x):
+        count = np.array([len(x)])
+        du = normals_mod._chart_slopes([patch], count, x)
+        return normals_mod._unit_normals([patch], count, du)
+
+    assert np.array_equal(normals_at(pts[:2]), want[:2])
     assert inpaints.calls == 0
-    assert np.array_equal(field.at(pts), want)
-    assert np.array_equal(field.at(pts[2:]), want[2:])
+    assert np.array_equal(normals_at(pts), want)
     assert inpaints.calls == 1
 
 
@@ -585,7 +567,7 @@ def test_stacked_surface_normals_inpaint_each_chart(sphere_net):
     # of the slope grid: each chart's rows as its own field gives them
     patches = sphere_net.patches()
     got, _ = chart_normals(patches, [p.member_samples for p in patches])
-    want = [unit_normal_patch(p).at(p.member_proj) for p in patches]
+    want = [member_normals(p, p.member_samples) for p in patches]
     assert got.tobytes() == np.concatenate(want).tobytes()
     assert any(not np.isfinite(_bilinear(p.x_nodes, p._du[:, :, 0, :],
                                          p.member_proj)).all()
@@ -624,9 +606,10 @@ def test_field_lipschitz_constant_field_is_zero(circle_field):
 def test_normal_measure_single_atom():
     sparse = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 256)
     net = build_net(sparse, 0.2, 0.25, 5)
-    mu = normal_measure(sparse, net, 10)
+    nfield = NormalMeasureField(sparse, net)
+    mu = nfield.measure(10)
     assert len(mu.atoms) == 1
-    n_q = averaged_normal_N(sparse, net, 10)
+    n_q = nfield.mean(10)
     assert n_q.same_subspace(mu.atoms[0])
 
 
@@ -636,8 +619,8 @@ def test_normal_measure_support_bound(tilted, tilted_field):
     assert max(margins) <= 0.25  # chain of bounds: <= lambda <= 1/4
 
 
-def test_normal_measure_weight_normalization(tilted, tilted_net):
-    mu = normal_measure(tilted, tilted_net, 77)
+def test_normal_measure_weight_normalization(tilted_field):
+    mu = tilted_field.measure(77)
     assert float(np.sum(mu.weights)) == pytest.approx(1.0, abs=1e-12)
     assert len(mu.atoms) >= 1
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lipimm.errors import DimensionMismatchError, InputError, NonTransversalError
+from lipimm.errors import InputError
 from lipimm._util import halton
 from lipimm.immersion import delta, extract_graph_patch
 from lipimm.nets import build_net
@@ -13,7 +13,6 @@ from lipimm.tubular import (
     ChartField,
     _segment_distances,
     chart_direction_field,
-    fiber_intersection,
     inclusion_probe,
     injectivity_probe,
     separation_check,
@@ -68,68 +67,6 @@ def test_tube_params_monotonicity():
     assert tube_params(0.01, 0.30, 100.0, 0.9).sigma <= base.sigma
     assert tube_params(0.01, 0.25, 200.0, 0.9).sigma <= base.sigma
     assert tube_params(0.02, 0.25, 100.0, 0.9).sigma >= base.sigma
-
-
-# ---------------------------------------------------------------------------
-# fiber intersection
-
-
-def test_fiber_flat_patch_vertical_line():
-    shape = make_shape("rounded-rectangle",
-                       {"width": 4.0, "height": 3.0, "corner_radius": 0.5}, 4096)
-    q = int(round(1.5 / shape.evaluator.period * 4096))
-    patch = extract_graph_patch(shape, q, shape.tangent_plane(q), 0.1)
-    normal = patch.isometry.rotation[:, 1]
-    anchor = shape.positions[q] + 0.05 * normal + 0.02 * patch.isometry.rotation[:, 0]
-    hit = fiber_intersection(patch, normal, anchor)
-    assert hit is not None
-    expected_foot = shape.positions[q] + 0.02 * patch.isometry.rotation[:, 0]
-    assert np.linalg.norm(hit.point - expected_foot) < 1e-10
-    assert abs(hit.t) == pytest.approx(0.05, abs=1e-10)
-
-
-def test_fiber_circle_radial_line(circle, pipeline):
-    net, field, cb, params = pipeline
-    patch = net.patch(0)
-    theta = 0.001
-    anchor = 1.001 * np.array([np.cos(theta), np.sin(theta)])
-    hit = fiber_intersection(patch, anchor / np.linalg.norm(anchor), anchor)
-    assert hit is not None
-    # analytic intersection: the unit-circle point at the same angle, up to
-    # the patch-grid interpolation error
-    expected = np.array([np.cos(theta), np.sin(theta)])
-    assert np.linalg.norm(hit.point - expected) < 2e-6
-    # the hit lies on the line exactly
-    offset = hit.point - anchor
-    cross = offset[0] * anchor[1] - offset[1] * anchor[0]
-    assert abs(cross) < 1e-12
-
-
-def test_fiber_parallel_line_misses():
-    shape = make_shape("rounded-rectangle",
-                       {"width": 4.0, "height": 3.0, "corner_radius": 0.5}, 4096)
-    q = int(round(1.5 / shape.evaluator.period * 4096))
-    patch = extract_graph_patch(shape, q, shape.tangent_plane(q), 0.1)
-    tangent = patch.isometry.rotation[:, 0]
-    anchor = shape.positions[q] + 0.05 * patch.isometry.rotation[:, 1]
-    with pytest.raises(NonTransversalError):
-        fiber_intersection(patch, tangent, anchor)
-
-
-def test_fiber_off_footprint_returns_none(circle, pipeline):
-    net, field, cb, params = pipeline
-    patch = net.patch(0)
-    # a far-away vertical line whose chart footprint misses the patch
-    normal = patch.isometry.rotation[:, 1]
-    anchor = circle.positions[0] + 0.5 * patch.isometry.rotation[:, 0]
-    assert fiber_intersection(patch, normal, anchor) is None
-
-
-def test_fiber_requires_codimension_one():
-    tilted = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 1024)
-    patch = extract_graph_patch(tilted, 0, tilted.tangent_plane(0), 0.2)
-    with pytest.raises(DimensionMismatchError):
-        fiber_intersection(patch, np.array([0.0, 0.0, 1.0]), tilted.positions[0])
 
 
 # ---------------------------------------------------------------------------
