@@ -224,7 +224,8 @@ def cmd_tube(args) -> int:
     field = normals_mod.direction_field(f, net)
     d3 = delta(3, args.r, args.lam)
     params = tubular_mod.tube_params(d3, args.lam, cb.L_codim1, cb.gamma)
-    patch = net.patches([args.chart])[0]
+    rows, at = net.patches([args.chart])
+    patch = rows.graph_patch(f, at[0])
     t_field = tubular_mod.chart_direction_field(field, args.chart)
     inj = tubular_mod.injectivity_probe(patch, t_field, params.epsilon,
                                         args.probes, rho=d3, seed=args.seed)
@@ -236,16 +237,17 @@ def cmd_tube(args) -> int:
     payload = {"params": params.to_dict(), "injectivity": inj.to_dict(),
                "inclusion": inc.to_dict(), "separation": sep.to_dict()}
     _dump_json(args.out, payload)
-    if args.svg:
-        chart_pts = patch.ambient(patch.x_nodes[::4][:, None])
+    if args.svg:  # the graph A(x, u(x)) at the chart nodes, and fibers
+        iso = patch.isometry
+        graph = np.column_stack([patch.x_nodes, patch.u[:, 0]]) \
+            @ iso.rotation.T + iso.translation
         fibers = []
         scale = 0.05 * params.rho / params.epsilon
-        for x in patch.x_nodes[::16]:
-            base = patch.ambient(np.array([[x]]))[0]
+        for x, base in zip(patch.x_nodes[::16], graph[::16]):
             direction = t_field.at(np.array([x]))[0]
             fibers.append(base - scale * params.epsilon * direction)
             fibers.append(base + scale * params.epsilon * direction)
-        Path(args.svg).write_text(svg_figure(paths=[chart_pts],
+        Path(args.svg).write_text(svg_figure(paths=[graph[::4]],
                                              segments=[np.array(fibers)]))
     print(f"tube: epsilon {params.epsilon:.3e}, sigma {params.sigma:.3e} "
           f"({params.active_branch} branch); injective={inj.injective} "

@@ -133,7 +133,9 @@ def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
 
 
 def graph_system(net: DeltaNet) -> GraphSystem:
-    return GraphSystem.from_patches(net.patches())
+    rows, at = net.patches()
+    return GraphSystem(rows.rotation[at], net.f.positions[net.points],
+                       rows.u[at], rows.radius)
 
 
 # ---------------------------------------------------------------------------

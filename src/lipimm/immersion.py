@@ -6,9 +6,13 @@ evaluator.  The central object is the local patch: the connected component
 through a base sample of the preimage of a ball under projection to a chosen
 m-plane, written as a graph u: B_r -> R^k over that plane, with the measured
 sup-norm of Du.  The derivative norm is the column norm
-||Du|| = (sum_j |d_j u|^2)^(1/2).  Each immersion keeps one patch store:
-a patch is built once per sample and ``_store_key``, by the check or by
-the first net, field or correspondence that asks for it.
+||Du|| = (sum_j |d_j u|^2)^(1/2).  A patch at q is the rigid motion
+A_q(x) = R x + f(q), whose rotation R frames the plane in its first m
+columns, and the heights u with their Du and slope on the chart grid.
+Each immersion keeps one patch store, one ``PatchRows`` record of arrays
+per ``_store_key``: a patch is a row, built once per sample, by the check
+or by the first net, field or correspondence that asks for it.  A
+``GraphPatch`` is the one-sample view of a row.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ CURVE_RESIDUAL_SPACINGS = 1e-7
 
 def delta(l: int, r: float, lam: float) -> float:
     """Scale ladder delta_l = (3 (1 + lambda))^(-l) r."""
-    if r <= 0 or lam < 0:
-        raise InputError("need r > 0 and lambda >= 0")
+    if not (0 < r < math.inf and 0 <= lam < math.inf):
+        raise InputError("need r > 0 and lambda >= 0, both finite")
     return r / (3.0 * (1.0 + lam)) ** l
 
 
@@ -83,32 +87,24 @@ class EuclideanIsometry:
         object.__setattr__(self, "translation", t)
         _check_rotations(r[None])
 
-    @staticmethod
-    def embeddings(origin_images: np.ndarray,
-                   frames: np.ndarray) -> list["EuclideanIsometry"]:
-        """Deterministic isometries with A(0) = origin and
-        A(R^m x {0}) = origin + E, for (S, n) origins and (S, n, m) frames.
 
-        One stacked QR completes every frame; the SO(n) check runs once over
-        the whole stack.
-        """
-        rotations = np.concatenate([frames, complement_frames(frames)], axis=2)
-        flip = np.linalg.det(rotations) < 0
-        rotations[flip, :, -1] = -rotations[flip, :, -1]
-        _check_rotations(rotations)
-        return [unchecked(EuclideanIsometry, rotation=r, translation=t)
-                for r, t in zip(rotations, origin_images)]
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts) @ self.rotation.T + self.translation
+def _embedding_rotations(frames: np.ndarray) -> np.ndarray:
+    """Deterministic (S, n, n) rotations in SO(n) whose first m columns are
+    the (S, n, m) ``frames``, bit for bit.  One stacked QR completes every
+    frame; the SO(n) check runs once over the whole stack."""
+    rotations = np.concatenate([frames, complement_frames(frames)], axis=2)
+    flip = np.linalg.det(rotations) < 0
+    rotations[flip, :, -1] = -rotations[flip, :, -1]
+    _check_rotations(rotations)
+    return rotations
 
 
 def _check_rotations(rotations: np.ndarray):
     """Raise unless every (n, n) matrix in the stack lies in SO(n)."""
     gram = np.swapaxes(rotations, -1, -2) @ rotations
-    if np.max(np.abs(gram - np.eye(rotations.shape[-1]))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(rotations.shape[-1])), initial=0.0) > 1e-10:
         raise DimensionMismatchError("rotation is not orthogonal")
-    if np.max(np.abs(np.linalg.det(rotations) - 1.0)) > 1e-8:
+    if np.max(np.abs(np.linalg.det(rotations) - 1.0), initial=0.0) > 1e-8:
         raise DimensionMismatchError("rotation must have determinant +1")
 
 
@@ -127,7 +123,8 @@ class SampledImmersion:
         self.params = None if params is None else np.asarray(params, dtype=float)
         self.evaluator = evaluator
         self.faces = None if faces is None else np.asarray(faces, dtype=int)
-        self._patch_store = {}  # _store_key -> {id: (patch, error)}
+        # _store_key -> (PatchRows, (N,) row of each sample or -1)
+        self._patch_store = {}
 
         n_samples = len(self.positions)
         if neighbors is None:
@@ -563,41 +560,65 @@ def _stacked_bfs(f, sources, n_rows, admit=None):
 
 @dataclass
 class GraphPatch:
-    """One local graph representation over an m-plane through f(q)."""
+    """One local graph representation over an m-plane through f(q): the
+    one-sample view of a row of ``PatchRows``."""
 
     base: int
-    plane: Subspace
     isometry: EuclideanIsometry
     radius: float
     x_nodes: np.ndarray          # (G,) for m=1, axis array for m=2
     u: np.ndarray                # (G, k) or (G, G, k); NaN outside the disk
     lambda_measured: float
-    member_samples: np.ndarray
-    member_proj: np.ndarray
     m: int
     k: int
     grid_step: float
-    mask: np.ndarray | None = None  # m=2 disk mask
 
-    def normal_frame(self) -> np.ndarray:
-        return self.isometry.rotation[:, self.m:]
 
-    def height_at(self, x) -> np.ndarray:
-        """Interpolated graph value(s) at chart coordinates x."""
-        x = np.asarray(x, dtype=float)
-        if self.m == 1:
-            xs = np.atleast_1d(x)
-            out = np.stack([np.interp(xs, self.x_nodes, self.u[:, j])
-                            for j in range(self.k)], axis=-1)
-            return out if x.ndim else out[0]
-        return _bilinear(self.x_nodes, self.u, np.atleast_2d(x))
+@dataclass
+class PatchRows:
+    """Graph patches over the chart B_radius with nodes ``x_nodes`` on each
+    axis, one row per sample ``bases[i]``: the rotation of
+    A_q(x) = R x + f(q), whose first m columns frame the plane, the heights
+    u (NaN outside the disk), Du and the slope sup ||Du||.  A row whose
+    build failed holds its error and a NaN slope."""
 
-    def ambient(self, x) -> np.ndarray:
-        """Map chart coordinates to R^n points on the graph."""
-        x = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, self.m))
-        u = self.height_at(x if self.m == 2 else x[:, 0])
-        u = np.atleast_2d(u).reshape(len(x), self.k)
-        return self.isometry.apply(np.hstack([x, u]))
+    radius: float
+    x_nodes: np.ndarray
+    bases: np.ndarray          # (S,)
+    rotation: np.ndarray       # (S, n, n)
+    u: np.ndarray              # (S, G, k), or (S, G, G, k) for m=2
+    du: np.ndarray             # (S, G, k), or (S, G, G, k, 2) for m=2
+    slope: np.ndarray          # (S,)
+    errors: list               # (S,) None or the row's error
+
+    @classmethod
+    def empty(cls, f, r, bases):
+        """NaN rows without errors at the samples ``bases``."""
+        s, m, k = len(bases), f.m, f.n - f.m
+        grid = (s,) + (2 * GRID_CELLS_PER_RADIUS[m] + 1,) * m + (k,)
+        return cls(r, _chart_grid(m, r)[1], np.asarray(bases, dtype=int),
+                   np.full((s, f.n, f.n), np.nan), np.full(grid, np.nan),
+                   np.full(grid + (() if m == 1 else (2,)), np.nan),
+                   np.full(s, np.nan), [None] * s)
+
+    def extend(self, rows):
+        """Append the rows of ``rows``; without rows of its own, take its
+        arrays."""
+        own = len(self.bases)
+        for name in ("bases", "rotation", "u", "du", "slope"):
+            setattr(self, name, np.concatenate([getattr(self, name),
+                                                getattr(rows, name)])
+                    if own else getattr(rows, name))
+        self.errors += rows.errors
+
+    def graph_patch(self, f, i) -> GraphPatch:
+        """Row i of patches of f as a ``GraphPatch``."""
+        q, m = int(self.bases[i]), f.m
+        isometry = unchecked(EuclideanIsometry, rotation=self.rotation[i],
+                             translation=f.positions[q])
+        return GraphPatch(q, isometry, self.radius, self.x_nodes, self.u[i],
+                          float(self.slope[i]), m, f.n - m,
+                          self.radius / GRID_CELLS_PER_RADIUS[m])
 
 
 def _bilinear(axis, grid, pts, chart=None):
@@ -928,30 +949,29 @@ def _tangent_steps(near, nodes):
 
 
 def _block_patches(f, ids, plane_outcomes, r):
-    """(patch, error) at every sample of ``ids``, the error being what
+    """The ``PatchRows`` of the samples ``ids``, each row's error being what
     ``extract_graph_patch`` raises there, over the (plane, error)
     ``plane_outcomes`` of ``planes_for``: a sample without a plane keeps
     its plane's error, and the others take one ``_padded_components`` pass
     and one ``_component_patches`` build per block of ``_PASS_ROWS``."""
-    outcomes = [(None, err) for _, err in plane_outcomes]
-    rows = [i for i, (_, err) in enumerate(plane_outcomes) if err is None]
-    planes = [plane_outcomes[i][0] for i in rows]
-    bases = _checked_ids(f, [ids[i] for i in rows])
+    out = PatchRows.empty(f, r, ids)
+    out.errors = [err for _, err in plane_outcomes]
+    rows = np.flatnonzero([err is None for err in out.errors])
+    bases = _checked_ids(f, out.bases[rows])
     for a in range(0, len(rows), _PASS_ROWS):
         block = slice(a, a + _PASS_ROWS)
-        frames = np.stack([plane.frame for plane in planes[block]])
+        frames = np.stack([plane_outcomes[i][0].frame for i in rows[block]])
         members, counts = _padded_components(f, bases[block], frames, r)
-        for i, outcome in zip(rows[block], _component_patches(
-                f, bases[block], planes[block], members, counts, r)):
-            outcomes[i] = outcome
-    return outcomes
+        _component_patches(f, out, rows[block], frames, members, counts)
+    return out
 
 
-def _component_patches(f, bases, planes, members, counts, r):
-    """(patch, error) of every row of the padded (S, W) components
-    ``members`` with ``counts`` members, at ``bases`` over their ``planes``:
-    one batched projection and fold scan (a fold error comes first), then
-    the fill and the slope scan per block of ``_SOLVE_ROWS`` rows.  With an
+def _component_patches(f, out, slots, frames, members, counts):
+    """Build the rows ``slots`` of the ``PatchRows`` ``out``, and their
+    errors, from the padded (S, W) components ``members`` with ``counts``
+    members at its bases over the (S, n, m) plane ``frames``: one batched
+    projection and fold scan (a fold error comes first), then the fill and
+    the slope scan per block of ``_SOLVE_ROWS`` rows.  With an
     evaluator a curve takes bracketed Newton (residuals within
     ``CURVE_RESIDUAL_SPACINGS`` sample spacings) and a surface
     ``_fill_surface_rows`` from one ``_tangent_steps`` step past each
@@ -959,13 +979,13 @@ def _component_patches(f, bases, planes, members, counts, r):
     or from that member's nearest mesh neighbour where E^T J is singular;
     raw samples take ``_fill_simplex_rows``.  A surface's slope scan takes
     the stencils of one ``_stencil_plan`` of its chart grid."""
-    m, k, ev = f.m, f.n - f.m, f.evaluator
+    m, k, ev, r = f.m, f.n - f.m, f.evaluator, out.radius
+    bases = out.bases[slots]
     analytic = ev is not None and f.params is not None
     step, axis, x_grid, in_disk = _chart_grid(m, r)
     nodes = x_grid[in_disk]
     valid = in_disk.reshape((len(axis),) * m)
     plan = _stencil_plan(valid) if m == 2 else None
-    frames = np.stack([plane.frame for plane in planes])
     f_q = f.positions[bases]
     rel = f.positions[members] - f_q[:, None]
     proj = rel @ frames
@@ -991,12 +1011,10 @@ def _component_patches(f, bases, planes, members, counts, r):
         # |p|^2 of each member's projection p; padding is nearest to no node
         proj_sq = np.where(np.arange(members.shape[1]) < counts[:, None],
                            np.einsum("swi,swi->sw", proj, proj), np.inf)
-    outcomes = [(None, err) for err in errors]
     keep = np.flatnonzero([err is None for err in errors])
-    if not len(keep):
-        return outcomes
-    isometries = EuclideanIsometry.embeddings(f_q[keep], frames[keep])
-    n_frames = np.stack([iso.rotation[:, m:] for iso in isometries])
+    rotations = _embedding_rotations(frames[keep])
+    out.rotation[slots[keep]] = rotations
+    n_frames = np.ascontiguousarray(rotations[:, :, m:])
     residual_tol = CURVE_RESIDUAL_SPACINGS * f.sample_spacing
     stops = _fill_stops(f_q)
     work = Workspace()  # the surface fill's arrays, reused block to block
@@ -1052,22 +1070,16 @@ def _component_patches(f, bases, planes, members, counts, r):
             1e4 * stops[js]
         lams, du = _lambda_on_grid(u, step, plan)
         u = u.reshape((len(js),) + valid.shape + (k,))
-        du = du.reshape(u.shape + du.shape[3:])
-        for s, (i, j) in enumerate(zip(range(a, a + len(js)), js.tolist())):
-            q, c = qs[s], int(counts[j])
-            outcomes[j] = (None, fill_errors[s] or (NotAGraphError(
-                f"patch at {q} does not pass through f(q)") if off_center[s]
-                else None))
-            if outcomes[j][1] is not None:
-                continue
-            # copies: views would keep the block's padded arrays alive
-            patch = GraphPatch(q, planes[j], isometries[i], r, axis, u[s],
-                               float(lams[s]), members[j, :c].copy(),
-                               proj[j, :c].copy(), m, k, step,
-                               mask=valid if m == 2 else None)
-            patch._du = du[s]
-            outcomes[j] = (patch, None)
-    return outcomes
+        out.u[slots[js]] = u
+        out.du[slots[js]] = du.reshape(u.shape + du.shape[3:])
+        out.slope[slots[js]] = lams
+        for j, q, fill, oc in zip(js.tolist(), qs, fill_errors,
+                                  off_center.tolist()):
+            errors[j] = fill or (NotAGraphError(
+                f"patch at {q} does not pass through f(q)") if oc else None)
+    for i, err in zip(slots.tolist(), errors):
+        out.errors[i] = err
+    out.slope[slots[[err is not None for err in errors]]] = np.nan
 
 
 def _fill_simplex_rows(f, bases, frames, n_frames, members, counts, r):
@@ -1213,11 +1225,12 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
     """Extract the local graph of f over ``plane`` through f(q) on B_r: its
     ``q_component``, then the one-row block build ``check_r_lambda`` runs."""
     members = q_component(f, q, plane, r)[None]
-    [(patch, err)] = _component_patches(f, np.array([q]), [plane], members,
-                                        np.array([members.shape[1]]), r)
-    if err is not None:
-        raise err
-    return patch
+    rows = PatchRows.empty(f, r, [q])
+    _component_patches(f, rows, np.array([0]), plane.frame[None], members,
+                       np.array([members.shape[1]]))
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    return rows.graph_patch(f, 0)
 
 
 def planes_for(f: SampledImmersion, ids, rule, r: float,
@@ -1274,30 +1287,46 @@ def _store_key(r, lam, plane_rule):
 
 
 def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
-                  plane_rule) -> list[GraphPatch]:
-    """The patches at sample ids from f's patch store, one per sample and
-    ``_store_key``; the misses take one ``_block_patches`` pass over the
-    outcomes of one ``planes_for`` pass, so a sample without a plane fails
-    alone.  Only the misses before the first stored or plane error in
-    ``ids`` order are built, and that plane error is stored: no later
+                  plane_rule) -> tuple[PatchRows, np.ndarray]:
+    """The patches at sample ids from f's patch store: the ``PatchRows`` of
+    one ``_store_key``, built once per sample, and the row of each id in
+    them.  The misses take one ``_block_patches`` pass over the outcomes of
+    one ``planes_for`` pass, so a sample without a plane fails alone.  Only
+    the misses before the first stored error or out-of-range id in ``ids``
+    order are built, up to the first plane error, which is stored: no later
     sample can fail first.  The first failure in ``ids`` order is raised
     with its type and a ``sample {q}:`` prefix."""
-    store = f._patch_store.setdefault(_store_key(r, lam, plane_rule), {})
-    stored = next((i for i, q in enumerate(ids)
-                   if q in store and store[q][1] is not None), len(ids))
-    missing = [q for q in dict.fromkeys(ids[:stored]) if q not in store]
-    if missing:
+    rows, index = f._patch_store.setdefault(
+        _store_key(r, lam, plane_rule),
+        (PatchRows.empty(f, r, []), np.full(len(f), -1)))
+    ids = np.asarray(ids, dtype=int).reshape(-1)
+    at, failed = _stored_rows(rows, index, ids)
+    stop = int(np.argmax(failed)) if failed.any() else len(ids)
+    missing = ids[:stop][at[:stop] < 0]
+    missing = missing[np.sort(np.unique(missing, return_index=True)[1])]
+    if len(missing):
         planes = planes_for(f, missing, plane_rule, r, lam)
-        cut = next((i for i, (_, err) in enumerate(planes) if err is not None),
-                   len(missing))
-        store.update(zip(missing[:cut], _block_patches(f, missing[:cut],
-                                                       planes[:cut], r)))
-        if cut < len(missing):
-            store[missing[cut]] = planes[cut]
-    for q in ids:
-        if store[q][1] is not None:
-            raise type(store[q][1])(f"sample {q}: {store[q][1]}")
-    return [store[q][0] for q in ids]
+        cut = next((i + 1 for i, (_, err) in enumerate(planes)
+                    if err is not None), len(missing))
+        index[missing[:cut]] = len(rows.bases) + np.arange(cut)
+        rows.extend(_block_patches(f, missing[:cut], planes[:cut], r))
+        at, failed = _stored_rows(rows, index, ids)
+    if failed.any():
+        q, a = (int(v[np.argmax(failed)]) for v in (ids, at))
+        err = rows.errors[a] if a >= 0 else \
+            InputError(f"sample id {q} out of range")
+        raise type(err)(f"sample {q}: {err}")
+    return rows, at
+
+
+def _stored_rows(rows, index, ids):
+    """The row of each of ``ids`` in ``rows`` by its (N,) ``index`` (-1 for
+    none), and whether the id is out of range or its row failed: a failed
+    row's slope is NaN."""
+    inside = (ids >= 0) & (ids < len(index))
+    at = np.where(inside, index[ids % len(index)], -1)
+    # a row of -1 reads the appended 0.0, which does not fail
+    return at, ~inside | np.isnan(np.append(rows.slope, 0.0)[at])
 
 
 def check_r_lambda(f: SampledImmersion, r: float, lam: float,
@@ -1308,14 +1337,17 @@ def check_r_lambda(f: SampledImmersion, r: float, lam: float,
     correspondences read the check's patches instead of building them again.
     The first failure in ``ids`` order is raised with a ``sample {q}:`` prefix.
     """
-    if r <= 0 or lam <= 0:
-        raise InputError("need r > 0 and lambda > 0")
+    if not (0 < r < math.inf and 0 < lam < math.inf):
+        raise InputError("need r > 0 and lambda > 0, both finite")
     if plane_rule not in PLANE_RULES:
         raise InputError(f"unknown plane rule {plane_rule!r}")
-    ids = list(range(len(f))) if sample_ids is None else list(sample_ids)
+    ids = np.asarray(range(len(f)) if sample_ids is None else sample_ids,
+                     dtype=int).reshape(-1)
+    if not len(ids):
+        raise InputError("need at least one sample to check")
     lambdas = np.full(len(f), np.nan)
-    lambdas[ids] = [patch.lambda_measured
-                    for patch in graph_patches(f, ids, r, lam, plane_rule)]
+    rows, at = graph_patches(f, ids, r, lam, plane_rule)
+    lambdas[ids] = rows.slope[at]
     worst = int(np.nanargmax(lambdas))
     return CheckReport(bool(np.nanmax(lambdas) <= lam), r, lam,
                        float(lambdas[worst]), worst, lambdas, plane_rule)
@@ -1325,9 +1357,10 @@ def passes_stored_check(f: SampledImmersion, r: float, lam: float,
                         plane_rule) -> bool:
     """Whether f's patch store holds a patch with slope <= lambda at every
     sample, so that ``check_r_lambda`` would pass without building one."""
-    store = f._patch_store.get(_store_key(r, lam, plane_rule), {})
-    return all(q in store and store[q][1] is None
-               and store[q][0].lambda_measured <= lam for q in range(len(f)))
+    rows, index = f._patch_store.get(_store_key(r, lam, plane_rule),
+                                     (None, [-1]))
+    # a failed row's slope is NaN
+    return np.min(index) >= 0 and bool(np.all(rows.slope[index] <= lam))
 
 
 @dataclass
@@ -1432,26 +1465,13 @@ def _curve_quotients(points, counts, proj, heights):
 
 @dataclass
 class GraphSystem:
-    """Patches (A_j, u_j) over a common radius and grid, one per net point."""
+    """Patches (A_j, u_j) over a common radius and grid, one per net point:
+    A_j(x) = rotations[j] x + translations[j]."""
 
-    isometries: list
-    grids: np.ndarray       # (s, G, k) stacked graph values (m=1)
-    x_nodes: np.ndarray
+    rotations: np.ndarray     # (s, n, n)
+    translations: np.ndarray  # (s, n)
+    grids: np.ndarray         # (s, G, k) stacked graph values (m=1)
     radius: float
-
-    @staticmethod
-    def from_patches(patches) -> "GraphSystem":
-        radius = patches[0].radius
-        x_nodes = patches[0].x_nodes
-        for p in patches:
-            if p.radius != radius or p.u.shape != patches[0].u.shape:
-                raise DimensionMismatchError(
-                    "graph system patches must share radius and grid")
-        grids = np.stack([p.u for p in patches])
-        return GraphSystem([p.isometry for p in patches], grids, x_nodes, radius)
-
-    def __len__(self):
-        return len(self.isometries)
 
 
 def graph_system_distance(g1: GraphSystem, g2: GraphSystem) -> float:
@@ -1460,17 +1480,13 @@ def graph_system_distance(g1: GraphSystem, g2: GraphSystem) -> float:
     Each term is one pass over the stack of patches, and the sum runs in
     patch order, so the total is that of a patch-by-patch loop bit for bit.
     """
-    if len(g1) != len(g2) or g1.grids.shape != g2.grids.shape \
-            or g1.radius != g2.radius:
+    if g1.grids.shape != g2.grids.shape or g1.radius != g2.radius:
         raise DimensionMismatchError("graph systems have mismatched shapes")
-    rot = (np.stack([a.rotation for a in g1.isometries])
-           - np.stack([b.rotation for b in g2.isometries]))
-    tra = (np.stack([a.translation for a in g1.isometries])
-           - np.stack([b.translation for b in g2.isometries]))
-    rot = np.max(np.linalg.svd(rot, compute_uv=False), axis=-1)
+    rot = np.max(np.linalg.svd(g1.rotations - g2.rotations, compute_uv=False),
+                 axis=-1)
+    tra = g1.translations - g2.translations
     # a row times a column is the dot product the norm of one vector takes
     tra = np.sqrt((tra[:, None, :] @ tra[:, :, None])[:, 0, 0])
-    sup = np.nanmax(difference_norms(g1.grids, g2.grids).reshape(len(g1), -1),
-                    axis=1)
+    sup = np.nanmax(difference_norms(g1.grids, g2.grids).reshape(
+        len(g1.grids), -1), axis=1)
     return float(np.cumsum(rot + tra + sup)[-1])
-

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import unchecked
 from .errors import InputError, InvariantViolationError
+from .grassmann import Subspace
 from .immersion import (
     PLANE_RULES,
     SampledImmersion,
@@ -116,9 +118,10 @@ class DeltaNet:
                                                    self.planes[j], self.r)
         return self._patches[j]
 
-    def patches(self, js=None) -> list:
-        """Graph patches at net points js (all by default), read from the
-        immersion's patch store: the check's patches where it built them."""
+    def patches(self, js=None):
+        """The ``PatchRows`` of the immersion's patch store and the row of
+        each net point of js (all by default): the check's patches where it
+        built them."""
         js = range(len(self.points)) if js is None else js
         return graph_patches(self.f, [self._point(j) for j in js], self.r,
                              self.lam, self.plane_rule)
@@ -176,11 +179,11 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
                 f"worst slope {report.worst_lambda:.6f} at sample {report.worst_sample}")
     ids = range(len(f))
     if verify_immersion:  # the passing check stored every sample's plane
-        planes = [patch.plane for patch in graph_patches(f, ids, r, lam,
-                                                         plane_rule)]
+        rows, at = graph_patches(f, ids, r, lam, plane_rule)
+        frames = rows.rotation[at, :, :f.m]
     else:
-        planes = planes_of(planes_for(f, ids, plane_rule, r, lam))
-    frames = np.stack([plane.frame for plane in planes])
+        frames = np.stack([plane.frame for plane in planes_of(
+            planes_for(f, ids, plane_rule, r, lam))])
     radii = [delta(iota, r, lam) for iota in range(level + 2)]
     if f._id_cycle:  # the picks from the runs U_{delta_level, q}, then ladders
         points = _cycle_picks(*cycle_runs(f, np.arange(len(f)), frames,
@@ -197,7 +200,7 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
                 points.append(q)
                 covered[ladders[q][level]] = True  # U_{delta_level, q}
         member_sets = [ladders[q] for q in points]
-    planes = [planes[q] for q in points]
+    planes = [unchecked(Subspace, frame=frames[q]) for q in points]
 
     net = DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
                    member_sets, plane_rule)

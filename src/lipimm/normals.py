@@ -129,8 +129,8 @@ class ConstantsBundle:
 
 def constants(m: int, lam: float, r: float) -> ConstantsBundle:
     """All pipeline constants for dimension m, slope lambda, patch radius r."""
-    if m < 1 or lam < 0 or r <= 0:
-        raise InputError("need m >= 1, lambda >= 0, r > 0")
+    if m < 1 or not (0 <= lam < math.inf and 0 < r < math.inf):
+        raise InputError("need m >= 1, lambda >= 0 and r > 0, both finite")
     big_l = (3.0 * (1.0 + lam)) ** (6 * m + 4) / r
     gamma = math.pi / 4 + 0.5 * math.atan(lam)
     eps = math.cos(gamma) / big_l
@@ -140,47 +140,54 @@ def constants(m: int, lam: float, r: float) -> ConstantsBundle:
                            eps, sigma, lam_big, 2.0 * (1.0 + lam) ** 2)
 
 
-def chart_normals(patches, sample_ids):
-    """The unit normals nu_j of every chart j = ``patches[j]`` at its member
-    samples ``sample_ids[j]``, stacked in chart order, and each chart's row
-    count, in one pass.  The patches share one radius, so their chart nodes
-    are one grid.
+def chart_normals(net: DeltaNet, js, sample_ids):
+    """The unit normals nu_j of every chart j of ``js`` at its member
+    samples ``sample_ids[i]``, stacked in chart order, and each chart's row
+    count, in one pass over the patch store's rows of the charts.
 
-    Each sample's stored chart coordinates are found by one
-    ``searchsorted`` over the keys j * N + id of the patches' ascending
-    member ids.
+    Membership in U_{delta_0, q_j} is found by one ``searchsorted`` over the
+    keys j * N + id of ``member_stack(0)``.  The chart coordinates are
+    ``chart_coords``'s (c, n) @ (n, m) product, for the charts of one row
+    count in one stacked product, which is each chart's own bit for bit.
     """
-    if len({p.radius for p in patches}) > 1:
-        raise InputError("chart normals are stacked over patches of one radius")
+    rows, at = net.patches(js)
+    js = np.asarray(js, dtype=int).reshape(-1)
     counts = np.array([len(ids) for ids in sample_ids], dtype=int)
     ids = np.concatenate([np.asarray(s, dtype=int).reshape(-1)
                           for s in sample_ids] + [np.empty(0, dtype=int)])
-    members = [p.member_samples for p in patches]
-    held = np.array([len(m) for m in members], dtype=int)
-    flat = np.concatenate(members)
-    n = 1 + max(int(flat.max()), int(ids.max(initial=0)))
-    keys = np.repeat(np.arange(len(patches)) * n, held) + flat
-    wanted = np.repeat(np.arange(len(patches)) * n, counts) + ids
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    missing = keys[at] != wanted
+    members, offsets = net.member_stack(0)
+    n = max(len(net.f), 1 + int(ids.max(initial=0)))
+    keys = np.repeat(np.arange(len(net)) * n, np.diff(offsets)) + members
+    wanted = np.repeat(js * n, counts) + ids
+    found = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    missing = (keys[found] != wanted) | (ids < 0)
     if np.any(missing):
         i = int(np.argmax(missing))
         raise InputError(f"sample {ids[i]} is not a member of the patch at "
-                         f"sample {patches[wanted[i] // n].base}")
-    x = np.concatenate([p.member_proj for p in patches])[at]
-    return _unit_normals(patches, counts, _chart_slopes(patches, counts, x)), \
-        counts
+                         f"sample {net.points[wanted[i] // n]}")
+    frames = rows.rotation[at, :, :net.f.m]
+    x = np.empty((len(ids), net.f.m))
+    starts = np.cumsum(counts) - counts
+    for count in set(counts.tolist()) - {0}:
+        same = np.flatnonzero(counts == count)
+        block = starts[same, None] + np.arange(count)
+        x[block] = (net.f.positions[ids[block]]
+                    - net.f.positions[net.points[js[same]], None]) \
+            @ frames[same]
+    return _unit_normals(rows.rotation[at], counts,
+                         _chart_slopes(rows, at, counts, x)), counts
 
 
-def _chart_slopes(patches, counts, x):
-    """Du of chart ``patches[j]`` at the next counts[j] rows of the (R, m)
-    chart coordinates x, for all charts at once: on curves by ``np.interp``'s
-    formula over the shared nodes, on surfaces bilinear, from a chart's
-    ``_inpaint`` grid where one of its rows reads a NaN cell."""
-    chart = np.repeat(np.arange(len(patches)), counts)
-    xp = patches[0].x_nodes
-    if patches[0].m == 1:
-        fp = np.stack([p._du[:, 0] for p in patches])
+def _chart_slopes(rows, at, counts, x):
+    """Du of the patch at row at[j] of ``rows`` at the next counts[j] rows
+    of the (R, m) chart coordinates x, for all charts at once: on curves by
+    ``np.interp``'s formula over the shared nodes, on surfaces bilinear,
+    from a chart's ``_inpaint`` grid where one of its rows reads a NaN
+    cell."""
+    chart = np.repeat(at, counts)
+    xp = rows.x_nodes
+    if x.shape[1] == 1:
+        fp = rows.du[..., 0]
         x = x[:, 0]
         j = np.clip(np.searchsorted(xp, x, "right") - 1, 0, len(xp) - 2)
         left, right = fp[chart, j], fp[chart, j + 1]
@@ -189,23 +196,22 @@ def _chart_slopes(patches, counts, x):
         du = np.where(x >= xp[-1], fp[chart, -1],
                       np.where(x < xp[0], fp[chart, 0], du))
         return du[:, None]
-    grids = np.stack([p._du[:, :, 0, :] for p in patches])
+    grids = rows.du[..., 0, :]
     du = _bilinear(xp, grids, x, chart)
     bad = ~np.all(np.isfinite(du), axis=1)
-    for j in np.unique(chart[bad]).tolist():  # inpainting keeps finite cells
-        rows = chart == j
-        du[rows] = _bilinear(xp, _inpaint(grids[j]), x[rows])
+    for row in np.unique(chart[bad]).tolist():  # inpainting keeps finite cells
+        own = chart == row
+        du[own] = _bilinear(xp, _inpaint(grids[row]), x[own])
     return du
 
 
-def _unit_normals(patches, counts, du):
+def _unit_normals(rotations, counts, du):
     """The graph normals (-Du, 1) / |(-Du, 1)| of the rows ``du``, counts[j]
-    rows per chart, through chart j's isometry; charts with one row count
-    share one stacked product, which is each chart's own product bit for
-    bit."""
+    rows per chart, through chart j's (n, n) rotation; charts with one row
+    count share one stacked product, which is each chart's own product bit
+    for bit."""
     normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    rotations = np.stack([p.isometry.rotation for p in patches])
     starts = np.cumsum(counts) - counts
     for count in set(counts.tolist()) - {0}:
         same = np.flatnonzero(counts == count)
@@ -281,10 +287,10 @@ def _chart_sums(f: SampledImmersion, net: DeltaNet, js: np.ndarray,
     its error.
     """
     rows, ks, g = _cutoff_atoms(f, net, ids)
-    patches = net.patches()
-    w = np.stack([p.normal_frame()[:, 0] for p in patches])
+    patches, at = net.patches()
+    w = patches.rotation[at, :, f.m]
     # each chart's normal at its center, its base sample at x = 0
-    centers = chart_normals(patches, [[p.base] for p in patches])[0]
+    centers = chart_normals(net, range(len(net)), net.points[:, None])[0]
     counts = np.bincount(rows, minlength=len(ids))
     starts = np.cumsum(counts) - counts
     dots = np.empty(len(ks))
@@ -420,7 +426,7 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     same = net_other is net
     if not len(ids):
         return AngleBoundReport(gamma, True, 0.0, bound_h, 0.0, True)
-    images = [chart_normals(n.patches(ids), [n.members(j, 1) for j in ids])
+    images = [chart_normals(n, ids, [n.members(j, 1) for j in ids])
               for n in ((net,) if same else (net, net_other))]
     img_other, counts = images[-1]
     # |T . nu| (span-level angles: sign free) of each chart's delta_3-member

@@ -134,6 +134,8 @@ def injectivity_probe(patch: GraphPatch, t_field: ChartField, epsilon: float,
     if patch.m != 1 or patch.k != 1:
         raise DimensionMismatchError("probes operate on codimension-one curve "
                                      "charts")
+    if not trials >= 1:  # no draw would pass vacuously
+        raise InputError(f"a probe needs trials >= 1, got {trials}")
     rho = rho if rho is not None else patch.radius
     pts = halton(trials, 2, offset=seed)
     x = (2 * pts[:, 0] - 1) * rho
@@ -179,6 +181,8 @@ def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
     if patch.m != 1 or patch.k != 1:
         raise DimensionMismatchError("probes operate on codimension-one curve "
                                      "charts")
+    if not count >= 1:  # no draw would pass vacuously
+        raise InputError(f"a probe needs count >= 1, got {count}")
     pts = halton(count, 3, offset=seed)
     x0 = (2 * pts[:, 0] - 1) * (params.rho / 2.0)
     radius = pts[:, 1] * params.sigma * (1 - 1e-9)
@@ -238,6 +242,8 @@ def separation_check(patch: GraphPatch, t_field: ChartField, gamma: float,
     For sampled pairs (x, y), the distance from (x, u(x)) to the line through
     (y, u(y)) along T(y) must be at least |x - y| cos(gamma) (within 1e-9).
     """
+    if not pairs >= 1:  # no draw would pass vacuously
+        raise InputError(f"a probe needs pairs >= 1, got {pairs}")
     rho = rho if rho is not None else patch.radius
     pts = halton(pairs, 2, offset=seed)
     x = (2 * pts[:, 0] - 1) * rho

@@ -123,6 +123,37 @@ def test_tube_command(circle_manifest, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--r", "nan"), ("net", "--r", "nan"), ("tube", "--r", "nan"),
+    ("check", "--r", "inf"), ("check", "--lambda", "inf"),
+    ("check", "--lambda", "nan"), ("net", "--lambda", "inf"),
+])
+def test_non_finite_radius_or_slope_is_input_error(circle_manifest, tmp_path,
+                                                   command, flag, value):
+    # neither a traceback nor a verdict: no check can pass or fail at a
+    # non-finite r or lambda
+    out = tmp_path / "report.json"
+    args = {"--r": "0.2", "--lambda": "0.25", flag: value}
+    argv = [command, "--manifest", str(circle_manifest), "--out", str(out)]
+    argv += [a for item in args.items() for a in item]
+    if command == "net":
+        argv += ["--level", "1"]
+    if command == "tube":
+        argv += ["--chart", "0"]
+    assert run(argv) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("probes", ["0", "-5"])
+def test_tube_without_probes_is_input_error(circle_manifest, tmp_path, probes):
+    # a probe of no pair would pass injectivity, inclusion and separation
+    out = tmp_path / "tube.json"
+    assert run(["tube", "--manifest", str(circle_manifest), "--chart", "0",
+                "--r", "0.2", "--lambda", "0.25", "--probes", probes,
+                "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("chart", ["-1", "99999"])
 def test_tube_rejects_a_chart_outside_the_net(tmp_path, chart):
     manifest = tmp_path / "circle.json"

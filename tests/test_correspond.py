@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,10 +22,12 @@ import lipimm.correspond as correspond_mod
 import lipimm.grassmann as grassmann_mod
 import lipimm.immersion as immersion_mod
 import lipimm.nets as nets_mod
+from lipimm import _util
 from lipimm.errors import ClosenessError, InputError, InsufficientSamplingError
 from lipimm.grassmann import hausdorff_of, sphere_angle_matrix
 from lipimm.immersion import (
     EuclideanIsometry,
+    GraphPatch,
     GraphSystem,
     check_r_lambda,
     graph_system_distance,
@@ -258,9 +261,11 @@ def _chart_hausdorff_loop(net1, net2, vec1, vec2, lines):
 def _graph_distance_loop(g1, g2):
     """The patch-by-patch sum that ``graph_system_distance`` stacks."""
     total = 0.0
-    for a, b, ua, ub in zip(g1.isometries, g2.isometries, g1.grids, g2.grids):
-        rot = float(np.linalg.norm(a.rotation - b.rotation, 2))
-        tra = float(np.linalg.norm(a.translation - b.translation))
+    for ra, rb, ta, tb, ua, ub in zip(g1.rotations, g2.rotations,
+                                      g1.translations, g2.translations,
+                                      g1.grids, g2.grids):
+        rot = float(np.linalg.norm(ra - rb, 2))
+        tra = float(np.linalg.norm(ta - tb))
         sup = float(np.nanmax(np.linalg.norm(ua - ub, axis=-1)))
         total += rot + tra + sup
     return total
@@ -293,16 +298,16 @@ def test_stacked_gauges_equal_the_chart_loops(kind):
     # moved translations, whose norms the dot product of each vector gives;
     # a NaN grid cell is passed over in its patch's sup
     rng = np.random.default_rng(7)
-    g3 = dataclasses.replace(g2, grids=g2.grids.copy(), isometries=[
-        EuclideanIsometry(i.rotation,
-                          i.translation + rng.normal(0, 0.01, f.n))
-        for i in g2.isometries])
+    g3 = dataclasses.replace(g2, grids=g2.grids.copy(),
+                             translations=g2.translations
+                             + rng.normal(0, 0.01, g2.translations.shape))
     g3.grids[3, :5] = np.nan
     assert graph_system_distance(g1, g3) == _graph_distance_loop(g1, g3)
     # one patch at a time, where the sum rounds no term away
-    for j in range(0, len(g1), 5):
-        one = [GraphSystem(g.isometries[j:j + 1], g.grids[j:j + 1],
-                           g.x_nodes, g.radius) for g in (g1, g3)]
+    for j in range(0, len(g1.grids), 5):
+        one = [GraphSystem(g.rotations[j:j + 1], g.translations[j:j + 1],
+                           g.grids[j:j + 1], g.radius)
+               for g in (g1, g3)]
         assert graph_system_distance(*one) == _graph_distance_loop(*one)
 
 
@@ -369,15 +374,15 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     real = immersion_mod._block_patches
 
     def recording(shape, ids, plane_outcomes, r):
-        outcomes = real(shape, ids, plane_outcomes, r)
-        built.update({(id(shape), q): patch
-                      for q, (patch, _) in zip(ids, outcomes)})
-        return outcomes
+        rows = real(shape, ids, plane_outcomes, r)
+        built[id(shape)] = rows
+        return rows
 
     monkeypatch.setattr(immersion_mod, "_block_patches", recording)
     for shape in (f, g):
         assert check_r_lambda(shape, 0.2, 0.25).passed
-    assert len(built) == 1024
+    assert [built[id(h)].bases.tolist() for h in (f, g)] == \
+        [list(range(512))] * 2
     # from here on no patch may be built, and no check run again
     calls = []
     for module, name in [(immersion_mod, "_block_patches"),
@@ -391,12 +396,41 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     system = graph_system(net)
     corr = build_correspondence(f, g, net, field)
     assert calls == []
-    for j, (own, target) in enumerate(zip(net.patches(),
-                                          corr.net_target.patches())):
-        q = int(net.points[j])
-        assert own is built[(id(f), q)]
-        assert target is built[(id(g), q)]
-        assert system.isometries[j] is built[(id(f), q)].isometry
+    # the store holds the checks' rows, each sample's at its own id
+    for on, shape in ((net, f), (corr.net_target, g)):
+        rows, at = on.patches()
+        assert rows.u is built[id(shape)].u
+        assert at.tolist() == on.points.tolist()
+    assert np.array_equal(system.rotations, built[id(f)].rotation[net.points])
+    assert np.array_equal(system.grids, built[id(f)].u[net.points])
+
+
+def test_the_chain_builds_no_patch_objects(monkeypatch):
+    # the check, a level-5 net, its field, the angle check and the graph
+    # system read the patch store's arrays: they build no GraphPatch and no
+    # EuclideanIsometry, in bulk or one at a time
+    built = []
+    init, post = GraphPatch.__init__, EuclideanIsometry.__post_init__
+    monkeypatch.setattr(GraphPatch, "__init__", lambda self, *args: (
+        built.append(GraphPatch), init(self, *args))[1])
+    monkeypatch.setattr(EuclideanIsometry, "__post_init__", lambda self: (
+        built.append(EuclideanIsometry), post(self))[1])
+    unchecked = _util.unchecked
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lipimm.") and \
+                getattr(module, "unchecked", None) is unchecked:
+            monkeypatch.setattr(module, "unchecked", lambda cls, **fields: (
+                built.append(cls), unchecked(cls, **fields))[1])
+    f = make_shape("circle", {"radius": 1.0}, 1024)
+    assert check_r_lambda(f, 0.2, 0.25).passed
+    net = build_net(f, 0.2, 0.25, 5)
+    field = direction_field(f, net)
+    assert angle_bound_check(field, f).holds
+    assert len(graph_system(net).grids) == len(net)
+    assert GraphPatch not in built and EuclideanIsometry not in built
+    # the one-sample view is seen: one of each
+    net.patch(0)
+    assert built.count(GraphPatch) == built.count(EuclideanIsometry) == 1
 
 
 # ---------------------------------------------------------------------------

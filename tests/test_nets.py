@@ -6,7 +6,7 @@ import pytest
 from lipimm._util import max_quotient
 from lipimm.correspond import build_correspondence, reparametrized_lipschitz
 from lipimm.errors import InputError, InvariantViolationError
-from lipimm.grassmann import geodesic_distances, orthonormalize
+from lipimm.grassmann import Subspace, geodesic_distances, orthonormalize
 from lipimm.immersion import (
     check_r_lambda,
     delta,
@@ -209,8 +209,11 @@ def _per_point_greedy(f, r, lam, level, plane_rule, verify):
     points, planes, ladders = [], [], []
     while not np.all(covered):
         q = int(np.argmin(covered))
-        plane = (graph_patches(f, [q], r, lam, plane_rule)[0].plane if verify
-                 else planes_of(planes_for(f, [q], plane_rule, r, lam))[0])
+        if verify:
+            rows, [at] = graph_patches(f, [q], r, lam, plane_rule)
+            plane = Subspace(rows.rotation[at, :, :f.m].copy())
+        else:
+            plane = planes_of(planes_for(f, [q], plane_rule, r, lam))[0]
         ladder = [q_component(f, q, plane, delta(iota, r, lam))
                   for iota in range(level + 2)]
         points.append(q)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -18,14 +19,9 @@ from lipimm.grassmann import (
     orthonormalize,
     sphere_angle_matrix,
 )
-from lipimm.immersion import (
-    EuclideanIsometry,
-    GraphPatch,
-    _bilinear,
-    extract_graph_patch,
-)
+from lipimm.immersion import _bilinear
 from lipimm.karcher import karcher_mean
-from lipimm.nets import DeltaNet, build_net
+from lipimm.nets import DeltaNet, build_net, net_from_points
 from lipimm.normals import (
     NormalMeasureField,
     angle_bound_check,
@@ -53,10 +49,18 @@ def cutoff_derivative(spec, t):
     return np.where((s > 0) & (s < 1), -slope / (1.0 - spec.inner), 0.0)
 
 
-def member_normals(patch, sample_ids):
-    """Unit normals of a codimension-one patch at member samples: a
+def member_normals(net, j, sample_ids):
+    """Unit normals of a codimension-one chart j at member samples: a
     one-chart ``chart_normals``."""
-    return chart_normals([patch], [sample_ids])[0]
+    return chart_normals(net, [j], [sample_ids])[0]
+
+
+def one_chart(shape, q, r):
+    """The net of the one point q at (r, 0.25) over its tangent plane, and
+    its patch's rotation: its chart 0 is the patch at q."""
+    net = net_from_points(shape, r, 0.25, 1, [q])
+    rows, [at] = net.patches([0])
+    return net, rows.rotation[at]
 
 
 @pytest.fixture(scope="module")
@@ -184,28 +188,28 @@ def test_unit_normal_flat_patch():
     shape = make_shape("rounded-rectangle",
                        {"width": 4.0, "height": 3.0, "corner_radius": 0.5}, 4096)
     q = int(round(1.5 / shape.evaluator.period * 4096))
-    patch = extract_graph_patch(shape, q, shape.tangent_plane(q), 0.1)
-    normals = member_normals(patch, patch.member_samples)
-    expected = patch.isometry.rotation[:, 1]
+    net, rotation = one_chart(shape, q, 0.1)
+    normals = member_normals(net, 0, net.members(0, 0))
+    expected = rotation[:, 1]
     assert np.max(np.linalg.norm(normals - expected, axis=1)) < 1e-9
 
 
 def test_unit_normal_circle_is_radial(circle):
-    patch = extract_graph_patch(circle, 0, circle.tangent_plane(0), 0.2)
-    members = patch.member_samples[::16]
-    normals = member_normals(patch, members)
+    net, rotation = one_chart(circle, 0, 0.2)
+    members = net.members(0, 0)[::16]
+    normals = member_normals(net, 0, members)
     radial = circle.positions[members]
     dots = np.abs(np.einsum("ij,ij->i", normals, radial))
     assert np.all(dots > 1 - 1e-6)
     # deterministic sign: positive component along the isometry's last axis
-    last = patch.isometry.rotation[:, 1]
+    last = rotation[:, 1]
     assert np.all(normals @ last > 0)
 
 
 def test_unit_normal_orthogonal_to_tangents(circle):
-    patch = extract_graph_patch(circle, 100, circle.tangent_plane(100), 0.2)
-    members = patch.member_samples[::8]
-    normals = member_normals(patch, members)
+    net, _ = one_chart(circle, 100, 0.2)
+    members = net.members(0, 0)[::8]
+    normals = member_normals(net, 0, members)
     tangents = circle.evaluator.jacobian(circle.params[members])
     tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
     assert np.max(np.abs(np.einsum("ij,ij->i", normals, tangents))) < 2e-5
@@ -222,21 +226,20 @@ def test_sign_alignment_self_and_adjacent(circle, circle_net):
     for j, k in ((0, 0), (0, 1)):
         shared = np.intersect1d(circle_net.members(j, 1),
                                 circle_net.members(k, 1))
-        nu_j, nu_k = np.split(chart_normals(circle_net.patches([j, k]),
+        nu_j, nu_k = np.split(chart_normals(circle_net, [j, k],
                                             [shared, shared])[0], 2)
         assert len(shared) and np.all(np.einsum("ij,ij->i", nu_j, nu_k) > 0)
 
 
-def _flip_patch(patch):
-    # the same physical graph written with the rotated-by-pi isometry has the
-    # opposite continuous normal
-    flipped = GraphPatch(
-        patch.base, patch.plane,
-        EuclideanIsometry(-patch.isometry.rotation, patch.isometry.translation),
-        patch.radius, patch.x_nodes, -patch.u[::-1], patch.lambda_measured,
-        patch.member_samples, -patch.member_proj, patch.m, patch.k,
-        patch.grid_step)
-    flipped._du = patch._du[::-1]
+def _flip_row(rows, i):
+    """A copy of the curve ``PatchRows`` whose row i is the same physical
+    graph written with the rotated-by-pi rotation, which has the opposite
+    continuous normal: its chart coordinates negated, u(x) -> -u(-x)."""
+    flipped = dataclasses.replace(rows, rotation=rows.rotation.copy(),
+                                  u=rows.u.copy(), du=rows.du.copy())
+    flipped.rotation[i] = -rows.rotation[i]
+    flipped.u[i] = -rows.u[i, ::-1]
+    flipped.du[i] = rows.du[i, ::-1]
     return flipped
 
 
@@ -245,17 +248,16 @@ def test_sign_alignment_detects_negated_patch(circle, monkeypatch):
     # normals; S signs its plane normals against its chart's normal at the
     # center, so that chart's S flips and its span, T up to sign, stays
     net = build_net(circle, 0.2, 0.25, 5)
-    patch = net.patch(1)
-    flipped = _flip_patch(patch)
-    a = member_normals(patch, patch.member_samples[:5])
-    b = member_normals(flipped, patch.member_samples[:5])
-    assert np.allclose(a, -b, atol=1e-12)
+    members = net.members(1, 0)[:5]
+    a = member_normals(net, 1, members)
     field = direction_field(circle, net)
+    rows, at = net.patches()
+    flipped = _flip_row(rows, at[1])
     real = DeltaNet.patches
-    monkeypatch.setattr(DeltaNet, "patches", lambda self, js=None: [
-        flipped if j == 1 else p
-        for j, p in zip(range(len(self)) if js is None else js,
-                        real(self, js))])
+    monkeypatch.setattr(DeltaNet, "patches", lambda self, js=None: (
+        flipped, real(self, js)[1]))
+    b = member_normals(net, 1, members)
+    assert np.allclose(a, -b, atol=1e-12)
     flipped_field = direction_field(circle, net)
     for j in (0, 1, 2):
         s_vals = field.chart_field(j)[1]
@@ -294,10 +296,10 @@ def _reference_field(f, net):
     test on every overlap; returns T, |S|, owning charts, every chart's
     (ids, S, T) and the largest overlap span distance."""
     cutoff = make_cutoff(net.lam)
-    patches = net.patches()
-    w = np.stack([p.normal_frame()[:, 0] for p in patches])
-    nu_at_center = np.concatenate([member_normals(p, [p.base])
-                                   for p in patches])
+    rows, at = net.patches()
+    w = rows.rotation[at, :, f.m]
+    nu_at_center = np.concatenate([member_normals(net, j, [q])
+                                   for j, q in enumerate(net.points)])
     weights = {}
     t_global = np.zeros((len(f), f.n))
     s_norm = np.zeros(len(f))
@@ -373,14 +375,14 @@ def _field_error(monkeypatch, net, failures):
             refs[int(net.points[at])] = kind
     real_cover, real_normals = net.cover_index, normals_mod._unit_normals
 
-    def normals(patches, counts, du):
+    def normals(rotations, counts, du):
         # the field's reference normals: one row per chart, at its center
-        out = real_normals(patches, counts, du)
-        for nu, patch in zip(out, patches):
+        out = real_normals(rotations, counts, du)
+        for nu, q in zip(out, net.points.tolist()):
             t = np.array([-nu[1], nu[0]])
-            if refs.get(patch.base) == "angle":
+            if refs.get(q) == "angle":
                 nu[:] = math.cos(0.5) * nu + math.sin(0.5) * t
-            elif refs.get(patch.base) == "span":
+            elif refs.get(q) == "span":
                 nu[:] = 1e6 * (nu + 100.0 * t)
         return out
 
@@ -465,18 +467,18 @@ def test_surface_normals_inpaint_only_when_a_nan_cell_is_read(sphere_net,
     inpaints = lipimm_calls(inpaint)
     direction_field(sphere_net.f, sphere_net)
     assert inpaints.calls == 0
-    patch = sphere_net.patch(0)
-    pts = patch.radius * np.array([[0.0, 0.0], [0.3, -0.2], [0.999, 0.0],
-                                   [0.0, -0.999], [0.7, 0.7]])
-    du = _bilinear(patch.x_nodes, inpaint(patch._du[:, :, 0, :]), pts)
+    rows, at = sphere_net.patches([0])
+    pts = rows.radius * np.array([[0.0, 0.0], [0.3, -0.2], [0.999, 0.0],
+                                  [0.0, -0.999], [0.7, 0.7]])
+    du = _bilinear(rows.x_nodes, inpaint(rows.du[at[0], :, :, 0, :]), pts)
     normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    want = normal @ patch.isometry.rotation.T
+    want = normal @ rows.rotation[at[0]].T
 
     def normals_at(x):
         count = np.array([len(x)])
-        du = normals_mod._chart_slopes([patch], count, x)
-        return normals_mod._unit_normals([patch], count, du)
+        du = normals_mod._chart_slopes(rows, at, count, x)
+        return normals_mod._unit_normals(rows.rotation[at], count, du)
 
     assert np.array_equal(normals_at(pts[:2]), want[:2])
     assert inpaints.calls == 0
@@ -503,30 +505,30 @@ def test_angle_bound_check_nearby_circle(circle, circle_net, circle_field):
     # the stacked precondition is the chart-by-chart gauge bit for bit
     net_other = transfer_net(circle_net, other)
     worst = 0.0
-    for j, own, moved in zip(ids, circle_net.patches(ids),
-                             net_other.patches(ids)):
-        a = member_normals(own, circle_net.members(j, 1))
-        b = member_normals(moved, net_other.members(j, 1))
+    for j in ids:
+        a = member_normals(circle_net, j, circle_net.members(j, 1))
+        b = member_normals(net_other, j, net_other.members(j, 1))
         worst = max(worst, min(hausdorff_of(sphere_angle_matrix(a, b)),
                                hausdorff_of(sphere_angle_matrix(a, -b))))
     assert report.worst_hausdorff == worst > 0.0
 
 
-def reference_normals_at(patch, x):
-    """The former one-patch normals of a curve chart: np.interp of Du at
-    chart coordinates x, the graph normal, the patch isometry."""
-    du = np.interp(x, patch.x_nodes, patch._du[:, 0])[:, None]
+def reference_normals_at(rows, i, x):
+    """The former one-patch normals of the curve chart of row i of
+    ``rows``: np.interp of Du at chart coordinates x, the graph normal, the
+    patch rotation."""
+    du = np.interp(x, rows.x_nodes, rows.du[i, :, 0])[:, None]
     normal = np.concatenate([-du, np.ones((len(du), 1))], axis=1)
     normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    return normal @ patch.isometry.rotation.T
+    return normal @ rows.rotation[i].T
 
 
-def reference_at_samples(patch, sample_ids):
-    """The former one-patch normals at member samples: a dict of the
-    patch's member rows."""
-    lookup = {int(s): i for i, s in enumerate(patch.member_samples)}
-    rows = [lookup[int(s)] for s in sample_ids]
-    return reference_normals_at(patch, patch.member_proj[rows, 0])
+def reference_at_samples(net, j, sample_ids):
+    """The former one-patch normals of chart j at member samples, at their
+    ``chart_coords``."""
+    rows, [i] = net.patches([j])
+    return reference_normals_at(rows, i,
+                                net.chart_coords(j, sample_ids)[:, 0])
 
 
 @pytest.mark.parametrize("shape, params, r, lam, rule, target", [
@@ -544,17 +546,19 @@ def test_stacked_chart_normals_match_each_patch(shape, params, r, lam, rule,
     field = direction_field(f, net)
     on = net if target is None else transfer_net(
         net, make_shape(shape, dict(params, **target), 1024))
-    patches = on.patches()
-    members = [on.members(j, 1) for j in range(len(on))]
-    got, counts = chart_normals(patches, members)
-    want = [reference_at_samples(p, m) for p, m in zip(patches, members)]
+    charts = range(len(on))
+    members = [on.members(j, 1) for j in charts]
+    got, counts = chart_normals(on, charts, members)
+    want = [reference_at_samples(on, j, m) for j, m in zip(charts, members)]
     assert got.tobytes() == np.concatenate(want).tobytes()
     assert counts.tolist() == [len(m) for m in members]
-    ones = np.ones(len(patches), dtype=int)
-    centers = normals_mod._unit_normals(patches, ones, normals_mod._chart_slopes(
-        patches, ones, np.zeros((len(patches), 1))))
+    rows, at = on.patches()
+    ones = np.ones(len(on), dtype=int)
+    centers = normals_mod._unit_normals(
+        rows.rotation[at], ones,
+        normals_mod._chart_slopes(rows, at, ones, np.zeros((len(on), 1))))
     assert centers.tobytes() == np.concatenate(
-        [reference_normals_at(p, np.zeros(1)) for p in patches]).tobytes()
+        [reference_normals_at(rows, i, np.zeros(1)) for i in at]).tobytes()
     worst = 0.0
     for j, images in enumerate(want):
         dots = np.abs(field.chart_field(j)[2] @ images.T)
@@ -565,20 +569,27 @@ def test_stacked_chart_normals_match_each_patch(shape, params, r, lam, rule,
 def test_stacked_surface_normals_inpaint_each_chart(sphere_net):
     # every member of every patch, rim included, where rows read NaN cells
     # of the slope grid: each chart's rows as its own field gives them
-    patches = sphere_net.patches()
-    got, _ = chart_normals(patches, [p.member_samples for p in patches])
-    want = [member_normals(p, p.member_samples) for p in patches]
+    net = sphere_net
+    charts = range(len(net))
+    members = [net.members(j, 0) for j in charts]
+    got, _ = chart_normals(net, charts, members)
+    want = [member_normals(net, j, m) for j, m in zip(charts, members)]
     assert got.tobytes() == np.concatenate(want).tobytes()
-    assert any(not np.isfinite(_bilinear(p.x_nodes, p._du[:, :, 0, :],
-                                         p.member_proj)).all()
-               for p in patches)
+    rows, at = net.patches()
+    assert any(not np.isfinite(_bilinear(rows.x_nodes, rows.du[i, :, :, 0, :],
+                                         net.chart_coords(j, m))).all()
+               for j, i, m in zip(charts, at, members))
 
 
 def test_chart_normals_name_a_sample_outside_the_patch(circle_net):
-    patch = circle_net.patch(0)
-    outside = int(patch.member_samples[-1]) + 1
+    outside = int(circle_net.members(0, 0)[-1]) + 1
     with pytest.raises(InputError, match=f"sample {outside} is not a member"):
-        chart_normals([patch], [[outside]])
+        chart_normals(circle_net, [0], [[outside]])
+    # a negative id is no member either, though its key j * N - 1 is the
+    # last sample's key in chart j - 1, which holds that sample
+    assert circle_net.members(0, 0)[-1] == len(circle_net.f) - 1
+    with pytest.raises(InputError, match="sample -1 is not a member"):
+        chart_normals(circle_net, [1], [[-1]])
 
 
 def test_field_lipschitz_regression(circle_field):
