@@ -83,24 +83,16 @@ def _check_orthonormal(frames: np.ndarray):
 
 
 def orthonormalize(raw_frame: np.ndarray) -> Subspace:
-    """Orthonormalize independent columns, preserving their span."""
+    """A one-row ``_orthonormal_frames``: the columns, orthonormalized."""
     raw = np.asarray(raw_frame, dtype=float)
     if raw.ndim == 1:
         raw = raw[:, None]
-    return orthonormalize_all(raw[None])[0]
-
-
-def orthonormalize_all(raw_frames: np.ndarray) -> list[Subspace]:
-    """Orthonormalize each (n, k) matrix of an (S, n, k) stack at once.
-
-    The rank and orthonormality checks run once over the whole stack.
-    """
-    return [unchecked(Subspace, frame=frame)
-            for frame in _orthonormal_frames(raw_frames)]
+    return unchecked(Subspace, frame=_orthonormal_frames(raw[None])[0])
 
 
 def _orthonormal_frames(raw_frames: np.ndarray) -> np.ndarray:
-    """The (S, n, k) frames of ``orthonormalize_all``, as one array."""
+    """Orthonormalize every (n, k) matrix of an (S, n, k) stack, preserving
+    its span; the rank and orthonormality checks run once over the stack."""
     raw = np.asarray(raw_frames, dtype=float)
     if raw.ndim != 3:
         raise DegenerateFrameError("frames must be an (S, n, k) stack")

@@ -12,7 +12,9 @@ columns, and the heights u with their Du and slope on the chart grid.
 Each immersion keeps one patch store, one ``PatchRows`` record of arrays
 per ``_store_key``: a patch is a row, built once per sample, by the check
 or by the first net, field or correspondence that asks for it.  A
-``GraphPatch`` is the one-sample view of a row.
+``GraphPatch`` is the one-sample view of a row.  Planes are resolved as
+one (S, n, m) frame array with one error per row (``planes_for``), which
+every consumer slices; a ``Subspace`` is only a one-plane view.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .grassmann import (
     _orthonormal_frames,
     complement_frames,
     difference_norms,
-    orthonormalize_all,
 )
 from ._util import (
     Workspace,
@@ -239,20 +240,21 @@ class SampledImmersion:
         return self._indices[self._indptr[q]:self._indptr[q + 1]]
 
     def tangent_plane(self, q: int) -> Subspace:
-        return self.tangent_planes([q])[0]
+        return unchecked(Subspace, frame=self.tangent_planes([q])[0])
 
-    def tangent_planes(self, ids) -> list[Subspace]:
-        """Tangent planes at many samples from one evaluator call."""
+    def tangent_planes(self, ids) -> np.ndarray:
+        """(S, n, m) tangent frames at samples ``ids``, one evaluator call."""
         if self.evaluator is None or self.params is None:
             raise InputError("tangent rule needs an analytic evaluator")
         ids = _checked_ids(self, ids)
         frames = self.evaluator.tangent_frame(self.params[ids])
         frames = np.asarray(frames, dtype=float)
-        return orthonormalize_all(frames.reshape(len(ids), self.n, self.m))
+        return _orthonormal_frames(frames.reshape(len(ids), self.n, self.m))
 
-    def best_fit_planes(self, ids, radius: float) -> list[tuple]:
-        """(plane, error) at the samples ``ids``, in passes over blocks of
-        rows: the principal m-plane of the patch members within ``radius``.
+    def best_fit_planes(self, ids, radius: float) -> tuple[np.ndarray, list]:
+        """The (S, n, m) frames at the samples ``ids`` and one error per row
+        (None, or the error of a NaN frame), in passes over blocks of rows:
+        the principal m-plane of the patch members within ``radius``.
 
         The samples within 2 ``radius`` of f(q) (``_ball_blocks``) seed the
         plane at q, and the component U_{radius,q} over it refines it.
@@ -261,7 +263,7 @@ class SampledImmersion:
         InsufficientSamplingError; the others take the same stacked SVDs.
         """
         ids = _checked_ids(self, ids)
-        outcomes = []
+        frames, errors = np.full((len(ids), self.n, self.m), np.nan), []
         for a, ptr, seeds in _ball_blocks(self.positions, ids, 2.0 * radius):
             counts = np.diff(ptr)
             rows = np.flatnonzero(counts > self.m)
@@ -272,12 +274,12 @@ class SampledImmersion:
             plane[refine] = _principal_frames(
                 self, qs[refine], members.reshape(-1),
                 refine * members.shape[1], size[refine])
-            planes, block = iter(plane), ids[a:a + len(counts)].tolist()
-            outcomes += [(unchecked(Subspace, frame=next(planes)), None)
-                         if c > self.m else (None, InsufficientSamplingError(
-                             f"not enough samples near {q} for a best-fit "
-                             "plane")) for q, c in zip(block, counts.tolist())]
-        return outcomes
+            frames[a + rows] = plane
+            errors += [None if c > self.m else InsufficientSamplingError(
+                f"not enough samples near {q} for a best-fit plane")
+                for q, c in zip(ids[a:a + len(counts)].tolist(),
+                                counts.tolist())]
+        return frames, errors
 
 
 def _checked_ids(f, ids):
@@ -948,21 +950,22 @@ def _tangent_steps(near, nodes):
     return t
 
 
-def _block_patches(f, ids, plane_outcomes, r):
+def _block_patches(f, ids, planes, r):
     """The ``PatchRows`` of the samples ``ids``, each row's error being what
-    ``extract_graph_patch`` raises there, over the (plane, error)
-    ``plane_outcomes`` of ``planes_for``: a sample without a plane keeps
-    its plane's error, and the others take one ``_padded_components`` pass
-    and one ``_component_patches`` build per block of ``_PASS_ROWS``."""
+    ``extract_graph_patch`` raises there, over the (frames, errors)
+    ``planes`` of ``planes_for``: a sample without a plane keeps its
+    plane's error, and the others take one ``_padded_components`` pass and
+    one ``_component_patches`` build per block of ``_PASS_ROWS``."""
+    frames, errors = planes
     out = PatchRows.empty(f, r, ids)
-    out.errors = [err for _, err in plane_outcomes]
-    rows = np.flatnonzero([err is None for err in out.errors])
+    out.errors = list(errors)
+    rows = np.flatnonzero([err is None for err in errors])
     bases = _checked_ids(f, out.bases[rows])
     for a in range(0, len(rows), _PASS_ROWS):
-        block = slice(a, a + _PASS_ROWS)
-        frames = np.stack([plane_outcomes[i][0].frame for i in rows[block]])
-        members, counts = _padded_components(f, bases[block], frames, r)
-        _component_patches(f, out, rows[block], frames, members, counts)
+        block = rows[a:a + _PASS_ROWS]
+        members, counts = _padded_components(f, bases[a:a + _PASS_ROWS],
+                                             frames[block], r)
+        _component_patches(f, out, block, frames[block], members, counts)
     return out
 
 
@@ -1234,32 +1237,35 @@ def extract_graph_patch(f: SampledImmersion, q: int, plane: Subspace,
 
 
 def planes_for(f: SampledImmersion, ids, rule, r: float,
-               lam: float) -> list[tuple]:
-    """(plane, error) at sample ids under a rule of ``PLANE_RULES``,
-    resolved in one pass.  An id out of range, or the tangent rule without
-    an evaluator, gives an InputError; a thin best-fit seed ball an
+               lam: float) -> tuple[np.ndarray, list]:
+    """The (S, n, m) frames at sample ids under a rule of ``PLANE_RULES``
+    and one error per row (None, or the error of a NaN frame), resolved in
+    one pass.  An id out of range, or the tangent rule without an
+    evaluator, gives an InputError; a thin best-fit seed ball an
     InsufficientSamplingError."""
     if rule not in PLANE_RULES:
         raise InputError(f"unknown plane rule {rule!r}")
     ids = np.asarray(ids, dtype=int).reshape(-1)
+    frames = np.full((len(ids), f.n, f.m), np.nan)
     if rule == "tangent" and (f.evaluator is None or f.params is None):
-        return [(None, InputError("tangent rule needs an analytic "
-                                  "evaluator"))] * len(ids)
+        return frames, [InputError("tangent rule needs an analytic "
+                                   "evaluator")] * len(ids)
     inside = (ids >= 0) & (ids < len(f))
-    found = iter(f.best_fit_planes(ids[inside], delta(1, r, lam))
-                 if rule == "best-fit" else
-                 [(plane, None) for plane in f.tangent_planes(ids[inside])])
-    return [next(found) if ok else (None, InputError(
-        f"sample id {q} out of range"))
+    frames[inside], found = (
+        f.best_fit_planes(ids[inside], delta(1, r, lam)) if rule == "best-fit"
+        else (f.tangent_planes(ids[inside]), [None] * len(ids)))
+    found = iter(found)
+    return frames, [next(found) if ok else InputError(
+        f"sample id {q} out of range")
         for q, ok in zip(ids.tolist(), inside.tolist())]
 
 
-def planes_of(outcomes) -> list[Subspace]:
-    """The planes of (plane, error) outcomes; raises the first error."""
-    for _, err in outcomes:
+def planes_of(planes) -> np.ndarray:
+    """The frames of a ``planes_for`` pair; raises its first error."""
+    for err in planes[1]:
         if err is not None:
             raise err
-    return [plane for plane, _ in outcomes]
+    return planes[0]
 
 
 @dataclass
@@ -1290,7 +1296,7 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
                   plane_rule) -> tuple[PatchRows, np.ndarray]:
     """The patches at sample ids from f's patch store: the ``PatchRows`` of
     one ``_store_key``, built once per sample, and the row of each id in
-    them.  The misses take one ``_block_patches`` pass over the outcomes of
+    them.  The misses take one ``_block_patches`` pass over the frames of
     one ``planes_for`` pass, so a sample without a plane fails alone.  Only
     the misses before the first stored error or out-of-range id in ``ids``
     order are built, up to the first plane error, which is stored: no later
@@ -1305,11 +1311,12 @@ def graph_patches(f: SampledImmersion, ids, r: float, lam: float,
     missing = ids[:stop][at[:stop] < 0]
     missing = missing[np.sort(np.unique(missing, return_index=True)[1])]
     if len(missing):
-        planes = planes_for(f, missing, plane_rule, r, lam)
-        cut = next((i + 1 for i, (_, err) in enumerate(planes)
-                    if err is not None), len(missing))
+        frames, errors = planes_for(f, missing, plane_rule, r, lam)
+        cut = next((i + 1 for i, err in enumerate(errors) if err is not None),
+                   len(missing))
         index[missing[:cut]] = len(rows.bases) + np.arange(cut)
-        rows.extend(_block_patches(f, missing[:cut], planes[:cut], r))
+        rows.extend(_block_patches(f, missing[:cut],
+                                   (frames[:cut], errors[:cut]), r))
         at, failed = _stored_rows(rows, index, ids)
     if failed.any():
         q, a = (int(v[np.argmax(failed)]) for v in (ids, at))
@@ -1393,8 +1400,7 @@ def check_r_lambda_function(f: SampledImmersion, r: float,
     quotient infinite.  After ``best_fit_planes``, each block of rows takes
     one component pass and one quotient pass.
     """
-    frames = np.stack([plane.frame for plane in planes_of(
-        f.best_fit_planes(range(len(f)), delta(1, r, lam)))])
+    frames = planes_of(f.best_fit_planes(range(len(f)), delta(1, r, lam)))
     normals = complement_frames(frames)
     quotients = np.zeros(len(f))
     violations = []

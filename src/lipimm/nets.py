@@ -34,14 +34,14 @@ from .immersion import (
 
 @dataclass
 class DeltaNet:
-    """A delta_l-net: ordered point ids, their planes, and patch membership."""
+    """A delta_l-net: ordered point ids, their frames, and patch membership."""
 
     f: SampledImmersion
     r: float
     lam: float
     level: int
     points: np.ndarray                      # ordered sample ids q_1..q_s
-    planes: list                            # Subspace per net point
+    frames: np.ndarray                      # (s, n, m) plane frames
     member_sets: list                       # member_sets[j][iota] = ids of U_{delta_iota, q_j}
     plane_rule: str = "tangent"
     _patches: dict = field(default_factory=dict)
@@ -57,6 +57,7 @@ class DeltaNet:
 
     def members(self, j: int, iota: int) -> np.ndarray:
         """Sample ids of U_{delta_iota, q_j}; iota ranges over 0..level+1."""
+        self._point(j)
         if not 0 <= iota < len(self.member_sets[j]):
             raise InputError(f"iota {iota} out of range 0..{self.level + 1}")
         return self.member_sets[j][iota]
@@ -69,7 +70,7 @@ class DeltaNet:
     def chart_coords(self, j: int, sample_ids) -> np.ndarray:
         """pi . A_j^{-1} . f coordinates of samples in chart j."""
         rel = self.f.positions[sample_ids] - self.f.positions[self._point(j)]
-        return rel @ self.planes[j].frame
+        return rel @ self.frames[j]
 
     def member_stack(self, iota: int):
         """The delta_iota-member ids of every chart, one after another in
@@ -95,13 +96,13 @@ class DeltaNet:
         js = np.asarray(js, dtype=int)
         ids, offsets = self.member_stack(3)
         counts = np.diff(offsets)[js]
-        frames = np.stack([plane.frame for plane in self.planes])
         out = np.zeros(len(js))
         for count in set(counts.tolist()) - {0, 1}:
             at = np.flatnonzero(counts == count)
             rows = offsets[js[at], None] + np.arange(count)
             x = (self.f.positions[ids[rows]]
-                 - self.f.positions[self.points[js[at]], None]) @ frames[js[at]]
+                 - self.f.positions[self.points[js[at]], None]) \
+                @ self.frames[js[at]]
             a, b = np.triu_indices(count, k=1)
             dx = np.linalg.norm(x[:, a] - x[:, b], axis=-1)
             keep = dx > 1e-14
@@ -112,10 +113,11 @@ class DeltaNet:
         return out
 
     def patch(self, j: int):
-        """Graph patch of radius r over planes[j], kept by the net."""
+        """Graph patch of radius r over frames[j], kept by the net."""
         if j not in self._patches:
-            self._patches[j] = extract_graph_patch(self.f, self._point(j),
-                                                   self.planes[j], self.r)
+            q = self._point(j)
+            self._patches[j] = extract_graph_patch(
+                self.f, q, unchecked(Subspace, frame=self.frames[j]), self.r)
         return self._patches[j]
 
     def patches(self, js=None):
@@ -182,8 +184,7 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
         rows, at = graph_patches(f, ids, r, lam, plane_rule)
         frames = rows.rotation[at, :, :f.m]
     else:
-        frames = np.stack([plane.frame for plane in planes_of(
-            planes_for(f, ids, plane_rule, r, lam))])
+        frames = planes_of(planes_for(f, ids, plane_rule, r, lam))
     radii = [delta(iota, r, lam) for iota in range(level + 2)]
     if f._id_cycle:  # the picks from the runs U_{delta_level, q}, then ladders
         points = _cycle_picks(*cycle_runs(f, np.arange(len(f)), frames,
@@ -200,10 +201,8 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
                 points.append(q)
                 covered[ladders[q][level]] = True  # U_{delta_level, q}
         member_sets = [ladders[q] for q in points]
-    planes = [unchecked(Subspace, frame=frames[q]) for q in points]
-
-    net = DeltaNet(f, r, lam, level, np.array(points, dtype=int), planes,
-                   member_sets, plane_rule)
+    net = DeltaNet(f, r, lam, level, np.array(points, dtype=int),
+                   frames[points], member_sets, plane_rule)
     _assert_separation(net)
     return net
 
@@ -226,22 +225,25 @@ def _cycle_picks(start, length, n):
 def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
                     points, plane_rule="tangent") -> DeltaNet:
     """Rebuild a net from serialized point ids (no greedy pass)."""
-    planes = planes_of(planes_for(f, points, plane_rule, r, lam))
-    net = _net_on(f, r, lam, level, points, planes, plane_rule)
+    if level < 1:
+        raise InputError("net level must be >= 1")
+    if not len(points):
+        raise InputError("a net needs at least one point")
+    frames = planes_of(planes_for(f, points, plane_rule, r, lam))
+    net = _net_on(f, r, lam, level, points, frames, plane_rule)
     _assert_separation(net)
     return net
 
 
 def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
-            planes, plane_rule) -> DeltaNet:
-    """The net on given points and planes, with U_{delta_iota, q} for
-    iota = 0..level+1 at every point from one stacked pass; separation is
-    not checked."""
+            frames, plane_rule) -> DeltaNet:
+    """The net on given points and their (s, n, m) plane frames, with
+    U_{delta_iota, q} for iota = 0..level+1 at every point from one stacked
+    pass; separation is not checked."""
     points = np.array(points, dtype=int)
     member_sets = component_ladders(
-        f, points, np.stack([plane.frame for plane in planes]),
-        [delta(iota, r, lam) for iota in range(level + 2)])
-    return DeltaNet(f, r, lam, level, points, planes, member_sets, plane_rule)
+        f, points, frames, [delta(iota, r, lam) for iota in range(level + 2)])
+    return DeltaNet(f, r, lam, level, points, frames, member_sets, plane_rule)
 
 
 def _assert_separation(net: DeltaNet):

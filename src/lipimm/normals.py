@@ -399,12 +399,12 @@ class AngleBoundReport:
 
 def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
     """Reuse a net's point ids and plane rule on a companion immersion."""
-    if len(f_other) != len(net.f):
+    if (len(f_other), f_other.m, f_other.n) != (len(net.f), net.f.m, net.f.n):
         raise DimensionMismatchError(
-            "companion immersion must share the sample grid")
-    planes = planes_of(planes_for(f_other, net.points, net.plane_rule, net.r,
+            "companion immersion must share the sample grid and dimensions")
+    frames = planes_of(planes_for(f_other, net.points, net.plane_rule, net.r,
                                   net.lam))
-    return _net_on(f_other, net.r, net.lam, net.level, net.points, planes,
+    return _net_on(f_other, net.r, net.lam, net.level, net.points, frames,
                    net.plane_rule)
 
 
@@ -501,11 +501,9 @@ class NormalMeasureField:
                 "averaged normal spaces need lambda <= 1/4")
         self.f = f
         self.net = net
-        tangents = f.tangent_planes(range(len(f)))
-        self._chart_frames = complement_frames(
-            np.stack([plane.frame for plane in net.planes]))
+        self._chart_frames = complement_frames(net.frames)
         self._sample_frames = complement_frames(
-            np.stack([plane.frame for plane in tangents]))
+            f.tangent_planes(range(len(f))))
         self._means = np.empty(self._sample_frames.shape)
         self._solved = np.zeros(len(f), dtype=bool)
         self._quotients = None  # N's chart quotients, all charts

@@ -24,7 +24,7 @@ import lipimm.immersion as immersion_mod
 import lipimm.nets as nets_mod
 from lipimm import _util
 from lipimm.errors import ClosenessError, InputError, InsufficientSamplingError
-from lipimm.grassmann import hausdorff_of, sphere_angle_matrix
+from lipimm.grassmann import Subspace, hausdorff_of, sphere_angle_matrix
 from lipimm.immersion import (
     EuclideanIsometry,
     GraphPatch,
@@ -358,9 +358,9 @@ def test_transfer_net_keeps_the_plane_rule():
     net = build_net(f, 0.2, 0.25, 4, "best-fit")
     moved = transfer_net(net, target)
     assert moved.plane_rule == "best-fit"
-    for q, plane in zip(moved.points, moved.planes):
-        [(best_fit, _)] = target.best_fit_planes([int(q)], net.delta(1))
-        assert np.array_equal(plane.frame, best_fit.frame)
+    for q, frame in zip(moved.points, moved.frames):
+        [best_fit], [err] = target.best_fit_planes([int(q)], net.delta(1))
+        assert err is None and np.array_equal(frame, best_fit)
     # charts on matching planes move by about the 0.001 radius change;
     # tangent target planes against best-fit source planes read ~500
     dist = graph_system_distance(graph_system(net), graph_system(moved))
@@ -373,8 +373,8 @@ def test_consumers_read_the_checked_patches(monkeypatch):
     built = {}
     real = immersion_mod._block_patches
 
-    def recording(shape, ids, plane_outcomes, r):
-        rows = real(shape, ids, plane_outcomes, r)
+    def recording(shape, ids, planes, r):
+        rows = real(shape, ids, planes, r)
         built[id(shape)] = rows
         return rows
 
@@ -407,14 +407,18 @@ def test_consumers_read_the_checked_patches(monkeypatch):
 
 def test_the_chain_builds_no_patch_objects(monkeypatch):
     # the check, a level-5 net, its field, the angle check and the graph
-    # system read the patch store's arrays: they build no GraphPatch and no
-    # EuclideanIsometry, in bulk or one at a time
+    # system read the patch store's arrays and the net's frame array: they
+    # build no GraphPatch, no EuclideanIsometry and no Subspace, in bulk or
+    # one at a time
     built = []
     init, post = GraphPatch.__init__, EuclideanIsometry.__post_init__
+    check = Subspace.__post_init__
     monkeypatch.setattr(GraphPatch, "__init__", lambda self, *args: (
         built.append(GraphPatch), init(self, *args))[1])
     monkeypatch.setattr(EuclideanIsometry, "__post_init__", lambda self: (
         built.append(EuclideanIsometry), post(self))[1])
+    monkeypatch.setattr(Subspace, "__post_init__", lambda self: (
+        built.append(Subspace), check(self))[1])
     unchecked = _util.unchecked
     for module in list(sys.modules.values()):
         if module.__name__.startswith("lipimm.") and \
@@ -427,10 +431,20 @@ def test_the_chain_builds_no_patch_objects(monkeypatch):
     field = direction_field(f, net)
     assert angle_bound_check(field, f).holds
     assert len(graph_system(net).grids) == len(net)
-    assert GraphPatch not in built and EuclideanIsometry not in built
+    assert built == []
     # the one-sample view is seen: one of each
     net.patch(0)
-    assert built.count(GraphPatch) == built.count(EuclideanIsometry) == 1
+    assert built.count(GraphPatch) == built.count(EuclideanIsometry) == \
+        built.count(Subspace) == 1
+    # in codimension 2 a transferred net and the averaged normals of its
+    # field read frame arrays too
+    built.clear()
+    g, h = (make_shape("circle3d", {"radius": radius, "tilt": 0.2}, 512)
+            for radius in (1.0, 1.001))
+    moved = transfer_net(build_net(g, 0.2, 0.25, 5), h)
+    assert NormalMeasureField(h, moved).means(range(0, 512, 16)).shape == \
+        (32, 3, 2)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +522,9 @@ def test_limit_graph_sandwich_property():
     from lipimm.immersion import q_component
     for rho in (0.1, 0.15, 0.2):
         for q in (0, 341, 682):
-            [(plane, _)] = limit.best_fit_planes([q], 0.05)
+            [frame], [err] = limit.best_fit_planes([q], 0.05)
+            assert err is None
+            plane = Subspace(frame)
             members = q_component(limit, q, plane, rho)
             proj = np.sort(
                 (limit.positions[members] - limit.positions[q]) @ plane.frame[:, 0])

@@ -175,8 +175,8 @@ def test_stacked_window_pass_matches_q_component(name, params, samples):
     # the brute-force component
     f = make_shape(name, params, samples)
     ids = np.arange(len(f))
-    planes = f.tangent_planes(ids)
-    frames = np.stack([plane.frame for plane in planes])
+    frames = f.tangent_planes(ids)
+    planes = [Subspace(frame) for frame in frames]
     for rho in (3.5 * f.sample_spacing, 0.3):
         members, counts = _padded_components(f, ids, frames, rho)
         for q, plane in zip(ids, planes):
@@ -204,8 +204,8 @@ def test_component_ladder_ends(name):
     f = component_shape(name)
     for q in (0, len(f) - 1):
         plane = (f.tangent_plane(q) if f.evaluator is not None
-                 else planes_of(f.best_fit_planes(
-                     [q], 4 * f.sample_spacing))[0])
+                 else Subspace(planes_of(f.best_fit_planes(
+                     [q], 4 * f.sample_spacing))[0]))
         nearest = np.min(np.linalg.norm(
             (f.positions[f.neighbors(q)] - f.positions[q]) @ plane.frame, axis=1))
         diameter = np.max(np.linalg.norm(f.positions - f.positions[q], axis=1))
@@ -300,9 +300,8 @@ def test_stacked_mesh_traversal_matches_the_per_row_bfs(name, lipimm_calls):
     # runs all 4096 rows, so its traversal takes several blocks of rows
     f = mesh_shape(name)
     ids = np.arange(len(f))
-    planes = (f.tangent_planes(ids) if f.evaluator is not None
+    frames = (f.tangent_planes(ids) if f.evaluator is not None
               else planes_of(f.best_fit_planes(ids, 0.3)))
-    frames = np.stack([plane.frame for plane in planes])
     blocks = lipimm_calls(immersion_mod._mesh_components)
     for radii in MESH_RADII:
         ladders = component_ladders(f, ids, frames, radii)
@@ -322,7 +321,7 @@ def test_mesh_component_leaves_out_the_far_side_of_the_tube():
     # to q: the component is a strict part of the projected ball
     f = mesh_shape("torus 16x32")
     ids = np.arange(len(f))
-    frames = np.stack([plane.frame for plane in f.tangent_planes(ids)])
+    frames = f.tangent_planes(ids)
     cut = 0
     for q, [members] in zip(ids, component_ladders(f, ids, frames, [0.5])):
         proj = (f.positions - f.positions[q]) @ frames[q]
@@ -546,15 +545,14 @@ def test_batched_check_matches_single_patches(name, params):
     for rule in PLANE_RULES:
         report = check_r_lambda(shape, 0.1, 1.0, rule, sample_ids=ids)
         # the batched solve as check_r_lambda calls it under each rule
-        planes = planes_of(planes_for(shape, ids, rule, 0.1, 1.0))
-        rows = _block_patches(shape, ids, [(p, None) for p in planes], 0.1)
+        planes = planes_for(shape, ids, rule, 0.1, 1.0)
+        rows = _block_patches(shape, ids, planes, 0.1)
         assert rows.errors == [None] * len(ids)
         assert rows.u.shape == (len(ids), 129, shape.n - 1)
-        assert np.array_equal(rows.rotation[:, :, :1],
-                              np.stack([p.frame for p in planes]))
-        for i, (q, plane) in enumerate(zip(ids, planes)):
+        assert np.array_equal(rows.rotation[:, :, :1], planes_of(planes))
+        for i, (q, frame) in enumerate(zip(ids, planes_of(planes))):
             batched = rows.graph_patch(shape, i)
-            single = extract_graph_patch(shape, q, plane, 0.1)
+            single = extract_graph_patch(shape, q, Subspace(frame), 0.1)
             assert batched.lambda_measured == single.lambda_measured
             assert report.lambdas[q] == single.lambda_measured
             assert (batched.base, batched.radius, batched.m, batched.k,
@@ -569,7 +567,7 @@ def test_batched_check_matches_single_patches(name, params):
                     (batched.u, single.u)]:
                 assert a.shape == b.shape and np.array_equal(a, b)
             # and its Du, which the one-row build of the extraction holds
-            one = _block_patches(shape, [q], [(plane, None)], 0.1)
+            one = _block_patches(shape, [q], (frame[None], [None]), 0.1)
             assert np.array_equal(one.du[0], rows.du[i])
 
 
@@ -603,8 +601,8 @@ def test_sheared_torus_patches_build_in_few_newton_steps(torus):
     calls = []  # one fused point and Jacobian call per Newton step
     point_jacobian = f.evaluator.point_jacobian
     f.evaluator.point_jacobian = lambda t: calls.append(1) or point_jacobian(t)
-    lams = [extract_graph_patch(f, q, plane, 0.1).lambda_measured
-            for q, plane in zip(ids, planes)]
+    lams = [extract_graph_patch(f, q, Subspace(frame), 0.1).lambda_measured
+            for q, frame in zip(ids, planes)]
     f.evaluator.point_jacobian = point_jacobian
     assert len(ids) <= len(calls) <= 5 * len(ids)
     # the same surface: every patch builds, with the catalog torus's slopes
@@ -637,14 +635,14 @@ def test_batched_surface_check_matches_single_patches(torus):
     report = check_r_lambda(torus, 0.1, 0.25)
     ids = [0, 37, 200, 311, 511]
     rows, at = graph_patches(torus, ids, 0.1, 0.25, "tangent")
-    planes = [Subspace(frame) for frame in rows.rotation[at, :, :2]]
-    for q, i, plane in zip(ids, at, planes):
-        single = extract_graph_patch(torus, q, plane, 0.1)
+    frames = rows.rotation[at, :, :2]
+    for q, i, frame in zip(ids, at, frames):
+        single = extract_graph_patch(torus, q, Subspace(frame), 0.1)
         assert abs(rows.slope[i] - single.lambda_measured) <= 1e-14
         assert report.lambdas[q] == rows.slope[i]
         assert np.array_equal(np.isnan(rows.u[i]), np.isnan(single.u))
         assert np.nanmax(np.abs(rows.u[i] - single.u)) <= 1e-14
-    one = _block_patches(torus, ids, [(p, None) for p in planes], 0.1)
+    one = _block_patches(torus, ids, (frames, [None] * len(ids)), 0.1)
     assert np.nanmax(np.abs(rows.du[at] - one.du)) <= 1e-14
 
 
@@ -783,7 +781,7 @@ def reference_lambda_on_grid(u, valid, step, m):
     return lam, ds[0] if m == 1 else np.stack(ds, axis=-1)
 
 
-def reference_patches(f, ids, plane_outcomes, r):
+def reference_patches(f, ids, planes, r):
     """The former ``_block_patches``: plane, component, fold scan and
     brackets sample by sample, surface fills from each node's nearest
     member, then the same batched solve and the former slope scan."""
@@ -795,10 +793,11 @@ def reference_patches(f, ids, plane_outcomes, r):
     out = im.PatchRows.empty(f, r, ids)
     outcomes = out.errors
     rows = []
-    for i, (q, (plane, err)) in enumerate(zip(ids, plane_outcomes)):
+    for i, (q, frame, err) in enumerate(zip(ids, *planes)):
         if err is not None:
             outcomes[i] = err
             continue
+        plane = Subspace(frame)
         try:
             members = q_component(f, q, plane, r)
             proj = (f.positions[members] - f.positions[q]) @ plane.frame
@@ -865,11 +864,11 @@ def reference_patches(f, ids, plane_outcomes, r):
     return out
 
 
-def assert_same_outcomes(f, ids, plane_outcomes, r):
+def assert_same_outcomes(f, ids, planes, r):
     """``_block_patches`` equals the per-sample reference bit for bit,
     and names the same error; returns the errors."""
-    got = _block_patches(f, ids, plane_outcomes, r)
-    assert_same_rows(got, reference_patches(f, ids, plane_outcomes, r))
+    got = _block_patches(f, ids, planes, r)
+    assert_same_rows(got, reference_patches(f, ids, planes, r))
     return [err for err in got.errors if err is not None]
 
 
@@ -980,14 +979,12 @@ def test_bracket_ends_fill_as_the_bracket_pairs(name, params, r, rule):
     # one the curve evaluates
     f = make_shape(name, params, 512)
     f.evaluator.bound = None
-    outcomes = planes_for(f, list(range(len(f))), rule, r, 0.25)
-    planes = {q: plane.frame for q, (plane, err) in enumerate(outcomes)
-              if err is None}
+    all_frames, errors = planes_for(f, list(range(len(f))), rule, r, 0.25)
     # too few seeds for a best fit
     assert all(isinstance(err, InsufficientSamplingError)
-               for _, err in outcomes if err is not None)
-    bases = np.array(sorted(planes))
-    frames = np.stack([planes[q] for q in bases.tolist()])
+               for err in errors if err is not None)
+    bases = np.flatnonzero([err is None for err in errors])
+    frames = all_frames[bases]
     members, counts = _padded_components(f, bases, frames, r)
     proj = (f.positions[members] - f.positions[bases][:, None]) @ frames
     nodes = immersion_mod._chart_grid(1, r)[2][:, 0]
@@ -1325,7 +1322,8 @@ def test_block_setup_names_each_samples_first_error(gapped_circle):
         ids = np.random.default_rng(len(f)).permutation(len(f)).tolist()
         for rule in PLANE_RULES if plane_of is None else ["given"]:
             planes = planes_for(f, ids, rule, r, 0.25) if plane_of is None \
-                else [(plane_of(q), None) for q in ids]
+                else (np.stack([plane_of(q).frame for q in ids]),
+                      [None] * len(ids))
             errors += assert_same_outcomes(f, ids, planes, r)
     kinds = {str(err).split(" sample")[0] for err in errors}
     assert kinds == {"projection folds near",
@@ -1406,8 +1404,9 @@ def raw_fill_errors(f, r, every, rule):
     raw copy, both over the plane f resolves there."""
     raw, ids = raw_copy(f), list(range(0, len(f), every))
     slopes, heights = [], []
-    for q, plane in zip(ids, planes_of(planes_for(f, ids, rule, r, 0.25))):
-        exact, pl = (extract_graph_patch(g, q, plane, r) for g in (f, raw))
+    for q, frame in zip(ids, planes_of(planes_for(f, ids, rule, r, 0.25))):
+        exact, pl = (extract_graph_patch(g, q, Subspace(frame), r)
+                     for g in (f, raw))
         assert np.array_equal(np.isnan(exact.u), np.isnan(pl.u))
         slopes.append(abs(exact.lambda_measured - pl.lambda_measured))
         heights.append(np.nanmax(np.abs(exact.u - pl.u)))
@@ -1566,7 +1565,7 @@ def test_one_plane_pass_fails_thin_seed_balls_alone(lipimm_calls):
     [(rows, index)] = f._patch_store.values()
     ids = list(range(len(f)))
     alone = [planes_for(f, [q], "best-fit", 0.1, 0.25) for q in ids]
-    assert sum(err is None for [(_, err)] in alone) == 288
+    assert sum(err is None for _, [err] in alone) == 288
     assert rows.bases.tolist() == np.flatnonzero(index >= 0).tolist() == [0]
     assert_same_rows(rows, _block_patches(f, [0], alone[0], 0.1))
 
@@ -1576,19 +1575,21 @@ def test_patches_are_built_only_up_to_the_first_plane_error():
     # before the first thin seed ball in id order are built, that sample's
     # plane error is stored and raised, and no later sample is resolved
     f = make_shape(*SPHERE, "48x24")
-    outcomes = planes_for(f, range(len(f)), "best-fit", 0.1, 0.25)
-    good = [q for q, (_, err) in enumerate(outcomes) if err is None]
-    thin = [q for q, (_, err) in enumerate(outcomes) if err is not None]
+    frames, errors = planes_for(f, range(len(f)), "best-fit", 0.1, 0.25)
+    good = [q for q, err in enumerate(errors) if err is None]
+    thin = [q for q, err in enumerate(errors) if err is not None]
+    # a row that failed has a NaN frame, as a failed patch row a NaN slope
+    assert np.isnan(frames[thin]).all() and np.isfinite(frames[good]).all()
     ids = good[:3] + [thin[5]] + good[3:6] + [thin[0]]
     with pytest.raises(InsufficientSamplingError) as info:
         check_r_lambda(f, 0.1, 0.25, "best-fit", sample_ids=ids)
-    assert str(info.value) == f"sample {thin[5]}: {outcomes[thin[5]][1]}"
+    assert str(info.value) == f"sample {thin[5]}: {errors[thin[5]]}"
     [(rows, index)] = f._patch_store.values()
     assert rows.bases.tolist() == ids[:4]
     assert index[ids[:4]].tolist() == [0, 1, 2, 3]
     assert np.count_nonzero(index >= 0) == 4
-    assert_same_rows(rows, _block_patches(f, ids[:4],
-                                          [outcomes[q] for q in ids[:4]], 0.1))
+    assert_same_rows(rows, _block_patches(
+        f, ids[:4], (frames[ids[:4]], [errors[q] for q in ids[:4]]), 0.1))
 
 
 def test_a_first_plane_error_raises_before_any_patch_is_built(lipimm_calls):
@@ -1759,9 +1760,9 @@ def test_best_fit_planes_match_the_sample_by_sample_planes(name, params,
     # gives the error the reference raises
     f = make_shape(name, params, samples)
     for radius in (2 * f.sample_spacing, 8 * f.sample_spacing):
-        planes = planes_of(f.best_fit_planes(range(len(f)), radius))
-        for q, plane in enumerate(planes):
-            assert np.array_equal(plane.frame,
+        frames = planes_of(f.best_fit_planes(range(len(f)), radius))
+        for q, frame in enumerate(frames):
+            assert np.array_equal(frame,
                                   reference_best_fit_plane(f, q, radius).frame)
     with pytest.raises(InsufficientSamplingError, match="near 3 for"):
         planes_of(f.best_fit_planes([3], 1e-3 * f.sample_spacing))
@@ -1868,8 +1869,9 @@ def intersection_sets(f, p, q, rho, lam):
     delta = rho / (3 (1 + lambda)), and each member's |f(q) - f(x)| over
     (1 + lambda) rho."""
     d = rho / (3.0 * (1.0 + lam))
-    members_q, dq = q_components(f, q, f.tangent_planes([q])[0], [rho, d])
-    [dp] = q_components(f, p, f.tangent_planes([p])[0], [d])
+    members_q, dq = q_components(f, q, Subspace(f.tangent_planes([q])[0]),
+                                 [rho, d])
+    [dp] = q_components(f, p, Subspace(f.tangent_planes([p])[0]), [d])
     ratios = np.linalg.norm(f.positions[members_q] - f.positions[q],
                             axis=1) / ((1.0 + lam) * rho)
     return members_q, dq, dp, ratios

@@ -20,6 +20,7 @@ from lipimm.nets import (
     _assert_separation,
     _net_on,
     build_net,
+    net_from_points,
     verify_net_bounds,
 )
 from lipimm.normals import (
@@ -182,11 +183,29 @@ def test_net_json_round_trip(circle, circle_net_l1):
     assert len(payload["points"]) == len(circle_net_l1)
     assert payload["z_sets"]["1,0"] == sorted(circle_net_l1.z_set(1, 0).tolist())
     # reuse across invocations: the serialized points rebuild the same net
-    from lipimm.nets import net_from_points
     rebuilt = net_from_points(circle, payload["r"], payload["lambda"],
                               payload["level"], payload["points"])
     assert np.array_equal(rebuilt.points, circle_net_l1.points)
     assert np.array_equal(rebuilt.members(5, 1), circle_net_l1.members(5, 1))
+
+
+@pytest.mark.parametrize("level, points", [(1, []), (0, [0]), (-1, [0])],
+                         ids=["no point", "level 0", "level -1"])
+def test_net_from_points_rejects_what_build_net_rejects(level, points):
+    # no point at all, or a level below 1, is an input error, as for
+    # build_net: not a numpy stacking error, and not a net
+    f = make_shape("circle", {"radius": 1.0}, 256)
+    with pytest.raises(InputError):
+        net_from_points(f, 0.2, 0.25, level, points)
+
+
+@pytest.mark.parametrize("j", [-1, 85])
+def test_members_of_a_chart_out_of_range_is_input_error(j):
+    # circle 256 at level 1 has 85 charts; -1 must not read the last one
+    net = build_net(make_shape("circle", {"radius": 1.0}, 256), 0.2, 0.25, 1)
+    assert len(net) == 85
+    with pytest.raises(InputError, match="net index"):
+        net.members(j, 0)
 
 
 def test_plane_rule_is_tangent_or_best_fit():
@@ -213,7 +232,8 @@ def _per_point_greedy(f, r, lam, level, plane_rule, verify):
             rows, [at] = graph_patches(f, [q], r, lam, plane_rule)
             plane = Subspace(rows.rotation[at, :, :f.m].copy())
         else:
-            plane = planes_of(planes_for(f, [q], plane_rule, r, lam))[0]
+            plane = Subspace(planes_of(planes_for(f, [q], plane_rule, r,
+                                                  lam))[0])
         ladder = [q_component(f, q, plane, delta(iota, r, lam))
                   for iota in range(level + 2)]
         points.append(q)
@@ -221,7 +241,8 @@ def _per_point_greedy(f, r, lam, level, plane_rule, verify):
         ladders.append(ladder)
         covered[ladder[level]] = True
         covered[q] = True
-    return DeltaNet(f, r, lam, level, np.array(points), planes, ladders,
+    return DeltaNet(f, r, lam, level, np.array(points),
+                    np.stack([plane.frame for plane in planes]), ladders,
                     plane_rule)
 
 
@@ -246,8 +267,7 @@ def test_ladder_net_equals_net_of_single_radius_components(
     net = build_net(f, r, 0.25, level, plane_rule, verify_immersion=verify)
     reference = _per_point_greedy(f, r, 0.25, level, plane_rule, verify)
     assert np.array_equal(net.points, reference.points)
-    for plane, expected in zip(net.planes, reference.planes):
-        assert np.array_equal(plane.frame, expected.frame)
+    assert np.array_equal(net.frames, reference.frames)
     for ladder, expected in zip(net.member_sets, reference.member_sets):
         assert len(ladder) == level + 2
         assert all(np.array_equal(a, b) for a, b in zip(ladder, expected))

@@ -7,6 +7,7 @@ import pytest
 
 import lipimm.normals as normals_mod
 from lipimm.errors import (
+    DimensionMismatchError,
     InputError,
     InvariantViolationError,
     RegimeError,
@@ -511,6 +512,19 @@ def test_angle_bound_check_nearby_circle(circle, circle_net, circle_field):
         worst = max(worst, min(hausdorff_of(sphere_angle_matrix(a, b)),
                                hausdorff_of(sphere_angle_matrix(a, -b))))
     assert report.worst_hausdorff == worst > 0.0
+
+
+def test_transfer_to_other_dimensions_is_a_dimension_mismatch():
+    # a circle's net does not move to a circle in R^3 on the same sample
+    # grid: its tangent lines live in R^2, so the transfer and the angle
+    # check raise the typed error, not a numpy matmul error
+    f = make_shape("circle", {"radius": 1.0}, 256)
+    g = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 256)
+    net = build_net(f, 0.2, 0.25, 4)
+    with pytest.raises(DimensionMismatchError):
+        transfer_net(net, g)
+    with pytest.raises(DimensionMismatchError):
+        angle_bound_check(direction_field(f, net), g)
 
 
 def reference_normals_at(rows, i, x):

@@ -83,8 +83,9 @@ def test_torus_triangulation_closed_and_volume():
 def test_batched_tangent_planes_match_single(name, params):
     f = make_shape(name, params, "8x16")
     batched = f.tangent_planes(range(len(f)))
-    for q, plane in enumerate(batched):
-        assert np.array_equal(plane.frame, f.tangent_plane(q).frame)
+    assert batched.shape == (len(f), f.n, f.m)
+    for q, frame in enumerate(batched):
+        assert np.array_equal(frame, f.tangent_plane(q).frame)
 
 
 def test_tilted_circle_plane():
