@@ -6,7 +6,7 @@ and a workspace of reused arrays.
 inside a bracket, the ``rtsafe`` of Numerical Recipes), in 2-3 iterations
 on a smooth root, or in one from an ``inverse_hermite`` start with a
 certified last step; each root stops on its own, so it does not depend on
-the roots solved with it.  ``bisect`` is for residuals without a derivative.
+the roots solved with it.
 """
 
 from __future__ import annotations
@@ -109,27 +109,6 @@ def inverse_hermite(lo, hi, r_lo, r_hi, s_lo, s_hi):
         t += w
         t += lo
     return t
-
-
-def bisect(residual, lo, hi, r_lo, iters: int):
-    """Halve every bracket [lo, hi] ``iters`` times, keeping the sign change.
-
-    ``r_lo`` is ``residual(lo)``; the brackets are arrays narrowed at once,
-    one ``residual`` call per step.  Returns the final (lo, hi), early once
-    a step leaves every bracket as it was: each later step would evaluate
-    the same midpoints again and keep them as they are.
-    """
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        take_low = (r_mid > 0) == (r_lo > 0)
-        new_lo = np.where(take_low, mid, lo)
-        r_lo = np.where(take_low, r_mid, r_lo)
-        new_hi = np.where(take_low, hi, mid)
-        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-            break
-        lo, hi = new_lo, new_hi
-    return lo, hi
 
 
 def max_quotient(dv: np.ndarray, dx: np.ndarray) -> float:

@@ -6,12 +6,13 @@ and its image swallows a sigma-collar of the inner half patch, with
 sigma = min{(rho/2) cos(gamma), cos^2(gamma) / (2 L (1+lambda))}.  The probes
 below certify both properties pointwise at desk scale, plus the underlying
 projected-separation inequality |(x,u(x)) - pi_perp(x,u(x))| >= |x-y| cos(gamma).
+Inclusion solves each fiber in closed form, on a cell of u and T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,10 +20,8 @@ from .errors import (
     DimensionMismatchError,
     InputError,
 )
-from ._util import bisect, halton
+from ._util import halton
 from .immersion import GraphPatch
-
-BISECTION_ITERATIONS = 80  # bracket shrinks by 2^-80, far below float noise
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,10 @@ class TubeParams:
 
 def tube_params(rho: float, lam: float, big_l: float, gamma: float) -> TubeParams:
     """Tube sizes eps and sigma for slope lambda, field constant L, angle gamma."""
-    if gamma >= math.pi / 2:
-        raise InputError("tube sizing requires gamma < pi/2")
-    if big_l <= 0 or rho <= 0:
-        raise InputError("need L > 0 and rho > 0")
+    if not (0 < rho < math.inf and 0 < big_l < math.inf and math.isfinite(lam)
+            and -math.inf < gamma < math.pi / 2):  # NaN fails too
+        raise InputError("tube sizing needs finite rho > 0, L > 0, lambda and "
+                         "gamma < pi/2")
     eps = math.cos(gamma) / big_l
     first = (rho / 2.0) * math.cos(gamma)
     second = math.cos(gamma) ** 2 / (2.0 * big_l * (1.0 + lam))
@@ -88,37 +87,47 @@ class InjectivityReport:
     min_separation: float
     trials: int
     epsilon: float
-
-    def to_dict(self):
-        return {"injective": bool(self.injective),
-                "min_separation": self.min_separation,
-                "trials": self.trials, "epsilon": self.epsilon}
+    to_dict = asdict
 
 
 def _segment_distances(p1, d1, p2, d2, eps1, eps2):
-    """Min distances between fiber segments p_i + t d_i, |t| < eps_i (2-d)."""
-    delta = p2 - p1
-    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    cd2 = delta[:, 0] * d2[:, 1] - delta[:, 1] * d2[:, 0]
-    cd1 = delta[:, 0] * d1[:, 1] - delta[:, 1] * d1[:, 0]
+    """Min distances between fiber segments p_i + t d_i, |t| < eps_i (2-d);
+    each point and direction is an (x, y) pair of 1-D component arrays."""
+    (x1, y1), (dx1, dy1), (x2, y2), (dx2, dy2) = p1, d1, p2, d2
+    cross = dx1 * dy2 - dy1 * dx2
+    cd2 = (x2 - x1) * dy2 - (y2 - y1) * dx2
+    cd1 = (x2 - x1) * dy1 - (y2 - y1) * dx1
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = np.where(np.abs(cross) > 1e-300, cd2 / cross, np.inf)
         s_star = np.where(np.abs(cross) > 1e-300, cd1 / cross, np.inf)
     crossing = (np.abs(t_star) < eps1) & (np.abs(s_star) < eps2)
-
-    def squared_to_segment(q, p, d, eps):
-        along = np.clip(np.einsum("ij,ij->i", q - p, d), -eps, eps)
-        rej = q - p - along[:, None] * d
-        # np.linalg.norm's sum, in component order
-        return rej[:, 0] * rej[:, 0] + rej[:, 1] * rej[:, 1]
-
-    ends = [squared_to_segment(p1 + e1 * eps1 * d1, p2, d2, eps2)
-            for e1 in (-1.0, 1.0)]
-    ends += [squared_to_segment(p2 + e2 * eps2 * d2, p1, d1, eps1)
-             for e2 in (-1.0, 1.0)]
+    least = None
+    for (q, dq, eq), (p, d, ep) in (((p1, d1, eps1), (p2, d2, eps2)),
+                                    ((p2, d2, eps2), (p1, d1, eps1))):
+        for e in (-1.0, 1.0):  # the squared distance of an end q to p + t d
+            wx, wy = (dq[i] * (e * eq) + q[i] - p[i] for i in (0, 1))
+            along = np.clip(wx * d[0] + wy * d[1], -ep, ep)
+            # np.linalg.norm's sum, in component order
+            sq = np.square(wx - along * d[0]) + np.square(wy - along * d[1])
+            least = sq if least is None else np.minimum(least, sq, out=least)
     # one sqrt of the least: sqrt is monotone and correctly rounded
-    dist = np.sqrt(np.min(np.stack(ends), axis=0))
+    dist = np.sqrt(least, out=least)
     return np.where(crossing, 0.0, dist), crossing
+
+
+def _probe_radius(patch, rho, draws, what):
+    """rho, by default the chart radius, after every probe's checks: a curve
+    chart, a draw, 0 < rho <= the chart radius (past the chart np.interp
+    holds u constant, and a probe there would test another graph)."""
+    if patch.m != 1 or patch.k != 1:
+        raise DimensionMismatchError("probes operate on codimension-one curve "
+                                     "charts")
+    if not draws >= 1:  # no draw would pass vacuously
+        raise InputError(f"a probe needs {what} >= 1, got {draws}")
+    rho = patch.radius if rho is None else rho
+    if not 0 < rho <= patch.radius:  # NaN too
+        raise InputError(f"a probe needs 0 < rho <= {patch.radius}, got {rho}")
+    return rho
 
 
 def injectivity_probe(patch: GraphPatch, t_field: ChartField, epsilon: float,
@@ -131,25 +140,14 @@ def injectivity_probe(patch: GraphPatch, t_field: ChartField, epsilon: float,
     exactly, and the reported minimum is the true segment separation, not a
     sampled one.
     """
-    if patch.m != 1 or patch.k != 1:
-        raise DimensionMismatchError("probes operate on codimension-one curve "
-                                     "charts")
-    if not trials >= 1:  # no draw would pass vacuously
-        raise InputError(f"a probe needs trials >= 1, got {trials}")
-    rho = rho if rho is not None else patch.radius
-    pts = halton(trials, 2, offset=seed)
-    x = (2 * pts[:, 0] - 1) * rho
-    y = (2 * pts[:, 1] - 1) * rho
+    rho = _probe_radius(patch, rho, trials, "trials")
+    x, y = (2 * halton(trials, 2, offset=seed).T - 1) * rho
     distinct = np.abs(x - y) > 1e-15
     x, y = x[distinct], y[distinct]
-    rot = patch.isometry.rotation
-    tx = (rot.T @ t_field.at(x).T).T
-    ty = (rot.T @ t_field.at(y).T).T
-    ux = np.interp(x, patch.x_nodes, patch.u[:, 0])
-    uy = np.interp(y, patch.x_nodes, patch.u[:, 0])
-    dist, crossing = _segment_distances(np.column_stack([x, ux]), tx,
-                                        np.column_stack([y, uy]), ty,
-                                        epsilon, epsilon)
+    tx, ty = (patch.isometry.rotation.T @ t_field.at(v).T for v in (x, y))
+    ux, uy = (np.interp(v, patch.x_nodes, patch.u[:, 0]) for v in (x, y))
+    dist, crossing = _segment_distances((x, ux), tx, (y, uy), ty, epsilon,
+                                        epsilon)
     min_sep = float(np.min(dist)) if len(dist) else math.inf
     return InjectivityReport(not bool(np.any(crossing)), min_sep, trials,
                              epsilon)
@@ -163,11 +161,58 @@ class InclusionReport:
     max_fiber_offset: float
     epsilon: float
     sigma: float
+    to_dict = asdict
 
-    def to_dict(self):
-        return {"all_reached": bool(self.all_reached), "reached": self.reached,
-                "count": self.count, "max_fiber_offset": self.max_fiber_offset,
-                "epsilon": self.epsilon, "sigma": self.sigma}
+
+def _raw_residual(patch: GraphPatch, t_field: ChartField, z, x):
+    """Rows x, r, u(x), V(x): r = (z - (x, u(x))) x V(x) is the fiber
+    alignment residual with the chart field V before it is normalized, which
+    scales r by |V| > 0 and so keeps its sign."""
+    u = np.interp(x, patch.x_nodes, patch.u[:, 0])
+    rot = patch.isometry.rotation
+    ax, ay = (np.interp(x, t_field.xs, v) for v in t_field.vectors.T)
+    vx = rot[0, 0] * ax + rot[1, 0] * ay
+    vy = rot[0, 1] * ax + rot[1, 1] * ay
+    return np.array([x, (z[:, 0] - x) * vy - (z[:, 1] - u) * vx, u, vx, vy])
+
+
+def _fiber_feet(patch: GraphPatch, t_field: ChartField, z, lo, hi):
+    """Chart points x in [lo, hi] whose fiber passes through z, one per row,
+    and whether the residual changes sign over [lo, hi].
+
+    A bracket is split at its middle breakpoint of u or T, keeping the sign
+    change, until none is inside.  u and V are linear on that cell, so the
+    residual is c0 + c1 s + c2 s^2 in s = (x - lo) / (hi - lo): the stable
+    formula's root in [0, 1], then one Newton step, where z - (x, u) is
+    short and the residual keeps the bits that c0, a cell away, loses."""
+    breaks = np.union1d(patch.x_nodes, t_field.xs)
+    ends = _raw_residual(patch, t_field, z, np.stack([lo, hi]))
+    bracketed = ends[1, 0] * ends[1, 1] <= 0
+    bounds = np.stack([np.searchsorted(breaks, lo, side="right"),
+                       np.searchsorted(breaks, hi, side="left")])
+    while (inner := bounds[0] < bounds[1]).any():
+        mid = (bounds[0] + bounds[1]) // 2
+        new = _raw_residual(patch, t_field, z, breaks.take(mid, mode="clip"))
+        up = (new[1] > 0) == (ends[1, 0] > 0)  # the root lies above
+        for side, keep, bound in ((0, inner & up, mid + 1),
+                                  (1, inner & ~up, mid)):
+            np.copyto(ends[:, side], new, where=keep)
+            np.copyto(bounds[side], bound, where=keep)
+    lo, c0, u, vx, vy = ends[:, 0]
+    dx, _, du, dvx, dvy = ends[:, 1] - ends[:, 0]  # the changes over the cell
+    wx, wy = z[:, 0] - lo, z[:, 1] - u  # w = z - (x, u) at lo
+    c1 = (wx * dvy - wy * dvx) + (du * vx - dx * vy)
+    c2 = du * dvx - dx * dvy
+    q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(
+        c1 * c1 - 4.0 * c2 * c0, 0.0)), c1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.array([c0 / q, q / c2])  # take the nearer the cell
+        s = np.choose(np.argmin(np.fmin(np.abs(roots - 0.5), np.inf), 0), roots)
+        s = np.clip(np.nan_to_num(s, nan=0.5), 0.0, 1.0)
+        x = lo + s * dx
+        step = _raw_residual(patch, t_field, z, x)[1] * dx / (c1 + 2 * c2 * s)
+    x -= np.nan_to_num(step, posinf=0.0, neginf=0.0)
+    return np.clip(x, lo, ends[0, 1]), bracketed
 
 
 def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
@@ -175,14 +220,10 @@ def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
     """Verify that every point sigma-close to the inner half patch is hit.
 
     Points z with dist(z, graph over B_{rho/2}) < sigma must satisfy
-    z = F(x, t) for some chart x and |t| < epsilon; each probe point is
-    resolved by bisection on the fiber-alignment residual.
+    z = F(x, t) for some chart x and |t| < epsilon; each probe point's
+    fiber foot x is solved in closed form by ``_fiber_feet``.
     """
-    if patch.m != 1 or patch.k != 1:
-        raise DimensionMismatchError("probes operate on codimension-one curve "
-                                     "charts")
-    if not count >= 1:  # no draw would pass vacuously
-        raise InputError(f"a probe needs count >= 1, got {count}")
+    _probe_radius(patch, params.rho, count, "count")
     pts = halton(count, 3, offset=seed)
     x0 = (2 * pts[:, 0] - 1) * (params.rho / 2.0)
     radius = pts[:, 1] * params.sigma * (1 - 1e-9)
@@ -194,24 +235,10 @@ def inclusion_probe(patch: GraphPatch, t_field: ChartField, params: TubeParams,
     # solve cross(z - (x, u(x)), T(x)) = 0 for x near x0
     window = max(4.0 * params.sigma / math.cos(params.gamma),
                  4.0 * patch.grid_step)
-    lo = x0 - window
-    hi = x0 + window
-    rot = patch.isometry.rotation
-
-    def residual(x):
-        u = np.interp(x, patch.x_nodes, patch.u[:, 0])
-        t_chart = (rot.T @ t_field.at(x).T).T
-        wx = z[:, 0] - x
-        wy = z[:, 1] - u
-        return wx * t_chart[:, 1] - wy * t_chart[:, 0]
-
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    bracketed = r_lo * r_hi <= 0
-    lo, hi = bisect(residual, lo, hi, r_lo, BISECTION_ITERATIONS)
-    x_star = 0.5 * (lo + hi)
+    x_star, bracketed = _fiber_feet(patch, t_field, z, x0 - window,
+                                    x0 + window)
     u_star = np.interp(x_star, patch.x_nodes, patch.u[:, 0])
-    t_chart = (rot.T @ t_field.at(x_star).T).T
+    t_chart = (patch.isometry.rotation.T @ t_field.at(x_star).T).T
     t_val = (z[:, 0] - x_star) * t_chart[:, 0] + (z[:, 1] - u_star) * t_chart[:, 1]
     gap = np.column_stack([x_star, u_star]) + t_val[:, None] * t_chart - z
     hit = bracketed & (np.sqrt(gap[:, 0] ** 2 + gap[:, 1] ** 2) < 1e-10) \
@@ -228,10 +255,7 @@ class SeparationReport:
     cos_gamma: float
     holds: bool
     pairs: int
-
-    def to_dict(self):
-        return {"min_ratio": self.min_ratio, "cos_gamma": self.cos_gamma,
-                "holds": bool(self.holds), "pairs": self.pairs}
+    to_dict = asdict
 
 
 def separation_check(patch: GraphPatch, t_field: ChartField, gamma: float,
@@ -242,23 +266,20 @@ def separation_check(patch: GraphPatch, t_field: ChartField, gamma: float,
     For sampled pairs (x, y), the distance from (x, u(x)) to the line through
     (y, u(y)) along T(y) must be at least |x - y| cos(gamma) (within 1e-9).
     """
-    if not pairs >= 1:  # no draw would pass vacuously
-        raise InputError(f"a probe needs pairs >= 1, got {pairs}")
-    rho = rho if rho is not None else patch.radius
-    pts = halton(pairs, 2, offset=seed)
-    x = (2 * pts[:, 0] - 1) * rho
-    y = (2 * pts[:, 1] - 1) * rho
-    ux = np.interp(x, patch.x_nodes, patch.u[:, 0])
-    uy = np.interp(y, patch.x_nodes, patch.u[:, 0])
-    t_chart = (patch.isometry.rotation.T @ t_field.at(y).T).T
-    w = np.column_stack([x - y, ux - uy])
-    along = np.einsum("ij,ij->i", w, t_chart)
-    rej = w - along[:, None] * t_chart  # normed by np.linalg.norm's sum
-    base = np.abs(x - y)
-    good = base > 1e-14
-    ratios = np.sqrt(rej[:, 0] ** 2 + rej[:, 1] ** 2)[good] / base[good]
-    min_ratio = float(np.min(ratios)) if np.any(good) else math.inf
+    rho = _probe_radius(patch, rho, pairs, "pairs")
+    x, y = (2 * halton(pairs, 2, offset=seed).T - 1) * rho
+    ux, uy = (np.interp(v, patch.x_nodes, patch.u[:, 0]) for v in (x, y))
+    wx, wy = x - y, ux - uy
+    tx, ty = patch.isometry.rotation.T @ t_field.at(y).T
+    along = wx * tx + wy * ty
+    # the rejection normed by np.linalg.norm's sum
+    dist = np.sqrt(np.square(wx - along * tx) + np.square(wy - along * ty))
+    good = np.abs(wx) > 1e-14
+    ratios = dist[good] / np.abs(wx[good])
+    compared = int(np.count_nonzero(good))
+    min_ratio = float(np.min(ratios)) if compared else math.inf
     cg = math.cos(gamma)
-    return SeparationReport(min_ratio, cg, min_ratio >= cg - 1e-9,
-                            int(np.count_nonzero(good)))
+    # no compared pair is no evidence
+    return SeparationReport(min_ratio, cg, compared > 0 and
+                            min_ratio >= cg - 1e-9, compared)
 

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from lipimm.errors import InputError
+from lipimm.errors import DimensionMismatchError, InputError
 from lipimm._util import halton
 from lipimm.immersion import delta, extract_graph_patch
 from lipimm.nets import build_net
 from lipimm.normals import constants, direction_field
 from lipimm.shapes import make_shape
+from lipimm import tubular
 from lipimm.tubular import (
     ChartField,
+    _fiber_feet,
     _segment_distances,
     chart_direction_field,
     inclusion_probe,
@@ -18,6 +20,7 @@ from lipimm.tubular import (
     separation_check,
     tube_params,
 )
+from test_util import reference_bisect
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,17 @@ def test_tube_params_limits():
 def test_tube_params_gamma_range():
     with pytest.raises(InputError):
         tube_params(1.0, 0.25, 1.0, math.pi / 2)
+
+
+@pytest.mark.parametrize("rho, lam, big_l, gamma", [
+    (math.nan, 0.25, 1.0, 0.3), (math.inf, 0.25, 1.0, 0.3),
+    (1.0, math.nan, 1.0, 0.3), (1.0, math.inf, 1.0, 0.3),
+    (1.0, 0.25, math.nan, 0.3), (1.0, 0.25, math.inf, 0.3),
+    (1.0, 0.25, 1.0, math.nan), (1.0, 0.25, 1.0, -math.inf)])
+def test_tube_params_reject_non_finite_inputs(rho, lam, big_l, gamma):
+    # a NaN rho gave sigma = NaN, and L = inf gave epsilon = 0
+    with pytest.raises(InputError):
+        tube_params(rho, lam, big_l, gamma)
 
 
 def test_tube_params_monotonicity():
@@ -217,7 +231,8 @@ def test_segment_distances_take_one_sqrt_of_the_least_square():
     d2[:1000] = d1[:1000]
     d1 /= np.linalg.norm(d1, axis=1, keepdims=True)
     d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-    got = _segment_distances(p1, d1, p2, d2, 0.3, 0.7)
+    got = _segment_distances(*(np.ascontiguousarray(a.T)
+                               for a in (p1, d1, p2, d2)), 0.3, 0.7)
     want = reference_segment_distances(p1, d1, p2, d2, 0.3, 0.7)
     assert got[0].tobytes() == want[0].tobytes()
     assert np.array_equal(got[1], want[1])
@@ -237,3 +252,122 @@ def test_chart_field_normalizes_by_the_norm_of_its_components():
                     for j in range(2)], axis=-1)
     want = out / np.linalg.norm(out, axis=-1, keepdims=True)
     assert field.at(x).tobytes() == want.tobytes()
+
+
+def reference_inclusion(patch, t_field, params, count, seed=42):
+    """The inclusion probe's points z, brackets and hits with every fiber
+    solved by 200 bisection steps on the normalized residual."""
+    pts = halton(count, 3, offset=seed)
+    x0 = (2 * pts[:, 0] - 1) * (params.rho / 2.0)
+    radius = pts[:, 1] * params.sigma * (1 - 1e-9)
+    phi = 2 * math.pi * pts[:, 2]
+    u0 = np.interp(x0, patch.x_nodes, patch.u[:, 0])
+    z = np.column_stack([x0, u0]) + radius[:, None] * \
+        np.column_stack([np.cos(phi), np.sin(phi)])
+    window = max(4.0 * params.sigma / math.cos(params.gamma),
+                 4.0 * patch.grid_step)
+    lo, hi = x0 - window, x0 + window
+    rot = patch.isometry.rotation
+
+    def frame(x):
+        return (np.interp(x, patch.x_nodes, patch.u[:, 0]),
+                (rot.T @ t_field.at(x).T).T)
+
+    def residual(x):
+        u, t = frame(x)
+        return (z[:, 0] - x) * t[:, 1] - (z[:, 1] - u) * t[:, 0]
+
+    bracketed = residual(lo) * residual(hi) <= 0
+    a, b = reference_bisect(residual, lo, hi, residual(lo), 200)
+    x_star = 0.5 * (a + b)
+    u, t = frame(x_star)
+    t_val = (z[:, 0] - x_star) * t[:, 0] + (z[:, 1] - u) * t[:, 1]
+    gap = np.column_stack([x_star, u]) + t_val[:, None] * t - z
+    hit = bracketed & (np.linalg.norm(gap, axis=1) < 1e-10) \
+        & (np.abs(t_val) < params.epsilon)
+    return z, lo, hi, x_star, int(np.count_nonzero(hit))
+
+
+@pytest.mark.parametrize("samples, charts", [(1024, (0, 5, 300)),
+                                             (4096, (0, 1365, 2730))])
+@pytest.mark.parametrize("rule", ["tangent", "best-fit"])
+def test_closed_form_feet_match_a_long_bisection(samples, charts, rule):
+    # circle 1024 charts carry one-node fields, circle 4096 five-node
+    # fields; the 200-step bisection ends on adjacent floats, and its
+    # midpoint is one of them, so a foot within one unit in the last place
+    # is the bisection's root to the floats
+    f = make_shape("circle", {"radius": 1.0}, samples)
+    net = build_net(f, 0.2, 0.25, 5, rule)
+    field = direction_field(f, net)
+    cb = constants(1, 0.25, 0.2)
+    params = tube_params(delta(3, 0.2, 0.25), 0.25, cb.L_codim1, cb.gamma)
+    for j in charts:
+        patch = net.patch(j)
+        tf = chart_direction_field(field, j)
+        assert len(tf.xs) == (1 if samples == 1024 else 5)
+        z, lo, hi, want, reached = reference_inclusion(patch, tf, params, 10_000)
+        got, bracketed = _fiber_feet(patch, tf, z, lo, hi)
+        assert bracketed.all()
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        assert np.max(np.abs(got - want) / ulp) <= 1.0
+        rep = inclusion_probe(patch, tf, params, 10_000)
+        assert rep.reached == reached == 10_000 and rep.all_reached
+
+
+def test_inclusion_splits_each_bracket_once_per_halving(monkeypatch, circle,
+                                                        pipeline):
+    # one residual call for both bracket ends, one per split of the cells
+    # inside the window, one for the Newton step: at most
+    # ceil(log2(cells)) + 3
+    net, field, cb, params = pipeline
+    calls = []
+    raw = tubular._raw_residual
+    monkeypatch.setattr(tubular, "_raw_residual",
+                        lambda *args: calls.append(1) or raw(*args))
+    for j in (0, 1365):
+        patch = net.patch(j)
+        tf = chart_direction_field(field, j)
+        calls.clear()
+        rep = inclusion_probe(patch, tf, params, 10_000)
+        assert rep.all_reached
+        x0 = (2 * halton(10_000, 3, offset=42)[:, 0] - 1) * (params.rho / 2)
+        window = max(4 * params.sigma / math.cos(params.gamma),
+                     4 * patch.grid_step)
+        breaks = np.union1d(patch.x_nodes, tf.xs)
+        cells = 1 + np.max(np.searchsorted(breaks, x0 + window)
+                           - np.searchsorted(breaks, x0 - window, "right"))
+        assert cells >= 8
+        assert len(calls) <= math.ceil(math.log2(cells)) + 3
+
+
+def test_separation_check_rejects_non_curve_charts():
+    # a circle in R^3 has codimension two: the typed error, not numpy's
+    # broadcast ValueError, as the other two probes raise it
+    f = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 512)
+    patch = build_net(f, 0.2, 0.25, 5).patch(0)
+    tf = ChartField(np.array([0.0]), np.array([[0.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError):
+        separation_check(patch, tf, 0.9, 100)
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -0.1, 0.5])
+def test_probes_reject_a_radius_off_the_chart(circle, pipeline, rho):
+    # past the chart radius 0.2, np.interp holds u constant, and rho = 0.5
+    # passed both probes on a graph that is not the patch's
+    net, field, cb, params = pipeline
+    patch = net.patch(0)
+    tf = chart_direction_field(field, 0)
+    assert patch.radius == 0.2
+    with pytest.raises(InputError):
+        injectivity_probe(patch, tf, params.epsilon, 100, rho=rho)
+    with pytest.raises(InputError):
+        separation_check(patch, tf, cb.gamma, 100, rho=rho)
+
+
+def test_separation_without_a_compared_pair_does_not_hold(circle, pipeline):
+    # at rho = 1e-16 every drawn pair is closer than the 1e-14 floor
+    net, field, cb, params = pipeline
+    patch = net.patch(0)
+    tf = chart_direction_field(field, 0)
+    rep = separation_check(patch, tf, cb.gamma, 100, rho=1e-16)
+    assert rep.pairs == 0 and not rep.holds

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import lipimm.immersion as immersion_mod
 from lipimm._util import (
     NEWTON_ITERATIONS,
-    bisect,
     bracketed_newton,
     halton,
     inverse_hermite,
@@ -82,7 +81,7 @@ def test_roots_match_a_long_bisection(name, shape_param, samples, base,
     r_lo, r_hi = residual(lo), residual(hi)
     t, _, _ = bracketed_newton(residual_slope, lo.copy(), hi.copy(),
                                r_lo.copy(), r_hi, rounding_floor(f_q))
-    ref_lo, ref_hi = bisect(residual, lo, hi, r_lo, 200)
+    ref_lo, ref_hi = reference_bisect(residual, lo, hi, r_lo, 200)
     straddle = r_lo * r_hi <= 0
     assert np.count_nonzero(straddle) >= 127  # at most the two rim nodes
     bound = 4e-15 * (1 + np.max(np.abs(f_q)))
@@ -264,23 +263,3 @@ def reference_bisect(residual, lo, hi, r_lo, iters):
         r_lo = np.where(take_low, r_mid, r_lo)
         hi = np.where(take_low, hi, mid)
     return lo, hi
-
-
-def test_bisection_returns_at_its_fixed_point():
-    # brackets about 2 wide around roots in (-1.2, 1.2) reach adjacent
-    # floats within 64 halvings; the steps after that change nothing, so
-    # the early return gives the bytes of all 80 steps
-    rng = np.random.default_rng(3)
-    c = rng.uniform(-0.9, 0.9, 1000)
-    lo, hi = np.arcsin(c) - rng.uniform(0, 1, 1000), np.full(1000, 1.6)
-    calls = []
-
-    def residual(t):
-        calls.append(1)
-        return np.sin(t) - c
-
-    got = bisect(residual, lo, hi, np.sin(lo) - c, 80)
-    steps = len(calls)
-    want = reference_bisect(residual, lo, hi, np.sin(lo) - c, 80)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-    assert steps < 70
