@@ -32,7 +32,6 @@ from .immersion import (
     extract_graph_patch,
     graph_system_distance,
     q_component,
-    q_components,
 )
 from .nets import DeltaNet, build_net, verify_net_bounds
 from .normals import (

@@ -89,7 +89,10 @@ def cmd_shapes(args) -> int:
         if value is not None:
             params[flag] = value
     if args.center:
-        params["center"] = [float(x) for x in args.center.split(",")]
+        try:
+            params["center"] = [float(x) for x in args.center.split(",")]
+        except ValueError:
+            raise InputError(f"--center expects 'x,y', got {args.center!r}")
     params.update(_parse_params(args.param))
     shape = make_shape(args.name, params, args.samples)
     manifest = {"shape": args.name.replace("_", "-"), "params": params,
@@ -199,10 +202,11 @@ def cmd_karcher(args) -> int:
         frames = [Subspace(np.asarray(fr, dtype=float))
                   for fr in spec["frames"]]
         weights = np.asarray(spec["weights"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"atoms file needs 'frames' and 'weights': {exc}")
-    center = Subspace(np.asarray(spec["center"], dtype=float)) \
-        if "center" in spec else None
+        center = Subspace(np.asarray(spec["center"], dtype=float)) \
+            if "center" in spec else None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"atoms file needs numeric 'frames' and 'weights': "
+                         f"{exc}")
     mu = DiracMixture(tuple(frames), weights)
     report = karcher_mean(mu, args.tol, center=center)
     payload = {"mean_frame": report.mean.frame.tolist(),

@@ -12,7 +12,7 @@ correspondence is exact to round-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,14 +70,7 @@ class ClosenessReport:
     def strict_ok(self):
         return self.graph_ok and self.hausdorff_ok
 
-    def to_dict(self):
-        return {"graph_distance": self.graph_distance,
-                "graph_threshold": self.graph_threshold,
-                "graph_ok": bool(self.graph_ok),
-                "hausdorff_worst": self.hausdorff_worst,
-                "hausdorff_bound": self.hausdorff_bound,
-                "hausdorff_ok": bool(self.hausdorff_ok),
-                "charts": self.charts}
+    to_dict = asdict
 
 
 def _sample_normals_codim1(f: SampledImmersion) -> np.ndarray:
@@ -94,9 +87,8 @@ def _sample_normals_codim1(f: SampledImmersion) -> np.ndarray:
 
 def _chart_hausdorff(net1: DeltaNet, net2: DeltaNet, vec1, vec2, lines: bool):
     """Worst per-chart Hausdorff distance between chart direction images."""
-    return worst_image_hausdorff(
-        vec1, [members[1] for members in net1.member_sets],
-        vec2, [members[1] for members in net2.member_sets], lines=lines)
+    return worst_image_hausdorff(vec1, net1.member_stack(1),
+                                 vec2, net2.member_stack(1), lines=lines)
 
 
 def closeness_report(f1: SampledImmersion, f2: SampledImmersion,
@@ -158,14 +150,11 @@ def _project_to_curve(f2: SampledImmersion, net2: DeltaNet, chart: np.ndarray,
     spacing = period / len(f2)
     # each chart's bracket: its delta_1-members' parameters unwrapped around
     # t_q, widened by two spacings
-    sets = [members[1] for members in net2.member_sets]
-    counts = np.array([len(ids) for ids in sets])
-    t_q = np.repeat(f2.params[net2.points], counts)
-    t_m = (t_q + (f2.params[np.concatenate(sets)] - t_q + period / 2) % period
-           - period / 2)
-    starts = np.cumsum(counts) - counts
-    lo = (np.minimum.reduceat(t_m, starts) - 2 * spacing)[chart]
-    hi = (np.maximum.reduceat(t_m, starts) + 2 * spacing)[chart]
+    ids, ptr = net2.member_stack(1)
+    t_q = np.repeat(f2.params[net2.points], np.diff(ptr))
+    t_m = t_q + (f2.params[ids] - t_q + period / 2) % period - period / 2
+    lo = (np.minimum.reduceat(t_m, ptr[:-1]) - 2 * spacing)[chart]
+    hi = (np.maximum.reduceat(t_m, ptr[:-1]) + 2 * spacing)[chart]
 
     def residual(points):
         return np.einsum("ij,ij->i", points - anchors, constraints)
@@ -298,11 +287,12 @@ def build_correspondence(f1: SampledImmersion, f2: SampledImmersion,
 def _covering_chart(net: DeltaNet, rank: int) -> np.ndarray:
     """Per sample, the net index at ``rank`` of its delta_3 cover, or -1.
 
-    Cover lists run in chart order, so rank 0 is the chart a direction field
+    Cover rows run in chart order, so rank 0 is the chart a direction field
     takes a sample's T from, and rank 1 the chart that cross-checks it.
     """
-    return np.array([js[rank] if len(js) > rank else -1
-                     for js in net.cover_index(3)], dtype=int)
+    charts, ptr = net.cover_index(3)
+    at = np.minimum(ptr[:-1] + rank, len(charts) - 1)
+    return np.where(np.diff(ptr) > rank, charts[at], -1)
 
 
 def _nearest_params(f2: SampledImmersion, theta: np.ndarray) -> np.ndarray:
@@ -378,12 +368,7 @@ class ReparametrizedLipschitzReport:
     holds_sharp: bool
     chart: int
 
-    def to_dict(self):
-        return {"empirical": self.empirical,
-                "bound_formula": self.bound_formula,
-                "bound_sharp": self.bound_sharp,
-                "holds_formula": bool(self.holds_formula),
-                "holds_sharp": bool(self.holds_sharp), "chart": self.chart}
+    to_dict = asdict
 
 
 def reparametrized_lipschitz(c: Correspondence, j: int) -> ReparametrizedLipschitzReport:

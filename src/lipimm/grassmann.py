@@ -239,8 +239,9 @@ HAUSDORFF_BLOCK = 1 << 18
 
 def worst_image_hausdorff(a, a_sets, b, b_sets, *, lines: bool) -> float:
     """Worst Hausdorff distance over pairs of unit-vector images, free of the
-    sign of b.  Pair i is the rows ``a[a_sets[i]]`` and ``b[b_sets[i]]``,
-    each at least one row.
+    sign of b.  ``a_sets`` and ``b_sets`` are CSR pairs (ids, ptr) of one
+    row per pair: pair i is the rows ``a[ids[ptr[i]:ptr[i + 1]]]`` of
+    ``a_sets`` against those of ``b_sets`` in b, each at least one row.
 
     With ``lines`` every angle is the nearer of those to b and -b (images of
     lines), else a pair takes the smaller of its Hausdorff distances to b and
@@ -251,13 +252,13 @@ def worst_image_hausdorff(a, a_sets, b, b_sets, *, lines: bool) -> float:
     values fold with a left ``max`` from 0, which passes over a NaN.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    a_counts = np.array([len(ids) for ids in a_sets])
-    b_counts = np.array([len(ids) for ids in b_sets])
-    rows = max(1, HAUSDORFF_BLOCK // (2 * a_counts.max() * b_counts.max()))
+    (a_ids, a_ptr), (b_ids, b_ptr) = a_sets, b_sets
+    rows = max(1, HAUSDORFF_BLOCK // (2 * np.diff(a_ptr).max()
+                                      * np.diff(b_ptr).max()))
     worst = 0.0
-    for s in range(0, len(a_sets), rows):
-        va, ma = _padded_rows(a, a_sets[s:s + rows], a_counts[s:s + rows])
-        vb, mb = _padded_rows(b, b_sets[s:s + rows], b_counts[s:s + rows])
+    for s in range(0, len(a_ptr) - 1, rows):
+        va, ma = _padded_rows(a, a_ids, a_ptr[s:s + rows + 1])
+        vb, mb = _padded_rows(b, b_ids, b_ptr[s:s + rows + 1])
         # (pair, sign, a row, b row) angles, as sphere_angle_matrix forms them
         ang = difference_norms(va[:, None, :, None, :],
                                np.stack([vb, -vb], axis=1)[:, :, None])
@@ -293,11 +294,13 @@ def difference_norms(a, b) -> np.ndarray:
     return np.sqrt(total, out=total)
 
 
-def _padded_rows(vectors, sets, counts):
-    """The rows ``vectors[ids]`` of each index array in ``sets`` as an
-    (S, W, n) stack padded with zeros, and its (S, W) mask of real rows."""
+def _padded_rows(vectors, ids, ptr):
+    """The vectors of the rows of ids that the offsets ``ptr`` (a slice of a
+    CSR pair's) bound, as an (S, W, n) stack padded with zeros, and its
+    (S, W) mask of real rows."""
+    counts = np.diff(ptr)
     valid = np.arange(counts.max()) < counts[:, None]
     stack = np.zeros(valid.shape + vectors.shape[1:])
-    stack[valid] = vectors[np.concatenate(sets)]
+    stack[valid] = vectors[ids[ptr[0]:ptr[-1]]]
     return stack, valid
 

@@ -269,11 +269,11 @@ class SampledImmersion:
             rows = np.flatnonzero(counts > self.m)
             qs = ids[a + rows]
             plane = _principal_frames(self, qs, seeds, ptr[rows], counts[rows])
-            members, size = _padded_components(self, qs, plane, radius)
+            members, offsets = component_ladders(self, qs, plane, [radius])[0]
+            size = np.diff(offsets)
             refine = np.nonzero(size > self.m)[0]
-            plane[refine] = _principal_frames(
-                self, qs[refine], members.reshape(-1),
-                refine * members.shape[1], size[refine])
+            plane[refine] = _principal_frames(self, qs[refine], members,
+                                              offsets[refine], size[refine])
             frames[a + rows] = plane
             errors += [None if c > self.m else InsufficientSamplingError(
                 f"not enough samples near {q} for a best-fit plane")
@@ -355,42 +355,38 @@ def q_component(f: SampledImmersion, q: int, plane: Subspace, rho: float) -> np.
 
     Depends only on the plane and f(q), not on any isometry completing it.
     """
-    return q_components(f, q, plane, [rho])[0]
-
-
-def q_components(f: SampledImmersion, q: int, plane: Subspace,
-                 radii) -> list[np.ndarray]:
-    """U_{rho,q} over ``plane`` for every rho in ``radii``, each sorted by
-    id, from one ``component_ladders`` traversal at the largest radius."""
     if q < 0 or q >= len(f):
         raise InputError(f"sample id {q} out of range")
     if plane.k != f.m or plane.n != f.n:
         raise DimensionMismatchError("plane dimension must match the immersion")
-    return component_ladders(f, np.array([q]), plane.frame[None], radii)[0]
+    return component_ladders(f, np.array([q]), plane.frame[None], [rho])[0][0]
 
 
-def component_ladders(f: SampledImmersion, bases, frames,
-                      radii) -> list[list[np.ndarray]]:
-    """``q_components`` at every base q of the (S,) ``bases`` over its frame
-    in the (S, n, m) ``frames``, one pass per block of rows: on an id cycle
-    a window pass (``cycle_runs``), whose runs are slices of one flat id
-    array, on any other adjacency one stacked frontier BFS."""
+def component_ladders(f: SampledImmersion, bases, frames, radii) -> list:
+    """U_{rho,q} at every base q of the (S,) ``bases`` over its frame in the
+    (S, n, m) ``frames``, for every rho in ``radii``: one CSR pair
+    (ids, ptr) per radius, row s the ascending ids[ptr[s]:ptr[s + 1]] of
+    base s.  On an id cycle one window pass (``cycle_runs``) per block of
+    rows, on any other adjacency one stacked frontier BFS."""
     radii2 = [rho * rho for rho in radii]
     # the traversal's ball; a NaN radius has an empty ball and a component {q}
     reach2 = max((r2 for r2 in radii2 if r2 == r2), default=0.0)
     radii2 = np.array(radii2, dtype=float)
+    n = len(f)
     if f._id_cycle:
         start, length = cycle_runs(f, bases, frames, radii2, reach2)
-        ends = np.cumsum(length).tolist()
-        ids = _run_stack(start.reshape(-1), length.reshape(-1), len(f))
-        runs = [ids[b - c:b] for b, c in zip(ends, length.reshape(-1).tolist())]
-        return [runs[a:a + len(radii2)]
-                for a in range(0, len(runs), len(radii2))]
+        return [_run_stack(start[:, i], length[:, i], n)
+                for i in range(len(radii2))]
+    rows = max(1, _MESH_KEYS // n)
+    blocks = [[keys + a * n for keys in _mesh_components(
+        f, bases[a:a + rows], frames[a:a + rows], radii2, reach2)]
+        for a in range(0, len(bases), rows)]
     ladders = []
-    rows = max(1, _MESH_KEYS // len(f))
-    for a in range(0, len(bases), rows):
-        ladders += _mesh_components(f, bases[a:a + rows], frames[a:a + rows],
-                                    radii2, reach2)
+    for i in range(len(radii2)):
+        keys = np.concatenate([block[i] for block in blocks]
+                              + [np.empty(0, dtype=int)])
+        ladders.append((keys % n,
+                        np.searchsorted(keys, np.arange(len(bases) + 1) * n)))
     return ladders
 
 
@@ -412,12 +408,11 @@ def cycle_runs(f, bases, frames, radii2, reach2):
 def _padded_components(f, bases, frames, rho):
     """U_{rho,q} of every base q over its frame in the (S, n, m) ``frames``,
     padded with q to an (S, W) id array, and the (S,) member counts."""
-    comps = [ladder[0] for ladder in component_ladders(f, bases, frames, [rho])]
-    counts = np.array([len(c) for c in comps], dtype=int)
-    ids = np.repeat(bases[:, None], np.max(counts, initial=1), axis=1)
-    for row, comp in zip(ids, comps):
-        row[:len(comp)] = comp
-    return ids, counts
+    ids, ptr = component_ladders(f, bases, frames, [rho])[0]
+    counts = np.diff(ptr)
+    col = np.arange(np.max(counts, initial=1))
+    pos = ptr[:-1, None] + np.minimum(col, counts[:, None] - 1)
+    return np.where(col < counts[:, None], ids[pos], bases[:, None]), counts
 
 
 def _squared_projections(f, qs, frames, ids):
@@ -474,19 +469,22 @@ def _cycle_components(f, qs, frames, radii2, reach2):
 
 
 def _run_stack(start, length, n):
-    """The ascending ids of every run ``start + arange(length)`` mod n, one
-    after another: a run that wraps lists the ids past the wrap first."""
+    """The CSR pair of the runs ``start + arange(length)`` mod n, each run's
+    ids ascending: a run that wraps lists the ids past the wrap first."""
+    ptr = np.zeros(len(length) + 1, dtype=int)
+    np.cumsum(length, out=ptr[1:])
     wrap = np.where(start < 0, -start, np.where(start + length > n, n - start,
                                                 0))
     start, wrap, each = (np.repeat(v, length) for v in (start, wrap, length))
-    i = np.arange(len(each)) - np.repeat(np.cumsum(length) - length, length)
-    return (start + (i + wrap) % each) % n
+    i = np.arange(len(each)) - np.repeat(ptr[:-1], length)
+    return (start + (i + wrap) % each) % n, ptr
 
 
 def _mesh_components(f, qs, frames, radii2, reach2):
-    """``q_components`` of the (S,) bases ``qs`` over their (S, n, m)
-    ``frames`` on the CSR adjacency, as one frontier BFS over the keys
-    row * N + id of all rows (``_stacked_bfs``).
+    """U_{rho,q} of the (S,) bases ``qs`` over their (S, n, m) ``frames``
+    on the CSR adjacency for every rho^2 in ``radii2``, as the ascending
+    keys row * N + id of each radius: one frontier BFS over the keys of all
+    rows (``_stacked_bfs``).
 
     The BFS at the largest radius projects each key it reaches once,
     against its row's frame, in one stacked product per step.  Each smaller
@@ -522,10 +520,8 @@ def _mesh_components(f, qs, frames, radii2, reach2):
             kept = np.sort(np.concatenate(
                 [keys[~(alone | cut)[row]], sources[alone], cut_keys]))
             keys, d2 = kept, d2[np.searchsorted(keys, kept)]
-        # each row's ids, a slice of the ascending keys
-        ids, cuts = keys % n, np.searchsorted(keys, rows * n).tolist()
-        out[i] = [ids[a:b] for a, b in zip(cuts, cuts[1:] + [len(ids)])]
-    return [list(ladder) for ladder in zip(*out)]
+        out[i] = keys
+    return out
 
 
 def _csr_rows(ptr, ids):
@@ -533,6 +529,14 @@ def _csr_rows(ptr, ids):
     count = ptr[ids + 1] - ptr[ids]
     return (np.repeat(ptr[ids] - np.cumsum(count) + count, count)
             + np.arange(count.sum()), count)
+
+
+def _csr_take(pair, rows):
+    """The CSR pair (ids, ptr) of the rows ``rows`` of the CSR ``pair``."""
+    at, count = _csr_rows(pair[1], rows)
+    ptr = np.zeros(len(count) + 1, dtype=int)
+    np.cumsum(count, out=ptr[1:])
+    return pair[0][at], ptr
 
 
 def _stacked_bfs(f, sources, n_rows, admit=None):

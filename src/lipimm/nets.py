@@ -10,7 +10,7 @@ point-multiplicity bound [3(1+lambda)]^{(l+1)m} over delta_2-patches.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .grassmann import Subspace
 from .immersion import (
     PLANE_RULES,
     SampledImmersion,
+    _csr_rows,
+    _csr_take,
     check_r_lambda,
     component_ladders,
     cycle_runs,
@@ -42,10 +44,9 @@ class DeltaNet:
     level: int
     points: np.ndarray                      # ordered sample ids q_1..q_s
     frames: np.ndarray                      # (s, n, m) plane frames
-    member_sets: list                       # member_sets[j][iota] = ids of U_{delta_iota, q_j}
+    stacks: list                            # stacks[iota] = member_stack(iota)
     plane_rule: str = "tangent"
     _patches: dict = field(default_factory=dict)
-    _stacks: dict = field(default_factory=dict)
     _cover_index: dict = field(default_factory=dict)
     _z_cache: dict = field(default_factory=dict)
 
@@ -56,11 +57,11 @@ class DeltaNet:
         return delta(iota, self.r, self.lam)
 
     def members(self, j: int, iota: int) -> np.ndarray:
-        """Sample ids of U_{delta_iota, q_j}; iota ranges over 0..level+1."""
+        """Sample ids of U_{delta_iota, q_j}, ascending; iota ranges over
+        0..level+1.  A view of ``member_stack(iota)``."""
         self._point(j)
-        if not 0 <= iota < len(self.member_sets[j]):
-            raise InputError(f"iota {iota} out of range 0..{self.level + 1}")
-        return self.member_sets[j][iota]
+        ids, ptr = self.member_stack(iota)
+        return ids[ptr[j]:ptr[j + 1]]
 
     def _point(self, j: int) -> int:
         if not 0 <= j < len(self.points):
@@ -73,15 +74,11 @@ class DeltaNet:
         return rel @ self.frames[j]
 
     def member_stack(self, iota: int):
-        """The delta_iota-member ids of every chart, one after another in
-        chart order, and the (len + 1,) offsets of each chart's rows."""
-        if iota not in self._stacks:
-            sets = [members[iota] for members in self.member_sets]
-            offsets = np.zeros(len(sets) + 1, dtype=int)
-            np.cumsum([len(ids) for ids in sets], out=offsets[1:])
-            self._stacks[iota] = (np.concatenate(
-                sets + [np.empty(0, dtype=int)]), offsets)
-        return self._stacks[iota]
+        """The CSR pair (ids, ptr) of U_{delta_iota, q_j} over the charts j:
+        chart j's ascending member ids are ids[ptr[j]:ptr[j + 1]]."""
+        if not 0 <= iota < len(self.stacks):
+            raise InputError(f"iota {iota} out of range 0..{self.level + 1}")
+        return self.stacks[iota]
 
     def chart_quotients(self, js, distances) -> np.ndarray:
         """For every chart j of ``js``, ``max_quotient`` of d(v_a, v_b) over
@@ -128,15 +125,17 @@ class DeltaNet:
         return graph_patches(self.f, [self._point(j) for j in js], self.r,
                              self.lam, self.plane_rule)
 
-    def cover_index(self, iota: int) -> list:
-        """For every sample p, the net indices j with p in U_{delta_iota, q_j},
-        ascending: one stable sort of ``member_stack(iota)`` by sample."""
+    def cover_index(self, iota: int):
+        """The inverse of ``member_stack(iota)``: the CSR pair (charts, ptr)
+        whose row p holds the j with p in U_{delta_iota, q_j}, ascending,
+        from one stable sort of the member ids."""
         if iota not in self._cover_index:
             ids, offsets = self.member_stack(iota)
             owner = np.repeat(np.arange(len(self.points)), np.diff(offsets))
-            ends = np.cumsum(np.bincount(ids, minlength=len(self.f)))
-            self._cover_index[iota] = np.split(
-                owner[np.argsort(ids, kind="stable")], ends[:-1])
+            ptr = np.zeros(len(self.f) + 1, dtype=int)
+            np.cumsum(np.bincount(ids, minlength=len(self.f)), out=ptr[1:])
+            self._cover_index[iota] = (owner[np.argsort(ids, kind="stable")],
+                                       ptr)
         return self._cover_index[iota]
 
     def z_set(self, iota: int, j: int) -> np.ndarray:
@@ -146,9 +145,9 @@ class DeltaNet:
         self._point(j)
         key = (iota, j)
         if key not in self._z_cache:
-            cover = self.cover_index(iota)
-            self._z_cache[key] = np.unique(np.concatenate(
-                [[j]] + [cover[p] for p in self.member_sets[j][iota]]))
+            charts, ptr = self.cover_index(iota)
+            at = _csr_rows(ptr, self.members(j, iota))[0]
+            self._z_cache[key] = np.unique(np.concatenate([[j], charts[at]]))
         return self._z_cache[key]
 
     def to_json(self, *, z_iotas=()) -> str:
@@ -190,19 +189,20 @@ def build_net(f: SampledImmersion, r: float, lam: float, level: int,
         points = _cycle_picks(*cycle_runs(f, np.arange(len(f)), frames,
                                           np.array([radii[level] ** 2]),
                                           radii[level] ** 2), len(f))
-        member_sets = component_ladders(f, np.array(points, dtype=int),
-                                        frames[points], radii)
+        stacks = component_ladders(f, points, frames[points], radii)
     else:
         ladders = component_ladders(f, np.arange(len(f)), frames, radii)
+        flat, ptr = ladders[level]  # U_{delta_level, q} of every sample q
         covered = np.zeros(len(f), dtype=bool)
         points = []
         for q in ids:  # the lowest uncovered id: ids below q are covered
             if not covered[q]:
                 points.append(q)
-                covered[ladders[q][level]] = True  # U_{delta_level, q}
-        member_sets = [ladders[q] for q in points]
-    net = DeltaNet(f, r, lam, level, np.array(points, dtype=int),
-                   frames[points], member_sets, plane_rule)
+                covered[flat[ptr[q]:ptr[q + 1]]] = True
+        points = np.array(points, dtype=int)
+        stacks = [_csr_take(ladder, points) for ladder in ladders]
+    net = DeltaNet(f, r, lam, level, points, frames[points], stacks,
+                   plane_rule)
     _assert_separation(net)
     return net
 
@@ -219,7 +219,7 @@ def _cycle_picks(start, length, n):
         if start[q] < 0:
             end = min(end, n + start[q])
         q = start[q] + length[q]
-    return points
+    return np.array(points, dtype=int)
 
 
 def net_from_points(f: SampledImmersion, r: float, lam: float, level: int,
@@ -241,9 +241,9 @@ def _net_on(f: SampledImmersion, r: float, lam: float, level: int, points,
     U_{delta_iota, q} for iota = 0..level+1 at every point from one stacked
     pass; separation is not checked."""
     points = np.array(points, dtype=int)
-    member_sets = component_ladders(
+    stacks = component_ladders(
         f, points, frames, [delta(iota, r, lam) for iota in range(level + 2)])
-    return DeltaNet(f, r, lam, level, points, frames, member_sets, plane_rule)
+    return DeltaNet(f, r, lam, level, points, frames, stacks, plane_rule)
 
 
 def _assert_separation(net: DeltaNet):
@@ -268,12 +268,7 @@ class NetBoundsReport:
     multiplicity_bound: float
     multiplicity_bound_holds: bool
 
-    def to_dict(self):
-        return {"size": self.size, "size_bound": self.size_bound,
-                "size_bound_holds": bool(self.size_bound_holds),
-                "worst_multiplicity": self.worst_multiplicity,
-                "multiplicity_bound": self.multiplicity_bound,
-                "multiplicity_bound_holds": bool(self.multiplicity_bound_holds)}
+    to_dict = asdict
 
 
 def verify_net_bounds(net: DeltaNet) -> NetBoundsReport:

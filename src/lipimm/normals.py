@@ -12,7 +12,7 @@ sigma = cos^2(gamma) / (2 L (1+lambda)), and 4^(12m+6)/r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .immersion import (
     SampledImmersion,
     _bilinear,
     _csr_rows,
+    _csr_take,
     planes_for,
     planes_of,
 )
@@ -142,8 +143,9 @@ def constants(m: int, lam: float, r: float) -> ConstantsBundle:
 
 def chart_normals(net: DeltaNet, js, sample_ids):
     """The unit normals nu_j of every chart j of ``js`` at its member
-    samples ``sample_ids[i]``, stacked in chart order, and each chart's row
-    count, in one pass over the patch store's rows of the charts.
+    samples, stacked in chart order, in one pass over the patch store's rows
+    of the charts: row i of the CSR pair ``sample_ids`` = (ids, ptr) holds
+    the samples of chart js[i].
 
     Membership in U_{delta_0, q_j} is found by one ``searchsorted`` over the
     keys j * N + id of ``member_stack(0)``.  The chart coordinates are
@@ -152,9 +154,8 @@ def chart_normals(net: DeltaNet, js, sample_ids):
     """
     rows, at = net.patches(js)
     js = np.asarray(js, dtype=int).reshape(-1)
-    counts = np.array([len(ids) for ids in sample_ids], dtype=int)
-    ids = np.concatenate([np.asarray(s, dtype=int).reshape(-1)
-                          for s in sample_ids] + [np.empty(0, dtype=int)])
+    ids, ptr = sample_ids
+    counts = np.diff(ptr)
     members, offsets = net.member_stack(0)
     n = max(len(net.f), 1 + int(ids.max(initial=0)))
     keys = np.repeat(np.arange(len(net)) * n, np.diff(offsets)) + members
@@ -167,15 +168,14 @@ def chart_normals(net: DeltaNet, js, sample_ids):
                          f"sample {net.points[wanted[i] // n]}")
     frames = rows.rotation[at, :, :net.f.m]
     x = np.empty((len(ids), net.f.m))
-    starts = np.cumsum(counts) - counts
     for count in set(counts.tolist()) - {0}:
         same = np.flatnonzero(counts == count)
-        block = starts[same, None] + np.arange(count)
+        block = ptr[same, None] + np.arange(count)
         x[block] = (net.f.positions[ids[block]]
                     - net.f.positions[net.points[js[same]], None]) \
             @ frames[same]
     return _unit_normals(rows.rotation[at], counts,
-                         _chart_slopes(rows, at, counts, x)), counts
+                         _chart_slopes(rows, at, counts, x))
 
 
 def _chart_slopes(rows, at, counts, x):
@@ -241,36 +241,35 @@ def _inpaint(grid):
 class DirectionField:
     """Global projection direction: S and T = S/|S| per sample.
 
-    The charts' (sample ids, S, T) rows form one stack, chart j's at
-    ``offsets[j]:offsets[j + 1]``; each sample's T is its first chart's.
+    The charts' S and T rows follow the rows of the net's
+    ``member_stack(3)``; each sample's T is its first chart's.
     """
 
     def __init__(self, f, net, t_global, s_norm, chart_of, overlap_max,
-                 ids, s_vals, t_vals, offsets):
+                 s_vals, t_vals):
         self.f = f
         self.net = net
         self.T = t_global                # (N, n), sign from the owning chart
         self.S_norm = s_norm             # (N,)
         self.chart_of = chart_of         # (N,) owning chart index
         self.overlap_span_max = overlap_max
-        self._ids, self._S, self._T = ids, s_vals, t_vals
-        self._offsets = offsets
+        self._S, self._T = s_vals, t_vals
         self._quotients = None           # T's chart quotients, all charts
 
     def chart_field(self, j: int):
         """Chart j's delta_3-member ids with their S and T values."""
         self.net._point(j)
-        rows = slice(self._offsets[j], self._offsets[j + 1])
-        return self._ids[rows], self._S[rows], self._T[rows]
+        ids, ptr = self.net.member_stack(3)
+        rows = slice(ptr[j], ptr[j + 1])
+        return ids[rows], self._S[rows], self._T[rows]
 
 
 def _cutoff_atoms(f: SampledImmersion, net: DeltaNet, ids: np.ndarray):
     """The delta_2-cover atoms of samples ``ids``, in one pass: each atom's
     row in ``ids``, its net index k and its cutoff weight g_k (0 kept)."""
-    cover = net.cover_index(2)
-    lists = [cover[q] for q in ids]
-    rows = np.repeat(np.arange(len(ids)), [len(ks) for ks in lists])
-    ks = np.concatenate(lists + [np.empty(0, dtype=int)])
+    charts, ptr = net.cover_index(2)
+    at, count = _csr_rows(ptr, ids)
+    rows, ks = np.repeat(np.arange(len(ids)), count), charts[at]
     dist = np.linalg.norm(f.positions[net.points[ks]]
                           - f.positions[ids[rows]], axis=1)
     return rows, ks, make_cutoff(net.lam).value(dist / net.delta(2))
@@ -290,7 +289,8 @@ def _chart_sums(f: SampledImmersion, net: DeltaNet, js: np.ndarray,
     patches, at = net.patches()
     w = patches.rotation[at, :, f.m]
     # each chart's normal at its center, its base sample at x = 0
-    centers = chart_normals(net, range(len(net)), net.points[:, None])[0]
+    centers = chart_normals(net, range(len(net)),
+                            (net.points, np.arange(len(net) + 1)))
     counts = np.bincount(rows, minlength=len(ids))
     starts = np.cumsum(counts) - counts
     dots = np.empty(len(ks))
@@ -376,8 +376,7 @@ def direction_field(f: SampledImmersion, net: DeltaNet) -> DirectionField:
             f"{len(f) - len(owned)} samples not covered by any delta_3-chart")
     # every sample is owned, so ``owned`` is 0..N-1
     return DirectionField(f, net, t_vals[first], norms[first], js[first],
-                          float(np.max(spans, initial=0.0)), ids, s_vals,
-                          t_vals, offsets)
+                          float(np.max(spans, initial=0.0)), s_vals, t_vals)
 
 
 @dataclass
@@ -389,12 +388,7 @@ class AngleBoundReport:
     worst_angle: float
     holds: bool
 
-    def to_dict(self):
-        return {"gamma": self.gamma,
-                "precondition_ok": bool(self.precondition_ok),
-                "worst_hausdorff": self.worst_hausdorff,
-                "hausdorff_bound": self.hausdorff_bound,
-                "worst_angle": self.worst_angle, "holds": bool(self.holds)}
+    to_dict = asdict
 
 
 def transfer_net(net: DeltaNet, f_other: SampledImmersion) -> DeltaNet:
@@ -426,18 +420,21 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     same = net_other is net
     if not len(ids):
         return AngleBoundReport(gamma, True, 0.0, bound_h, 0.0, True)
-    images = [chart_normals(n, ids, [n.members(j, 1) for j in ids])
-              for n in ((net,) if same else (net, net_other))]
-    img_other, counts = images[-1]
+    nets = (net,) if same else (net, net_other)
+    sets = [_csr_take(n.member_stack(1), ids) for n in nets]
+    images = [chart_normals(n, ids, s) for n, s in zip(nets, sets)]
+    img_other, starts = images[-1], sets[-1][1]
+    counts = np.diff(starts)
     # |T . nu| (span-level angles: sign free) of each chart's delta_3-member
     # rows of T and its delta_1 images, one stacked product per shape
-    t_counts, t_starts = np.diff(field._offsets)[ids], field._offsets[ids]
-    starts = np.cumsum(counts) - counts
+    t_starts = net.member_stack(3)[1]
+    t_counts = np.diff(t_starts)[ids]
     shapes = t_counts * (counts.max() + 1) + counts
     dots = []
     for shape in np.unique(shapes).tolist():
         at = np.flatnonzero(shapes == shape)
-        t_vals = field._T[t_starts[at, None] + np.arange(t_counts[at[0]])]
+        t_vals = field._T[t_starts[ids[at], None]
+                          + np.arange(t_counts[at[0]])]
         nu = img_other[starts[at, None] + np.arange(counts[at[0]])]
         dots.append(np.abs(t_vals @ np.swapaxes(nu, 1, 2)).reshape(-1))
     worst_angle = float(np.max(np.arccos(np.clip(np.concatenate(dots), 0.0,
@@ -447,17 +444,13 @@ def angle_bound_check(field: DirectionField, f_other: SampledImmersion,
     # image is at distance exactly 0 from itself
     worst_h = 0.0
     if not same:
-        (a, a_counts), (b, b_counts) = images
-        worst_h = worst_image_hausdorff(a, _row_sets(a_counts), b,
-                                        _row_sets(b_counts), lines=False)
+        (a, b), (a_ptr, b_ptr) = images, [ptr for _, ptr in sets]
+        worst_h = worst_image_hausdorff(a, (np.arange(len(a)), a_ptr),
+                                        b, (np.arange(len(b)), b_ptr),
+                                        lines=False)
     pre_ok = worst_h < bound_h
     return AngleBoundReport(gamma, pre_ok, worst_h, bound_h, worst_angle,
                             bool(pre_ok and worst_angle <= gamma + 1e-12))
-
-
-def _row_sets(counts):
-    """The row ids of consecutive blocks of ``counts`` rows."""
-    return np.split(np.arange(np.sum(counts)), np.cumsum(counts)[:-1])
 
 
 @dataclass
@@ -467,9 +460,7 @@ class LipschitzReport:
     holds: bool
     chart: int
 
-    def to_dict(self):
-        return {"empirical": self.empirical, "bound": self.bound,
-                "holds": bool(self.holds), "chart": self.chart}
+    to_dict = asdict
 
 
 def field_lipschitz_check(field: DirectionField, j: int) -> LipschitzReport:

@@ -263,7 +263,8 @@ def _surface_work(t, work):
             work.take("jacobian", shape + (2, 3)), cos_1, sin_1, *scratch)
 
 
-def _closed_curve_immersion(evaluator, n_samples):
+def _closed_curve_immersion(evaluator, samples):
+    n_samples = _positive_int(samples, "sample count")
     ts = np.arange(n_samples) * (evaluator.period / n_samples)
     positions = evaluator.point(ts)
     neighbors = [((i - 1) % n_samples, (i + 1) % n_samples)
@@ -327,15 +328,24 @@ def _sphere_immersion(evaluator, nu, nv):
                             evaluator=evaluator)
 
 
+def _positive_int(value, what: str) -> int:
+    """``value`` as an int of at least 1, else an InputError naming it."""
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"{what} must be a positive integer, got {value!r}")
+
+
 def _parse_grid(samples):
-    if isinstance(samples, str):
-        parts = samples.lower().split("x")
+    if isinstance(samples, (str, list, tuple)):
+        parts = samples.lower().split("x") if isinstance(samples, str) \
+            else samples
         if len(parts) != 2:
             raise InputError(f"expected NxM sample grid, got {samples!r}")
-        return int(parts[0]), int(parts[1])
-    if isinstance(samples, (list, tuple)):
-        return int(samples[0]), int(samples[1])
-    n = int(samples)
+        return tuple(_positive_int(part, "grid size") for part in parts)
+    n = _positive_int(samples, "sample count")
     side = max(8, int(round(math.sqrt(n))))
     return side, side
 
@@ -347,23 +357,23 @@ def make_shape(name: str, params: dict | None = None, samples=4096) -> SampledIm
     if name == "circle":
         ev = _circle_evaluator(params.get("radius", 1.0),
                                params.get("center", (0.0, 0.0)))
-        return _closed_curve_immersion(ev, int(samples))
+        return _closed_curve_immersion(ev, samples)
     if name == "ellipse":
         ev = _ellipse_evaluator(params.get("a", 1.0), params.get("b", 0.6))
-        return _closed_curve_immersion(ev, int(samples))
+        return _closed_curve_immersion(ev, samples)
     if name in ("rounded-rectangle", "rounded-rect"):
         ev = _rounded_rectangle_evaluator(params.get("width", 2.0),
                                           params.get("height", 1.5),
                                           params.get("corner_radius", 0.5))
-        return _closed_curve_immersion(ev, int(samples))
+        return _closed_curve_immersion(ev, samples)
     if name == "circle3d":
         ev = _circle3d_evaluator(params.get("radius", 1.0),
                                  params.get("tilt", 0.2))
-        return _closed_curve_immersion(ev, int(samples))
+        return _closed_curve_immersion(ev, samples)
     if name in ("torus-knot", "torusknot"):
         ev = _torus_knot_evaluator(int(params.get("p", 2)), int(params.get("q", 3)),
                                    params.get("R", 2.0), params.get("tube", 0.5))
-        return _closed_curve_immersion(ev, int(samples))
+        return _closed_curve_immersion(ev, samples)
     if name == "sphere":
         nu, nv = _parse_grid(samples)
         return _sphere_immersion(_sphere_evaluator(params.get("radius", 1.0)), nu, nv)
@@ -398,7 +408,11 @@ def load_manifest(path) -> SampledImmersion:
         raise InputError(f"no such input file: {path}")
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
-            rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+            try:
+                rows = [[float(x) for x in row] for row in csv.reader(fh)
+                        if row]
+            except ValueError as exc:
+                raise InputError(f"invalid CSV samples {path}: {exc}") from exc
         return immersion_from_points(np.array(rows))
     try:
         spec = json.loads(path.read_text())
@@ -412,7 +426,8 @@ def immersion_from_manifest(spec: dict) -> SampledImmersion:
         return make_shape(spec["shape"], spec.get("params"),
                           spec.get("samples", 4096))
     if "points" in spec:
-        return immersion_from_points(spec["points"], m=int(spec.get("m", 1)),
+        return immersion_from_points(spec["points"],
+                                     m=_positive_int(spec.get("m", 1), "m"),
                                      closed=bool(spec.get("closed", True)),
                                      faces=spec.get("faces"))
     raise InputError("manifest needs either a 'shape' or a 'points' entry")

@@ -42,6 +42,31 @@ def scaled(v: GrassmannTangent, c: float) -> GrassmannTangent:
     return GrassmannTangent(v.base, c * v.delta)
 
 
+def shuffled_cycle(f, seed):
+    """The cycle f with its sample ids permuted: no longer an id cycle."""
+    from lipimm.immersion import SampledImmersion
+
+    perm = np.random.default_rng(seed).permutation(len(f))
+    new_id = np.argsort(perm)  # sample perm[i] becomes sample i
+    neighbors = [new_id[f.neighbors(p)] for p in perm]
+    return SampledImmersion(1, f.n, f.positions[perm], neighbors=neighbors,
+                            params=f.params[perm], evaluator=f.evaluator)
+
+
+def csr_rows(pair) -> list:
+    """The rows ids[ptr[s]:ptr[s + 1]] of the CSR pair (ids, ptr)."""
+    ids, ptr = pair
+    return [ids[a:b] for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
+def csr_of(rows):
+    """The CSR pair (ids, ptr) of a list of id arrays, one row each."""
+    ptr = np.zeros(len(rows) + 1, dtype=int)
+    np.cumsum([len(row) for row in rows], out=ptr[1:])
+    return np.concatenate([np.asarray(row, dtype=int) for row in rows]
+                          + [np.empty(0, dtype=int)]), ptr
+
+
 class CallCounter:
     """Counts the calls of the functions it has wrapped and, where a wrap
     is given ``params``, the sum of ``params(*args)`` over its calls."""

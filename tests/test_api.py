@@ -153,8 +153,12 @@ def test_a_function_only_the_package_exports_is_found(tmp_path):
 
 
 def test_an_import_a_module_never_reads_is_found(tmp_path):
+    # planted after the one line every module starts its imports with, so
+    # that a reformatted import cannot leave the copy unplanted
     tubular = source_copy(tmp_path) / "tubular.py"
-    tubular.write_text(tubular.read_text().replace(
-        "from .errors import (\n",
-        "from .errors import (\n    NonTransversalError,\n", 1))
+    anchor = "from __future__ import annotations\n"
+    planted = tubular.read_text().replace(
+        anchor, anchor + "from .errors import NonTransversalError\n", 1)
+    assert planted != (ROOT / "src" / "lipimm" / "tubular.py").read_text()
+    tubular.write_text(planted)
     assert unread_imports(tmp_path) == ["tubular.py: NonTransversalError"]

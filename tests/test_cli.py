@@ -278,3 +278,32 @@ def test_raw_torus_manifest_check_ends_in_a_typed_error(tmp_path, capsys):
     assert (code, err.startswith("conclusion violated: sample ")) == (1, True) \
         or (code, err.startswith("error: sample ")) == (2, True)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["shapes", "circle", "--center", "a,b"], {}),
+    (["shapes", "circle", "--samples", "0"], {}),
+    (["shapes", "torus", "--samples", "0x4"], {}),
+    (["shapes", "torus", "--samples", "3xq"], {}),
+    (["check", "--manifest", "m.json", "--r", "0.2", "--lambda", "0.25"],
+     {"m.json": json.dumps({"shape": "circle", "samples": "abc"})}),
+    (["check", "--manifest", "m.json", "--r", "0.2", "--lambda", "0.25"],
+     {"m.json": json.dumps({"points": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                            "m": "x"})}),
+    (["check", "--manifest", "m.csv", "--r", "0.2", "--lambda", "0.25"],
+     {"m.csv": "1.0,0.0\nfoo,1.0\n-1.0,0.0\n"}),
+    (["karcher", "--atoms", "atoms.json"],
+     {"atoms.json": json.dumps({"frames": [[[1.0], [0.0]]],
+                                "weights": "x"})}),
+], ids=["center", "samples 0", "grid 0x4", "grid 3xq", "manifest samples",
+        "manifest m", "csv cell", "karcher weights"])
+def test_malformed_numbers_are_input_errors(tmp_path, capsys, monkeypatch,
+                                            argv, inputs):
+    # a value that is no number, or no positive count, is malformed input:
+    # exit 2 without a report, not the exit 1 of a violated conclusion
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    assert run(argv + ["--out", "report.json"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "report.json").exists()

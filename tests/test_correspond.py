@@ -42,6 +42,8 @@ from lipimm.normals import (
 )
 from lipimm.shapes import make_shape
 
+from conftest import csr_of, csr_rows
+
 
 @pytest.fixture(scope="module")
 def circle():
@@ -75,8 +77,8 @@ def test_identity_correspondence_exact(circle, circle_net, circle_dir_field):
 
 
 def test_covering_chart_ranks(circle_net, circle_dir_field):
-    cover = circle_net.cover_index(3)
-    # cover lists run in chart order: rank 0 is the field's owning chart
+    cover = csr_rows(circle_net.cover_index(3))
+    # cover rows run in chart order: rank 0 is the field's owning chart
     assert np.array_equal(_covering_chart(circle_net, 0),
                           circle_dir_field.chart_of)
     second = _covering_chart(circle_net, 1)
@@ -325,11 +327,13 @@ def test_chart_hausdorff_on_ragged_charts(monkeypatch, n):
     sizes2 = [1, 1, 50, 1, 7, 60, 2, 1, 1, 25, 33, 1]
 
     def ragged(sizes):
-        sets = [[np.array([j]), np.sort(rng.choice(256, size, replace=False))]
-                for j, size in enumerate(sizes)]
-        sets[9][1][0] = 200
+        rows = [np.sort(rng.choice(256, size, replace=False))
+                for size in sizes]
+        rows[9][0] = 200
         return DeltaNet(f, 0.2, 0.25, 0, np.arange(len(sizes)),
-                        [None] * len(sizes), sets)
+                        [None] * len(sizes),
+                        [csr_of([[j] for j in range(len(sizes))]),
+                         csr_of(rows)])
 
     net1, net2 = ragged(sizes1), ragged(sizes2)
     for block in (1 << 18, 30000, 1):  # all, 4 and 1 charts a block

@@ -36,11 +36,28 @@ from lipimm.immersion import (
     planes_for,
     planes_of,
     q_component,
-    q_components,
 )
 from lipimm.shapes import Evaluator, immersion_from_points, make_shape
 
-from conftest import complement, random_subspace
+from conftest import (
+    complement,
+    csr_rows,
+    random_subspace,
+    shuffled_cycle,
+)
+
+
+def ladder_at(f, q, frame, radii):
+    """U_{rho,q} over the (n, m) ``frame`` for every rho in ``radii``: the
+    one row of each CSR pair of a one-base ``component_ladders`` pass."""
+    return [ids for ids, _ in
+            component_ladders(f, np.array([q]), frame[None], radii)]
+
+
+def base_ladders(ladders):
+    """Each base's ladder, its row of every radius, from the CSR pairs of a
+    ``component_ladders`` pass."""
+    return list(zip(*map(csr_rows, ladders)))
 
 
 @pytest.fixture(scope="module")
@@ -103,15 +120,6 @@ def reference_component(f, q, plane, rho):
     return np.array(sorted(seen))
 
 
-def _shuffled_cycle(f, seed):
-    """The cycle f with its sample ids permuted: no longer an id cycle."""
-    perm = np.random.default_rng(seed).permutation(len(f))
-    new_id = np.argsort(perm)  # sample perm[i] becomes sample i
-    neighbors = [new_id[f.neighbors(p)] for p in perm]
-    return SampledImmersion(1, f.n, f.positions[perm], neighbors=neighbors,
-                            params=f.params[perm], evaluator=f.evaluator)
-
-
 @functools.lru_cache(maxsize=None)
 def component_shape(name):
     if name == "circle":
@@ -119,7 +127,7 @@ def component_shape(name):
     if name == "ellipse":
         return make_shape("ellipse", {"a": 1.0, "b": 0.4}, 301)
     if name == "shuffled circle":
-        return _shuffled_cycle(make_shape("circle", {"radius": 1.0}, 200), 5)
+        return shuffled_cycle(make_shape("circle", {"radius": 1.0}, 200), 5)
     if name == "raw cloud":
         t = np.linspace(0, 2 * np.pi, 240, endpoint=False)
         wobble = 0.02 * np.random.default_rng(3).standard_normal((240, 3))
@@ -152,7 +160,7 @@ def test_component_ladder_matches_brute_force(name, seam, q_frac, tangent,
     else:
         plane = random_subspace(f.n, f.m, np.random.default_rng(seed))
     radii = sorted((f.sample_spacing * 10.0 ** s for s in scales), reverse=True)
-    ladder = q_components(f, q, plane, radii)
+    ladder = ladder_at(f, q, plane.frame, radii)
     assert len(ladder) == len(radii)
     for rho, members in zip(radii, ladder):
         assert np.array_equal(members, reference_component(f, q, plane, rho))
@@ -186,7 +194,8 @@ def test_stacked_window_pass_matches_q_component(name, params, samples):
             assert np.all(members[q, counts[q]:] == q)
     # a net's ladders: every radius of every row from one pass
     radii = [0.3 / 3.75 ** level for level in range(5)]
-    for q, ladder in zip(ids, component_ladders(f, ids, frames, radii)):
+    for q, ladder in zip(ids, base_ladders(
+            component_ladders(f, ids, frames, radii))):
         for rho, members in zip(radii, ladder):
             assert np.array_equal(members,
                                   reference_component(f, q, planes[q], rho))
@@ -209,7 +218,8 @@ def test_component_ladder_ends(name):
         nearest = np.min(np.linalg.norm(
             (f.positions[f.neighbors(q)] - f.positions[q]) @ plane.frame, axis=1))
         diameter = np.max(np.linalg.norm(f.positions - f.positions[q], axis=1))
-        whole, alone = q_components(f, q, plane, [1.01 * diameter, 0.5 * nearest])
+        whole, alone = ladder_at(f, q, plane.frame,
+                                 [1.01 * diameter, 0.5 * nearest])
         assert np.array_equal(whole, np.arange(len(f)))
         assert np.array_equal(alone, [q])
 
@@ -238,7 +248,7 @@ def test_disconnected_mesh_rejected():
 
 
 def per_row_components(f, q, frame, radii):
-    """``q_components`` of a mesh by one frontier BFS per row: project each
+    """The ladder of base q on a mesh by one frontier BFS per row: project each
     sample reached at the largest radius once, then cut each smaller
     radius, largest first, by a BFS inside the component before it."""
     def bfs(admit):
@@ -304,7 +314,7 @@ def test_stacked_mesh_traversal_matches_the_per_row_bfs(name, lipimm_calls):
               else planes_of(f.best_fit_planes(ids, 0.3)))
     blocks = lipimm_calls(immersion_mod._mesh_components)
     for radii in MESH_RADII:
-        ladders = component_ladders(f, ids, frames, radii)
+        ladders = base_ladders(component_ladders(f, ids, frames, radii))
         for q, ladder in zip(ids, ladders):
             reference = per_row_components(f, q, frames[q], radii)
             assert len(ladder) == len(radii)
@@ -323,7 +333,8 @@ def test_mesh_component_leaves_out_the_far_side_of_the_tube():
     ids = np.arange(len(f))
     frames = f.tangent_planes(ids)
     cut = 0
-    for q, [members] in zip(ids, component_ladders(f, ids, frames, [0.5])):
+    for q, members in zip(ids, csr_rows(
+            component_ladders(f, ids, frames, [0.5])[0])):
         proj = (f.positions - f.positions[q]) @ frames[q]
         ball = np.flatnonzero(np.einsum("ij,ij->i", proj, proj) < 0.25)
         assert np.all(np.isin(members, ball))
@@ -1724,7 +1735,7 @@ def _function_check_inputs():
         [np.cos(t), np.sin(2 * t) / 2, np.sin(t)]) + wobble), 0.3, 0.5
     yield make_shape("torus-knot", {"p": 2, "q": 3}, 600), 0.2, 0.25
     yield make_shape("ellipse", {"a": 1.0, "b": 0.4}, 301), 0.15, 0.5
-    yield _shuffled_cycle(make_shape("ellipse", {"a": 1.0, "b": 0.5}, 200),
+    yield shuffled_cycle(make_shape("ellipse", {"a": 1.0, "b": 0.5}, 200),
                           7), 0.2, 0.25
     sphere = make_shape("sphere", {"radius": 1.0}, "16x8")
     yield immersion_from_points(sphere.positions, m=2,
@@ -1869,9 +1880,8 @@ def intersection_sets(f, p, q, rho, lam):
     delta = rho / (3 (1 + lambda)), and each member's |f(q) - f(x)| over
     (1 + lambda) rho."""
     d = rho / (3.0 * (1.0 + lam))
-    members_q, dq = q_components(f, q, Subspace(f.tangent_planes([q])[0]),
-                                 [rho, d])
-    [dp] = q_components(f, p, Subspace(f.tangent_planes([p])[0]), [d])
+    members_q, dq = ladder_at(f, q, f.tangent_planes([q])[0], [rho, d])
+    [dp] = ladder_at(f, p, f.tangent_planes([p])[0], [d])
     ratios = np.linalg.norm(f.positions[members_q] - f.positions[q],
                             axis=1) / ((1.0 + lam) * rho)
     return members_q, dq, dp, ratios

@@ -31,6 +31,8 @@ from lipimm.normals import (
 )
 from lipimm.shapes import make_shape
 
+from conftest import csr_of, csr_rows, shuffled_cycle
+
 
 @pytest.fixture(scope="module")
 def circle():
@@ -154,7 +156,7 @@ def test_z_iota0_full_when_radius_exceeds_diameter():
 def test_z_of_point_contains_own_chart(circle):
     net5 = build_net(circle, 0.2, 0.25, 5)
     for p in (0, 17, 2048):
-        z = net5.cover_index(2)[p]
+        z = csr_rows(net5.cover_index(2))[p]
         assert len(z) > 0
         assert int(net5.points[p]) == p  # degenerate level-5 net: all samples
         assert p in z
@@ -241,8 +243,10 @@ def _per_point_greedy(f, r, lam, level, plane_rule, verify):
         ladders.append(ladder)
         covered[ladder[level]] = True
         covered[q] = True
+    stacks = [csr_of([ladder[iota] for ladder in ladders])
+              for iota in range(level + 2)]
     return DeltaNet(f, r, lam, level, np.array(points),
-                    np.stack([plane.frame for plane in planes]), ladders,
+                    np.stack([plane.frame for plane in planes]), stacks,
                     plane_rule)
 
 
@@ -268,12 +272,13 @@ def test_ladder_net_equals_net_of_single_radius_components(
     reference = _per_point_greedy(f, r, 0.25, level, plane_rule, verify)
     assert np.array_equal(net.points, reference.points)
     assert np.array_equal(net.frames, reference.frames)
-    for ladder, expected in zip(net.member_sets, reference.member_sets):
-        assert len(ladder) == level + 2
-        assert all(np.array_equal(a, b) for a, b in zip(ladder, expected))
+    assert len(net.stacks) == level + 2
+    for iota in range(level + 2):
+        for a, b in zip(net.member_stack(iota), reference.member_stack(iota)):
+            assert np.array_equal(a, b)
     for iota in (2, 3):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(net.cover_index(iota), reference.cover_index(iota)))
+        for a, b in zip(net.cover_index(iota), reference.cover_index(iota)):
+            assert np.array_equal(a, b)
     for iota in range(level + 1):
         for j in range(len(net)):
             assert np.array_equal(net.z_set(iota, j), reference.z_set(iota, j))
@@ -283,8 +288,8 @@ def _first_shared_sample(net):
     """The former point-by-point separation loop: the first (earlier point,
     point, sample) in net order whose sample an earlier point holds."""
     owner = {}
-    for j, members in enumerate(net.member_sets):
-        for p in members[net.level + 1].tolist():
+    for j in range(len(net)):
+        for p in net.members(j, net.level + 1).tolist():
             if p in owner:
                 return owner[p], j, p
             owner[p] = j
@@ -319,14 +324,14 @@ def reference_cover_index(net, iota):
     order."""
     lists = [[] for _ in range(len(net.f))]
     for j in range(len(net.points)):
-        for p in net.member_sets[j][iota]:
+        for p in net.members(j, iota):
             lists[p].append(j)
     return [np.asarray(v, dtype=int) for v in lists]
 
 
 def reference_z_set(net, cover, iota, j):
     hits = {j}
-    for p in net.member_sets[j][iota]:
+    for p in net.members(j, iota):
         hits.update(cover[p].tolist())
     return np.asarray(sorted(hits), dtype=int)
 
@@ -340,7 +345,7 @@ def test_cover_index_and_z_sets_match_the_nested_loops(shape, samples, r,
         net = build_net(f, r, 0.25, level)
         for iota in range(level + 2):
             cover = reference_cover_index(net, iota)
-            got = net.cover_index(iota)
+            got = csr_rows(net.cover_index(iota))
             assert len(got) == len(cover)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, cover))
             if iota <= level:
@@ -397,7 +402,8 @@ def test_n_lipschitz_raises_only_for_a_failure_at_its_own_members():
     tilted = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 2048)
     net = build_net(tilted, 0.2, 0.25, 5)
     nfield, clean = (NormalMeasureField(tilted, net) for _ in range(2))
-    k = int(net.cover_index(2)[100][0])
+    charts, ptr = net.cover_index(2)
+    k = int(charts[ptr[100]])
     nfield._chart_frames[k] = nfield._sample_frames[612]
     near = next(j for j in range(len(net)) if 100 in net.members(j, 3))
     with pytest.raises(InvariantViolationError, match="at or beyond pi/12"):
@@ -405,3 +411,36 @@ def test_n_lipschitz_raises_only_for_a_failure_at_its_own_members():
     assert n_lipschitz_check(nfield, 1000).empirical == \
         n_lipschitz_check(clean, 1000).empirical > 0.0
     assert nfield._quotients is None
+
+
+@pytest.mark.parametrize("name, r, level", [
+    ("circle", 0.2, 2), ("torus", 0.1, 1), ("shuffled circle", 0.2, 2)])
+def test_memberships_are_one_csr_pair_per_scale(name, r, level):
+    # the id cycle, the mesh and a cycle of shuffled ids (the BFS path):
+    # at every scale the members are one CSR pair whose rows ascend and
+    # hold their base, a chart's members are a view of it, and the cover
+    # index is its inverse
+    f = {"circle": lambda: make_shape("circle", {}, 1024),
+         "torus": lambda: make_shape("torus", {}, "16x32"),
+         "shuffled circle": lambda: shuffled_cycle(
+             make_shape("circle", {}, 512), 3)}[name]()
+    assert f._id_cycle == (name == "circle")
+    net = build_net(f, r, 0.25, level)
+    for iota in range(level + 2):
+        ids, ptr = net.member_stack(iota)
+        assert (ptr[0], ptr[-1], len(ptr)) == (0, len(ids), len(net) + 1)
+        assert np.all(np.diff(ptr) >= 0)
+        pairs = set()
+        for j, q in enumerate(net.points.tolist()):
+            row = net.members(j, iota)
+            assert np.all(np.diff(row) > 0) and q in row
+            assert np.shares_memory(row, ids)
+            pairs.update((j, p) for p in row.tolist())
+        charts, cover_ptr = net.cover_index(iota)
+        assert (cover_ptr[0], cover_ptr[-1], len(cover_ptr)) == \
+            (0, len(charts), len(f) + 1)
+        inverse = set()
+        for p, js in enumerate(csr_rows((charts, cover_ptr))):
+            assert np.all(np.diff(js) > 0)
+            inverse.update((j, p) for j in js.tolist())
+        assert inverse == pairs

@@ -36,7 +36,7 @@ from lipimm.normals import (
 )
 from lipimm.shapes import make_shape
 
-from conftest import complement, scaled
+from conftest import complement, csr_of, csr_rows, scaled
 
 
 def cutoff_derivative(spec, t):
@@ -53,7 +53,7 @@ def cutoff_derivative(spec, t):
 def member_normals(net, j, sample_ids):
     """Unit normals of a codimension-one chart j at member samples: a
     one-chart ``chart_normals``."""
-    return chart_normals(net, [j], [sample_ids])[0]
+    return chart_normals(net, [j], csr_of([sample_ids]))
 
 
 def one_chart(shape, q, r):
@@ -228,7 +228,7 @@ def test_sign_alignment_self_and_adjacent(circle, circle_net):
         shared = np.intersect1d(circle_net.members(j, 1),
                                 circle_net.members(k, 1))
         nu_j, nu_k = np.split(chart_normals(circle_net, [j, k],
-                                            [shared, shared])[0], 2)
+                                            csr_of([shared, shared])), 2)
         assert len(shared) and np.all(np.einsum("ij,ij->i", nu_j, nu_k) > 0)
 
 
@@ -306,12 +306,13 @@ def _reference_field(f, net):
     s_norm = np.zeros(len(f))
     chart_of = np.full(len(f), -1, dtype=int)
     charts, overlap_max = [], 0.0
+    cover = csr_rows(net.cover_index(2))
     for j in range(len(net)):
         ids = net.members(j, 3)
         s_vals = np.zeros((len(ids), f.n))
         for row, p in enumerate(ids):
             if p not in weights:
-                ks = net.cover_index(2)[p]
+                ks = cover[p]
                 dist = np.linalg.norm(
                     f.positions[net.points[ks]] - f.positions[p], axis=1)
                 weights[p] = (ks, cutoff.value(dist / net.delta(2)))
@@ -365,7 +366,7 @@ def _field_error(monkeypatch, net, failures):
     samples away, of weight 0; ("angle", j) turns chart j's reference
     normal by 0.5 rad; ("span", j) scales and tilts it, so that the angle
     check passes but the signs of the atoms split."""
-    cover = list(net.cover_index(2))
+    cover = csr_rows(net.cover_index(2))
     refs = {}
     for kind, at in failures:
         if kind == "uncovered":
@@ -388,8 +389,8 @@ def _field_error(monkeypatch, net, failures):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(net, "cover_index",
-                  lambda iota: cover if iota == 2 else real_cover(iota))
+        m.setattr(net, "cover_index", lambda iota: csr_of(cover)
+                  if iota == 2 else real_cover(iota))
         m.setattr(normals_mod, "_unit_normals", normals)
         with pytest.raises(Exception) as info:
             direction_field(net.f, net)
@@ -562,10 +563,9 @@ def test_stacked_chart_normals_match_each_patch(shape, params, r, lam, rule,
         net, make_shape(shape, dict(params, **target), 1024))
     charts = range(len(on))
     members = [on.members(j, 1) for j in charts]
-    got, counts = chart_normals(on, charts, members)
+    got = chart_normals(on, charts, csr_of(members))
     want = [reference_at_samples(on, j, m) for j, m in zip(charts, members)]
     assert got.tobytes() == np.concatenate(want).tobytes()
-    assert counts.tolist() == [len(m) for m in members]
     rows, at = on.patches()
     ones = np.ones(len(on), dtype=int)
     centers = normals_mod._unit_normals(
@@ -586,7 +586,7 @@ def test_stacked_surface_normals_inpaint_each_chart(sphere_net):
     net = sphere_net
     charts = range(len(net))
     members = [net.members(j, 0) for j in charts]
-    got, _ = chart_normals(net, charts, members)
+    got = chart_normals(net, charts, csr_of(members))
     want = [member_normals(net, j, m) for j, m in zip(charts, members)]
     assert got.tobytes() == np.concatenate(want).tobytes()
     rows, at = net.patches()
@@ -598,12 +598,12 @@ def test_stacked_surface_normals_inpaint_each_chart(sphere_net):
 def test_chart_normals_name_a_sample_outside_the_patch(circle_net):
     outside = int(circle_net.members(0, 0)[-1]) + 1
     with pytest.raises(InputError, match=f"sample {outside} is not a member"):
-        chart_normals(circle_net, [0], [[outside]])
+        chart_normals(circle_net, [0], csr_of([[outside]]))
     # a negative id is no member either, though its key j * N - 1 is the
     # last sample's key in chart j - 1, which holds that sample
     assert circle_net.members(0, 0)[-1] == len(circle_net.f) - 1
     with pytest.raises(InputError, match="sample -1 is not a member"):
-        chart_normals(circle_net, [1], [[-1]])
+        chart_normals(circle_net, [1], csr_of([[-1]]))
 
 
 def test_field_lipschitz_regression(circle_field):
@@ -655,10 +655,11 @@ def test_stacked_mixtures_match_the_per_sample_reference(
     # rows of 9 atoms cut to 5..9, so that the stack pads them: every
     # weight and margin is still the one a sample's own mixture gives
     ids = np.arange(0, 2048, 37)
-    cover = list(tilted_net.cover_index(2))
+    cover = csr_rows(tilted_net.cover_index(2))
     for i, q in enumerate(ids):
         cover[q] = cover[q][:5 + i % 5]
-    monkeypatch.setattr(tilted_net, "cover_index", lambda iota: cover)
+    monkeypatch.setattr(tilted_net, "cover_index",
+                        lambda iota: csr_of(cover))
     nfield = NormalMeasureField(tilted, tilted_net)
     charts, weights, counts, margins, failure = nfield._mixtures(ids)
     assert failure is None and set(counts.tolist()) == {5, 6, 7, 8, 9}
@@ -788,11 +789,10 @@ def test_means_raise_for_the_first_failing_sample(monkeypatch):
     sparse = make_shape("circle3d", {"radius": 1.0, "tilt": 0.2}, 512)
     net = build_net(sparse, 0.2, 0.25, 5)
     nfield = NormalMeasureField(sparse, net)
-    nfield._chart_frames[net.cover_index(2)[100][0]] = \
-        nfield._sample_frames[228]
-    cover = list(net.cover_index(2))
+    cover = csr_rows(net.cover_index(2))
+    nfield._chart_frames[cover[100][0]] = nfield._sample_frames[228]
     cover[300] = np.empty(0, dtype=int)
-    monkeypatch.setattr(net, "cover_index", lambda iota: cover)
+    monkeypatch.setattr(net, "cover_index", lambda iota: csr_of(cover))
     solve = normals_mod.karcher_means
 
     def leaving(frames, weights, centers, tol):
